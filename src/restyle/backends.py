@@ -246,7 +246,13 @@ class BackendEndpoints:
 
 
 class _HttpService:
-    """POSTs JSON to one endpoint URL, retrying transport failures."""
+    """POSTs JSON to one endpoint URL, retrying transport failures.
+
+    Any ``requests`` exception raised while sending or reading the response,
+    such as a body cut off mid-read, is a transport failure; after the last
+    attempt it surfaces as :class:`TransportError`, so corpus runs record it
+    per example.
+    """
 
     def __init__(self, url: str, endpoints: BackendEndpoints):
         self.url = url
@@ -259,7 +265,7 @@ class _HttpService:
         for attempt in range(1, self.max_retries + 1):
             try:
                 resp = requests.post(self.url, json=payload, timeout=self.timeout)
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except requests.RequestException as exc:
                 last_exc = exc
                 if attempt < self.max_retries:
                     time.sleep(self.backoff * (2 ** (attempt - 1)))

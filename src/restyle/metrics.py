@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from . import backends
@@ -190,12 +191,22 @@ def corpus_perplexity(texts: list[str], endpoints: BackendEndpoints) -> float:
     """
     if not texts:
         raise MetricError("corpus_perplexity requires at least one text")
+    responses = (backends.score_tokens(endpoints, text) for text in texts)
+    return perplexity_from_totals((resp.total_logprob, len(resp.tokens))
+                                  for resp in responses)
+
+
+def perplexity_from_totals(totals: Iterable[tuple[float, int]]) -> float:
+    """Token-weighted perplexity from per-text (total log-prob, token count).
+
+    The totals are summed in order, so the same totals give the same bytes
+    whether they come from fresh /score calls or from earlier ones.
+    """
     total_logprob = 0.0
     total_tokens = 0
-    for text in texts:
-        resp = backends.score_tokens(endpoints, text)
-        total_logprob += resp.total_logprob
-        total_tokens += len(resp.tokens)
+    for logprob, tokens in totals:
+        total_logprob += logprob
+        total_tokens += tokens
     if total_tokens == 0:
         raise MetricError("scoring backend returned no tokens")
     return math.exp(-total_logprob / total_tokens)

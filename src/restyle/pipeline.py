@@ -38,6 +38,7 @@ from .prompts import (
 from .reranking import (
     Candidate,
     RerankConfig,
+    RerankScore,
     rerank,
     score_record,
     top_beam_baseline,
@@ -83,13 +84,16 @@ class RequestTemplate:
 
 def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
                  max_new_tokens: int = 128, decode: DecodeConfig | None = None,
-                 seed: int | None = None,
-                 example_id: str | None = None) -> tuple[Candidate, dict]:
+                 seed: int | None = None, example_id: str | None = None,
+                 with_winner_score: bool = False) -> tuple:
     """Transfer a single text and return the winner plus its audit record.
 
     Renders the prompt, requests ``cfg.k`` candidates with the closing
     delimiter as the stop string, re-extracts every completion (services may
-    ignore the stop), drops empty extractions, and reranks the rest.
+    ignore the stop), drops empty extractions, and reranks the rest. With
+    ``with_winner_score`` a third element is the winner's
+    :class:`RerankScore`, whose fluency totals spare the corpus summary a
+    second /score call.
     """
     prompt = render_prompt(req)
     creq = CompletionRequest(
@@ -123,6 +127,8 @@ def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
         "winner": winner.text,
         "baseline": baseline.text,
     }
+    if with_winner_score:
+        return winner, record, scores[pool.index(winner)]
     return winner, record
 
 
@@ -146,7 +152,13 @@ def _styles_in(records: list[StylePairRecord]) -> list[str]:
     return sorted(names)
 
 
-def _summarize(ok: list[dict], endpoints: backends.BackendEndpoints) -> EvalSummary:
+def _summarize(ok: list[dict], endpoints: backends.BackendEndpoints,
+               fluency: list[tuple[float, int]] | None = None) -> EvalSummary:
+    """Corpus metrics over successful records.
+
+    ``fluency`` holds each winner's (total log-prob, token count) from
+    reranking, parallel to ``ok``; without it the winners are scored again.
+    """
     outputs = [r["winner"] for r in ok]
     sources = [r["source"] for r in ok]
     fields: dict = {"s_sbleu": metrics.self_sbleu(outputs, sources)}
@@ -161,7 +173,9 @@ def _summarize(ok: list[dict], endpoints: backends.BackendEndpoints) -> EvalSumm
             fields["accuracy"] = metrics.classifier_accuracy(
                 outputs, [r["target_style"] for r in ok], endpoints,
                 labels=labels)
-    if endpoints.score is not None:
+    if fluency is not None:
+        fields["ppl"] = metrics.perplexity_from_totals(fluency)
+    elif endpoints.score is not None:
         fields["ppl"] = metrics.corpus_perplexity(outputs, endpoints)
     return EvalSummary(**fields)
 
@@ -202,7 +216,7 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
         raise PipelineError("transfer_corpus requires a non-empty record list")
     decode = decode or DecodeConfig()
 
-    def one(item: tuple[int, StylePairRecord]) -> dict:
+    def one(item: tuple[int, StylePairRecord]) -> tuple[dict, RerankScore | None]:
         index, rec = item
         base = {
             "id": rec.id,
@@ -213,26 +227,31 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
         }
         try:
             req = plan.request_for(rec)
-            _, record = transfer_one(
+            _, record, score = transfer_one(
                 req, cfg, max_new_tokens=max_new_tokens, decode=decode,
                 seed=None if seed is None else seed + index,
-                example_id=rec.id)
+                example_id=rec.id, with_winner_score=True)
         except (BackendError, PipelineError, ValueError) as exc:
             logger.warning("example %s failed: %s", rec.id, exc)
-            return {**base, "error": f"{type(exc).__name__}: {exc}"}
+            return {**base, "error": f"{type(exc).__name__}: {exc}"}, None
         record.update(base)
-        return record
+        return record, score
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as executor:
-        out_records = list(executor.map(one, enumerate(records)))
+        results = list(executor.map(one, enumerate(records)))
 
+    out_records = [record for record, _ in results]
     ok = [r for r in out_records if "error" not in r]
     if not ok:
         raise PipelineError(
             f"all {len(records)} examples failed; first error: "
             f"{out_records[0].get('error')}"
         )
-    summary = _summarize(ok, cfg.endpoints)
+    fluency = None
+    if cfg.use_fluency:
+        fluency = [(score.log_fluency, score.fluency_tokens)
+                   for _, score in results if score is not None]
+    summary = _summarize(ok, cfg.endpoints, fluency)
     config = _run_config(plan, cfg, jobs=jobs, seed=seed,
                          max_new_tokens=max_new_tokens, decode=decode)
     run_id = hashlib.sha256(

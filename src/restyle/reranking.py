@@ -19,7 +19,6 @@ baseline instead takes the candidate the generator itself ranked first.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +63,17 @@ class RerankConfig:
 
 @dataclass(frozen=True)
 class RerankScore:
-    """The log factors of one candidate; composite sums the enabled terms."""
+    """The log factors of one candidate; composite sums the enabled terms.
+
+    ``fluency_tokens`` is the token count of the /score response behind
+    ``log_fluency``; perplexity needs it, the score record does not.
+    """
 
     log_similarity: float
     log_strength: float
     log_fluency: float | None
     composite: float
+    fluency_tokens: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -88,10 +92,18 @@ def similarity_score(src: str, cand: str, endpoints: BackendEndpoints) -> float:
     is symmetric in its two texts, and identical texts score 1.0 under any
     embedding backend.
     """
-    if not src.strip() or not cand.strip():
+    return _greedy_f1(_embedded_rows(src, endpoints),
+                      _embedded_rows(cand, endpoints))
+
+
+def _embedded_rows(text: str, endpoints: BackendEndpoints) -> np.ndarray:
+    if not text.strip():
         raise ValueError("similarity_score requires two non-empty texts")
-    src_vecs = _unit_rows(backends.embed_tokens(endpoints, src))
-    cand_vecs = _unit_rows(backends.embed_tokens(endpoints, cand))
+    return _unit_rows(backends.embed_tokens(endpoints, text))
+
+
+def _greedy_f1(src_vecs: np.ndarray, cand_vecs: np.ndarray) -> float:
+    """The F1 of :func:`similarity_score` over unit-normalized token rows."""
     sim = src_vecs @ cand_vecs.T
     recall = float(sim.max(axis=1).mean())
     precision = float(sim.max(axis=0).mean())
@@ -138,11 +150,18 @@ def classifier_strength(cand: str, s1: StyleLabel, s2: StyleLabel,
     return _l1_normalize(resp.scores[labels[0]], resp.scores[labels[1]])
 
 
-def fluency_logprob(cand: str, endpoints: BackendEndpoints) -> float:
-    """Total log-probability of the text: the sum of per-token conditionals."""
+def fluency_logprob(cand: str, endpoints: BackendEndpoints, *,
+                    with_token_count: bool = False):
+    """Total log-probability of the text: the sum of per-token conditionals.
+
+    With ``with_token_count`` the result is ``(total_logprob, token_count)``,
+    the pair token-weighted perplexity is built from.
+    """
     if not cand.strip():
         raise ValueError("fluency_logprob requires a non-empty text")
     resp = backends.score_tokens(endpoints, cand)
+    if with_token_count:
+        return resp.total_logprob, len(resp.tokens)
     return resp.total_logprob
 
 
@@ -150,43 +169,59 @@ def _floored_log(p: float) -> float:
     return math.log(max(p, PROB_FLOOR))
 
 
-def score_candidate(req: TransferRequest, cand: Candidate,
-                    cfg: RerankConfig) -> RerankScore:
-    """All enabled log factors for one candidate."""
-    sim = similarity_score(req.input_text, cand.text, cfg.endpoints)
-    if cfg.strength_source == "external_classifier":
-        strength = classifier_strength(cand.text, req.source_style,
-                                       req.target_style, cfg.endpoints)
-    else:
-        strength = style_strength(cand.text, req.source_style,
-                                  req.target_style, cfg.endpoints)
-    log_sim = _floored_log(sim)
-    log_strength = _floored_log(strength)
-    log_fluency = None
-    composite = log_sim + log_strength
-    if cfg.use_fluency:
-        log_fluency = fluency_logprob(cand.text, cfg.endpoints)
-        composite += log_fluency
-    return RerankScore(log_similarity=log_sim, log_strength=log_strength,
-                       log_fluency=log_fluency, composite=composite)
+def score_pool(req: TransferRequest, pool: list[Candidate],
+               cfg: RerankConfig) -> list[RerankScore]:
+    """All enabled log factors for every candidate, parallel to ``pool``.
+
+    Backend calls follow a per-example plan: the source is embedded once,
+    and each distinct candidate text costs one call per factor endpoint. A
+    candidate equal to the source reuses the source's embedding, and a
+    repeated text reuses the scores of its first occurrence, so every
+    candidate scores exactly as it would alone.
+    """
+    endpoints = cfg.endpoints
+    src_rows = _embedded_rows(req.input_text, endpoints)
+    by_text: dict[str, RerankScore] = {}
+    for cand in pool:
+        if cand.text in by_text:
+            continue
+        if cand.text == req.input_text:
+            # A fresh buffer: A @ A.T on one array takes NumPy's symmetric
+            # product, whose last bits differ from the general one.
+            cand_rows = src_rows.copy()
+        else:
+            cand_rows = _embedded_rows(cand.text, endpoints)
+        sim = _greedy_f1(src_rows, cand_rows)
+        if cfg.strength_source == "external_classifier":
+            strength = classifier_strength(cand.text, req.source_style,
+                                           req.target_style, endpoints)
+        else:
+            strength = style_strength(cand.text, req.source_style,
+                                      req.target_style, endpoints)
+        log_sim = _floored_log(sim)
+        log_strength = _floored_log(strength)
+        log_fluency = tokens = None
+        composite = log_sim + log_strength
+        if cfg.use_fluency:
+            log_fluency, tokens = fluency_logprob(cand.text, endpoints,
+                                                  with_token_count=True)
+            composite += log_fluency
+        by_text[cand.text] = RerankScore(
+            log_similarity=log_sim, log_strength=log_strength,
+            log_fluency=log_fluency, composite=composite,
+            fluency_tokens=tokens)
+    return [by_text[cand.text] for cand in pool]
 
 
-def rerank(req: TransferRequest, pool: list[Candidate], cfg: RerankConfig,
-           jobs: int = 1) -> tuple[Candidate, list[RerankScore]]:
+def rerank(req: TransferRequest, pool: list[Candidate],
+           cfg: RerankConfig) -> tuple[Candidate, list[RerankScore]]:
     """Score every candidate and pick the composite argmax.
 
-    Ties break toward the lowest pool index. ``jobs`` bounds concurrent
-    per-candidate scoring; the fold over scores itself is sequential and
-    order-stable.
+    Ties break toward the lowest pool index.
     """
     if not pool:
         raise ValueError("rerank requires a non-empty candidate pool")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-            scores = list(pool_exec.map(
-                lambda c: score_candidate(req, c, cfg), pool))
-    else:
-        scores = [score_candidate(req, c, cfg) for c in pool]
+    scores = score_pool(req, pool, cfg)
     best = 0
     for i in range(1, len(pool)):
         if scores[i].composite > scores[best].composite:

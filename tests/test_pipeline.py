@@ -1,10 +1,12 @@
 import json
 
 import pytest
+import requests
 
+from restyle.backends import CompletionRequest
 from restyle.data import StylePairRecord
 from restyle.metrics import EvalSummary
-from restyle.mocks import mock_endpoints
+from restyle.mocks import LexiconFlipBackend, mock_endpoints
 from restyle.pipeline import (
     PipelineError,
     RequestTemplate,
@@ -104,6 +106,43 @@ class TestTransferCorpus:
         assert errors[0]["id"] == "bad"
         assert "DelimiterCollisionError" in errors[0]["error"]
         assert len(manifest.successful_records()) == 4
+
+    def test_truncated_http_body_fails_one_example(self, monkeypatch,
+                                                   sentiment_records):
+        flip = LexiconFlipBackend()
+        attempts = []
+
+        class Reply:
+            status_code = 200
+
+            def __init__(self, body):
+                self.body = body
+
+            def json(self):
+                return self.body
+
+        def post(url, json, timeout):
+            attempts.append(json["prompt"])
+            if "rude staff" in json["prompt"]:
+                raise requests.exceptions.ChunkedEncodingError(
+                    "Connection broken: IncompleteRead")
+            resp = flip.complete(CompletionRequest(
+                prompt=json["prompt"], num_candidates=json["num_candidates"],
+                stop=json["stop"]))
+            return Reply({"candidates": [
+                {"text": g.text, "gen_score": g.gen_score}
+                for g in resp.candidates]})
+
+        monkeypatch.setattr(requests, "post", post)
+        ep = mock_endpoints(complete="http://127.0.0.1:9/complete",
+                            max_retries=3, retry_backoff=0.0)
+        manifest = transfer_corpus(sentiment_records, RequestTemplate(),
+                                   RerankConfig(k=3, endpoints=ep), jobs=2)
+        errors = [r for r in manifest.records if "error" in r]
+        assert [r["id"] for r in errors] == ["n1"]
+        assert errors[0]["error"].startswith("TransportError")
+        assert len(manifest.successful_records()) == 3
+        assert sum("rude staff" in prompt for prompt in attempts) == 3
 
     def test_all_failed_raises(self, mock_ep):
         cfg = RerankConfig(k=3, endpoints=mock_ep)

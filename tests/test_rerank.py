@@ -134,19 +134,20 @@ class TestRerank:
     def test_argmax_of_stub_composites(self, monkeypatch):
         composites = [-2.0, -1.0, -5.0]
 
-        def stub(req, cand, cfg):
-            c = composites[cand.index]
-            return RerankScore(c, 0.0, None, c)
+        def stub(req, pool, cfg):
+            return [RerankScore(composites[cand.index], 0.0, None,
+                                composites[cand.index]) for cand in pool]
 
-        monkeypatch.setattr("restyle.reranking.score_candidate", stub)
+        monkeypatch.setattr("restyle.reranking.score_pool", stub)
         pool = make_pool("a", "b", "c")
         winner, scores = rerank(self.request(), pool, RerankConfig())
         assert winner.index == 1
         assert [s.composite for s in scores] == composites
 
     def test_all_equal_composites_tie_to_first(self, monkeypatch):
-        monkeypatch.setattr("restyle.reranking.score_candidate",
-                            lambda req, cand, cfg: RerankScore(-1.0, 0.0, None, -1.0))
+        monkeypatch.setattr("restyle.reranking.score_pool",
+                            lambda req, pool, cfg: [RerankScore(-1.0, 0.0, None, -1.0)
+                                                    for _ in pool])
         pool = make_pool("a", "b", "c")
         winner, _ = rerank(self.request(), pool, RerankConfig())
         assert winner.index == 0
@@ -215,13 +216,6 @@ class TestRerank:
         pool = make_pool("the food was bad")
         _, scores = rerank(self.request(), pool, cfg)
         assert scores[0].log_strength == pytest.approx(math.log(0.9))
-
-    def test_concurrent_scoring_matches_serial(self, mock_ep):
-        cfg = RerankConfig(endpoints=mock_ep)
-        pool = make_pool("the food was bad", "the food was good", "good good")
-        serial = rerank(self.request(), pool, cfg, jobs=1)
-        threaded = rerank(self.request(), pool, cfg, jobs=4)
-        assert serial == threaded
 
     def test_monotonic_in_each_factor(self):
         base = RerankScore(-0.5, -0.7, -3.0, -4.2)

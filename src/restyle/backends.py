@@ -15,12 +15,18 @@ Endpoint addresses may be:
 
 from __future__ import annotations
 
+import atexit
+import base64
+import http.client
+import json
 import math
 import os
+import ssl
+import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
-
-import requests
 
 
 class BackendError(Exception):
@@ -37,12 +43,12 @@ class TransportError(BackendError):
 
 
 class ServiceError(BackendError):
-    """The service answered with an error; not retried."""
+    """The service answered with an error; retried only for 429/502/503/504."""
 
     def __init__(self, message: str, status: int | None = None):
         super().__init__(message)
         self.status = status
-        self.retryable = False
+        self.retryable = status in _TRANSIENT_STATUSES
 
 
 class MalformedResponseError(BackendError):
@@ -149,6 +155,12 @@ class TokenScore:
 class TokenScoreResponse:
     tokens: tuple[TokenScore, ...]
 
+    def __post_init__(self):
+        # Scored texts are never empty, and an empty list would read as
+        # log-probability 0, the most fluent text possible.
+        if not self.tokens:
+            raise ValueError("token score response has no tokens")
+
     @property
     def total_logprob(self) -> float:
         return sum(t.logprob for t in self.tokens)
@@ -177,9 +189,13 @@ class EmbeddingResponse:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
+        if not self.vectors:
+            raise ValueError("embedding response has no vectors")
         for vec in self.vectors:
             if len(vec) != self.dim:
                 raise ValueError("all vectors must share dim")
+            if not all(map(math.isfinite, vec)):
+                raise ValueError("non-finite component in embedding response")
             if not any(v != 0.0 for v in vec):
                 raise ValueError("zero vector in embedding response")
 
@@ -245,56 +261,174 @@ class BackendEndpoints:
         }
 
 
-class _HttpService:
-    """POSTs JSON to one endpoint URL, retrying transport failures.
+# Statuses of a service that is overloaded or restarting: retried like
+# transport failures, within the same attempt budget and backoff.
+_TRANSIENT_STATUSES = frozenset({429, 502, 503, 504})
 
-    Any ``requests`` exception raised while sending or reading the response,
-    such as a body cut off mid-read, is a transport failure; after the last
-    attempt it surfaces as :class:`TransportError`, so corpus runs record it
-    per example.
+
+class _IdleConnectionClosed(Exception):
+    """A reused connection failed before any response byte arrived."""
+
+
+def _basic_auth(parts: urllib.parse.SplitResult) -> str:
+    user = urllib.parse.unquote(parts.username or "")
+    password = urllib.parse.unquote(parts.password or "")
+    token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+    return f"Basic {token}"
+
+
+class _HttpService:
+    """POSTs JSON to one endpoint URL over pooled keep-alive connections.
+
+    One client serves every call to its endpoint (see :func:`_service`).
+    Idle connections wait in a lock-protected list; a round trip checks one
+    out and returns it only after reading the whole response, and a
+    connection whose round trip raised is closed instead. What the
+    environment contributes (the proxy from ``getproxies``/``proxy_bypass``
+    and the TLS context with the system CA store) is resolved once, here.
+
+    Socket and ``http.client`` errors, such as a body cut off mid-read, and
+    429/502/503/504 answers are retried with exponential backoff; after the
+    last attempt they surface as :class:`TransportError` and
+    :class:`ServiceError` respectively, so corpus runs record them per
+    example. A reused connection that the server closed while it was idle is
+    replaced at once, with no sleep and no attempt spent.
     """
 
-    def __init__(self, url: str, endpoints: BackendEndpoints):
+    def __init__(self, url: str, timeout: float, max_retries: int,
+                 retry_backoff: float):
         self.url = url
-        self.timeout = endpoints.timeout
-        self.max_retries = max(1, endpoints.max_retries)
-        self.backoff = endpoints.retry_backoff
+        self.timeout = timeout
+        self.max_retries = max(1, max_retries)
+        self.backoff = retry_backoff
+        self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
+
+        parts = urllib.parse.urlsplit(url)
+        if not parts.hostname:
+            raise BackendError(f"endpoint URL {url!r} names no host")
+        self._https = parts.scheme == "https"
+        self._host, self._port = parts.hostname, parts.port
+        self._context = ssl.create_default_context() if self._https else None
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        if parts.username is not None:
+            self._headers["Authorization"] = _basic_auth(parts)
+
+        self._proxy = None
+        self._tunnel_headers = {}
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(self._host):
+            proxy_parts = urllib.parse.urlsplit(
+                proxy if "://" in proxy else f"http://{proxy}")
+            self._proxy = (proxy_parts.hostname, proxy_parts.port)
+            proxy_headers = ({"Proxy-Authorization": _basic_auth(proxy_parts)}
+                             if proxy_parts.username is not None else {})
+            if self._https:
+                self._tunnel_headers = proxy_headers
+            else:
+                # A plain-HTTP proxy takes the target in absolute form.
+                netloc = parts.netloc.rpartition("@")[2]
+                self._target = f"http://{netloc}{self._target}"
+                self._headers.update(proxy_headers)
+
+    def close(self) -> None:
+        """Close the idle connections; the client stays usable."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _connect(self) -> http.client.HTTPConnection:
+        host, port = self._proxy or (self._host, self._port)
+        if not self._https:
+            return http.client.HTTPConnection(host, port, timeout=self.timeout)
+        conn = http.client.HTTPSConnection(host, port, timeout=self.timeout,
+                                           context=self._context)
+        if self._proxy:
+            conn.set_tunnel(self._host, self._port, headers=self._tunnel_headers)
+        return conn
+
+    def _exchange(self, conn: http.client.HTTPConnection, data: bytes,
+                  reused: bool) -> tuple[int, bytes]:
+        try:
+            try:
+                conn.request("POST", self._target, data, self._headers)
+                resp = conn.getresponse()
+            except ConnectionError as exc:
+                if reused:
+                    raise _IdleConnectionClosed() from exc
+                raise
+            body = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return resp.status, body
+
+    def _round_trip(self, data: bytes) -> tuple[int, bytes]:
+        """POST ``data`` once; the status and the whole response body."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            try:
+                return self._exchange(conn, data, reused=True)
+            except _IdleConnectionClosed:
+                pass
+        return self._exchange(self._connect(), data, reused=False)
 
     def _post(self, payload: dict) -> dict:
-        last_exc: Exception | None = None
+        data = json.dumps(payload, allow_nan=False).encode("utf-8")
         for attempt in range(1, self.max_retries + 1):
+            if attempt > 1:
+                time.sleep(self.backoff * (2 ** (attempt - 2)))
             try:
-                resp = requests.post(self.url, json=payload, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_exc = exc
-                if attempt < self.max_retries:
-                    time.sleep(self.backoff * (2 ** (attempt - 1)))
+                status, raw = self._round_trip(data)
+            except (OSError, http.client.HTTPException) as exc:
+                failure = exc
                 continue
-            if resp.status_code != 200:
+            if status in _TRANSIENT_STATUSES:
+                failure = None
+                continue
+            if status != 200:
                 raise ServiceError(
-                    f"{self.url} answered {resp.status_code}: {resp.text[:200]}",
-                    status=resp.status_code,
+                    f"{self.url} answered {status}: {raw[:200].decode('utf-8', 'replace')}",
+                    status=status,
                 )
-            try:
-                body = resp.json()
-            except ValueError as exc:
-                raise MalformedResponseError(
-                    f"{self.url} returned invalid JSON: {exc}"
-                ) from exc
-            if not isinstance(body, dict):
-                raise MalformedResponseError(f"{self.url} returned a non-object body")
-            if "error" in body:
-                raise ServiceError(f"{self.url} reported: {body['error']}")
-            return body
+            return self._decode(raw)
+        if failure is None:
+            raise ServiceError(
+                f"{self.url} answered {status} on all {self.max_retries} attempts: "
+                f"{raw[:200].decode('utf-8', 'replace')}",
+                status=status,
+            )
         raise TransportError(
-            f"could not reach {self.url} after {self.max_retries} attempts: {last_exc}",
+            f"could not reach {self.url} after {self.max_retries} attempts: "
+            f"{failure!r}",
             attempts=self.max_retries,
         )
+
+    def _decode(self, raw: bytes) -> dict:
+        try:
+            body = json.loads(raw)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedResponseError(
+                f"{self.url} returned invalid JSON: {exc}"
+            ) from exc
+        if not isinstance(body, dict):
+            raise MalformedResponseError(f"{self.url} returned a non-object body")
+        if "error" in body:
+            raise ServiceError(f"{self.url} reported: {body['error']}")
+        return body
 
     def _parse(self, builder, body: dict):
         try:
             return builder(body)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedResponseError(
                 f"{self.url} violated the wire contract: {exc}"
             ) from exc
@@ -314,7 +448,8 @@ class _HttpService:
         body = self._post({"text": text})
         return self._parse(
             lambda b: TokenScoreResponse(tuple(
-                TokenScore(token=str(t["token"]), logprob=t["logprob"])
+                TokenScore(token=str(t["token"]),
+                           logprob=_require_finite(t["logprob"], "logprob"))
                 for t in b["tokens"]
             )),
             body,
@@ -322,8 +457,15 @@ class _HttpService:
 
     def fill_mask(self, text: str, labels: list[str]) -> MaskFillResponse:
         body = self._post({"text": text, "labels": list(labels)})
-        if body.get("label_errors"):
-            raise LabelError({str(k): str(v) for k, v in body["label_errors"].items()})
+        label_errors = body.get("label_errors")
+        if label_errors is not None and not isinstance(label_errors, dict):
+            raise MalformedResponseError(
+                f"{self.url} sent label_errors that is not an object")
+        if label_errors:
+            raise LabelError({str(k): str(v) for k, v in label_errors.items()})
+        if not isinstance(body.get("scores"), dict):
+            raise MalformedResponseError(
+                f"{self.url} sent no scores object")
         return self._parse(
             lambda b: MaskFillResponse({str(k): float(v)
                                         for k, v in b["scores"].items()}),
@@ -334,11 +476,33 @@ class _HttpService:
         body = self._post({"text": text})
         return self._parse(
             lambda b: EmbeddingResponse(
-                vectors=tuple(tuple(float(v) for v in vec) for vec in b["vectors"]),
+                vectors=tuple(tuple(map(float, vec)) for vec in b["vectors"]),
                 dim=int(b["dim"]),
             ),
             body,
         )
+
+
+# One client, and so one connection pool, per endpoint setting. Clients live
+# for the process, so connections kept alive by one corpus run serve the next.
+_clients: dict[tuple, _HttpService] = {}
+_clients_lock = threading.Lock()
+
+
+def _http_client(url: str, endpoints: BackendEndpoints) -> _HttpService:
+    key = (url, endpoints.timeout, endpoints.max_retries, endpoints.retry_backoff)
+    with _clients_lock:
+        client = _clients.get(key)
+        if client is None:
+            client = _clients[key] = _HttpService(*key)
+        return client
+
+
+@atexit.register
+def _close_clients() -> None:
+    with _clients_lock:
+        for client in _clients.values():
+            client.close()
 
 
 def _service(endpoint: object | str | None, endpoints: BackendEndpoints, what: str):
@@ -350,7 +514,7 @@ def _service(endpoint: object | str | None, endpoints: BackendEndpoints, what: s
 
             return mocks.resolve_mock_url(endpoint)
         if endpoint.startswith(("http://", "https://")):
-            return _HttpService(endpoint, endpoints)
+            return _http_client(endpoint, endpoints)
         raise BackendError(f"unsupported endpoint URL {endpoint!r}")
     return endpoint
 

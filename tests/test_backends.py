@@ -18,6 +18,7 @@ from restyle.backends import (
     MalformedResponseError,
     ServiceError,
     TokenScore,
+    TokenScoreResponse,
     TransportError,
 )
 from restyle.mocks import (
@@ -81,9 +82,22 @@ class TestResponseInvariants:
         with pytest.raises(ValueError):
             TokenScore("x", float("-inf"))
 
+    def test_empty_token_scores_rejected(self):
+        with pytest.raises(ValueError, match="no tokens"):
+            TokenScoreResponse(())
+
+    def test_empty_embedding_rejected(self):
+        with pytest.raises(ValueError, match="no vectors"):
+            EmbeddingResponse(vectors=(), dim=2)
+
     def test_embedding_dim_consistency(self):
         with pytest.raises(ValueError):
             EmbeddingResponse(vectors=((1.0, 0.0), (1.0,)), dim=2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_embedding_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            EmbeddingResponse(vectors=((1.0, 0.0), (bad, 1.0)), dim=2)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -291,6 +305,7 @@ def wire_server():
     base = f"http://127.0.0.1:{server.server_port}"
     yield base
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpWire:

@@ -1,12 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
-import requests
 
-from restyle.backends import CompletionRequest
+from loopback import LoopbackServer, Reply, mock_answer
 from restyle.data import StylePairRecord
 from restyle.metrics import EvalSummary
-from restyle.mocks import LexiconFlipBackend, mock_endpoints
+from restyle.mocks import mock_endpoints
 from restyle.pipeline import (
     PipelineError,
     RequestTemplate,
@@ -107,42 +107,44 @@ class TestTransferCorpus:
         assert "DelimiterCollisionError" in errors[0]["error"]
         assert len(manifest.successful_records()) == 4
 
-    def test_truncated_http_body_fails_one_example(self, monkeypatch,
-                                                   sentiment_records):
-        flip = LexiconFlipBackend()
-        attempts = []
+    def test_truncated_http_body_fails_one_example(self, sentiment_records):
+        def answer(path, body):
+            reply = mock_answer(path, body)
+            return replace(reply, truncate="rude staff" in body["prompt"])
 
-        class Reply:
-            status_code = 200
-
-            def __init__(self, body):
-                self.body = body
-
-            def json(self):
-                return self.body
-
-        def post(url, json, timeout):
-            attempts.append(json["prompt"])
-            if "rude staff" in json["prompt"]:
-                raise requests.exceptions.ChunkedEncodingError(
-                    "Connection broken: IncompleteRead")
-            resp = flip.complete(CompletionRequest(
-                prompt=json["prompt"], num_candidates=json["num_candidates"],
-                stop=json["stop"]))
-            return Reply({"candidates": [
-                {"text": g.text, "gen_score": g.gen_score}
-                for g in resp.candidates]})
-
-        monkeypatch.setattr(requests, "post", post)
-        ep = mock_endpoints(complete="http://127.0.0.1:9/complete",
-                            max_retries=3, retry_backoff=0.0)
-        manifest = transfer_corpus(sentiment_records, RequestTemplate(),
-                                   RerankConfig(k=3, endpoints=ep), jobs=2)
+        with LoopbackServer(answer) as server:
+            ep = mock_endpoints(complete=f"{server.url}/complete",
+                                max_retries=3, retry_backoff=0.0)
+            manifest = transfer_corpus(sentiment_records, RequestTemplate(),
+                                       RerankConfig(k=3, endpoints=ep), jobs=2)
         errors = [r for r in manifest.records if "error" in r]
         assert [r["id"] for r in errors] == ["n1"]
         assert errors[0]["error"].startswith("TransportError")
         assert len(manifest.successful_records()) == 3
-        assert sum("rude staff" in prompt for prompt in attempts) == 3
+        assert sum("rude staff" in body["prompt"]
+                   for _, _, _, body in server.requests) == 3
+
+    @pytest.mark.parametrize("bad_body", [
+        {"scores": [0.5, 0.5]},
+        {"scores": "high"},
+        {"scores": {"positive": 0.5, "negative": 0.5}, "label_errors": ["x"]},
+        {"label_errors": "label not single-token"},
+    ])
+    def test_non_object_mask_fields_fail_one_example(self, sentiment_records,
+                                                     bad_body):
+        def answer(path, body):
+            if "rude staff" in body["text"]:
+                return Reply(bad_body)
+            return mock_answer(path, body)
+
+        with LoopbackServer(answer) as server:
+            ep = mock_endpoints(fill_mask=f"{server.url}/fill_mask")
+            manifest = transfer_corpus(sentiment_records, RequestTemplate(),
+                                       RerankConfig(k=3, endpoints=ep))
+        errors = [r for r in manifest.records if "error" in r]
+        assert [r["id"] for r in errors] == ["n1"]
+        assert errors[0]["error"].startswith("MalformedResponseError")
+        assert len(manifest.successful_records()) == 3
 
     def test_all_failed_raises(self, mock_ep):
         cfg = RerankConfig(k=3, endpoints=mock_ep)

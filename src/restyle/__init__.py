@@ -41,6 +41,7 @@ from .data import (
 )
 from .metrics import (
     BleuReport,
+    EvalRow,
     EvalSummary,
     MetricError,
     classifier_accuracy,
@@ -51,6 +52,7 @@ from .metrics import (
     ref_sbleu,
     self_sbleu,
     sentence_gleu,
+    summarize,
     tokenize_eval,
 )
 from .pipeline import (

@@ -25,15 +25,7 @@ from .data import (
     load_dataset,
     save_records,
 )
-from .metrics import (
-    EvalSummary,
-    MetricError,
-    corpus_gleu,
-    corpus_perplexity,
-    exact_match_accuracy,
-    ref_sbleu,
-    self_sbleu,
-)
+from .metrics import EvalRow, MetricError, summarize
 from .pipeline import (
     PipelineError,
     RequestTemplate,
@@ -325,27 +317,18 @@ def cmd_eval(args) -> int:
     for name, lines in (("--src", srcs), ("--ref", refs)):
         if lines is not None and len(lines) != len(hyps):
             raise CliError(f"{name} has {len(lines)} lines, --hyp has {len(hyps)}")
-    fields: dict = {}
-    if srcs is not None:
-        fields["s_sbleu"] = self_sbleu(hyps, srcs)
-    if refs is not None:
-        fields["r_sbleu"] = ref_sbleu(hyps, refs)
-        fields["exact_match"] = exact_match_accuracy(hyps, refs)
-    if srcs is not None and refs is not None:
-        fields["gleu"] = corpus_gleu(srcs, hyps, refs)
-    endpoints = BackendEndpoints.from_env()
-    if endpoints.score is not None:
-        fields["ppl"] = corpus_perplexity(hyps, endpoints)
-    _emit({"summary": EvalSummary(**fields).to_dict()}, args)
+    absent = [None] * len(hyps)
+    rows = [EvalRow(hyp, src, ref)
+            for hyp, src, ref in zip(hyps, srcs or absent, refs or absent)]
+    summary = summarize(rows, BackendEndpoints.from_env())
+    _emit({"summary": summary.to_dict()}, args)
     return 0
 
 
 def cmd_copy_baseline(args) -> int:
     records = load_dataset(args.dataset, args.format, clean=args.clean,
                            strict=args.strict)
-    endpoints = BackendEndpoints.from_env()
-    has_classifier = endpoints.fill_mask is not None or endpoints.classifier is not None
-    summary = copy_baseline(records, endpoints if has_classifier else None)
+    summary = copy_baseline(records, BackendEndpoints.from_env())
     _emit({"summary": summary.to_dict()}, args)
     return 0
 

@@ -3,7 +3,8 @@
 Covers corpus-level BLEU-4 against references (r-sBLEU) and against the
 sources (s-sBLEU, high means copying), sentence-level GLEU for error
 correction, corpus token-level perplexity from a scoring backend, classifier
-accuracy, and exact string match.
+accuracy, and exact string match. :func:`summarize` computes all of them
+over the rows of a corpus run, re-evaluation, baseline or eval command.
 
 All text passes through :func:`tokenize_eval` first: lowercase, punctuation
 split from word characters, whitespace split. This is a simplified
@@ -14,14 +15,20 @@ signatures are comparable in spirit only.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import backends
 from .backends import BackendEndpoints
 
 MAX_NGRAM_ORDER = 4
+
+# For str patterns \w is isalnum() or "_" and \s is isspace(): a token is a
+# run of word characters or any single other non-space character.
+_TOKEN = re.compile(r"\w+|[^\w\s]")
 
 
 class MetricError(ValueError):
@@ -30,27 +37,38 @@ class MetricError(ValueError):
 
 def tokenize_eval(text: str) -> list[str]:
     """Lowercase, split punctuation from word characters, split on whitespace."""
-    out: list[str] = []
-    word: list[str] = []
-    for ch in text.lower():
-        if ch.isspace():
-            if word:
-                out.append("".join(word))
-                word = []
-        elif ch.isalnum() or ch == "_":
-            word.append(ch)
-        else:
-            if word:
-                out.append("".join(word))
-                word = []
-            out.append(ch)
-    if word:
-        out.append("".join(word))
-    return out
+    return _TOKEN.findall(text.lower())
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _profile(text: str) -> tuple[int, list[Counter]]:
+    """A text's token count and its n-gram counts for n = 1..4."""
+    tokens = tokenize_eval(text)
+    return len(tokens), [Counter(zip(*[tokens[i:] for i in range(n)]))
+                         for n in range(1, MAX_NGRAM_ORDER + 1)]
+
+
+def _clipped(hgrams: Counter, rgrams: dict) -> int:
+    """Hypothesis n-grams, each counted at most as often as in ``rgrams``."""
+    matched = 0
+    for gram, count in hgrams.items():
+        limit = rgrams.get(gram)
+        if limit:
+            matched += count if count < limit else limit
+    return matched
+
+
+_NO_STATS = [0] * (2 + 2 * MAX_NGRAM_ORDER)
+
+
+def _pair_stats(hyp: tuple, ref: tuple) -> list[int]:
+    """BLEU's sufficient statistics for one pair of profiles: both lengths,
+    then per order the clipped matches and the hypothesis n-gram count."""
+    (hyp_len, hyp_grams), (ref_len, ref_grams) = hyp, ref
+    stats = [hyp_len, ref_len]
+    for n in range(MAX_NGRAM_ORDER):
+        stats.append(_clipped(hyp_grams[n], ref_grams[n]))
+        stats.append(max(hyp_len - n, 0))
+    return stats
 
 
 @dataclass(frozen=True)
@@ -84,24 +102,19 @@ def corpus_bleu(hyps: list[str], refs: list[str]) -> BleuReport:
         )
     if not hyps:
         raise MetricError("corpus_bleu requires at least one pair")
-
-    correct = [0] * MAX_NGRAM_ORDER
-    total = [0] * MAX_NGRAM_ORDER
-    hyp_len = 0
-    ref_len = 0
+    stats = _NO_STATS
     for hyp, ref in zip(hyps, refs):
-        htok = tokenize_eval(hyp)
-        rtok = tokenize_eval(ref)
-        hyp_len += len(htok)
-        ref_len += len(rtok)
-        for n in range(1, MAX_NGRAM_ORDER + 1):
-            hgrams = _ngram_counts(htok, n)
-            total[n - 1] += sum(hgrams.values())
-            correct[n - 1] += sum((hgrams & _ngram_counts(rtok, n)).values())
+        pair = _pair_stats(_profile(hyp), _profile(ref))
+        stats = [a + b for a, b in zip(stats, pair)]
+    return _bleu_report(stats)
 
+
+def _bleu_report(stats: list[int]) -> BleuReport:
+    """Corpus BLEU-4 from :func:`_pair_stats` summed over the pairs."""
+    hyp_len, ref_len = stats[0], stats[1]
     precisions = []
     for n in range(1, MAX_NGRAM_ORDER + 1):
-        c, t = correct[n - 1], total[n - 1]
+        c, t = stats[2 * n], stats[2 * n + 1]
         if c == 0 and n >= 2:
             precisions.append((c + 1) / (t + 1))
         elif t > 0:
@@ -148,22 +161,20 @@ def sentence_gleu(src: str, hyp: str, ref: str) -> float:
     one for sentence-level use, and hypotheses shorter than the reference
     take the usual exponential length penalty.
     """
-    stok = tokenize_eval(src)
-    htok = tokenize_eval(hyp)
-    rtok = tokenize_eval(ref)
-    if not stok or not htok or not rtok:
+    src, hyp, ref = _profile(src), _profile(hyp), _profile(ref)
+    return _gleu(src, hyp, ref, _pair_stats(hyp, ref))
+
+
+def _gleu(src: tuple, hyp: tuple, ref: tuple, pair: list[int]) -> float:
+    """Sentence GLEU from three profiles and the hyp/ref :func:`_pair_stats`."""
+    (src_len, sgrams), (hyp_len, hgrams), (ref_len, rgrams) = src, hyp, ref
+    if not src_len or not hyp_len or not ref_len:
         raise MetricError("sentence_gleu requires non-empty src, hyp and ref")
 
-    stats: list[float] = [len(htok), len(rtok)]
-    for n in range(1, MAX_NGRAM_ORDER + 1):
-        hgrams = _ngram_counts(htok, n)
-        sgrams = _ngram_counts(stok, n)
-        rgrams = _ngram_counts(rtok, n)
-        src_only = Counter({g: c for g, c in sgrams.items() if g not in rgrams})
-        matched = sum((hgrams & rgrams).values())
-        penalized = sum((hgrams & src_only).values())
-        stats.append(max(matched - penalized, 0))
-        stats.append(max(len(htok) + 1 - n, 0))
+    stats: list[float] = list(pair)
+    for n in range(MAX_NGRAM_ORDER):
+        src_only = {g: c for g, c in sgrams[n].items() if g not in rgrams[n]}
+        stats[2 + 2 * n] = max(pair[2 + 2 * n] - _clipped(hgrams[n], src_only), 0)
 
     stats = [s if s != 0 else 1 for s in stats]
     hyp_len, ref_len = stats[0], stats[1]
@@ -246,12 +257,16 @@ def classifier_accuracy(outputs: list[str], target_styles: list[str],
             "classifier needs >= 2 labels; pass labels= explicitly for "
             "unidirectional corpora"
         )
-    hits = 0
-    for output, target in zip(outputs, target_styles):
-        resp = backends.classify(endpoints, output, list(labels))
-        predicted = max(labels, key=lambda lb: resp.scores[lb])
-        hits += predicted == target
+    hits = sum(predict_style(endpoints, output, labels) == target
+               for output, target in zip(outputs, target_styles))
     return hits / len(outputs)
+
+
+def predict_style(endpoints: BackendEndpoints, text: str,
+                  labels: Sequence[str]) -> str:
+    """The label the classifier endpoint scores highest, the first on ties."""
+    resp = backends.classify(endpoints, text, list(labels))
+    return max(labels, key=lambda lb: resp.scores[lb])
 
 
 @dataclass(frozen=True)
@@ -286,6 +301,88 @@ class EvalSummary:
         return cls(**{k: v for k, v in data.items() if k in names})
 
 
+class EvalRow(NamedTuple):
+    """One output and what it is scored against; all but the output may be None."""
+
+    output: str
+    source: str | None = None
+    reference: str | None = None
+    source_style: str | None = None
+    target_style: str | None = None
+
+
+def accuracy_labels(endpoints: BackendEndpoints | None,
+                    styles: Iterable[str | None]) -> list[str] | None:
+    """The sorted distinct styles, or None when accuracy cannot be measured:
+    no classifier or fill-mask endpoint, or fewer than two labels."""
+    if endpoints is None or (endpoints.classifier is None
+                             and endpoints.fill_mask is None):
+        return None
+    labels = sorted({style for style in styles if style is not None})
+    return labels if len(labels) >= 2 else None
+
+
+def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None,
+              *, labels: list[str] | None = None,
+              predicted: Sequence[str] | None = None,
+              fluency: Iterable[tuple[float, int]] | None = None) -> EvalSummary:
+    """Corpus metrics over ``rows``, each one where its inputs are present.
+
+    s-sBLEU uses the rows with a source; r-sBLEU and exact match the rows
+    with a non-blank reference; GLEU the rows with both. Accuracy compares
+    ``predicted`` styles, or else the classifier's pick among ``labels``
+    (default: :func:`accuracy_labels` of the rows' styles), to the target
+    styles. PPL comes from ``fluency``, each output's (total log-prob, token
+    count) from reranking, or else from /score calls when ``endpoints`` has
+    a score endpoint. Each text is tokenized and counted once.
+    """
+    if not rows:
+        raise MetricError("summarize requires at least one row")
+    by_source = by_reference = _NO_STATS
+    sourced = referenced = exact = 0
+    gleus: list[float] = []
+    for row in rows:
+        hyp = _profile(row.output)
+        if row.source is not None:
+            src = _profile(row.source)
+            by_source = [a + b for a, b in zip(by_source, _pair_stats(hyp, src))]
+            sourced += 1
+        if row.reference is not None and row.reference.strip():
+            ref = _profile(row.reference)
+            pair = _pair_stats(hyp, ref)
+            by_reference = [a + b for a, b in zip(by_reference, pair)]
+            referenced += 1
+            exact += row.output.strip() == row.reference.strip()
+            if row.source is not None:
+                gleus.append(_gleu(src, hyp, ref, pair))
+
+    values: dict = {}
+    if sourced:
+        values["s_sbleu"] = _bleu_report(by_source).score
+    if referenced:
+        values["r_sbleu"] = _bleu_report(by_reference).score
+        values["exact_match"] = exact / referenced
+    if gleus:
+        values["gleu"] = sum(gleus) / len(gleus)
+    if predicted is None:
+        if labels is None:
+            labels = accuracy_labels(endpoints, (
+                style for row in rows
+                for style in (row.source_style, row.target_style)))
+        if labels is not None:
+            predicted = [predict_style(endpoints, row.output, labels)
+                         for row in rows]
+    if predicted is not None:
+        hits = sum(label == row.target_style for label, row in zip(predicted, rows))
+        values["accuracy"] = hits / len(rows)
+    if fluency is not None:
+        values["ppl"] = perplexity_from_totals(fluency)
+    elif endpoints is not None and endpoints.score is not None:
+        values["ppl"] = corpus_perplexity([row.output for row in rows], endpoints)
+    return EvalSummary(**values)
+
+
 # Column order for the prompt-design sweep table.
 SWEEP_CSV_COLUMNS = ("template", "delimiter", "direction", "shots",
-                     "accuracy", "r_sbleu", "s_sbleu", "ppl")
+                     "accuracy", "r_sbleu", "s_sbleu", "ppl", "gleu",
+                     "exact_match")

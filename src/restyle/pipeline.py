@@ -19,13 +19,13 @@ import io
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import backends, metrics
 from .backends import BackendError, CompletionRequest, DecodeConfig
 from .data import StylePairRecord
-from .metrics import EvalSummary, SWEEP_CSV_COLUMNS
+from .metrics import SWEEP_CSV_COLUMNS, EvalRow, EvalSummary
 from .prompts import (
     DelimiterPair,
     Exemplar,
@@ -146,41 +146,12 @@ class RunManifest:
         return [r for r in self.records if "error" not in r]
 
 
-def _styles_in(records: list[StylePairRecord]) -> list[str]:
-    names = {r.source_style.render() for r in records}
-    names |= {r.target_style.render() for r in records}
-    return sorted(names)
+def _eval_row(record: dict) -> EvalRow:
+    return EvalRow(record["winner"], record["source"], record.get("reference"),
+                   record["source_style"], record["target_style"])
 
 
-def _summarize(ok: list[dict], endpoints: backends.BackendEndpoints,
-               fluency: list[tuple[float, int]] | None = None) -> EvalSummary:
-    """Corpus metrics over successful records.
-
-    ``fluency`` holds each winner's (total log-prob, token count) from
-    reranking, parallel to ``ok``; without it the winners are scored again.
-    """
-    outputs = [r["winner"] for r in ok]
-    sources = [r["source"] for r in ok]
-    fields: dict = {"s_sbleu": metrics.self_sbleu(outputs, sources)}
-    with_refs = [(r["winner"], r["reference"]) for r in ok if r.get("reference")]
-    if with_refs:
-        fields["r_sbleu"] = metrics.ref_sbleu([h for h, _ in with_refs],
-                                              [r for _, r in with_refs])
-    if endpoints.classifier is not None or endpoints.fill_mask is not None:
-        labels = sorted({r["source_style"] for r in ok}
-                        | {r["target_style"] for r in ok})
-        if len(labels) >= 2:
-            fields["accuracy"] = metrics.classifier_accuracy(
-                outputs, [r["target_style"] for r in ok], endpoints,
-                labels=labels)
-    if fluency is not None:
-        fields["ppl"] = metrics.perplexity_from_totals(fluency)
-    elif endpoints.score is not None:
-        fields["ppl"] = metrics.corpus_perplexity(outputs, endpoints)
-    return EvalSummary(**fields)
-
-
-def _run_config(plan: RequestTemplate, cfg: RerankConfig, *, jobs: int,
+def _run_config(plan: RequestTemplate, cfg: RerankConfig, *,
                 seed: int | None, max_new_tokens: int,
                 decode: DecodeConfig) -> dict:
     return {
@@ -197,7 +168,6 @@ def _run_config(plan: RequestTemplate, cfg: RerankConfig, *, jobs: int,
         "decode": decode.to_wire(cfg.k),
         "endpoints": cfg.endpoints.snapshot(),
         "seed": seed,
-        "jobs": jobs,
     }
 
 
@@ -215,8 +185,11 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     if not records:
         raise PipelineError("transfer_corpus requires a non-empty record list")
     decode = decode or DecodeConfig()
+    labels = metrics.accuracy_labels(cfg.endpoints, (
+        style.render() for r in records for style in (r.source_style, r.target_style)))
 
-    def one(item: tuple[int, StylePairRecord]) -> tuple[dict, RerankScore | None]:
+    def one(item: tuple[int, StylePairRecord]) -> tuple[dict, RerankScore | None,
+                                                        str | None]:
         index, rec = item
         base = {
             "id": rec.id,
@@ -227,22 +200,24 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
         }
         try:
             req = plan.request_for(rec)
-            _, record, score = transfer_one(
+            winner, record, score = transfer_one(
                 req, cfg, max_new_tokens=max_new_tokens, decode=decode,
                 seed=None if seed is None else seed + index,
                 example_id=rec.id, with_winner_score=True)
+            predicted = (None if labels is None else
+                         metrics.predict_style(cfg.endpoints, winner.text, labels))
         except (BackendError, PipelineError, ValueError) as exc:
             logger.warning("example %s failed: %s", rec.id, exc)
-            return {**base, "error": f"{type(exc).__name__}: {exc}"}, None
+            return {**base, "error": f"{type(exc).__name__}: {exc}"}, None, None
         record.update(base)
-        return record, score
+        return record, score, predicted
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as executor:
         results = list(executor.map(one, enumerate(records)))
 
-    out_records = [record for record, _ in results]
-    ok = [r for r in out_records if "error" not in r]
-    if not ok:
+    out_records = [record for record, _, _ in results]
+    done = [result for result in results if "error" not in result[0]]
+    if not done:
         raise PipelineError(
             f"all {len(records)} examples failed; first error: "
             f"{out_records[0].get('error')}"
@@ -250,12 +225,17 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     fluency = None
     if cfg.use_fluency:
         fluency = [(score.log_fluency, score.fluency_tokens)
-                   for _, score in results if score is not None]
-    summary = _summarize(ok, cfg.endpoints, fluency)
-    config = _run_config(plan, cfg, jobs=jobs, seed=seed,
-                         max_new_tokens=max_new_tokens, decode=decode)
+                   for _, score, _ in done]
+    summary = metrics.summarize(
+        [_eval_row(record) for record, _, _ in done], cfg.endpoints,
+        predicted=None if labels is None else [p for _, _, p in done],
+        fluency=fluency)
+    config = _run_config(plan, cfg, seed=seed, max_new_tokens=max_new_tokens,
+                         decode=decode)
     run_id = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()[:12]
+    # jobs changes no output, so runs that differ only in it share an id.
+    config["jobs"] = jobs
     return RunManifest(
         run_id=run_id,
         timestamp=datetime.now(timezone.utc).isoformat(),
@@ -315,7 +295,10 @@ def reevaluate_manifest(manifest: RunManifest) -> EvalSummary:
     ok = manifest.successful_records()
     if not ok:
         raise PipelineError("manifest has no successful records to evaluate")
-    return _summarize(ok, endpoints)
+    # The label set spans every record, failed ones too, as in the run.
+    labels = metrics.accuracy_labels(endpoints, (
+        r[key] for r in manifest.records for key in ("source_style", "target_style")))
+    return metrics.summarize([_eval_row(r) for r in ok], endpoints, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -360,9 +343,9 @@ class SweepResult:
         writer.writeheader()
         for row in self.rows:
             formatted = dict(row)
-            for key in ("accuracy", "r_sbleu", "s_sbleu", "ppl"):
-                value = formatted.get(key)
-                formatted[key] = "" if value is None else f"{value:.4f}"
+            for metric in fields(EvalSummary):
+                value = formatted.get(metric.name)
+                formatted[metric.name] = "" if value is None else f"{value:.4f}"
             writer.writerow(formatted)
         return buf.getvalue()
 
@@ -429,37 +412,19 @@ def _sweep_cell(records, template, delimiter, direction, shots, cfg,
     manifest = transfer_corpus(subset, plan, cfg, jobs=jobs, seed=seed,
                                max_new_tokens=max_new_tokens, decode=decode)
     result.manifests.append(manifest)
-    summary = manifest.summary
-    return {"accuracy": summary.accuracy, "r_sbleu": summary.r_sbleu,
-            "s_sbleu": summary.s_sbleu, "ppl": summary.ppl}
+    return manifest.summary.to_dict()
 
 
 def copy_baseline(records: list[StylePairRecord],
                   endpoints: backends.BackendEndpoints | None = None) -> EvalSummary:
     """Evaluate the do-nothing baseline that outputs every source verbatim.
 
-    s-sBLEU is 100 by construction; reference metrics (r-sBLEU, GLEU, exact
-    match) are computed where references exist, and classifier accuracy when
-    an endpoint is supplied.
+    s-sBLEU is 100 by construction. The other metrics follow
+    :func:`metrics.summarize`: reference metrics where references exist,
+    classifier accuracy and perplexity where ``endpoints`` allow them.
     """
     if not records:
         raise PipelineError("copy_baseline requires a non-empty record list")
-    outputs = [r.source for r in records]
-    fields: dict = {"s_sbleu": metrics.self_sbleu(outputs, outputs)}
-    refs = [(r.source, r.reference) for r in records if r.reference]
-    if refs:
-        fields["r_sbleu"] = metrics.ref_sbleu([s for s, _ in refs],
-                                              [ref for _, ref in refs])
-        fields["gleu"] = metrics.corpus_gleu(
-            [s for s, _ in refs], [s for s, _ in refs],
-            [ref for _, ref in refs])
-        fields["exact_match"] = metrics.exact_match_accuracy(
-            [s for s, _ in refs], [ref for _, ref in refs])
-    if endpoints is not None and (endpoints.fill_mask is not None
-                                  or endpoints.classifier is not None):
-        labels = _styles_in(records)
-        if len(labels) >= 2:
-            fields["accuracy"] = metrics.classifier_accuracy(
-                outputs, [r.target_style.render() for r in records],
-                endpoints, labels=labels)
-    return EvalSummary(**fields)
+    return metrics.summarize(
+        [EvalRow(r.source, r.source, r.reference, r.source_style.render(),
+                 r.target_style.render()) for r in records], endpoints)

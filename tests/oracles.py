@@ -4,9 +4,33 @@ Written before the main metrics module and kept deliberately naive: n-grams
 are materialized as plain lists, clipping uses per-distinct-gram minimum
 counts, and the geometric mean is a literal product raised to 1/4. The only
 shared convention with the library is the token-list input.
+:func:`oracle_tokenize` is the character loop the library's regex tokenizer
+must equal.
 """
 
 import math
+
+
+def oracle_tokenize(text):
+    """Character loop: lowercase, split on whitespace, and make every
+    character that is neither alphanumeric nor "_" a token of its own."""
+    out = []
+    word = []
+    for ch in text.lower():
+        if ch.isspace():
+            if word:
+                out.append("".join(word))
+                word = []
+        elif ch.isalnum() or ch == "_":
+            word.append(ch)
+        else:
+            if word:
+                out.append("".join(word))
+                word = []
+            out.append(ch)
+    if word:
+        out.append("".join(word))
+    return out
 
 
 def ngram_list(tokens, n):

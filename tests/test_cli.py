@@ -108,7 +108,8 @@ class TestSweep:
                      "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "template,delimiter,direction,shots,accuracy,r_sbleu,s_sbleu,ppl"
+        assert lines[0] == ("template,delimiter,direction,shots,accuracy,"
+                            "r_sbleu,s_sbleu,ppl,gleu,exact_match")
         assert len(lines) == 1 + 2 * 1 * 2
 
     def test_sweep_stdout_deterministic(self, mock_env, dataset_path, capsys):
@@ -207,3 +208,4 @@ class TestCopyBaselineCommand:
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert summary["s_sbleu"] == 100.0
         assert summary["accuracy"] == 0.0
+        assert summary["ppl"] == pytest.approx(50257, rel=1e-9)

@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_bleu, oracle_gleu
+from oracles import oracle_bleu, oracle_gleu, oracle_tokenize
 from restyle.backends import BackendEndpoints
 from restyle.metrics import (
+    EvalRow,
     EvalSummary,
     MetricError,
     classifier_accuracy,
@@ -17,6 +18,7 @@ from restyle.metrics import (
     ref_sbleu,
     self_sbleu,
     sentence_gleu,
+    summarize,
     tokenize_eval,
 )
 from restyle.mocks import SentimentMaskBackend, UniformScoreBackend
@@ -45,6 +47,17 @@ class TestTokenizeEval:
 
     def test_lowercases(self):
         assert tokenize_eval("The CAT") == ["the", "cat"]
+
+    # "_", digits of several scripts, combining marks, Unicode spaces and
+    # separators, case oddities (U+0130 lowercases to two characters), and
+    # anything else.
+    @settings(max_examples=300)
+    @given(st.text(alphabet=st.one_of(
+        st.sampled_from("_a1\u0663\u2167\u00b2\u0301\u20dd\u00a0\u2003"
+                        "\u3000\u2028\x1c\x85\t\n \u0130\u00df\u01c5.,'-"),
+        st.characters())))
+    def test_equals_character_loop(self, text):
+        assert tokenize_eval(text) == oracle_tokenize(text)
 
 
 class TestCorpusBleu:
@@ -287,3 +300,54 @@ def test_gleu_copy_identity_property(src, ref):
     # a hypothesis equal to the reference is a perfect correction
     hyp = " ".join(ref)
     assert sentence_gleu(" ".join(src), hyp, hyp) == pytest.approx(1.0)
+
+
+TEXTS = st.lists(st.sampled_from(VOCAB + ["Sat", "mat."]), min_size=1,
+                 max_size=8).map(" ".join)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(TEXTS, TEXTS, st.one_of(
+    st.none(), st.just(" "), TEXTS)), min_size=1, max_size=6))
+def test_summarize_equals_the_metric_functions(triples):
+    # Absent and blank references leave a row out of the reference metrics.
+    rows = [EvalRow(hyp, src, ref) for src, hyp, ref in triples]
+    refd = [(s, h, r) for s, h, r in triples if r is not None and r.strip()]
+    srcs, hyps, refs = (list(texts) for texts in zip(*refd)) if refd else ([], [], [])
+    summary = summarize(rows)
+    assert summary.s_sbleu == self_sbleu([h for _, h, _ in triples],
+                                         [s for s, _, _ in triples])
+    if refd:
+        assert summary.r_sbleu == ref_sbleu(hyps, refs)
+        assert summary.exact_match == exact_match_accuracy(hyps, refs)
+        assert summary.gleu == corpus_gleu(srcs, hyps, refs)
+    else:
+        assert summary.r_sbleu is summary.exact_match is summary.gleu is None
+    assert summary.accuracy is summary.ppl is None
+
+
+class TestSummarize:
+    def test_outputs_alone_give_no_metrics(self):
+        assert summarize([EvalRow("the cat")]) == EvalSummary()
+
+    def test_empty_rejected(self):
+        with pytest.raises(MetricError):
+            summarize([])
+
+    def test_fluency_totals_win_over_score_calls(self):
+        ep = BackendEndpoints(score=UniformScoreBackend(vocab_size=7))
+        rows = [EvalRow("the cat sat")]
+        assert summarize(rows, ep).ppl == pytest.approx(7.0)
+        assert summarize(rows, ep, fluency=[(-3.0, 3)]).ppl == pytest.approx(math.e)
+
+    def test_accuracy_needs_two_labels_and_a_classifier(self):
+        ep = BackendEndpoints(fill_mask=SentimentMaskBackend())
+        both = [EvalRow("good food", source_style="negative", target_style="positive"),
+                EvalRow("bad food", source_style="positive", target_style="negative")]
+        one_way = [EvalRow("good food", source_style="negative",
+                           target_style="negative")]
+        assert summarize(both, ep).accuracy == 1.0
+        assert summarize(both).accuracy is None
+        assert summarize(one_way, ep).accuracy is None
+        assert summarize(one_way, ep, labels=["negative", "positive"]).accuracy == 0.0
+        assert summarize(both, ep, predicted=["negative", "negative"]).accuracy == 0.5

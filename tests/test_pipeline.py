@@ -4,9 +4,10 @@ from dataclasses import replace
 import pytest
 
 from loopback import LoopbackServer, Reply, mock_answer
-from restyle.data import StylePairRecord
-from restyle.metrics import EvalSummary
-from restyle.mocks import mock_endpoints
+from restyle.backends import ServiceError
+from restyle.data import StylePairRecord, load_dataset
+from restyle.metrics import EvalSummary, ref_sbleu
+from restyle.mocks import SentimentMaskBackend, mock_endpoints
 from restyle.pipeline import (
     PipelineError,
     RequestTemplate,
@@ -146,6 +147,42 @@ class TestTransferCorpus:
         assert errors[0]["error"].startswith("MalformedResponseError")
         assert len(manifest.successful_records()) == 3
 
+    def test_classifier_failure_fails_one_example(self, sentiment_records):
+        class FlakyClassifier(SentimentMaskBackend):
+            def fill_mask(self, text, labels):
+                if "room" in text:
+                    raise ServiceError("classifier unavailable", status=500)
+                return super().fill_mask(text, labels)
+
+        ep = replace(mock_endpoints(), classifier=FlakyClassifier())
+        manifest = transfer_corpus(sentiment_records, RequestTemplate(),
+                                   RerankConfig(k=3, endpoints=ep), jobs=2)
+        errors = [r for r in manifest.records if "error" in r]
+        assert [r["id"] for r in errors] == ["n0"]
+        assert errors[0]["error"].startswith("ServiceError")
+        assert len(manifest.successful_records()) == 3
+        assert manifest.summary.accuracy == 1.0
+
+    def test_blank_reference_leaves_reference_metrics(self, mock_ep):
+        records = [record("a", "the food was good", reference="the food was bad"),
+                   record("b", "the room was dirty", src=NEG, dst=POS,
+                          reference="  ")]
+        manifest = transfer_corpus(records, RequestTemplate(),
+                                   RerankConfig(k=3, endpoints=mock_ep))
+        assert manifest.records[0]["winner"] == "the food was bad"
+        assert manifest.summary.r_sbleu == 100.0
+        assert manifest.summary.exact_match == 1.0
+        assert manifest.summary.gleu == pytest.approx(1.0)
+
+    def test_run_id_leaves_out_jobs(self, mock_ep, sentiment_records):
+        cfg = RerankConfig(k=3, endpoints=mock_ep)
+        serial = transfer_corpus(sentiment_records, RequestTemplate(), cfg,
+                                 seed=1, jobs=1)
+        threaded = transfer_corpus(sentiment_records, RequestTemplate(), cfg,
+                                   seed=1, jobs=3)
+        assert (serial.config["jobs"], threaded.config["jobs"]) == (1, 3)
+        assert serial.run_id == threaded.run_id
+
     def test_all_failed_raises(self, mock_ep):
         cfg = RerankConfig(k=3, endpoints=mock_ep)
         with pytest.raises(PipelineError, match="all 1 examples failed"):
@@ -206,6 +243,8 @@ class TestSweep:
             {"vanilla", "contrastive"}
         assert all(row["shots"] == 0 for row in result.rows)
         assert all("error" not in row for row in result.rows)
+        assert all(row.items() >= m.summary.to_dict().items()
+                   for row, m in zip(result.rows, result.manifests))
 
     def test_full_grid_cardinality(self, mock_ep, sentiment_records):
         grid = SweepGrid(directions=directions_in(sentiment_records))
@@ -223,7 +262,18 @@ class TestSweep:
         second = run_sweep(sentiment_records, grid, cfg, seed=9).to_csv()
         assert first == second
         header = first.splitlines()[0]
-        assert header == "template,delimiter,direction,shots,accuracy,r_sbleu,s_sbleu,ppl"
+        assert header == ("template,delimiter,direction,shots,accuracy,"
+                          "r_sbleu,s_sbleu,ppl,gleu,exact_match")
+
+    def test_csv_formats_every_metric(self, mock_ep):
+        records = [record("a", "the food was good", reference="the food was bad")]
+        grid = SweepGrid(templates=(TemplateKind.CONTRASTIVE,),
+                         delimiters=(DELIMITERS["curly"],),
+                         directions=directions_in(records))
+        result = run_sweep(records, grid, RerankConfig(k=3, endpoints=mock_ep))
+        cells = result.to_csv().splitlines()[1].split(",")[4:]
+        assert cells[:2] == ["1.0000", "100.0000"]
+        assert cells[-2:] == ["1.0000", "1.0000"]
 
     def test_cell_failures_isolated(self, mock_ep):
         # one direction has records, the other none: its cells fail alone
@@ -273,6 +323,20 @@ class TestCopyBaseline:
         summary = copy_baseline(sentiment_records, mock_ep)
         # copies keep their source style, so accuracy toward the target is 0
         assert summary.accuracy == 0.0
+
+    def test_blank_reference_is_absent(self, tmp_path):
+        path = tmp_path / "refs.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in (
+            {"id": "a", "source": "the cat sat", "reference": "the cat sat",
+             "source_style": "draft", "target_style": "edited"},
+            {"id": "b", "source": "a dog ran", "reference": "  ",
+             "source_style": "draft", "target_style": "edited"})))
+        records = load_dataset(str(path), "jsonl")
+        assert records[1].reference == "  "
+        summary = copy_baseline(records)
+        assert summary.r_sbleu == ref_sbleu(["the cat sat"], ["the cat sat"])
+        assert summary.exact_match == 1.0
+        assert summary.gleu == pytest.approx(1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(PipelineError):

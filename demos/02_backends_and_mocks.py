@@ -60,7 +60,7 @@ first = embed_tokens(endpoints, "fresh bread")
 second = embed_tokens(endpoints, "fresh bread")
 print("\n--- /embed")
 print(f"  dim={first.dim}, vectors={len(first.vectors)}, "
-      f"deterministic={first.vectors == second.vectors}")
+      f"deterministic={first == second}")
 
 # Determinism extends to completions: same request, byte-identical response.
 again = complete(endpoints, CompletionRequest(prompt=prompt, num_candidates=3,

@@ -28,6 +28,8 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class BackendError(Exception):
     """Base class for backend failures."""
@@ -179,25 +181,40 @@ class MaskFillResponse:
                 raise ValueError(f"raw likelihood for {label!r} must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingResponse:
-    """One contextual vector per token of the input text."""
+    """One contextual vector per token of the input text.
 
-    vectors: tuple[tuple[float, ...], ...]
+    ``vectors`` may be any nested sequence of numbers; it is held as a
+    read-only ``(tokens, dim)`` float64 array, built and checked once here.
+    """
+
+    vectors: np.ndarray
     dim: int
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if not self.vectors:
+        mat = np.array(self.vectors, dtype=np.float64)
+        if not mat.size:
             raise ValueError("embedding response has no vectors")
-        for vec in self.vectors:
-            if len(vec) != self.dim:
-                raise ValueError("all vectors must share dim")
-            if not all(map(math.isfinite, vec)):
-                raise ValueError("non-finite component in embedding response")
-            if not any(v != 0.0 for v in vec):
-                raise ValueError("zero vector in embedding response")
+        if mat.ndim != 2:
+            raise ValueError("embedding vectors must form a (tokens, dim) "
+                             f"matrix, got shape {mat.shape}")
+        if mat.shape[1] != self.dim:
+            raise ValueError(
+                f"vectors have {mat.shape[1]} components, not dim={self.dim}")
+        if not np.isfinite(mat).all():
+            raise ValueError("non-finite component in embedding response")
+        if not mat.any(axis=1).all():
+            raise ValueError("zero vector in embedding response")
+        mat.flags.writeable = False
+        object.__setattr__(self, "vectors", mat)
+
+    def __eq__(self, other):
+        if not isinstance(other, EmbeddingResponse):
+            return NotImplemented
+        return self.dim == other.dim and np.array_equal(self.vectors, other.vectors)
 
 
 _ENV_PREFIX = "RESTYLE"
@@ -264,10 +281,20 @@ class BackendEndpoints:
 # Statuses of a service that is overloaded or restarting: retried like
 # transport failures, within the same attempt budget and backoff.
 _TRANSIENT_STATUSES = frozenset({429, 502, 503, 504})
+# The transient statuses whose Retry-After header sets a floor on the next
+# backoff sleep.
+_RETRY_AFTER_STATUSES = frozenset({429, 503})
 
 
 class _IdleConnectionClosed(Exception):
     """A reused connection failed before any response byte arrived."""
+
+
+def _delta_seconds(retry_after: str | None) -> float:
+    """A Retry-After header in its delta-seconds form, else 0; an HTTP date
+    is not read."""
+    value = (retry_after or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
 def _basic_auth(parts: urllib.parse.SplitResult) -> str:
@@ -291,8 +318,10 @@ class _HttpService:
     429/502/503/504 answers are retried with exponential backoff; after the
     last attempt they surface as :class:`TransportError` and
     :class:`ServiceError` respectively, so corpus runs record them per
-    example. A reused connection that the server closed while it was idle is
-    replaced at once, with no sleep and no attempt spent.
+    example. A 429 or 503 with a delta-seconds Retry-After header waits at
+    least that long before the next attempt, but never longer than
+    ``timeout``. A reused connection that the server closed while it was
+    idle is replaced at once, with no sleep and no attempt spent.
     """
 
     def __init__(self, url: str, timeout: float, max_retries: int,
@@ -350,7 +379,7 @@ class _HttpService:
         return conn
 
     def _exchange(self, conn: http.client.HTTPConnection, data: bytes,
-                  reused: bool) -> tuple[int, bytes]:
+                  reused: bool) -> tuple[int, bytes, str | None]:
         try:
             try:
                 conn.request("POST", self._target, data, self._headers)
@@ -368,10 +397,11 @@ class _HttpService:
         else:
             with self._lock:
                 self._idle.append(conn)
-        return resp.status, body
+        return resp.status, body, resp.getheader("Retry-After")
 
-    def _round_trip(self, data: bytes) -> tuple[int, bytes]:
-        """POST ``data`` once; the status and the whole response body."""
+    def _round_trip(self, data: bytes) -> tuple[int, bytes, str | None]:
+        """POST ``data`` once; the status, the whole response body and the
+        Retry-After header, if any."""
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         if conn is not None:
@@ -383,16 +413,20 @@ class _HttpService:
 
     def _post(self, payload: dict) -> dict:
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
+        wait = 0.0
         for attempt in range(1, self.max_retries + 1):
             if attempt > 1:
-                time.sleep(self.backoff * (2 ** (attempt - 2)))
+                time.sleep(max(self.backoff * (2 ** (attempt - 2)), wait))
+            wait = 0.0
             try:
-                status, raw = self._round_trip(data)
+                status, raw, retry_after = self._round_trip(data)
             except (OSError, http.client.HTTPException) as exc:
                 failure = exc
                 continue
             if status in _TRANSIENT_STATUSES:
                 failure = None
+                if status in _RETRY_AFTER_STATUSES:
+                    wait = min(_delta_seconds(retry_after), self.timeout)
                 continue
             if status != 200:
                 raise ServiceError(
@@ -475,10 +509,7 @@ class _HttpService:
     def embed_tokens(self, text: str) -> EmbeddingResponse:
         body = self._post({"text": text})
         return self._parse(
-            lambda b: EmbeddingResponse(
-                vectors=tuple(tuple(map(float, vec)) for vec in b["vectors"]),
-                dim=int(b["dim"]),
-            ),
+            lambda b: EmbeddingResponse(vectors=b["vectors"], dim=int(b["dim"])),
             body,
         )
 
@@ -535,6 +566,19 @@ def score_tokens(endpoints: BackendEndpoints, text: str) -> TokenScoreResponse:
     return _service(endpoints.score, endpoints, "token scoring").score_tokens(text)
 
 
+def _label_likelihoods(endpoints: BackendEndpoints, endpoint, what: str,
+                       text: str, labels: list[str]) -> MaskFillResponse:
+    """Raw likelihoods of two or more distinct labels from a /fill_mask-shaped
+    service, which must score exactly the labels asked for."""
+    if len(set(labels)) < 2:
+        raise ValueError(f"{what} needs at least 2 distinct labels")
+    resp = _service(endpoint, endpoints, what).fill_mask(text, list(labels))
+    if set(resp.scores) != set(labels):
+        raise MalformedResponseError(
+            f"{what} response labels do not match the requested set")
+    return resp
+
+
 def fill_mask(endpoints: BackendEndpoints, cloze: str,
               labels: list[str]) -> MaskFillResponse:
     """Raw likelihoods of each label at the mask position of a cloze statement."""
@@ -542,15 +586,8 @@ def fill_mask(endpoints: BackendEndpoints, cloze: str,
         raise ValueError(
             f"cloze must contain exactly one {endpoints.mask_token!r} token"
         )
-    if len(set(labels)) < 2:
-        raise ValueError("fill_mask needs at least 2 distinct labels")
-    resp = _service(endpoints.fill_mask, endpoints, "mask filling").fill_mask(
-        cloze, list(labels))
-    if set(resp.scores) != set(labels):
-        raise MalformedResponseError(
-            "mask-fill response labels do not match the requested set"
-        )
-    return resp
+    return _label_likelihoods(endpoints, endpoints.fill_mask, "mask filling",
+                              cloze, labels)
 
 
 def classify(endpoints: BackendEndpoints, text: str,
@@ -562,15 +599,8 @@ def classify(endpoints: BackendEndpoints, text: str,
     """
     if not text.strip():
         raise ValueError("text to classify must be non-empty")
-    if len(set(labels)) < 2:
-        raise ValueError("classify needs at least 2 distinct labels")
     endpoint = endpoints.classifier if endpoints.classifier is not None else endpoints.fill_mask
-    resp = _service(endpoint, endpoints, "classifier").fill_mask(text, list(labels))
-    if set(resp.scores) != set(labels):
-        raise MalformedResponseError(
-            "classifier response labels do not match the requested set"
-        )
-    return resp
+    return _label_likelihoods(endpoints, endpoint, "classifier", text, labels)
 
 
 def embed_tokens(endpoints: BackendEndpoints, text: str) -> EmbeddingResponse:

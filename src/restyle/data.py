@@ -44,8 +44,8 @@ class StylePairRecord:
     target_style: StyleLabel
 
     def __post_init__(self):
-        if not self.source:
-            raise DatasetError(f"record {self.id!r} has an empty source")
+        if not self.source.strip():
+            raise DatasetError(f"record {self.id!r} has a blank source")
 
     def to_dict(self) -> dict:
         return {
@@ -102,7 +102,7 @@ def _build_record(row: dict, lineno: int, clean: bool) -> StylePairRecord:
     for key in ("source_style", "target_style"):
         if not (row.get(key) or "").strip():
             raise DatasetError(f"line {lineno}: missing {key}")
-    if not source:
+    if not source.strip():
         raise DatasetError(f"line {lineno}: missing source text")
     return StylePairRecord(
         id=str(row.get("id") or f"line-{lineno}"),

@@ -328,11 +328,11 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
               fluency: Iterable[tuple[float, int]] | None = None) -> EvalSummary:
     """Corpus metrics over ``rows``, each one where its inputs are present.
 
-    s-sBLEU uses the rows with a source; r-sBLEU and exact match the rows
-    with a non-blank reference; GLEU the rows with both. Accuracy compares
-    ``predicted`` styles, or else the classifier's pick among ``labels``
-    (default: :func:`accuracy_labels` of the rows' styles), to the target
-    styles. PPL comes from ``fluency``, each output's (total log-prob, token
+    s-sBLEU uses the rows with a non-blank source; r-sBLEU and exact match
+    the rows with a non-blank reference; GLEU the rows with both. Accuracy
+    compares ``predicted`` styles, or else the classifier's pick among
+    ``labels`` (default: :func:`accuracy_labels` of the rows' styles), to the
+    target styles. PPL comes from ``fluency``, each output's (total log-prob, token
     count) from reranking, or else from /score calls when ``endpoints`` has
     a score endpoint. Each text is tokenized and counted once.
     """
@@ -343,7 +343,8 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
     gleus: list[float] = []
     for row in rows:
         hyp = _profile(row.output)
-        if row.source is not None:
+        has_source = row.source is not None and bool(row.source.strip())
+        if has_source:
             src = _profile(row.source)
             by_source = [a + b for a, b in zip(by_source, _pair_stats(hyp, src))]
             sourced += 1
@@ -353,7 +354,7 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
             by_reference = [a + b for a, b in zip(by_reference, pair)]
             referenced += 1
             exact += row.output.strip() == row.reference.strip()
-            if row.source is not None:
+            if has_source:
                 gleus.append(_gleu(src, hyp, ref, pair))
 
     values: dict = {}

@@ -31,7 +31,6 @@ from urllib.parse import parse_qs, urlsplit
 import numpy as np
 
 from .backends import (
-    BackendError,
     CompletionRequest,
     CompletionResponse,
     EmbeddingResponse,
@@ -243,46 +242,15 @@ class HashEmbedBackend:
             raise ValueError("dim must be >= 2")
         self.dim = dim
 
-    def _vector(self, token: str) -> tuple[float, ...]:
+    def _vector(self, token: str) -> np.ndarray:
         digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
         rng = np.random.default_rng(int.from_bytes(digest, "big"))
         vec = rng.standard_normal(self.dim)
         vec /= np.linalg.norm(vec)
-        return tuple(float(v) for v in vec)
+        return vec
 
     def embed_tokens(self, text: str) -> EmbeddingResponse:
         vectors = tuple(self._vector(tok) for tok in text.split())
-        return EmbeddingResponse(vectors=vectors, dim=self.dim)
-
-
-class StaticMaskBackend:
-    """Fixed raw likelihood table, for hand-built scoring scenarios in tests."""
-
-    def __init__(self, table: dict[str, float]):
-        self.table = dict(table)
-
-    def fill_mask(self, text: str, labels: list[str]) -> MaskFillResponse:
-        return MaskFillResponse({label: self.table.get(label, 0.0)
-                                 for label in labels})
-
-
-class FixedEmbedBackend:
-    """Embeds each whitespace token via an explicit token -> vector table."""
-
-    def __init__(self, table: dict[str, tuple[float, ...]]):
-        if not table:
-            raise ValueError("embedding table must be non-empty")
-        dims = {len(v) for v in table.values()}
-        if len(dims) != 1:
-            raise ValueError("all table vectors must share one dim")
-        self.table = {k: tuple(float(x) for x in v) for k, v in table.items()}
-        self.dim = dims.pop()
-
-    def embed_tokens(self, text: str) -> EmbeddingResponse:
-        try:
-            vectors = tuple(self.table[tok] for tok in text.split())
-        except KeyError as exc:
-            raise BackendError(f"token {exc.args[0]!r} not in embedding table")
         return EmbeddingResponse(vectors=vectors, dim=self.dim)
 
 

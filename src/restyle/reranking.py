@@ -105,8 +105,9 @@ def _embedded_rows(text: str, endpoints: BackendEndpoints) -> np.ndarray:
 def _greedy_f1(src_vecs: np.ndarray, cand_vecs: np.ndarray) -> float:
     """The F1 of :func:`similarity_score` over unit-normalized token rows."""
     sim = src_vecs @ cand_vecs.T
-    recall = float(sim.max(axis=1).mean())
-    precision = float(sim.max(axis=0).mean())
+    # A float sum over a count divides as ndarray.mean does, bit for bit.
+    recall = float(sim.max(axis=1).sum()) / sim.shape[0]
+    precision = float(sim.max(axis=0).sum()) / sim.shape[1]
     if precision + recall <= 0:
         return PROB_FLOOR
     f1 = 2 * precision * recall / (precision + recall)
@@ -114,11 +115,19 @@ def _greedy_f1(src_vecs: np.ndarray, cand_vecs: np.ndarray) -> float:
 
 
 def _unit_rows(resp: backends.EmbeddingResponse) -> np.ndarray:
-    mat = np.asarray(resp.vectors, dtype=np.float64)
-    return mat / np.linalg.norm(mat, axis=1, keepdims=True)
+    # np.linalg.norm(mat, axis=1, keepdims=True) computes exactly this for a
+    # real matrix, behind a Python wrapper that costs more than the math.
+    mat = resp.vectors
+    return mat / np.sqrt(np.add.reduce(mat * mat, axis=1, keepdims=True))
 
 
-def _l1_normalize(raw_source: float, raw_target: float) -> float:
+def _label_strength(lookup, text: str, s1: StyleLabel, s2: StyleLabel,
+                    endpoints: BackendEndpoints) -> float:
+    """The l1-normalized likelihood of s2 against s1, 0.5 when both are zero,
+    from the raw label likelihoods ``lookup`` returns for ``text``."""
+    labels = [s1.render(), s2.render()]
+    scores = lookup(endpoints, text, labels).scores
+    raw_source, raw_target = scores[labels[0]], scores[labels[1]]
     total = raw_source + raw_target
     if total == 0:
         return 0.5
@@ -136,18 +145,15 @@ def style_strength(cand: str, s1: StyleLabel, s2: StyleLabel,
     """
     if s1.name == s2.name and s1.negated == s2.negated:
         raise ValueError("style_strength needs two distinct styles")
-    cloze = render_cloze(cand, endpoints.mask_token)
-    labels = [s1.render(), s2.render()]
-    resp = backends.fill_mask(endpoints, cloze, labels)
-    return _l1_normalize(resp.scores[labels[0]], resp.scores[labels[1]])
+    return _label_strength(backends.fill_mask,
+                           render_cloze(cand, endpoints.mask_token),
+                           s1, s2, endpoints)
 
 
 def classifier_strength(cand: str, s1: StyleLabel, s2: StyleLabel,
                         endpoints: BackendEndpoints) -> float:
     """Like style_strength, but from a trained classifier endpoint."""
-    labels = [s1.render(), s2.render()]
-    resp = backends.classify(endpoints, cand, labels)
-    return _l1_normalize(resp.scores[labels[0]], resp.scores[labels[1]])
+    return _label_strength(backends.classify, cand, s1, s2, endpoints)
 
 
 def fluency_logprob(cand: str, endpoints: BackendEndpoints, *,

@@ -25,11 +25,13 @@ from restyle.mocks import (
 
 @dataclass(frozen=True)
 class Reply:
-    """One answer. ``truncate`` declares a longer body than it sends, then closes."""
+    """One answer. ``truncate`` declares a longer body than it sends, then
+    closes; ``headers`` are extra ``(name, value)`` response headers."""
 
     payload: object
     status: int = 200
     truncate: bool = False
+    headers: tuple[tuple[str, str], ...] = ()
 
 
 def mock_answer(path: str, body: dict) -> Reply:
@@ -69,6 +71,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(reply.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data) + 10 * reply.truncate))
+        for name, value in reply.headers:
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
         if reply.truncate or self.server.close_after_reply:

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from fakes import StaticMaskBackend
 from oracles import oracle_bleu, oracle_gleu
 from restyle.backends import BackendEndpoints
 from restyle.data import SymbSpec, clean_text, generate_symb, parse_comparison
@@ -18,7 +19,7 @@ from restyle.metrics import (
     sentence_gleu,
     tokenize_eval,
 )
-from restyle.mocks import StaticMaskBackend, UniformScoreBackend, antonym_flip, mock_endpoints
+from restyle.mocks import UniformScoreBackend, antonym_flip, mock_endpoints
 from restyle.pipeline import SweepGrid, directions_in, run_sweep, transfer_one
 from restyle.prompts import (
     StyleLabel,

@@ -4,6 +4,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from restyle import backends
@@ -102,6 +103,45 @@ class TestResponseInvariants:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingResponse(vectors=((0.0, 0.0),), dim=2)
+
+    @pytest.mark.parametrize("vectors,error", [
+        ((1.0, 0.0), ValueError),                      # 1-D
+        ((((1.0, 0.0),),), ValueError),                # 3-D
+        (((1.0, 0.0), (1.0, 0.0, 2.0)), ValueError),   # ragged
+        ("1.0", ValueError),                           # a string
+        (((1.0, None), (0.5, 0.5)), ValueError),       # null reads as NaN
+        (((),), ValueError),                           # [[]]
+        (((1.0, 10 ** 400),), OverflowError),          # beyond float64
+        (((1.0, {}),), TypeError),                     # not a number
+    ])
+    def test_malformed_embedding_matrix_rejected(self, vectors, error):
+        with pytest.raises(error):
+            EmbeddingResponse(vectors=vectors, dim=2)
+
+    def test_embedding_held_as_read_only_float64(self):
+        rows = [[1, 0], [0.5, -2]]
+        resp = EmbeddingResponse(vectors=rows, dim=2)
+        assert resp.vectors.dtype == np.float64
+        assert resp.vectors.shape == (2, 2)
+        assert not resp.vectors.flags.writeable
+        with pytest.raises(ValueError):
+            resp.vectors[0, 0] = 3.0
+        rows[0][0] = 7
+        assert resp.vectors[0, 0] == 1.0
+
+    def test_embedding_equality_compares_values(self):
+        resp = EmbeddingResponse(vectors=((1.0, 0.0), (0.5, 0.5)), dim=2)
+        assert resp == EmbeddingResponse(vectors=np.array([[1, 0], [0.5, 0.5]]), dim=2)
+        assert resp != EmbeddingResponse(vectors=((1.0, 0.0), (0.5, 0.25)), dim=2)
+        assert resp != EmbeddingResponse(vectors=((1.0, 0.0),), dim=2)
+        with pytest.raises(TypeError):
+            hash(resp)
+
+    def test_total_logprob_sums_tokens_in_order(self):
+        resp = TokenScoreResponse((TokenScore("a", -0.1), TokenScore("b", -0.2),
+                                   TokenScore("c", -0.3)))
+        assert resp.total_logprob == (-0.1 + -0.2) + -0.3
+        assert resp == TokenScoreResponse(resp.tokens)
 
 
 class TestEchoMock:
@@ -202,7 +242,8 @@ class TestHashEmbedMock:
     def test_identical_texts_identical_vectors(self, mock_ep):
         first = backends.embed_tokens(mock_ep, "fresh bread today")
         second = backends.embed_tokens(mock_ep, "fresh bread today")
-        assert first.vectors == second.vectors
+        assert np.array_equal(first.vectors, second.vectors)
+        assert first == second
 
     def test_dim_constant(self, mock_ep):
         assert backends.embed_tokens(mock_ep, "one").dim == \

@@ -4,6 +4,7 @@ import pytest
 
 from restyle.cli import main
 from restyle.data import SymbSpec, generate_symb, load_dataset, save_records
+from restyle.metrics import self_sbleu, sentence_gleu
 from restyle.pipeline import read_manifest
 
 MOCK_ENV = {
@@ -177,6 +178,22 @@ class TestEval:
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert summary["gleu"] == pytest.approx(1.0)
         assert summary["s_sbleu"] is not None
+
+    def test_blank_source_line_is_absent(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("RESTYLE_SCORE_URL", raising=False)
+        for name, body in (("s", "the cat sit\n  \n"),
+                           ("h", "the cat sat\na dog ran\n"),
+                           ("r", "the cat sat\na dog ran\n")):
+            (tmp_path / f"{name}.txt").write_text(body)
+        code = main(["eval", "--hyp", str(tmp_path / "h.txt"),
+                     "--src", str(tmp_path / "s.txt"),
+                     "--ref", str(tmp_path / "r.txt"), "--json"])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["s_sbleu"] == self_sbleu(["the cat sat"], ["the cat sit"])
+        assert summary["gleu"] == sentence_gleu("the cat sit", "the cat sat",
+                                                "the cat sat")
+        assert summary["exact_match"] == 1.0
 
     def test_line_count_mismatch_exits_2(self, tmp_path, capsys):
         (tmp_path / "h.txt").write_text("a\nb\n")

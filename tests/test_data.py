@@ -99,6 +99,24 @@ class TestLoadDataset:
         assert len(records) == 1
         assert any("line 2" in m for m in caplog.messages)
 
+    def test_blank_source_skipped_or_strict_error(self, tmp_path, caplog):
+        rows = self.rows()
+        rows[1]["source"] = " \t "
+        path = tmp_path / "blank.jsonl"
+        self.write_jsonl(path, rows)
+        with caplog.at_level("WARNING"):
+            records = load_dataset(str(path), "jsonl")
+        assert [r.id for r in records] == ["a", "c"]
+        assert any("line 2" in m and "source" in m for m in caplog.messages)
+        with pytest.raises(DatasetError, match="line 2: missing source"):
+            load_dataset(str(path), "jsonl", strict=True)
+
+    def test_record_rejects_blank_source(self):
+        with pytest.raises(DatasetError, match="blank source"):
+            StylePairRecord(id="x", source="  ", reference="y",
+                            source_style=StyleLabel("a"),
+                            target_style=StyleLabel("b"))
+
     def test_duplicate_id_strict(self, tmp_path):
         rows = self.rows()
         rows[1]["id"] = "a"

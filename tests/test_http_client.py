@@ -124,6 +124,48 @@ class TestRetryClasses:
         assert err.value.retryable
         assert len(server.requests) == 3
 
+    @pytest.mark.parametrize("status,retry_after,backoff,timeout,slept", [
+        (503, "1", 0.0, 30.0, 1.0),
+        (429, " 2 ", 0.0, 30.0, 2.0),
+        (503, "120", 0.0, 5.0, 5.0),       # capped at the timeout
+        (429, "1", 3.0, 30.0, 3.0),        # never below the backoff
+        (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5, 30.0, 0.5),
+        (503, "-1", 0.5, 30.0, 0.5),
+        (502, "9", 0.5, 30.0, 0.5),        # only 429 and 503 carry it
+    ])
+    def test_retry_after_sets_the_next_sleep(self, monkeypatch, status,
+                                             retry_after, backoff, timeout,
+                                             slept):
+        sleeps = []
+        monkeypatch.setattr(backends.time, "sleep", sleeps.append)
+
+        def answer(path, body):
+            if len(server.requests) == 1:
+                return Reply({"error": "busy"}, status=status,
+                             headers=(("Retry-After", retry_after),))
+            return mock_answer(path, body)
+
+        with LoopbackServer(answer) as server:
+            ep = BackendEndpoints(score=f"{server.url}/score", max_retries=3,
+                                  retry_backoff=backoff, timeout=timeout)
+            resp = backends.score_tokens(ep, "after a pause")
+        assert len(resp.tokens) == 3
+        assert len(server.requests) == 2
+        assert sleeps == [slept]
+
+    def test_retry_after_keeps_the_attempt_budget(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(backends.time, "sleep", sleeps.append)
+        busy = Reply({"error": "busy"}, status=503, headers=(("Retry-After", "1"),))
+        with LoopbackServer(lambda path, body: busy) as server:
+            ep = BackendEndpoints(score=f"{server.url}/score", max_retries=3,
+                                  retry_backoff=0.25)
+            with pytest.raises(ServiceError) as err:
+                backends.score_tokens(ep, "still busy")
+        assert err.value.status == 503
+        assert len(server.requests) == 3
+        assert sleeps == [1.0, 1.0]
+
     def test_truncated_body_is_transport_error(self):
         def answer(path, body):
             return Reply(mock_answer(path, body).payload, truncate=True)

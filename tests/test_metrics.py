@@ -307,22 +307,31 @@ TEXTS = st.lists(st.sampled_from(VOCAB + ["Sat", "mat."]), min_size=1,
 
 
 @settings(max_examples=60)
-@given(st.lists(st.tuples(TEXTS, TEXTS, st.one_of(
+@given(st.lists(st.tuples(st.one_of(st.just(" "), TEXTS), TEXTS, st.one_of(
     st.none(), st.just(" "), TEXTS)), min_size=1, max_size=6))
 def test_summarize_equals_the_metric_functions(triples):
-    # Absent and blank references leave a row out of the reference metrics.
+    # A blank source leaves a row out of s-sBLEU and GLEU; absent and blank
+    # references leave it out of the reference metrics.
     rows = [EvalRow(hyp, src, ref) for src, hyp, ref in triples]
+    sourced = [(s, h) for s, h, _ in triples if s.strip()]
     refd = [(s, h, r) for s, h, r in triples if r is not None and r.strip()]
-    srcs, hyps, refs = (list(texts) for texts in zip(*refd)) if refd else ([], [], [])
+    both = [(s, h, r) for s, h, r in refd if s.strip()]
     summary = summarize(rows)
-    assert summary.s_sbleu == self_sbleu([h for _, h, _ in triples],
-                                         [s for s, _, _ in triples])
+    if sourced:
+        assert summary.s_sbleu == self_sbleu([h for _, h in sourced],
+                                             [s for s, _ in sourced])
+    else:
+        assert summary.s_sbleu is None
     if refd:
+        hyps, refs = [h for _, h, _ in refd], [r for _, _, r in refd]
         assert summary.r_sbleu == ref_sbleu(hyps, refs)
         assert summary.exact_match == exact_match_accuracy(hyps, refs)
-        assert summary.gleu == corpus_gleu(srcs, hyps, refs)
     else:
-        assert summary.r_sbleu is summary.exact_match is summary.gleu is None
+        assert summary.r_sbleu is summary.exact_match is None
+    if both:
+        assert summary.gleu == corpus_gleu(*(list(texts) for texts in zip(*both)))
+    else:
+        assert summary.gleu is None
     assert summary.accuracy is summary.ppl is None
 
 

@@ -338,6 +338,19 @@ class TestCopyBaseline:
         assert summary.exact_match == 1.0
         assert summary.gleu == pytest.approx(1.0)
 
+    def test_blank_source_line_skipped(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in (
+            {"id": "a", "source": "the cat sat", "reference": "the cat sat",
+             "source_style": "draft", "target_style": "edited"},
+            {"id": "b", "source": "  ", "reference": "a dog ran",
+             "source_style": "draft", "target_style": "edited"})))
+        records = load_dataset(str(path), "jsonl")
+        assert [r.id for r in records] == ["a"]
+        summary = copy_baseline(records)
+        assert summary.exact_match == 1.0
+        assert summary.gleu == pytest.approx(1.0)
+
     def test_empty_rejected(self):
         with pytest.raises(PipelineError):
             copy_baseline([])

@@ -4,14 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from fakes import FixedEmbedBackend, StaticMaskBackend
 from restyle.backends import BackendEndpoints, LabelError
-from restyle.mocks import (
-    FixedEmbedBackend,
-    SentimentMaskBackend,
-    StaticMaskBackend,
-    UniformScoreBackend,
-    mock_endpoints,
-)
+from restyle.mocks import SentimentMaskBackend, UniformScoreBackend, mock_endpoints
 from restyle.prompts import StyleLabel, TransferRequest
 from restyle.reranking import (
     Candidate,

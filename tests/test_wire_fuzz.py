@@ -12,6 +12,8 @@ import json
 import math
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from restyle import backends
@@ -77,7 +79,7 @@ MANGLED = {
         shaped(token=anything, logprob=anything), max_size=3)),
     "fill_mask": shaped(scores=anything, label_errors=anything),
     "embed": shaped(dim=anything, vectors=st.lists(st.lists(anything, max_size=3),
-                                                   max_size=3)),
+                                                   max_size=3) | json_values),
 }
 
 CALLS = {
@@ -98,18 +100,45 @@ NUMBERS = {
 }
 
 
+def answered(endpoint: str, raw: bytes):
+    """The parsed response of ``endpoint`` to a 200 answer carrying ``raw``."""
+    ep = BackendEndpoints(**{endpoint: f"http://fuzz.invalid/{endpoint}"})
+    with mock.patch.object(backends._HttpService, "_round_trip",
+                           lambda self, payload: (200, raw, None)):
+        return CALLS[endpoint](ep)
+
+
 def check(endpoint: str, data) -> None:
     body = data.draw(VALID[endpoint] | MANGLED[endpoint])
     raw = json.dumps(body).encode("utf-8")
     raw = raw[:data.draw(st.none() | st.integers(0, len(raw)))]
-    ep = BackendEndpoints(**{endpoint: f"http://fuzz.invalid/{endpoint}"})
-    with mock.patch.object(backends._HttpService, "_round_trip",
-                           lambda self, payload: (200, raw)):
-        try:
-            resp = CALLS[endpoint](ep)
-        except (MalformedResponseError, LabelError):
-            return
+    try:
+        resp = answered(endpoint, raw)
+    except (MalformedResponseError, LabelError):
+        return
     assert all(math.isfinite(v) for v in NUMBERS[endpoint](resp))
+
+
+@pytest.mark.parametrize("vectors", [
+    [1.0, 0.0],                      # 1-D
+    [[[1.0, 0.0]], [[0.0, 1.0]]],    # 3-D
+    [[1.0, 0.0], [1.0]],             # ragged
+    "1.0 0.0",                       # a string
+    [[1.0, None], [None, 1.0]],      # nulls, which NumPy reads as NaN
+    [[]],
+])
+def test_embed_vectors_not_a_token_matrix(vectors):
+    raw = json.dumps({"dim": 2, "vectors": vectors}).encode("utf-8")
+    with pytest.raises(MalformedResponseError):
+        answered("embed", raw)
+
+
+def test_embed_vectors_parsed_to_read_only_float64():
+    raw = json.dumps({"dim": 2, "vectors": [[1, 0], [0.5, 0.5]]}).encode("utf-8")
+    resp = answered("embed", raw)
+    assert resp.vectors.dtype == np.float64 and resp.vectors.shape == (2, 2)
+    assert not resp.vectors.flags.writeable
+    assert resp == answered("embed", raw)
 
 
 @settings(max_examples=150, deadline=None)

@@ -36,12 +36,13 @@ class BackendError(Exception):
 
 
 class TransportError(BackendError):
-    """Could not reach the service; retried, no partial result."""
+    """Could not reach the service, no partial result; retried unless the
+    service's TLS certificate failed to verify."""
 
-    def __init__(self, message: str, attempts: int = 1):
+    def __init__(self, message: str, attempts: int = 1, retryable: bool = True):
         super().__init__(message)
         self.attempts = attempts
-        self.retryable = True
+        self.retryable = retryable
 
 
 class ServiceError(BackendError):
@@ -122,12 +123,22 @@ class CompletionRequest:
         }
 
 
+# The response types own the wire contract's field rules: each checks every
+# field it holds when built and keeps the converted value, so answers from
+# HTTP, mock and direct-object backends all meet the same rules.
+
 @dataclass(frozen=True)
 class Generation:
-    """One raw continuation with its length-normalized generator log-probability."""
+    """One raw continuation with its length-normalized generator
+    log-probability, a finite float."""
 
     text: str
     gen_score: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "text", str(self.text))
+        object.__setattr__(self, "gen_score",
+                           _require_finite(self.gen_score, "gen_score"))
 
 
 @dataclass(frozen=True)
@@ -144,6 +155,8 @@ class CompletionResponse:
 
 @dataclass(frozen=True)
 class TokenScore:
+    """One token and its conditional log-probability, a finite float <= 0."""
+
     token: str
     logprob: float
 
@@ -151,6 +164,8 @@ class TokenScore:
         lp = _require_finite(self.logprob, "logprob")
         if lp > 0:
             raise ValueError(f"logprob must be <= 0, got {lp}")
+        object.__setattr__(self, "token", str(self.token))
+        object.__setattr__(self, "logprob", lp)
 
 
 @dataclass(frozen=True)
@@ -170,15 +185,20 @@ class TokenScoreResponse:
 
 @dataclass(frozen=True)
 class MaskFillResponse:
-    """Raw (unnormalized) likelihoods per candidate label."""
+    """Raw (unnormalized) likelihoods per candidate label, finite floats >= 0."""
 
     scores: dict[str, float]
 
     def __post_init__(self):
+        if not isinstance(self.scores, dict):
+            raise TypeError("scores must be an object of label likelihoods")
+        scores = {}
         for label, value in self.scores.items():
             value = _require_finite(value, f"score for label {label!r}")
             if value < 0:
                 raise ValueError(f"raw likelihood for {label!r} must be >= 0")
+            scores[str(label)] = value
+        object.__setattr__(self, "scores", scores)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,14 +206,16 @@ class EmbeddingResponse:
     """One contextual vector per token of the input text.
 
     ``vectors`` may be any nested sequence of numbers; it is held as a
-    read-only ``(tokens, dim)`` float64 array, built and checked once here.
+    read-only ``(tokens, dim)`` float64 array, built and checked once here,
+    and ``dim`` as an int.
     """
 
     vectors: np.ndarray
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
+        dim = int(self.dim)
+        if dim < 1:
             raise ValueError("dim must be positive")
         mat = np.array(self.vectors, dtype=np.float64)
         if not mat.size:
@@ -201,20 +223,53 @@ class EmbeddingResponse:
         if mat.ndim != 2:
             raise ValueError("embedding vectors must form a (tokens, dim) "
                              f"matrix, got shape {mat.shape}")
-        if mat.shape[1] != self.dim:
+        if mat.shape[1] != dim:
             raise ValueError(
-                f"vectors have {mat.shape[1]} components, not dim={self.dim}")
+                f"vectors have {mat.shape[1]} components, not dim={dim}")
         if not np.isfinite(mat).all():
             raise ValueError("non-finite component in embedding response")
         if not mat.any(axis=1).all():
             raise ValueError("zero vector in embedding response")
         mat.flags.writeable = False
         object.__setattr__(self, "vectors", mat)
+        object.__setattr__(self, "dim", dim)
 
     def __eq__(self, other):
         if not isinstance(other, EmbeddingResponse):
             return NotImplemented
         return self.dim == other.dim and np.array_equal(self.vectors, other.vectors)
+
+
+# The wire parsers reshape a decoded 200 body into its response type. A body
+# that breaks the contract raises KeyError, TypeError, ValueError or
+# OverflowError; /fill_mask label errors raise LabelError.
+
+def parse_completion(body: dict) -> CompletionResponse:
+    """A ``/complete`` body: ``{"candidates": [{"text", "gen_score"}, ...]}``."""
+    return CompletionResponse(tuple(Generation(c["text"], c["gen_score"])
+                                    for c in body["candidates"]))
+
+
+def parse_token_scores(body: dict) -> TokenScoreResponse:
+    """A ``/score`` body: ``{"tokens": [{"token", "logprob"}, ...]}``."""
+    return TokenScoreResponse(tuple(TokenScore(t["token"], t["logprob"])
+                                    for t in body["tokens"]))
+
+
+def parse_mask_fill(body: dict) -> MaskFillResponse:
+    """A ``/fill_mask`` body: ``{"scores": {label: likelihood}}``, or a
+    non-empty ``label_errors`` object raised as :class:`LabelError`."""
+    label_errors = body.get("label_errors")
+    if label_errors is not None and not isinstance(label_errors, dict):
+        raise TypeError("label_errors is not an object")
+    if label_errors:
+        raise LabelError({str(k): str(v) for k, v in label_errors.items()})
+    return MaskFillResponse(body["scores"])
+
+
+def parse_embedding(body: dict) -> EmbeddingResponse:
+    """An ``/embed`` body: ``{"dim": N, "vectors": [[...], ...]}``."""
+    return EmbeddingResponse(vectors=body["vectors"], dim=body["dim"])
 
 
 _ENV_PREFIX = "RESTYLE"
@@ -307,6 +362,9 @@ def _basic_auth(parts: urllib.parse.SplitResult) -> str:
 class _HttpService:
     """POSTs JSON to one endpoint URL over pooled keep-alive connections.
 
+    It is transport only: each 200 answer is decoded and handed to the
+    endpoint's ``parse_*`` function (see :meth:`_call`).
+
     One client serves every call to its endpoint (see :func:`_service`).
     Idle connections wait in a lock-protected list; a round trip checks one
     out and returns it only after reading the whole response, and a
@@ -318,10 +376,12 @@ class _HttpService:
     429/502/503/504 answers are retried with exponential backoff; after the
     last attempt they surface as :class:`TransportError` and
     :class:`ServiceError` respectively, so corpus runs record them per
-    example. A 429 or 503 with a delta-seconds Retry-After header waits at
-    least that long before the next attempt, but never longer than
-    ``timeout``. A reused connection that the server closed while it was
-    idle is replaced at once, with no sleep and no attempt spent.
+    example. A TLS certificate that fails to verify raises
+    :class:`TransportError` at once. A 429 or 503 with a delta-seconds
+    Retry-After header waits at least that long before the next attempt,
+    but never longer than ``timeout``. A reused connection that the server
+    closed while it was idle is replaced at once, with no sleep and no
+    attempt spent.
     """
 
     def __init__(self, url: str, timeout: float, max_retries: int,
@@ -411,7 +471,7 @@ class _HttpService:
                 pass
         return self._exchange(self._connect(), data, reused=False)
 
-    def _post(self, payload: dict) -> dict:
+    def _post(self, payload: dict) -> bytes:
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
         wait = 0.0
         for attempt in range(1, self.max_retries + 1):
@@ -420,6 +480,11 @@ class _HttpService:
             wait = 0.0
             try:
                 status, raw, retry_after = self._round_trip(data)
+            except ssl.SSLCertVerificationError as exc:
+                # Every attempt would fail the same way.
+                raise TransportError(
+                    f"could not verify the TLS certificate of {self.url}: {exc}",
+                    attempts=attempt, retryable=False) from exc
             except (OSError, http.client.HTTPException) as exc:
                 failure = exc
                 continue
@@ -433,7 +498,7 @@ class _HttpService:
                     f"{self.url} answered {status}: {raw[:200].decode('utf-8', 'replace')}",
                     status=status,
                 )
-            return self._decode(raw)
+            return raw
         if failure is None:
             raise ServiceError(
                 f"{self.url} answered {status} on all {self.max_retries} attempts: "
@@ -446,7 +511,11 @@ class _HttpService:
             attempts=self.max_retries,
         )
 
-    def _decode(self, raw: bytes) -> dict:
+    def _call(self, payload: dict, parse):
+        """POST ``payload`` and ``parse`` the JSON object answered: an
+        ``{"error"}`` body raises ServiceError, and an invalid or
+        unparsable one MalformedResponseError."""
+        raw = self._post(payload)
         try:
             body = json.loads(raw)
         except (ValueError, RecursionError) as exc:
@@ -457,61 +526,24 @@ class _HttpService:
             raise MalformedResponseError(f"{self.url} returned a non-object body")
         if "error" in body:
             raise ServiceError(f"{self.url} reported: {body['error']}")
-        return body
-
-    def _parse(self, builder, body: dict):
         try:
-            return builder(body)
+            return parse(body)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedResponseError(
                 f"{self.url} violated the wire contract: {exc}"
             ) from exc
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        body = self._post(req.to_wire())
-        return self._parse(
-            lambda b: CompletionResponse(tuple(
-                Generation(text=str(c["text"]),
-                           gen_score=_require_finite(c["gen_score"], "gen_score"))
-                for c in b["candidates"]
-            )),
-            body,
-        )
+        return self._call(req.to_wire(), parse_completion)
 
     def score_tokens(self, text: str) -> TokenScoreResponse:
-        body = self._post({"text": text})
-        return self._parse(
-            lambda b: TokenScoreResponse(tuple(
-                TokenScore(token=str(t["token"]),
-                           logprob=_require_finite(t["logprob"], "logprob"))
-                for t in b["tokens"]
-            )),
-            body,
-        )
+        return self._call({"text": text}, parse_token_scores)
 
     def fill_mask(self, text: str, labels: list[str]) -> MaskFillResponse:
-        body = self._post({"text": text, "labels": list(labels)})
-        label_errors = body.get("label_errors")
-        if label_errors is not None and not isinstance(label_errors, dict):
-            raise MalformedResponseError(
-                f"{self.url} sent label_errors that is not an object")
-        if label_errors:
-            raise LabelError({str(k): str(v) for k, v in label_errors.items()})
-        if not isinstance(body.get("scores"), dict):
-            raise MalformedResponseError(
-                f"{self.url} sent no scores object")
-        return self._parse(
-            lambda b: MaskFillResponse({str(k): float(v)
-                                        for k, v in b["scores"].items()}),
-            body,
-        )
+        return self._call({"text": text, "labels": list(labels)}, parse_mask_fill)
 
     def embed_tokens(self, text: str) -> EmbeddingResponse:
-        body = self._post({"text": text})
-        return self._parse(
-            lambda b: EmbeddingResponse(vectors=b["vectors"], dim=int(b["dim"])),
-            body,
-        )
+        return self._call({"text": text}, parse_embedding)
 
 
 # One client, and so one connection pool, per endpoint setting. Clients live

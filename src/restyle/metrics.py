@@ -335,6 +335,9 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
     target styles. PPL comes from ``fluency``, each output's (total log-prob, token
     count) from reranking, or else from /score calls when ``endpoints`` has
     a score endpoint. Each text is tokenized and counted once.
+
+    A blank output scores GLEU 0 for its row, counts as an accuracy miss and
+    adds no tokens to PPL, with no backend call for it.
     """
     if not rows:
         raise MetricError("summarize requires at least one row")
@@ -355,7 +358,8 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
             referenced += 1
             exact += row.output.strip() == row.reference.strip()
             if has_source:
-                gleus.append(_gleu(src, hyp, ref, pair))
+                # A blank output has no n-grams to score: GLEU 0.
+                gleus.append(_gleu(src, hyp, ref, pair) if hyp[0] else 0.0)
 
     values: dict = {}
     if sourced:
@@ -372,14 +376,17 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
                 for style in (row.source_style, row.target_style)))
         if labels is not None:
             predicted = [predict_style(endpoints, row.output, labels)
-                         for row in rows]
+                         if row.output.strip() else None for row in rows]
     if predicted is not None:
-        hits = sum(label == row.target_style for label, row in zip(predicted, rows))
+        hits = sum(label is not None and label == row.target_style
+                   for label, row in zip(predicted, rows))
         values["accuracy"] = hits / len(rows)
     if fluency is not None:
         values["ppl"] = perplexity_from_totals(fluency)
     elif endpoints is not None and endpoints.score is not None:
-        values["ppl"] = corpus_perplexity([row.output for row in rows], endpoints)
+        scored = [row.output for row in rows if row.output.strip()]
+        if scored:
+            values["ppl"] = corpus_perplexity(scored, endpoints)
     return EvalSummary(**values)
 
 

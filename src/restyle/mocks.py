@@ -235,18 +235,28 @@ class SentimentMaskBackend:
 
 
 class HashEmbedBackend:
-    """Unit embedding per token, seeded from a hash of the token string."""
+    """Unit embedding per token, seeded from a hash of the token string.
+
+    Each token's vector is drawn once and kept, read-only, for the life of
+    the instance; seeding a generator costs far more than the lookup. Two
+    threads drawing the same token at once draw the same row.
+    """
 
     def __init__(self, dim: int = 32):
         if dim < 2:
             raise ValueError("dim must be >= 2")
         self.dim = dim
+        self._rows: dict[str, np.ndarray] = {}
 
     def _vector(self, token: str) -> np.ndarray:
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "big"))
-        vec = rng.standard_normal(self.dim)
-        vec /= np.linalg.norm(vec)
+        vec = self._rows.get(token)
+        if vec is None:
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+            rng = np.random.default_rng(int.from_bytes(digest, "big"))
+            vec = rng.standard_normal(self.dim)
+            vec /= np.linalg.norm(vec)
+            vec.flags.writeable = False
+            self._rows[token] = vec
         return vec
 
     def embed_tokens(self, text: str) -> EmbeddingResponse:

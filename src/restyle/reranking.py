@@ -97,8 +97,6 @@ def similarity_score(src: str, cand: str, endpoints: BackendEndpoints) -> float:
 
 
 def _embedded_rows(text: str, endpoints: BackendEndpoints) -> np.ndarray:
-    if not text.strip():
-        raise ValueError("similarity_score requires two non-empty texts")
     return _unit_rows(backends.embed_tokens(endpoints, text))
 
 
@@ -163,8 +161,6 @@ def fluency_logprob(cand: str, endpoints: BackendEndpoints, *,
     With ``with_token_count`` the result is ``(total_logprob, token_count)``,
     the pair token-weighted perplexity is built from.
     """
-    if not cand.strip():
-        raise ValueError("fluency_logprob requires a non-empty text")
     resp = backends.score_tokens(endpoints, cand)
     if with_token_count:
         return resp.total_logprob, len(resp.tokens)

@@ -4,15 +4,19 @@ The server keeps connections alive with Nagle's algorithm off, counts the
 TCP connections it accepts and records every request it reads. What it
 answers is up to an ``answer(path, body) -> Reply`` function;
 :func:`mock_answer` serves the four wire endpoints from the package mocks.
+With ``tls=True`` it speaks HTTPS with the self-signed, test-only
+certificate :data:`TLS_CERT`, which names IP 127.0.0.1.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import ssl
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 from restyle.backends import CompletionRequest, LabelError
 from restyle.mocks import (
@@ -22,11 +26,16 @@ from restyle.mocks import (
     UniformScoreBackend,
 )
 
+_DATA = Path(__file__).resolve().parent / "data"
+TLS_CERT = _DATA / "test-only-loopback-cert.pem"
+TLS_KEY = _DATA / "test-only-loopback-key.pem"
+
 
 @dataclass(frozen=True)
 class Reply:
-    """One answer. ``truncate`` declares a longer body than it sends, then
-    closes; ``headers`` are extra ``(name, value)`` response headers."""
+    """One answer: ``payload`` is sent as JSON, or as it is when it is bytes.
+    ``truncate`` declares a longer body than it sends, then closes;
+    ``headers`` are extra ``(name, value)`` response headers."""
 
     payload: object
     status: int = 200
@@ -67,7 +76,9 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.loads(raw)
         self.server.record(self.command, self.path, dict(self.headers), body)
         reply = self.server.answer(self.path, body)
-        data = json.dumps(reply.payload).encode("utf-8")
+        data = reply.payload
+        if not isinstance(data, bytes):
+            data = json.dumps(data).encode("utf-8")
         self.send_response(reply.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data) + 10 * reply.truncate))
@@ -100,13 +111,20 @@ class LoopbackServer(ThreadingHTTPServer):
     ``close_after_reply`` set, the server closes each connection after its
     reply without announcing it, as a server closing idle keep-alive
     connections does; ``closed`` is released once per connection closed.
+    With ``tls`` set, each accepted connection is counted and then takes the
+    TLS handshake, so a client that rejects the certificate leaves one
+    connection counted and no request.
     """
 
     daemon_threads = True
 
-    def __init__(self, answer=mock_answer):
+    def __init__(self, answer=mock_answer, *, tls: bool = False):
         super().__init__(("127.0.0.1", 0), _Handler)
         self.answer = answer
+        self._tls = None
+        if tls:
+            self._tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            self._tls.load_cert_chain(TLS_CERT, TLS_KEY)
         self.close_after_reply = False
         self.connections = 0
         self.requests: list[tuple] = []
@@ -116,12 +134,18 @@ class LoopbackServer(ThreadingHTTPServer):
 
     @property
     def url(self) -> str:
-        return f"http://127.0.0.1:{self.server_port}"
+        scheme = "https" if self._tls else "http"
+        return f"{scheme}://127.0.0.1:{self.server_port}"
 
     def get_request(self):
         sock, addr = super().get_request()
         with self._lock:
             self.connections += 1
+        if self._tls:
+            # A failed handshake closes the socket and raises an OSError,
+            # which the server drops.
+            sock = self._tls.wrap_socket(sock, server_side=True)
+        with self._lock:
             self._sockets.append(sock)
         return sock, addr
 

@@ -1,12 +1,10 @@
-import json
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
+from loopback import LoopbackServer, Reply
 from restyle import backends
 from restyle.backends import (
     BackendEndpoints,
@@ -17,6 +15,7 @@ from restyle.backends import (
     Generation,
     LabelError,
     MalformedResponseError,
+    MaskFillResponse,
     ServiceError,
     TokenScore,
     TokenScoreResponse,
@@ -142,6 +141,78 @@ class TestResponseInvariants:
                                    TokenScore("c", -0.3)))
         assert resp.total_logprob == (-0.1 + -0.2) + -0.3
         assert resp == TokenScoreResponse(resp.tokens)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "-inf"])
+    def test_gen_score_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="gen_score"):
+            Generation("x", bad)
+
+    def test_fields_held_as_converted_values(self):
+        gen = Generation("x", -1)
+        assert type(gen.gen_score) is float and gen == Generation("x", -1.0)
+        token = TokenScore("a", 0)
+        assert type(token.logprob) is float and token.logprob == 0.0
+        assert type(EmbeddingResponse(vectors=((1, 0),), dim=2.0).dim) is int
+
+    def test_mask_fill_scores_held_as_floats(self):
+        resp = MaskFillResponse({"a": "0.5", "b": 1})
+        assert resp.scores == {"a": 0.5, "b": 1.0}
+        assert all(type(v) is float for v in resp.scores.values())
+
+    @pytest.mark.parametrize("scores,error", [
+        ({"a": float("nan")}, ValueError),
+        ({"a": -0.1}, ValueError),
+        ({"a": "high"}, ValueError),
+        ({"a": None}, TypeError),
+        ([("a", 0.5)], TypeError),
+    ])
+    def test_mask_fill_scores_checked(self, scores, error):
+        with pytest.raises(error):
+            MaskFillResponse(scores)
+
+
+class TestParsers:
+    """The module-level wire parsers, called on decoded bodies."""
+
+    def test_each_endpoint_body(self):
+        assert backends.parse_completion(
+            {"candidates": [{"text": "a", "gen_score": -0.5},
+                            {"text": "b", "gen_score": -1}]}
+        ) == CompletionResponse((Generation("a", -0.5), Generation("b", -1.0)))
+        assert backends.parse_token_scores(
+            {"tokens": [{"token": "a", "logprob": -2}]}
+        ) == TokenScoreResponse((TokenScore("a", -2.0),))
+        assert backends.parse_mask_fill(
+            {"scores": {"a": 0.25, "b": 0}, "label_errors": {}}
+        ) == MaskFillResponse({"a": 0.25, "b": 0.0})
+        assert backends.parse_embedding(
+            {"dim": 2, "vectors": [[1, 0]]}
+        ) == EmbeddingResponse(vectors=((1.0, 0.0),), dim=2)
+
+    @pytest.mark.parametrize("parse,body,error", [
+        (backends.parse_completion, {}, KeyError),
+        (backends.parse_completion, {"candidates": [{"text": "x"}]}, KeyError),
+        (backends.parse_completion,
+         {"candidates": [{"text": "x", "gen_score": None}]}, TypeError),
+        (backends.parse_token_scores,
+         {"tokens": [{"token": "x", "logprob": 0.5}]}, ValueError),
+        (backends.parse_mask_fill, {"scores": [0.5]}, TypeError),
+        (backends.parse_mask_fill, {}, KeyError),
+        (backends.parse_embedding, {"vectors": [[1.0]]}, KeyError),
+        (backends.parse_embedding, {"dim": "two", "vectors": [[1.0]]}, ValueError),
+    ])
+    def test_contract_violations(self, parse, body, error):
+        with pytest.raises(error):
+            parse(body)
+
+    def test_label_errors_come_before_scores(self):
+        with pytest.raises(LabelError) as err:
+            backends.parse_mask_fill({"label_errors": {"a": "label not single-token"}})
+        assert err.value.label_errors == {"a": "label not single-token"}
+        for label_errors in ([], "x", 0, False):
+            with pytest.raises(TypeError, match="label_errors"):
+                backends.parse_mask_fill({"scores": {"a": 1.0},
+                                          "label_errors": label_errors})
 
 
 class TestEchoMock:
@@ -283,124 +354,95 @@ class TestDeterminism:
             resolve_mock_url("mock://nonsense")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Tiny wire-protocol server; behavior keyed on the request path."""
-
-    hits: dict = {}
-
-    def do_POST(self):
-        self.hits[self.path] = self.hits.get(self.path, 0) + 1
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        if self.path == "/complete":
-            payload = {"candidates": [
-                {"text": "rewritten}", "gen_score": -0.4},
-                {"text": "other}", "gen_score": -0.9},
-            ][: body["num_candidates"]]}
-        elif self.path == "/score":
-            payload = {"tokens": [{"token": t, "logprob": -1.5}
-                                  for t in body["text"].split()]}
-        elif self.path == "/fill_mask":
-            payload = {"scores": {label: 0.5 for label in body["labels"]}}
-        elif self.path == "/fill_mask_err":
-            payload = {"scores": {},
-                       "label_errors": {body["labels"][0]: "label not in backend vocabulary"}}
-        elif self.path == "/embed":
-            payload = {"dim": 2,
-                       "vectors": [[1.0, 0.0] for _ in body["text"].split()]}
-        elif self.path == "/malformed":
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.end_headers()
-            self.wfile.write(b"{not json")
-            return
-        elif self.path == "/bad_shape":
-            payload = {"candidates": [{"text": "x"}]}  # gen_score missing
-        elif self.path == "/error_body":
-            payload = {"error": "model overloaded"}
-        elif self.path == "/boom":
-            self.send_response(500)
-            self.end_headers()
-            self.wfile.write(b"internal error")
-            return
-        else:
-            self.send_response(404)
-            self.end_headers()
-            return
-        encoded = json.dumps(payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
-
-    def log_message(self, *args):
-        pass
+def wire_answer(path: str, body: dict) -> Reply:
+    """Wire-protocol answers keyed on the request path."""
+    if path == "/complete":
+        return Reply({"candidates": [
+            {"text": "rewritten}", "gen_score": -0.4},
+            {"text": "other}", "gen_score": -0.9},
+        ][: body["num_candidates"]]})
+    if path == "/score":
+        return Reply({"tokens": [{"token": t, "logprob": -1.5}
+                                 for t in body["text"].split()]})
+    if path == "/fill_mask":
+        return Reply({"scores": {label: 0.5 for label in body["labels"]}})
+    if path == "/fill_mask_err":
+        return Reply({"scores": {}, "label_errors": {
+            body["labels"][0]: "label not in backend vocabulary"}})
+    if path == "/embed":
+        return Reply({"dim": 2,
+                      "vectors": [[1.0, 0.0] for _ in body["text"].split()]})
+    if path == "/malformed":
+        return Reply(b"{not json")
+    if path == "/bad_shape":
+        return Reply({"candidates": [{"text": "x"}]})  # gen_score missing
+    if path == "/error_body":
+        return Reply({"error": "model overloaded"})
+    if path == "/boom":
+        return Reply(b"internal error", status=500)
+    return Reply(b"", status=404)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def wire_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_port}"
-    yield base
-    server.shutdown()
-    server.server_close()
+    with LoopbackServer(wire_answer) as server:
+        yield server
+
+
+def hits(server, path: str) -> int:
+    return sum(p == path for _, p, _, _ in server.requests)
 
 
 class TestHttpWire:
     def test_complete_round_trip(self, wire_server):
-        ep = BackendEndpoints(complete=f"{wire_server}/complete")
+        ep = BackendEndpoints(complete=f"{wire_server.url}/complete")
         resp = backends.complete(ep, CompletionRequest(prompt="p", num_candidates=2))
         assert resp.candidates[0] == Generation("rewritten}", -0.4)
         assert len(resp.candidates) == 2
 
     def test_score_round_trip(self, wire_server):
-        ep = BackendEndpoints(score=f"{wire_server}/score")
+        ep = BackendEndpoints(score=f"{wire_server.url}/score")
         resp = backends.score_tokens(ep, "two words")
         assert [t.token for t in resp.tokens] == ["two", "words"]
         assert resp.total_logprob == -3.0
 
     def test_fill_mask_round_trip(self, wire_server):
-        ep = BackendEndpoints(fill_mask=f"{wire_server}/fill_mask")
+        ep = BackendEndpoints(fill_mask=f"{wire_server.url}/fill_mask")
         resp = backends.fill_mask(ep, "The following text is <mask>: [x].",
                                   ["a", "b"])
         assert resp.scores == {"a": 0.5, "b": 0.5}
 
     def test_embed_round_trip(self, wire_server):
-        ep = BackendEndpoints(embed=f"{wire_server}/embed")
+        ep = BackendEndpoints(embed=f"{wire_server.url}/embed")
         resp = backends.embed_tokens(ep, "three short words")
         assert resp.dim == 2 and len(resp.vectors) == 3
 
     def test_label_errors_surface(self, wire_server):
-        ep = BackendEndpoints(fill_mask=f"{wire_server}/fill_mask_err")
+        ep = BackendEndpoints(fill_mask=f"{wire_server.url}/fill_mask_err")
         with pytest.raises(LabelError):
             backends.fill_mask(ep, "The following text is <mask>: [x].",
                                ["a", "b"])
 
     def test_service_error_no_retry(self, wire_server):
-        _Handler.hits.pop("/boom", None)
-        ep = BackendEndpoints(complete=f"{wire_server}/boom")
+        ep = BackendEndpoints(complete=f"{wire_server.url}/boom")
         with pytest.raises(ServiceError) as err:
             backends.complete(ep, CompletionRequest(prompt="p"))
         assert err.value.status == 500
-        assert _Handler.hits["/boom"] == 1
+        assert hits(wire_server, "/boom") == 1
 
     def test_error_body_is_service_error(self, wire_server):
-        ep = BackendEndpoints(complete=f"{wire_server}/error_body")
+        ep = BackendEndpoints(complete=f"{wire_server.url}/error_body")
         with pytest.raises(ServiceError, match="model overloaded"):
             backends.complete(ep, CompletionRequest(prompt="p"))
 
     def test_malformed_json_no_retry(self, wire_server):
-        _Handler.hits.pop("/malformed", None)
-        ep = BackendEndpoints(complete=f"{wire_server}/malformed")
+        ep = BackendEndpoints(complete=f"{wire_server.url}/malformed")
         with pytest.raises(MalformedResponseError):
             backends.complete(ep, CompletionRequest(prompt="p"))
-        assert _Handler.hits["/malformed"] == 1
+        assert hits(wire_server, "/malformed") == 1
 
     def test_contract_violation_detected(self, wire_server):
-        ep = BackendEndpoints(complete=f"{wire_server}/bad_shape")
+        ep = BackendEndpoints(complete=f"{wire_server.url}/bad_shape")
         with pytest.raises(MalformedResponseError):
             backends.complete(ep, CompletionRequest(prompt="p"))
 

@@ -195,6 +195,35 @@ class TestEval:
                                                 "the cat sat")
         assert summary["exact_match"] == 1.0
 
+    @pytest.mark.parametrize("env", [
+        {},
+        {"RESTYLE_SCORE_URL": "mock://uniform",
+         "RESTYLE_FILL_MASK_URL": "mock://sentiment"},
+    ])
+    def test_blank_hyp_line_scores_gleu_zero(self, tmp_path, capsys,
+                                             monkeypatch, env):
+        for key in list(MOCK_ENV) + ["RESTYLE_CLASSIFIER_URL"]:
+            monkeypatch.delenv(key, raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        for name, body in (("s", "the cat sit\nthe dog ran\n"),
+                           ("h", "the cat sat\n\n"),
+                           ("r", "the cat sat\nthe dog ran\n")):
+            (tmp_path / f"{name}.txt").write_text(body)
+        code = main(["eval", "--hyp", str(tmp_path / "h.txt"),
+                     "--src", str(tmp_path / "s.txt"),
+                     "--ref", str(tmp_path / "r.txt"), "--json"])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["gleu"] == sentence_gleu(
+            "the cat sit", "the cat sat", "the cat sat") / 2
+        assert summary["exact_match"] == 0.5
+        assert summary["accuracy"] is None
+        if env:
+            assert summary["ppl"] == pytest.approx(50257, rel=1e-9)
+        else:
+            assert summary["ppl"] is None
+
     def test_line_count_mismatch_exits_2(self, tmp_path, capsys):
         (tmp_path / "h.txt").write_text("a\nb\n")
         (tmp_path / "r.txt").write_text("a\n")

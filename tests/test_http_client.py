@@ -1,6 +1,7 @@
 """The pooled keep-alive HTTP client against a loopback HTTP/1.1 server."""
 
 import base64
+import ssl
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopback import LoopbackServer, Reply, mock_answer
+from loopback import TLS_CERT, LoopbackServer, Reply, mock_answer
 from restyle import backends
 from restyle.backends import BackendEndpoints, ServiceError, TransportError
 from restyle.mocks import mock_endpoints
@@ -212,6 +213,32 @@ class TestProxy:
                 backends.score_tokens(ep, "through a tunnel")
         assert [(m, p) for m, p, _, _ in proxy.requests] == \
             [("CONNECT", "model.invalid:443")]
+
+
+class TestTls:
+    def test_untrusted_certificate_is_not_retried(self, monkeypatch, no_sleep):
+        for name in ("SSL_CERT_FILE", "SSL_CERT_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        with LoopbackServer(tls=True) as server:
+            ep = BackendEndpoints(score=f"{server.url}/untrusted/score",
+                                  max_retries=3)
+            with pytest.raises(TransportError) as err:
+                backends.score_tokens(ep, "who goes there")
+        assert isinstance(err.value.__cause__, ssl.SSLCertVerificationError)
+        assert err.value.attempts == 1
+        assert not err.value.retryable
+        assert server.connections == 1
+        assert server.requests == []
+
+    def test_ssl_cert_file_is_trusted(self, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        with LoopbackServer(tls=True) as server:
+            ep = BackendEndpoints(score=f"{server.url}/trusted/score")
+            for text in ("over tls now", "and again"):
+                resp = backends.score_tokens(ep, text)
+                assert [t.token for t in resp.tokens] == text.split()
+        assert server.connections == 1
 
 
 def test_imports_without_requests():

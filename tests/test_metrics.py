@@ -360,3 +360,35 @@ class TestSummarize:
         assert summarize(one_way, ep).accuracy is None
         assert summarize(one_way, ep, labels=["negative", "positive"]).accuracy == 0.0
         assert summarize(both, ep, predicted=["negative", "negative"]).accuracy == 0.5
+
+    def test_blank_output_scores_zero_with_no_backend_call(self):
+        class Recorder:
+            """Front for a service that records the texts it is asked about."""
+
+            def __init__(self, service):
+                self.service, self.texts = service, []
+
+            def fill_mask(self, text, labels):
+                self.texts.append(text)
+                return self.service.fill_mask(text, labels)
+
+            def score_tokens(self, text):
+                self.texts.append(text)
+                return self.service.score_tokens(text)
+
+        classifier = Recorder(SentimentMaskBackend())
+        scorer = Recorder(UniformScoreBackend(vocab_size=7))
+        ep = BackendEndpoints(classifier=classifier, score=scorer)
+        rows = [EvalRow("good food", "bad food", "good food", "negative", "positive"),
+                EvalRow(" \t", "bad day", "good day", "negative", "positive")]
+        summary = summarize(rows, ep)
+        assert summary.gleu == sentence_gleu("bad food", "good food", "good food") / 2
+        assert summary.accuracy == 0.5
+        assert summary.ppl == pytest.approx(7.0)
+        assert summary.exact_match == 0.5
+        assert classifier.texts == ["good food"]
+        assert scorer.texts == ["good food"]
+
+    def test_only_blank_outputs_leave_ppl_absent(self):
+        ep = BackendEndpoints(score=UniformScoreBackend(vocab_size=7))
+        assert summarize([EvalRow(""), EvalRow("  ")], ep).ppl is None

@@ -4,10 +4,10 @@ from dataclasses import replace
 import pytest
 
 from loopback import LoopbackServer, Reply, mock_answer
-from restyle.backends import ServiceError
+from restyle.backends import CompletionResponse, Generation, ServiceError
 from restyle.data import StylePairRecord, load_dataset
 from restyle.metrics import EvalSummary, ref_sbleu
-from restyle.mocks import SentimentMaskBackend, mock_endpoints
+from restyle.mocks import LexiconFlipBackend, SentimentMaskBackend, mock_endpoints
 from restyle.pipeline import (
     PipelineError,
     RequestTemplate,
@@ -146,6 +146,24 @@ class TestTransferCorpus:
         assert [r["id"] for r in errors] == ["n1"]
         assert errors[0]["error"].startswith("MalformedResponseError")
         assert len(manifest.successful_records()) == 3
+
+    def test_non_finite_gen_score_fails_one_example(self, sentiment_records):
+        class NanScores(LexiconFlipBackend):
+            def complete(self, req):
+                resp = super().complete(req)
+                if "rude staff" not in req.prompt:
+                    return resp
+                return CompletionResponse(tuple(
+                    Generation(g.text, float("nan")) for g in resp.candidates))
+
+        ep = mock_endpoints(complete=NanScores())
+        manifest = transfer_corpus(sentiment_records, RequestTemplate(),
+                                   RerankConfig(k=3, endpoints=ep))
+        errors = [r for r in manifest.records if "error" in r]
+        assert [r["id"] for r in errors] == ["n1"]
+        assert errors[0]["error"].startswith("ValueError: gen_score")
+        assert len(manifest.successful_records()) == 3
+        json.dumps(manifest.records, allow_nan=False)
 
     def test_classifier_failure_fails_one_example(self, sentiment_records):
         class FlakyClassifier(SentimentMaskBackend):

@@ -72,8 +72,28 @@ class LabelError(BackendError):
         self.retryable = False
 
 
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+
+
+def _require_number(value, what: str):
+    """``value`` if it is a JSON number, or a NumPy number from an in-process
+    backend. A string raises ValueError, as float() would; a bool, null or
+    any other value raises TypeError."""
+    if isinstance(value, _NUMBER_TYPES) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        raise ValueError(f"{what} must be a number, not the string {value!r}")
+    raise TypeError(f"{what} must be a number, not {type(value).__name__}")
+
+
+def _require_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, not {type(value).__name__}")
+    return value
+
+
 def _require_finite(value, what: str) -> float:
-    value = float(value)
+    value = float(_require_number(value, what))
     if not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return value
@@ -136,7 +156,7 @@ class Generation:
     gen_score: float
 
     def __post_init__(self):
-        object.__setattr__(self, "text", str(self.text))
+        _require_str(self.text, "text")
         object.__setattr__(self, "gen_score",
                            _require_finite(self.gen_score, "gen_score"))
 
@@ -164,7 +184,7 @@ class TokenScore:
         lp = _require_finite(self.logprob, "logprob")
         if lp > 0:
             raise ValueError(f"logprob must be <= 0, got {lp}")
-        object.__setattr__(self, "token", str(self.token))
+        _require_str(self.token, "token")
         object.__setattr__(self, "logprob", lp)
 
 
@@ -197,7 +217,7 @@ class MaskFillResponse:
             value = _require_finite(value, f"score for label {label!r}")
             if value < 0:
                 raise ValueError(f"raw likelihood for {label!r} must be >= 0")
-            scores[str(label)] = value
+            scores[_require_str(label, "label")] = value
         object.__setattr__(self, "scores", scores)
 
 
@@ -207,22 +227,31 @@ class EmbeddingResponse:
 
     ``vectors`` may be any nested sequence of numbers; it is held as a
     read-only ``(tokens, dim)`` float64 array, built and checked once here,
-    and ``dim`` as an int.
+    and ``dim``, an integral number, as an int. Numbers are checked by the
+    array's dtype, so a row mixing bools and numbers reads the bools as 0/1.
     """
 
     vectors: np.ndarray
     dim: int
 
     def __post_init__(self):
-        dim = int(self.dim)
+        dim = int(_require_number(self.dim, "dim"))
+        if dim != self.dim:
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if dim < 1:
             raise ValueError("dim must be positive")
-        mat = np.array(self.vectors, dtype=np.float64)
+        mat = np.array(self.vectors)
         if not mat.size:
             raise ValueError("embedding response has no vectors")
         if mat.ndim != 2:
             raise ValueError("embedding vectors must form a (tokens, dim) "
                              f"matrix, got shape {mat.shape}")
+        # An object array holds nulls, integers beyond int64 or non-scalars:
+        # the float64 conversion reads a null as NaN, which the finite check
+        # below rejects, and raises on the others.
+        if mat.dtype.kind not in "iufO":
+            raise TypeError(f"embedding vectors must be numbers, got {mat.dtype}")
+        mat = mat.astype(np.float64, copy=False)
         if mat.shape[1] != dim:
             raise ValueError(
                 f"vectors have {mat.shape[1]} components, not dim={dim}")

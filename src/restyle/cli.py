@@ -27,6 +27,7 @@ from .data import (
 )
 from .metrics import EvalRow, MetricError, summarize
 from .pipeline import (
+    DEFAULT_JOBS,
     PipelineError,
     RequestTemplate,
     SweepGrid,
@@ -116,9 +117,10 @@ def _require_endpoints(endpoints: BackendEndpoints, args) -> None:
         raise CliError("missing backend endpoints: " + ", ".join(missing))
 
 
-def _load_exemplars(path: str, format: str, source_style, target_style,
-                    shots: int) -> tuple[Exemplar, ...]:
-    records = load_dataset(path, format)
+def _select_exemplars(records, path: str, source_style, target_style,
+                      shots: int) -> tuple[Exemplar, ...]:
+    """The first ``shots`` records of ``path`` with a reference in the
+    given direction, as exemplars."""
     exemplars = [
         Exemplar(input=r.source, output=r.reference,
                  source_style=r.source_style, target_style=r.target_style)
@@ -168,8 +170,9 @@ def cmd_transfer(args) -> int:
     if args.shots:
         if not args.exemplars:
             raise CliError("--shots > 0 requires --exemplars FILE")
-        exemplars = _load_exemplars(args.exemplars, args.format, source_style,
-                                    target_style, args.shots)
+        exemplars = _select_exemplars(load_dataset(args.exemplars, args.format),
+                                      args.exemplars, source_style,
+                                      target_style, args.shots)
 
     if args.text is not None:
         req = TransferRequest(
@@ -249,11 +252,12 @@ def cmd_sweep(args) -> int:
     if any(s > 0 for s in shots):
         if not args.exemplars:
             raise CliError("sweep with shots > 0 requires --exemplars FILE")
-        exemplars_by_direction = {}
-        for direction in directions:
-            exemplars_by_direction[direction] = _load_exemplars(
-                args.exemplars, args.format, parse_style(direction[0]),
-                parse_style(direction[1]), max(shots))
+        pool = load_dataset(args.exemplars, args.format)
+        exemplars_by_direction = {
+            direction: _select_exemplars(pool, args.exemplars,
+                                         parse_style(direction[0]),
+                                         parse_style(direction[1]), max(shots))
+            for direction in directions}
 
     grid = SweepGrid(templates=templates, delimiters=delimiters,
                      directions=directions, shots=shots)
@@ -353,7 +357,7 @@ def _add_generation(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beam-width", type=_positive_int, default=None,
                         help="defaults to --k")
     parser.add_argument("--temperature", type=float, default=1.0)
-    parser.add_argument("--jobs", type=_positive_int, default=4,
+    parser.add_argument("--jobs", type=_positive_int, default=DEFAULT_JOBS,
                         help="concurrent in-flight examples")
     parser.add_argument("--prompt-config", default=None,
                         help="JSON file adding templates/delimiters")

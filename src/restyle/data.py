@@ -93,6 +93,9 @@ FORMATS = ("jsonl", "tsv")
 
 
 def _build_record(row: dict, lineno: int, clean: bool) -> StylePairRecord:
+    for key in ("source", "reference", "source_style", "target_style"):
+        if not isinstance(row.get(key, ""), (str, type(None))):
+            raise DatasetError(f"line {lineno}: {key} must be a string")
     source = row.get("source") or ""
     if clean:
         source = clean_text(source)
@@ -113,69 +116,55 @@ def _build_record(row: dict, lineno: int, clean: bool) -> StylePairRecord:
     )
 
 
-def _iter_jsonl(lines):
-    for lineno, line in lines:
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(row, dict):
-            raise DatasetError(f"line {lineno}: expected a JSON object")
-        yield lineno, row
+def _jsonl_row(line: str, lineno: int) -> dict:
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"line {lineno}: invalid JSON: {exc}") from exc
+    if not isinstance(row, dict):
+        raise DatasetError(f"line {lineno}: expected a JSON object")
+    return row
 
 
-def _iter_tsv(lines):
-    for lineno, line in lines:
-        if not line.strip():
-            continue
-        cells = line.rstrip("\n").split("\t")
-        if lineno == 1 and [c.strip().lower() for c in cells] == list(_SCHEMA):
-            continue  # optional header
-        if len(cells) == 5:
-            row = dict(zip(_SCHEMA, cells))
-        elif len(cells) == 4:  # reference column omitted
-            row = dict(zip(("id", "source", "source_style", "target_style"), cells))
-        else:
-            raise DatasetError(f"line {lineno}: expected 4 or 5 columns, got {len(cells)}")
-        yield lineno, row
+def _tsv_row(line: str, lineno: int) -> dict | None:
+    """The row's fields, or None for the optional header on line 1."""
+    cells = line.rstrip("\n").split("\t")
+    if lineno == 1 and [c.strip().lower() for c in cells] == list(_SCHEMA):
+        return None
+    if len(cells) == 5:
+        return dict(zip(_SCHEMA, cells))
+    if len(cells) == 4:  # reference column omitted
+        return dict(zip(("id", "source", "source_style", "target_style"), cells))
+    raise DatasetError(f"line {lineno}: expected 4 or 5 columns, got {len(cells)}")
 
 
 def load_dataset(path: str, format: str, *, clean: bool = False,
-                 strict: bool = False, min_words: int | None = None,
-                 max_words: int | None = None) -> list[StylePairRecord]:
+                 strict: bool = False) -> list[StylePairRecord]:
     """Parse a JSONL or TSV dataset into records.
 
-    Malformed rows abort the load in strict mode; otherwise they are skipped
-    with a warning naming the line. ``clean`` applies :func:`clean_text` to
-    sources and references. ``min_words``/``max_words`` optionally filter by
-    source word count.
+    Malformed rows abort the load in strict mode; otherwise each is skipped
+    with a warning naming the line, and the rows after it still load.
+    ``clean`` applies :func:`clean_text` to sources and references.
     """
     if format not in FORMATS:
         raise DatasetError(f"format must be one of {FORMATS}, got {format!r}")
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = list(enumerate(fh, start=1))
+            lines = list(fh)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
 
-    rows = _iter_jsonl(lines) if format == "jsonl" else _iter_tsv(lines)
+    parse_row = _jsonl_row if format == "jsonl" else _tsv_row
     records: list[StylePairRecord] = []
     seen_ids: set[str] = set()
     skipped = 0
-    while True:
-        try:
-            lineno, row = next(rows)
-        except StopIteration:
-            break
-        except DatasetError as exc:
-            if strict:
-                raise
-            logger.warning("%s: skipping row: %s", path, exc)
-            skipped += 1
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
             continue
         try:
+            row = parse_row(line, lineno)
+            if row is None:
+                continue
             record = _build_record(row, lineno, clean)
             if record.id in seen_ids:
                 raise DatasetError(f"line {lineno}: duplicate id {record.id!r}")
@@ -187,11 +176,6 @@ def load_dataset(path: str, format: str, *, clean: bool = False,
             continue
         seen_ids.add(record.id)
         records.append(record)
-
-    if min_words is not None or max_words is not None:
-        lo = min_words or 0
-        hi = max_words if max_words is not None else float("inf")
-        records = [r for r in records if lo <= len(r.source.split()) <= hi]
 
     directions = Counter(
         f"{r.source_style.render()}->{r.target_style.render()}" for r in records

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +28,7 @@ from .backends import BackendError, CompletionRequest, DecodeConfig
 from .data import StylePairRecord
 from .metrics import SWEEP_CSV_COLUMNS, EvalRow, EvalSummary
 from .prompts import (
+    DELIMITERS,
     DelimiterPair,
     Exemplar,
     TemplateKind,
@@ -40,7 +42,6 @@ from .reranking import (
     RerankConfig,
     RerankScore,
     rerank,
-    score_record,
     top_beam_baseline,
 )
 
@@ -62,14 +63,8 @@ class RequestTemplate:
     """The per-run prompt choices applied to every dataset record."""
 
     template: TemplateKind | str = TemplateKind.CONTRASTIVE
-    delimiter: DelimiterPair = None  # type: ignore[assignment]
+    delimiter: DelimiterPair = DELIMITERS["curly"]
     exemplars: tuple[Exemplar, ...] = ()
-
-    def __post_init__(self):
-        if self.delimiter is None:
-            from .prompts import DELIMITERS
-
-            object.__setattr__(self, "delimiter", DELIMITERS["curly"])
 
     def request_for(self, record: StylePairRecord) -> TransferRequest:
         return TransferRequest(
@@ -123,7 +118,14 @@ def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
         "id": example_id,
         "prompt": prompt,
         "raw_candidates": raw,
-        **score_record(pool, scores, winner, baseline),
+        "candidates": [
+            {"index": c.index, "text": c.text, "gen_score": c.gen_score,
+             "unterminated": c.unterminated}
+            for c in pool
+        ],
+        "scores": [s.to_dict() for s in scores],
+        "winner_index": winner.index,
+        "baseline_index": baseline.index,
         "winner": winner.text,
         "baseline": baseline.text,
     }
@@ -306,15 +308,11 @@ class SweepGrid:
     """The axes of a prompt-design sweep; every axis must be non-empty."""
 
     templates: tuple[TemplateKind, ...] = tuple(TemplateKind)
-    delimiters: tuple[DelimiterPair, ...] = ()
+    delimiters: tuple[DelimiterPair, ...] = tuple(DELIMITERS.values())
     directions: tuple[tuple[str, str], ...] = ()
     shots: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        if not self.delimiters:
-            from .prompts import builtin_delimiters
-
-            object.__setattr__(self, "delimiters", tuple(builtin_delimiters()))
         for name, axis in (("templates", self.templates),
                            ("delimiters", self.delimiters),
                            ("directions", self.directions),
@@ -369,50 +367,39 @@ def run_sweep(records: list[StylePairRecord], grid: SweepGrid,
     deterministic backends produce byte-identical CSV output.
     """
     result = SweepResult()
-    for template in grid.templates:
-        for delimiter in grid.delimiters:
-            for direction in grid.directions:
-                for shots in grid.shots:
-                    row = {
-                        "template": template_name(template),
-                        "delimiter": delimiter_name(delimiter),
-                        "direction": f"{direction[0]}->{direction[1]}",
-                        "shots": shots,
-                    }
-                    try:
-                        row.update(_sweep_cell(
-                            records, template, delimiter, direction, shots,
-                            cfg, exemplars_by_direction, jobs, seed,
-                            max_new_tokens, decode, result))
-                    except (BackendError, PipelineError, ValueError) as exc:
-                        logger.warning("sweep cell %s failed: %s", row, exc)
-                        row["error"] = f"{type(exc).__name__}: {exc}"
-                    result.rows.append(row)
+    exemplars_by_direction = exemplars_by_direction or {}
+    for template, delimiter, direction, shots in itertools.product(
+            grid.templates, grid.delimiters, grid.directions, grid.shots):
+        row = {
+            "template": template_name(template),
+            "delimiter": delimiter_name(delimiter),
+            "direction": f"{direction[0]}->{direction[1]}",
+            "shots": shots,
+        }
+        try:
+            subset = [r for r in records
+                      if (r.source_style.render(), r.target_style.render()) == direction]
+            if not subset:
+                raise PipelineError(f"no records in direction {row['direction']}")
+            available = exemplars_by_direction.get(direction, ())
+            if len(available) < shots:
+                raise PipelineError(
+                    f"{shots}-shot cell needs {shots} exemplars for direction "
+                    f"{row['direction']}, got {len(available)}"
+                )
+            plan = RequestTemplate(template=template, delimiter=delimiter,
+                                   exemplars=tuple(available[:shots]))
+            manifest = transfer_corpus(subset, plan, cfg, jobs=jobs, seed=seed,
+                                       max_new_tokens=max_new_tokens,
+                                       decode=decode)
+        except (BackendError, PipelineError, ValueError) as exc:
+            logger.warning("sweep cell %s failed: %s", row, exc)
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            result.manifests.append(manifest)
+            row.update(manifest.summary.to_dict())
+        result.rows.append(row)
     return result
-
-
-def _sweep_cell(records, template, delimiter, direction, shots, cfg,
-                exemplars_by_direction, jobs, seed, max_new_tokens, decode,
-                result: SweepResult) -> dict:
-    subset = [r for r in records
-              if (r.source_style.render(), r.target_style.render()) == direction]
-    if not subset:
-        raise PipelineError(f"no records in direction {direction[0]}->{direction[1]}")
-    exemplars: tuple[Exemplar, ...] = ()
-    if shots > 0:
-        available = (exemplars_by_direction or {}).get(direction, ())
-        if len(available) < shots:
-            raise PipelineError(
-                f"{shots}-shot cell needs {shots} exemplars for direction "
-                f"{direction[0]}->{direction[1]}, got {len(available)}"
-            )
-        exemplars = tuple(available[:shots])
-    plan = RequestTemplate(template=template, delimiter=delimiter,
-                           exemplars=exemplars)
-    manifest = transfer_corpus(subset, plan, cfg, jobs=jobs, seed=seed,
-                               max_new_tokens=max_new_tokens, decode=decode)
-    result.manifests.append(manifest)
-    return manifest.summary.to_dict()
 
 
 def copy_baseline(records: list[StylePairRecord],

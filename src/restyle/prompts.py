@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -57,23 +57,17 @@ class DelimiterPair:
 
     open: str
     close: str
-    kind: DelimiterKind = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not self.open or not self.close:
             raise PromptError("delimiter markers must be non-empty")
-        derived = (
-            DelimiterKind.INDISTINGUISHABLE
-            if self.open == self.close
-            else DelimiterKind.COMPLEMENTARY
-        )
-        if self.kind is None:
-            object.__setattr__(self, "kind", derived)
-        elif self.kind != derived:
-            raise PromptError(
-                f"delimiter kind {self.kind.value!r} inconsistent with markers "
-                f"{self.open!r}/{self.close!r}"
-            )
+
+    @property
+    def kind(self) -> DelimiterKind:
+        """Indistinguishable when both markers are the same string."""
+        if self.open == self.close:
+            return DelimiterKind.INDISTINGUISHABLE
+        return DelimiterKind.COMPLEMENTARY
 
 
 # Builtin delimiter pairs, keyed by the short names the CLI accepts. The
@@ -181,12 +175,9 @@ class TransferRequest:
     def __post_init__(self):
         if not self.input_text:
             raise PromptError("input_text must be non-empty")
-        direction = (self.source_style.name, self.source_style.negated,
-                     self.target_style.name, self.target_style.negated)
         for ex in self.exemplars:
-            ex_direction = (ex.source_style.name, ex.source_style.negated,
-                            ex.target_style.name, ex.target_style.negated)
-            if ex_direction != direction:
+            if (ex.source_style, ex.target_style) != (self.source_style,
+                                                      self.target_style):
                 raise PromptError(
                     "exemplar style direction "
                     f"{ex.source_style.render()}->{ex.target_style.render()} "

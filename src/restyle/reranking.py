@@ -141,7 +141,7 @@ def style_strength(cand: str, s1: StyleLabel, s2: StyleLabel,
     pair is l1-normalized. When both raw likelihoods are zero the result is
     the indifferent 0.5.
     """
-    if s1.name == s2.name and s1.negated == s2.negated:
+    if s1 == s2:
         raise ValueError("style_strength needs two distinct styles")
     return _label_strength(backends.fill_mask,
                            render_cloze(cand, endpoints.mask_token),
@@ -215,6 +215,11 @@ def score_pool(req: TransferRequest, pool: list[Candidate],
     return [by_text[cand.text] for cand in pool]
 
 
+def _first_max(values: list[float]) -> int:
+    """Index of the largest value, ties to the lowest index."""
+    return max(range(len(values)), key=values.__getitem__)
+
+
 def rerank(req: TransferRequest, pool: list[Candidate],
            cfg: RerankConfig) -> tuple[Candidate, list[RerankScore]]:
     """Score every candidate and pick the composite argmax.
@@ -224,34 +229,12 @@ def rerank(req: TransferRequest, pool: list[Candidate],
     if not pool:
         raise ValueError("rerank requires a non-empty candidate pool")
     scores = score_pool(req, pool, cfg)
-    best = 0
-    for i in range(1, len(pool)):
-        if scores[i].composite > scores[best].composite:
-            best = i
-    return pool[best], scores
+    return pool[_first_max([s.composite for s in scores])], scores
 
 
 def top_beam_baseline(pool: list[Candidate]) -> Candidate:
     """The candidate the generator ranked highest, ties to the lowest index."""
     if not pool:
         raise ValueError("top_beam_baseline requires a non-empty pool")
-    best = 0
-    for i in range(1, len(pool)):
-        if pool[i].gen_score > pool[best].gen_score:
-            best = i
-    return pool[best]
+    return pool[_first_max([c.gen_score for c in pool])]
 
-
-def score_record(pool: list[Candidate], scores: list[RerankScore],
-                 winner: Candidate, baseline: Candidate) -> dict:
-    """The per-example score record consumed by the run manifest writer."""
-    return {
-        "candidates": [
-            {"index": c.index, "text": c.text, "gen_score": c.gen_score,
-             "unterminated": c.unterminated}
-            for c in pool
-        ],
-        "scores": [s.to_dict() for s in scores],
-        "winner_index": winner.index,
-        "baseline_index": baseline.index,
-    }

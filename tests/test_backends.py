@@ -155,9 +155,34 @@ class TestResponseInvariants:
         assert type(EmbeddingResponse(vectors=((1, 0),), dim=2.0).dim) is int
 
     def test_mask_fill_scores_held_as_floats(self):
-        resp = MaskFillResponse({"a": "0.5", "b": 1})
+        resp = MaskFillResponse({"a": np.float32(0.5), "b": 1})
         assert resp.scores == {"a": 0.5, "b": 1.0}
         assert all(type(v) is float for v in resp.scores.values())
+
+    def test_numpy_numbers_accepted(self):
+        assert Generation("x", np.float32(-1.0)).gen_score == -1.0
+        assert TokenScore("a", np.int64(0)).logprob == 0.0
+        resp = EmbeddingResponse(vectors=np.ones((1, 2), dtype=np.float32),
+                                 dim=np.int64(2))
+        assert resp.dim == 2 and resp.vectors.dtype == np.float64
+
+    @pytest.mark.parametrize("build", [
+        lambda: Generation(None, -1.0),
+        lambda: Generation("x", True),
+        lambda: TokenScore(1, -0.5),
+        lambda: TokenScore("a", np.bool_(False)),
+        lambda: MaskFillResponse({1: 0.5}),
+        lambda: MaskFillResponse({"a": True}),
+        lambda: EmbeddingResponse(vectors=((1.0,),), dim=True),
+        lambda: EmbeddingResponse(vectors=((1.0, 0.0),), dim=2.5),
+        lambda: EmbeddingResponse(vectors=(("1", "0"),), dim=2),
+        lambda: EmbeddingResponse(vectors=np.ones((1, 2), dtype=bool), dim=2),
+    ], ids=["null-text", "bool-gen-score", "int-token", "numpy-bool-logprob",
+            "int-label", "bool-score", "bool-dim", "fractional-dim",
+            "string-vectors", "bool-vectors"])
+    def test_non_json_types_rejected(self, build):
+        with pytest.raises((TypeError, ValueError)):
+            build()
 
     @pytest.mark.parametrize("scores,error", [
         ({"a": float("nan")}, ValueError),
@@ -200,6 +225,18 @@ class TestParsers:
         (backends.parse_mask_fill, {}, KeyError),
         (backends.parse_embedding, {"vectors": [[1.0]]}, KeyError),
         (backends.parse_embedding, {"dim": "two", "vectors": [[1.0]]}, ValueError),
+        (backends.parse_completion,
+         {"candidates": [{"text": None, "gen_score": "-1"}]}, TypeError),
+        (backends.parse_completion,
+         {"candidates": [{"text": "x", "gen_score": "-1"}]}, ValueError),
+        (backends.parse_token_scores,
+         {"tokens": [{"token": 1, "logprob": -0.5}]}, TypeError),
+        (backends.parse_token_scores,
+         {"tokens": [{"token": "1", "logprob": False}]}, TypeError),
+        (backends.parse_mask_fill, {"scores": {"a": True, "b": 0.5}}, TypeError),
+        (backends.parse_mask_fill, {"scores": {"a": 0.5, "b": "0.5"}}, ValueError),
+        (backends.parse_embedding, {"dim": 2.9, "vectors": [[1, 0]]}, ValueError),
+        (backends.parse_embedding, {"dim": 2, "vectors": [["1", True]]}, TypeError),
     ])
     def test_contract_violations(self, parse, body, error):
         with pytest.raises(error):

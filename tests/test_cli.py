@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from restyle import cli
 from restyle.cli import main
 from restyle.data import SymbSpec, generate_symb, load_dataset, save_records
 from restyle.metrics import self_sbleu, sentence_gleu
@@ -120,6 +122,26 @@ class TestSweep:
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
+
+    def test_exemplar_file_loaded_once(self, mock_env, dataset_path, tmp_path,
+                                       monkeypatch, sentiment_records):
+        exemplars = tmp_path / "exemplars.jsonl"
+        save_records([replace(r, id=f"ex-{r.id}", reference="a reference")
+                      for r in sentiment_records], str(exemplars), "jsonl")
+        loaded = []
+
+        def counting_load(path, *args, **kwargs):
+            loaded.append(path)
+            return load_dataset(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", counting_load)
+        code = main(["sweep", "--dataset", dataset_path, "--templates", "vanilla",
+                     "--delimiters", "curly", "--shots", "0,1",
+                     "--exemplars", str(exemplars), "--out", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert loaded == [dataset_path, str(exemplars)]
+        rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 2  # two directions, two shot counts
 
     def test_bad_direction_syntax_exits_2(self, mock_env, dataset_path):
         code = main(["sweep", "--dataset", dataset_path,

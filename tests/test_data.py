@@ -99,6 +99,52 @@ class TestLoadDataset:
         assert len(records) == 1
         assert any("line 2" in m for m in caplog.messages)
 
+    def bad_row_in_middle(self, tmp_path, format):
+        """Two good rows around one malformed row on line 3."""
+        if format == "jsonl":
+            body = ('{"id": "a", "source": "x", "source_style": "s", "target_style": "t"}\n'
+                    "\n"
+                    "not json\n"
+                    '{"id": "b", "source": "y", "source_style": "s", "target_style": "t"}\n')
+        else:
+            body = ("id\tsource\treference\tsource_style\ttarget_style\n"
+                    "a\tx\t\ts\tt\n"
+                    "c\tz\n"
+                    "\n"
+                    "b\ty\t\ts\tt\n")
+        path = tmp_path / f"bad.{format}"
+        path.write_text(body)
+        return str(path)
+
+    @pytest.mark.parametrize("format", ["jsonl", "tsv"])
+    def test_malformed_row_mid_file_keeps_later_rows(self, tmp_path, caplog, format):
+        path = self.bad_row_in_middle(tmp_path, format)
+        with caplog.at_level("WARNING"):
+            records = load_dataset(path, format)
+        assert [r.id for r in records] == ["a", "b"]
+        assert len(caplog.messages) == 1
+        assert "skipping row: line 3" in caplog.messages[0]
+
+    @pytest.mark.parametrize("format", ["jsonl", "tsv"])
+    def test_malformed_row_mid_file_strict_names_line(self, tmp_path, format):
+        path = self.bad_row_in_middle(tmp_path, format)
+        with pytest.raises(DatasetError, match="line 3"):
+            load_dataset(path, format, strict=True)
+
+    def test_non_string_field_skipped(self, tmp_path, caplog):
+        rows = self.rows()
+        rows[0]["source"] = 5
+        rows[1]["target_style"] = ["negative"]
+        path = tmp_path / "types.jsonl"
+        self.write_jsonl(path, rows)
+        with caplog.at_level("WARNING"):
+            records = load_dataset(str(path), "jsonl")
+        assert [r.id for r in records] == ["c"]
+        assert any("line 2: target_style must be a string" in m
+                   for m in caplog.messages)
+        with pytest.raises(DatasetError, match="line 1: source must be a string"):
+            load_dataset(str(path), "jsonl", strict=True)
+
     def test_blank_source_skipped_or_strict_error(self, tmp_path, caplog):
         rows = self.rows()
         rows[1]["source"] = " \t "
@@ -133,14 +179,6 @@ class TestLoadDataset:
         record = load_dataset(str(path), "jsonl", clean=True)[0]
         assert record.source == "don't go!"
         assert record.reference == "go now."
-
-    def test_length_filter(self, tmp_path):
-        path = tmp_path / "data.jsonl"
-        self.write_jsonl(path, self.rows())
-        records = load_dataset(str(path), "jsonl", min_words=2, max_words=2)
-        assert len(records) == 3
-        records = load_dataset(str(path), "jsonl", min_words=3)
-        assert records == []
 
     def test_unreadable_path(self):
         with pytest.raises(DatasetError):

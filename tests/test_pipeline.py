@@ -321,6 +321,8 @@ class TestSweep:
     def test_empty_grid_axis_rejected(self):
         with pytest.raises(ValueError):
             SweepGrid(templates=(), directions=(("a", "b"),))
+        with pytest.raises(ValueError, match="delimiters"):
+            SweepGrid(delimiters=(), directions=(("a", "b"),))
 
 
 class TestCopyBaseline:

@@ -64,8 +64,9 @@ class TestDelimiters:
 
     def test_kind_derived_and_checked(self):
         assert DelimiterPair("a", "a").kind == DelimiterKind.INDISTINGUISHABLE
-        with pytest.raises(PromptError):
-            DelimiterPair("a", "b", DelimiterKind.INDISTINGUISHABLE)
+        assert DelimiterPair("a", "b").kind == DelimiterKind.COMPLEMENTARY
+        with pytest.raises(AttributeError):
+            DelimiterPair("a", "b").kind = DelimiterKind.INDISTINGUISHABLE
         with pytest.raises(PromptError):
             DelimiterPair("", "}")
 

@@ -133,6 +133,25 @@ def test_embed_vectors_not_a_token_matrix(vectors):
         answered("embed", raw)
 
 
+@pytest.mark.parametrize("endpoint,body", [
+    ("complete", {"candidates": [{"text": None, "gen_score": -1}]}),
+    ("complete", {"candidates": [{"text": [1], "gen_score": -1}]}),
+    ("complete", {"candidates": [{"text": "a", "gen_score": "-1"}]}),
+    ("score", {"tokens": [{"token": 1, "logprob": -0.5}]}),
+    ("score", {"tokens": [{"token": "1", "logprob": False}]}),
+    ("fill_mask", {"scores": {"positive": True, "negative": 0.5}}),
+    ("fill_mask", {"scores": {"positive": 0.5, "negative": "0.5"}}),
+    ("embed", {"dim": 2.9, "vectors": [[1, 0]]}),
+    ("embed", {"dim": True, "vectors": [[1]]}),
+    ("embed", {"dim": 2, "vectors": [["1", True]]}),
+    ("embed", {"dim": 2, "vectors": [[True, False]]}),
+])
+def test_non_json_types_are_malformed(endpoint, body):
+    """Only a JSON string is text and only a JSON number is a number."""
+    with pytest.raises(MalformedResponseError):
+        answered(endpoint, json.dumps(body).encode("utf-8"))
+
+
 def test_embed_vectors_parsed_to_read_only_float64():
     raw = json.dumps({"dim": 2, "vectors": [[1, 0], [0.5, 0.5]]}).encode("utf-8")
     resp = answered("embed", raw)

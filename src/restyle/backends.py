@@ -246,11 +246,16 @@ class EmbeddingResponse:
         if mat.ndim != 2:
             raise ValueError("embedding vectors must form a (tokens, dim) "
                              f"matrix, got shape {mat.shape}")
-        # An object array holds nulls, integers beyond int64 or non-scalars:
-        # the float64 conversion reads a null as NaN, which the finite check
-        # below rejects, and raises on the others.
         if mat.dtype.kind not in "iufO":
             raise TypeError(f"embedding vectors must be numbers, got {mat.dtype}")
+        # An object array holds nulls, integers beyond int64 or non-scalars,
+        # so only its components are checked one by one. The float64
+        # conversion reads a null as NaN, which the finite check below
+        # rejects; every other component must be a number.
+        if mat.dtype.kind == "O":
+            for value in mat.flat:
+                if value is not None:
+                    _require_number(value, "embedding component")
         mat = mat.astype(np.float64, copy=False)
         if mat.shape[1] != dim:
             raise ValueError(
@@ -302,6 +307,9 @@ def parse_embedding(body: dict) -> EmbeddingResponse:
 
 
 _ENV_PREFIX = "RESTYLE"
+# The service endpoints: the fields read from RESTYLE_<NAME>_URL and shown
+# in a run manifest's snapshot.
+_SERVICES = ("complete", "score", "fill_mask", "embed", "classifier")
 
 
 @dataclass(frozen=True)
@@ -331,15 +339,11 @@ class BackendEndpoints:
             return env.get(f"{_ENV_PREFIX}_{name}", default)
 
         return cls(
-            complete=get("COMPLETE_URL"),
-            score=get("SCORE_URL"),
-            fill_mask=get("FILL_MASK_URL"),
-            embed=get("EMBED_URL"),
-            classifier=get("CLASSIFIER_URL"),
-            mask_token=get("MASK_TOKEN", "<mask>"),
-            timeout=float(get("TIMEOUT", "30")),
-            max_retries=int(get("MAX_RETRIES", "3")),
-            retry_backoff=float(get("RETRY_BACKOFF", "0.25")),
+            **{name: get(f"{name.upper()}_URL") for name in _SERVICES},
+            mask_token=get("MASK_TOKEN", cls.mask_token),
+            timeout=float(get("TIMEOUT", cls.timeout)),
+            max_retries=int(get("MAX_RETRIES", cls.max_retries)),
+            retry_backoff=float(get("RETRY_BACKOFF", cls.retry_backoff)),
         )
 
     def snapshot(self) -> dict:
@@ -351,15 +355,31 @@ class BackendEndpoints:
             return f"object:{type(value).__name__}"
 
         return {
-            "complete": show(self.complete),
-            "score": show(self.score),
-            "fill_mask": show(self.fill_mask),
-            "embed": show(self.embed),
-            "classifier": show(self.classifier),
+            **{name: show(getattr(self, name)) for name in _SERVICES},
             "mask_token": self.mask_token,
             "timeout": self.timeout,
             "max_retries": self.max_retries,
         }
+
+    @classmethod
+    def from_snapshot(cls, snapshot: dict) -> "BackendEndpoints":
+        """Endpoints rebuilt from a :meth:`snapshot`: an ``object:<Class>``
+        endpoint stays unset, numbers convert as in :meth:`from_env`, and an
+        absent key takes its default, as ``retry_backoff`` (never stored,
+        since it changes no output) always does."""
+
+        def url(name):
+            value = snapshot.get(name)
+            if isinstance(value, str) and not value.startswith("object:"):
+                return value
+            return None
+
+        return cls(
+            **{name: url(name) for name in _SERVICES},
+            mask_token=snapshot.get("mask_token", cls.mask_token),
+            timeout=float(snapshot.get("timeout", cls.timeout)),
+            max_retries=int(snapshot.get("max_retries", cls.max_retries)),
+        )
 
 
 # Statuses of a service that is overloaded or restarting: retried like

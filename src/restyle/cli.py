@@ -18,14 +18,13 @@ import sys
 
 from .backends import BackendEndpoints, BackendError, DecodeConfig
 from .data import (
-    DatasetError,
     SymbSpec,
     clean_text,
     generate_symb,
     load_dataset,
     save_records,
 )
-from .metrics import EvalRow, MetricError, summarize
+from .metrics import EvalRow, summarize
 from .pipeline import (
     DEFAULT_JOBS,
     PipelineError,
@@ -85,27 +84,16 @@ def _resolve_delimiter(name: str, custom: dict) -> object:
 
 
 def _prompt_config(args) -> tuple[dict, dict]:
-    if getattr(args, "prompt_config", None):
+    if args.prompt_config:
         cfg = load_prompt_config(args.prompt_config)
         return cfg.templates, cfg.delimiters
     return {}, {}
 
 
-def _rerank_config(args, endpoints: BackendEndpoints) -> RerankConfig:
-    return RerankConfig(
-        k=args.k,
-        use_fluency=not args.no_fluency,
-        strength_source=args.strength_source,
-        endpoints=endpoints,
-    )
-
-
-def _decode_config(args) -> DecodeConfig:
-    return DecodeConfig(mode=args.decode_mode, beam_width=args.beam_width,
-                        temperature=args.temperature)
-
-
-def _require_endpoints(endpoints: BackendEndpoints, args) -> None:
+def _run_configs(args) -> tuple[RerankConfig, DecodeConfig]:
+    """The rerank and decode settings of a transfer or sweep run, from the
+    RESTYLE_* environment and the generation flags."""
+    endpoints = BackendEndpoints.from_env()
     missing = [name for name, value in (
         ("RESTYLE_COMPLETE_URL", endpoints.complete),
         ("RESTYLE_FILL_MASK_URL", endpoints.fill_mask),
@@ -115,6 +103,17 @@ def _require_endpoints(endpoints: BackendEndpoints, args) -> None:
         missing.append("RESTYLE_SCORE_URL (or pass --no-fluency)")
     if missing:
         raise CliError("missing backend endpoints: " + ", ".join(missing))
+    return (RerankConfig(k=args.k, use_fluency=not args.no_fluency,
+                         strength_source=args.strength_source,
+                         endpoints=endpoints),
+            DecodeConfig(mode=args.decode_mode, beam_width=args.beam_width,
+                         temperature=args.temperature))
+
+
+def _load_records(args) -> list:
+    """The records of --dataset, read with --format, --clean and --strict."""
+    return load_dataset(args.dataset, args.format, clean=args.clean,
+                        strict=args.strict)
 
 
 def _select_exemplars(records, path: str, source_style, target_style,
@@ -159,10 +158,7 @@ def cmd_transfer(args) -> int:
     templates, delimiters = _prompt_config(args)
     template = _resolve_template(args.template, templates)
     delimiter = _resolve_delimiter(args.delimiter, delimiters)
-    endpoints = BackendEndpoints.from_env()
-    _require_endpoints(endpoints, args)
-    cfg = _rerank_config(args, endpoints)
-    decode = _decode_config(args)
+    cfg, decode = _run_configs(args)
     source_style = parse_style(args.from_style)
     target_style = parse_style(args.to_style)
 
@@ -190,9 +186,7 @@ def cmd_transfer(args) -> int:
 
     if not args.dataset:
         raise CliError("provide either --text or --dataset")
-    records = load_dataset(args.dataset, args.format, clean=args.clean,
-                           strict=args.strict)
-    records = [r for r in records
+    records = [r for r in _load_records(args)
                if r.source_style == source_style and r.target_style == target_style]
     if not records:
         raise CliError("no dataset records match the requested style direction")
@@ -221,11 +215,8 @@ def cmd_transfer(args) -> int:
 
 def cmd_sweep(args) -> int:
     templates_cfg, delimiters_cfg = _prompt_config(args)
-    endpoints = BackendEndpoints.from_env()
-    _require_endpoints(endpoints, args)
-    cfg = _rerank_config(args, endpoints)
-    records = load_dataset(args.dataset, args.format, clean=args.clean,
-                           strict=args.strict)
+    cfg, decode = _run_configs(args)
+    records = _load_records(args)
     if not records:
         raise CliError(f"{args.dataset} contains no records")
 
@@ -264,8 +255,7 @@ def cmd_sweep(args) -> int:
     result = run_sweep(records, grid, cfg,
                        exemplars_by_direction=exemplars_by_direction,
                        jobs=args.jobs, seed=args.seed,
-                       max_new_tokens=args.max_new_tokens,
-                       decode=_decode_config(args))
+                       max_new_tokens=args.max_new_tokens, decode=decode)
     if args.out:
         result.save_csv(args.out)
         print(f"wrote {len(result.rows)} rows to {args.out}")
@@ -330,19 +320,32 @@ def cmd_eval(args) -> int:
 
 
 def cmd_copy_baseline(args) -> int:
-    records = load_dataset(args.dataset, args.format, clean=args.clean,
-                           strict=args.strict)
-    summary = copy_baseline(records, BackendEndpoints.from_env())
+    summary = copy_baseline(_load_records(args), BackendEndpoints.from_env())
     _emit({"summary": summary.to_dict()}, args)
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="base seed forwarded to the backends")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output")
+def _add_common(parser: argparse.ArgumentParser, *, seed: bool = False,
+                json_output: bool = False) -> None:
+    """--verbose, plus --seed and --json on the subcommands that read them."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=None,
+                            help="base seed forwarded to the backends "
+                                 "(symb: generator seed, default 0)")
+    if json_output:
+        parser.add_argument("--json", action="store_true",
+                            help="machine-readable output")
     parser.add_argument("--verbose", action="store_true")
+
+
+def _add_dataset(parser: argparse.ArgumentParser, *, required: bool) -> None:
+    parser.add_argument("--dataset", required=required,
+                        help="JSONL/TSV dataset path")
+    parser.add_argument("--format", default="jsonl", choices=["jsonl", "tsv"])
+    parser.add_argument("--clean", action="store_true",
+                        help="apply text cleanup to inputs")
+    parser.add_argument("--strict", action="store_true",
+                        help="fail on malformed dataset rows")
 
 
 def _add_generation(parser: argparse.ArgumentParser) -> None:
@@ -361,10 +364,6 @@ def _add_generation(parser: argparse.ArgumentParser) -> None:
                         help="concurrent in-flight examples")
     parser.add_argument("--prompt-config", default=None,
                         help="JSON file adding templates/delimiters")
-    parser.add_argument("--clean", action="store_true",
-                        help="apply text cleanup to inputs")
-    parser.add_argument("--strict", action="store_true",
-                        help="fail on malformed dataset rows")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transfer", help="transfer one text or a dataset")
     p.add_argument("--text", help="single input text")
-    p.add_argument("--dataset", help="JSONL/TSV dataset path")
-    p.add_argument("--format", default="jsonl", choices=["jsonl", "tsv"])
+    _add_dataset(p, required=False)
     p.add_argument("--from", dest="from_style", required=True,
                    help="source style ('not X' negates)")
     p.add_argument("--to", dest="to_style", required=True, help="target style")
@@ -390,12 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exemplars", help="dataset file supplying few-shot exemplars")
     p.add_argument("--out", help="manifest output path (dataset mode)")
     _add_generation(p)
-    _add_common(p)
+    _add_common(p, seed=True, json_output=True)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("sweep", help="template x delimiter x direction sweep")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--format", default="jsonl", choices=["jsonl", "tsv"])
+    _add_dataset(p, required=True)
     p.add_argument("--templates", help="comma list (default: all four)")
     p.add_argument("--delimiters", help="comma list of names (default: all ten)")
     p.add_argument("--directions", help="comma list of from:to pairs "
@@ -404,14 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exemplars", help="dataset file supplying few-shot exemplars")
     p.add_argument("--out", help="CSV output path (default: stdout)")
     _add_generation(p)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("symb", help="generate the symbolic comparison dataset")
     p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--out", required=True)
     p.add_argument("--format", default="jsonl", choices=["jsonl", "tsv"])
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_symb)
 
     p = sub.add_parser("clean", help="clean text files line by line")
@@ -427,16 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp", help="hypothesis file, one text per line")
     p.add_argument("--src", help="source file (enables s-sBLEU and GLEU)")
     p.add_argument("--ref", help="reference file (enables r-sBLEU and GLEU)")
-    _add_common(p)
+    _add_common(p, json_output=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("copy-baseline",
                        help="evaluate the copy-the-input baseline on a dataset")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--format", default="jsonl", choices=["jsonl", "tsv"])
-    p.add_argument("--clean", action="store_true")
-    p.add_argument("--strict", action="store_true")
-    _add_common(p)
+    _add_dataset(p, required=True)
+    _add_common(p, json_output=True)
     p.set_defaults(func=cmd_copy_baseline)
 
     return parser
@@ -451,13 +445,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (BackendError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PromptError, DatasetError, MetricError, ValueError) as exc:
+    # PromptError, DatasetError and MetricError are ValueErrors.
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,7 +78,7 @@ class RequestTemplate:
 
 
 def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
-                 max_new_tokens: int = 128, decode: DecodeConfig | None = None,
+                 max_new_tokens: int = 128, decode: DecodeConfig = DecodeConfig(),
                  seed: int | None = None, example_id: str | None = None,
                  with_winner_score: bool = False) -> tuple:
     """Transfer a single text and return the winner plus its audit record.
@@ -97,7 +97,7 @@ def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
         num_candidates=cfg.k,
         stop=req.delimiter.close,
         seed=seed,
-        decode=decode or DecodeConfig(),
+        decode=decode,
     )
     resp = backends.complete(cfg.endpoints, creq)
     raw = [{"text": g.text, "gen_score": g.gen_score} for g in resp.candidates]
@@ -176,7 +176,7 @@ def _run_config(plan: RequestTemplate, cfg: RerankConfig, *,
 def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
                     cfg: RerankConfig, *, jobs: int = DEFAULT_JOBS,
                     seed: int | None = None, max_new_tokens: int = 128,
-                    decode: DecodeConfig | None = None) -> RunManifest:
+                    decode: DecodeConfig = DecodeConfig()) -> RunManifest:
     """Transfer every record with bounded concurrency and evaluate the winners.
 
     Per-example failures become error records and the run continues; the run
@@ -186,20 +186,13 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     """
     if not records:
         raise PipelineError("transfer_corpus requires a non-empty record list")
-    decode = decode or DecodeConfig()
     labels = metrics.accuracy_labels(cfg.endpoints, (
         style.render() for r in records for style in (r.source_style, r.target_style)))
 
     def one(item: tuple[int, StylePairRecord]) -> tuple[dict, RerankScore | None,
                                                         str | None]:
         index, rec = item
-        base = {
-            "id": rec.id,
-            "source": rec.source,
-            "reference": rec.reference,
-            "source_style": rec.source_style.render(),
-            "target_style": rec.target_style.render(),
-        }
+        base = rec.to_dict()
         try:
             req = plan.request_for(rec)
             winner, record, score = transfer_one(
@@ -258,17 +251,36 @@ def write_manifest(manifest: RunManifest, path: str) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+_HEADER_TYPES = {"run_id": str, "timestamp": str, "config": dict, "summary": dict}
+
+
 def read_manifest(path: str) -> RunManifest:
+    """Load a manifest written by :func:`write_manifest`; any other JSONL
+    file raises PipelineError."""
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
+
+    def not_a_manifest(why: str) -> PipelineError:
+        return PipelineError(f"{path} is not a manifest: {why}")
+
     if not lines:
-        raise PipelineError(f"{path} is not a manifest: empty file")
-    header = json.loads(lines[0])
+        raise not_a_manifest("empty file")
+    header, *records = (json.loads(line) for line in lines)
+    if not (isinstance(header, dict) and all(
+            isinstance(header.get(key), kind) for key, kind in _HEADER_TYPES.items())):
+        raise not_a_manifest("the first line is not a header object with "
+                             "run_id, timestamp, config and summary")
+    if not all(isinstance(record, dict) for record in records):
+        raise not_a_manifest("a record is not an object")
+    for key, value in header["summary"].items():
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, float))):
+            raise not_a_manifest(f"summary {key} is {value!r}, not a number")
     return RunManifest(
         run_id=header["run_id"],
         timestamp=header["timestamp"],
         config=header["config"],
-        records=[json.loads(line) for line in lines[1:]],
+        records=records,
         summary=EvalSummary.from_dict(header["summary"]),
     )
 
@@ -280,20 +292,8 @@ def reevaluate_manifest(manifest: RunManifest) -> EvalSummary:
     deterministic backends this reproduces the stored summary exactly.
     Metric changes can therefore be re-applied without regeneration.
     """
-    snapshot = manifest.config.get("endpoints", {})
-
-    def url(name):
-        value = snapshot.get(name)
-        if isinstance(value, str) and not value.startswith("object:"):
-            return value
-        return None
-
-    endpoints = backends.BackendEndpoints(
-        complete=url("complete"), score=url("score"),
-        fill_mask=url("fill_mask"), embed=url("embed"),
-        classifier=url("classifier"),
-        mask_token=snapshot.get("mask_token", "<mask>"),
-    )
+    endpoints = backends.BackendEndpoints.from_snapshot(
+        manifest.config.get("endpoints", {}))
     ok = manifest.successful_records()
     if not ok:
         raise PipelineError("manifest has no successful records to evaluate")
@@ -358,7 +358,7 @@ def run_sweep(records: list[StylePairRecord], grid: SweepGrid,
                                            tuple[Exemplar, ...]] | None = None,
               jobs: int = DEFAULT_JOBS, seed: int | None = None,
               max_new_tokens: int = 128,
-              decode: DecodeConfig | None = None) -> SweepResult:
+              decode: DecodeConfig = DecodeConfig()) -> SweepResult:
     """One corpus run per grid cell, collected into a CSV-ready table.
 
     Cell failures are isolated: the failing cell's row keeps empty metric

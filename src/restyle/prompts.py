@@ -59,6 +59,8 @@ class DelimiterPair:
     close: str
 
     def __post_init__(self):
+        if not (isinstance(self.open, str) and isinstance(self.close, str)):
+            raise PromptError("delimiter markers must be strings")
         if not self.open or not self.close:
             raise PromptError("delimiter markers must be non-empty")
 
@@ -302,14 +304,17 @@ def load_prompt_config(path: str) -> PromptConfig:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise PromptError("prompt config must be a JSON object")
+    for section in ("templates", "delimiters"):
+        if not isinstance(doc.get(section, {}), dict):
+            raise PromptError(f"prompt config {section!r} must be a JSON object")
     templates: dict[str, str] = {}
-    for name, text in (doc.get("templates") or {}).items():
+    for name, text in doc.get("templates", {}).items():
         if not isinstance(text, str):
             raise PromptError(f"template {name!r} must be a string")
         validate_template(text)
         templates[name] = text
     delimiters: dict[str, DelimiterPair] = {}
-    for name, spec in (doc.get("delimiters") or {}).items():
+    for name, spec in doc.get("delimiters", {}).items():
         if not isinstance(spec, dict) or "open" not in spec or "close" not in spec:
             raise PromptError(f"delimiter {name!r} needs open and close markers")
         delimiters[name] = DelimiterPair(spec["open"], spec["close"])

@@ -514,3 +514,29 @@ def test_from_env():
     assert ep.classifier is None
     assert ep.mask_token == "[MASK]"
     assert ep.timeout == 5.0
+
+
+def test_from_snapshot_round_trips_url_endpoints():
+    ep = BackendEndpoints(complete="http://127.0.0.1:9/complete",
+                          score=UniformScoreBackend(),
+                          fill_mask="mock://sentiment", embed="mock://hash-embed",
+                          mask_token="[MASK]", timeout=120.0, max_retries=7,
+                          retry_backoff=2.0)
+    rebuilt = BackendEndpoints.from_snapshot(ep.snapshot())
+    # A direct object cannot be rebuilt, and backoff is not stored.
+    assert rebuilt == BackendEndpoints(
+        complete="http://127.0.0.1:9/complete", fill_mask="mock://sentiment",
+        embed="mock://hash-embed", mask_token="[MASK]", timeout=120.0,
+        max_retries=7)
+    assert ep.snapshot()["score"] == "object:UniformScoreBackend"
+    assert rebuilt.snapshot() == {**ep.snapshot(), "score": None}
+
+
+def test_from_snapshot_defaults_and_numbers():
+    ep = BackendEndpoints.from_snapshot({"complete": "mock://echo"})
+    assert ep == BackendEndpoints(complete="mock://echo")
+    assert (ep.timeout, ep.max_retries) == (30.0, 3)
+    assert BackendEndpoints.from_snapshot({"timeout": "5"}).timeout == 5.0
+    for bad in ({"timeout": "soon"}, {"max_retries": "many"}):
+        with pytest.raises(ValueError):
+            BackendEndpoints.from_snapshot(bad)

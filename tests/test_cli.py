@@ -93,6 +93,42 @@ class TestTransfer:
         manifest = read_manifest(str(out))
         assert len(manifest.records) == 2
 
+    def test_few_shot_prompt_holds_exemplar(self, mock_env, tmp_path, capsys,
+                                            sentiment_records):
+        exemplars = tmp_path / "exemplars.jsonl"
+        save_records([replace(r, reference="a reference for it")
+                      for r in sentiment_records], str(exemplars), "jsonl")
+        code = main(["transfer", "--text", "good food", "--from", "positive",
+                     "--to", "negative", "--shots", "1",
+                     "--exemplars", str(exemplars), "--json"])
+        assert code == 0
+        prompt = json.loads(capsys.readouterr().out)["prompt"]
+        first = sentiment_records[0].source
+        assert prompt.startswith(f"Here is a text, which is positive: {{{first}}}")
+        assert "{a reference for it}\n" in prompt
+        assert prompt.endswith("{good food} Here is a rewrite of the text, "
+                               "which is negative: {")
+
+    def test_shots_without_exemplars_exits_2(self, mock_env, capsys):
+        code = main(["transfer", "--text", "good food", "--from", "positive",
+                     "--to", "negative", "--shots", "1"])
+        assert code == 2
+        assert "requires --exemplars" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"templates": ["a"]},
+        {"delimiters": {"x": {"open": "<", "close": 5}}},
+    ], ids=["templates-list", "int-close"])
+    def test_malformed_prompt_config_exits_2(self, mock_env, tmp_path, capsys,
+                                             doc):
+        config = tmp_path / "prompts.json"
+        config.write_text(json.dumps(doc))
+        code = main(["transfer", "--text", "good food", "--from", "positive",
+                     "--to", "negative", "--delimiter", "x",
+                     "--prompt-config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_deterministic_output(self, mock_env, capsys):
         argv = ["transfer", "--text", "great fresh bread", "--from", "positive",
                 "--to", "negative", "--seed", "11", "--json"]
@@ -268,6 +304,18 @@ class TestEval:
     def test_needs_some_input(self, capsys):
         assert main(["eval"]) == 2
 
+    @pytest.mark.parametrize("header", [
+        {"id": "p0", "source": "good food", "source_style": "positive",
+         "target_style": "negative"},
+        [1, 2],
+        {"run_id": "r", "timestamp": "t", "config": {}, "summary": {"ppl": "x"}},
+    ], ids=["dataset", "list-header", "string-metric"])
+    def test_non_manifest_is_an_error(self, tmp_path, capsys, header):
+        path = tmp_path / "run.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        assert main(["eval", "--manifest", str(path)]) == 1
+        assert "is not a manifest" in capsys.readouterr().err
+
 
 class TestCopyBaselineCommand:
     def test_reports_s_sbleu_100(self, mock_env, dataset_path, capsys):
@@ -277,3 +325,18 @@ class TestCopyBaselineCommand:
         assert summary["s_sbleu"] == 100.0
         assert summary["accuracy"] == 0.0
         assert summary["ppl"] == pytest.approx(50257, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--dataset", "d.jsonl", "--json"],
+    ["symb", "--out", "s.jsonl", "--json"],
+    ["clean", "--in", "-", "--json"],
+    ["clean", "--in", "-", "--seed", "1"],
+    ["eval", "--hyp", "h.txt", "--seed", "1"],
+    ["copy-baseline", "--dataset", "d.jsonl", "--seed", "1"],
+])
+def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

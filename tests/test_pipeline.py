@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from loopback import LoopbackServer, Reply, mock_answer
+from restyle import metrics
 from restyle.backends import CompletionResponse, Generation, ServiceError
 from restyle.data import StylePairRecord, load_dataset
 from restyle.metrics import EvalSummary, ref_sbleu
@@ -15,6 +16,7 @@ from restyle.pipeline import (
     copy_baseline,
     directions_in,
     read_manifest,
+    reevaluate_manifest,
     run_sweep,
     transfer_corpus,
     transfer_one,
@@ -245,6 +247,41 @@ class TestTransferCorpus:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 1 + len(sentiment_records)
         assert "config" in json.loads(lines[0])
+
+    def test_reevaluation_keeps_stored_timeout_and_retries(
+            self, monkeypatch, sentiment_records):
+        ep = replace(mock_endpoints(), timeout=120.0, max_retries=7)
+        manifest = transfer_corpus(sentiment_records, RequestTemplate(),
+                                   RerankConfig(k=3, endpoints=ep), seed=5)
+        seen = []
+        real_summarize = metrics.summarize
+
+        def summarize(rows, endpoints, **kwargs):
+            seen.append(endpoints)
+            return real_summarize(rows, endpoints, **kwargs)
+
+        monkeypatch.setattr(metrics, "summarize", summarize)
+        assert reevaluate_manifest(manifest) == manifest.summary
+        assert (seen[0].timeout, seen[0].max_retries) == (120.0, 7)
+        assert seen[0].snapshot() == manifest.config["endpoints"]
+
+    @pytest.mark.parametrize("lines", [
+        [{"id": "p0", "source": "good", "source_style": "positive",
+          "target_style": "negative"}],
+        [[1, 2]],
+        [{"run_id": "r", "timestamp": "t", "config": {}}],
+        [{"run_id": "r", "timestamp": "t", "config": [], "summary": {}}],
+        [{"run_id": "r", "timestamp": "t", "config": {}, "summary": {"ppl": "x"}}],
+        [{"run_id": "r", "timestamp": "t", "config": {},
+          "summary": {"accuracy": True}}],
+        [{"run_id": "r", "timestamp": "t", "config": {}, "summary": {}}, "record"],
+    ], ids=["dataset", "list-header", "no-summary", "list-config",
+            "string-metric", "bool-metric", "string-record"])
+    def test_non_manifest_rejected(self, tmp_path, lines):
+        path = tmp_path / "not-a-manifest.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(PipelineError, match="is not a manifest"):
+            read_manifest(str(path))
 
 
 class TestSweep:

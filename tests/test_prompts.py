@@ -229,6 +229,17 @@ class TestPromptConfig:
         with pytest.raises(PromptError):
             load_prompt_config(str(path))
 
+    @pytest.mark.parametrize("doc", [
+        {"templates": ["a"]},
+        {"delimiters": [{"open": "<", "close": ">"}]},
+        {"delimiters": {"x": {"open": "<", "close": 5}}},
+    ], ids=["templates-list", "delimiters-list", "int-close"])
+    def test_malformed_sections_rejected(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PromptError):
+            load_prompt_config(str(path))
+
 
 def test_random_render_extract_round_trip():
     rng = random.Random(1234)

@@ -145,6 +145,9 @@ def test_embed_vectors_not_a_token_matrix(vectors):
     ("embed", {"dim": True, "vectors": [[1]]}),
     ("embed", {"dim": 2, "vectors": [["1", True]]}),
     ("embed", {"dim": 2, "vectors": [[True, False]]}),
+    # An integer beyond int64 makes NumPy build an object array.
+    ("embed", {"dim": 2, "vectors": [[2 ** 70, "1"]]}),
+    ("embed", {"dim": 2, "vectors": [[2 ** 70, True]]}),
 ])
 def test_non_json_types_are_malformed(endpoint, body):
     """Only a JSON string is text and only a JSON number is a number."""

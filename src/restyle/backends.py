@@ -21,6 +21,7 @@ import http.client
 import json
 import math
 import os
+import re
 import ssl
 import threading
 import time
@@ -408,6 +409,138 @@ def _basic_auth(parts: urllib.parse.SplitResult) -> str:
     return f"Basic {token}"
 
 
+# What http.client refuses in a request target: controls and the space.
+_UNSAFE_TARGET = re.compile(r"[\x00-\x20\x7f]")
+
+# The response reader's limits, those of http.client: the longest status,
+# header, chunk-size or trailer line, and the most header or trailer fields.
+_MAX_LINE = 65536
+_MAX_FIELDS = 100
+# The most body bytes asked for in one read, so that a declared length
+# reserves no memory before its bytes arrive.
+_READ_PIECE = 1 << 20
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+
+
+class _Connection:
+    """One open socket and the one buffered reader over it."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+def _read_line(rfile, what: str) -> bytes:
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_fields(rfile, what: str) -> dict[str, str]:
+    """Header or trailer fields up to the blank line that ends them, by
+    lower-case name; a repeated name's values are joined with ", " and a
+    folded line continues the field before it."""
+    fields: dict[str, str] = {}
+    name = None
+    for _ in range(_MAX_FIELDS + 1):
+        line = _read_line(rfile, f"{what} line")
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if not line:
+            raise http.client.IncompleteRead(b"")
+        text = line.decode("latin-1")
+        if name is not None and text[0] in " \t":
+            fields[name] += " " + text.strip()
+            continue
+        name, colon, value = text.partition(":")
+        if not colon:
+            raise http.client.HTTPException(f"malformed {what} line {text[:40]!r}")
+        name, value = name.lower(), value.strip()
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    raise http.client.HTTPException(f"got more than {_MAX_FIELDS} {what}s")
+
+
+def _read_head(rfile) -> tuple[int, bool, dict[str, str]]:
+    """The status of the next final response, whether it is HTTP/1.0, and
+    its header fields; 1xx interim responses are skipped. A peer that
+    closed before the status line raises RemoteDisconnected."""
+    while True:
+        line = _read_line(rfile, "status line")
+        if not line:
+            raise http.client.RemoteDisconnected(
+                "Remote end closed connection without response")
+        parts = line.split(None, 2)
+        if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+                or len(parts[1]) != 3 or not parts[1].isdigit()
+                or parts[1] < b"100"):
+            raise http.client.BadStatusLine(line.decode("latin-1"))
+        if not parts[0].startswith(b"HTTP/1."):
+            raise http.client.UnknownProtocol(parts[0].decode("latin-1"))
+        fields = _read_fields(rfile, "header")
+        status = int(parts[1])
+        if status >= 200:
+            return status, parts[0] == b"HTTP/1.0", fields
+
+
+def _read_exact(rfile, size: int) -> bytes:
+    pieces = []
+    while size:
+        piece = rfile.read(min(size, _READ_PIECE))
+        if not piece:
+            raise http.client.IncompleteRead(b"".join(pieces), size)
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
+
+
+def _read_chunked(rfile) -> bytes:
+    pieces = []
+    while True:
+        line = _read_line(rfile, "chunk size")
+        if not line:
+            raise http.client.IncompleteRead(b"".join(pieces))
+        size = line.split(b";", 1)[0].strip()
+        if not size or size.lstrip(_HEX_DIGITS):
+            raise http.client.HTTPException(f"bad chunk size line {line[:40]!r}")
+        size = int(size, 16)
+        if not size:
+            _read_fields(rfile, "trailer")
+            return b"".join(pieces)
+        pieces.append(_read_exact(rfile, size))
+        if _read_line(rfile, "chunk end") not in (b"\r\n", b"\n"):
+            raise http.client.HTTPException("chunk data not followed by a line end")
+
+
+def _read_body(rfile, status: int, http10: bool,
+               fields: dict[str, str]) -> tuple[bytes, bool]:
+    """The body of the response whose head was just read, and whether the
+    connection stays open after it. A 204 or 304 has none; otherwise the
+    body is chunked, ``Content-Length`` bytes, or all bytes to EOF."""
+    tokens = {token.strip() for token in
+              fields.get("connection", "").lower().split(",")}
+    if http10:
+        keep_open = "keep-alive" in tokens or "keep-alive" in fields
+    else:
+        keep_open = "close" not in tokens
+    if status in (204, 304):
+        return b"", keep_open
+    if fields.get("transfer-encoding", "").lower() == "chunked":
+        return _read_chunked(rfile), keep_open
+    length = fields.get("content-length")
+    if length is None:
+        return rfile.read(), False
+    if not (length.isascii() and length.isdigit()):
+        raise http.client.HTTPException(f"bad Content-Length {length!r}")
+    return _read_exact(rfile, int(length)), keep_open
+
+
 class _HttpService:
     """POSTs JSON to one endpoint URL over pooled keep-alive connections.
 
@@ -419,18 +552,26 @@ class _HttpService:
     out and returns it only after reading the whole response, and a
     connection whose round trip raised is closed instead. What the
     environment contributes (the proxy from ``getproxies``/``proxy_bypass``
-    and the TLS context with the system CA store) is resolved once, here.
+    and the TLS context with the system CA store) is resolved once, here,
+    and so is the request head.
 
-    Socket and ``http.client`` errors, such as a body cut off mid-read, and
-    429/502/503/504 answers are retried with exponential backoff; after the
-    last attempt they surface as :class:`TransportError` and
-    :class:`ServiceError` respectively, so corpus runs record them per
-    example. A TLS certificate that fails to verify raises
-    :class:`TransportError` at once. A 429 or 503 with a delta-seconds
-    Retry-After header waits at least that long before the next attempt,
-    but never longer than ``timeout``. A reused connection that the server
-    closed while it was idle is replaced at once, with no sleep and no
-    attempt spent.
+    ``http.client`` opens each connection: TCP, the TLS handshake with its
+    hostname check, and a proxy's ``CONNECT`` tunnel. The client then owns
+    the socket: it writes each request, head and body, with one
+    ``sendall`` and reads each response with the bounded reader above
+    (:func:`_read_head`, :func:`_read_body`) from the one buffered reader
+    the connection keeps.
+
+    Socket errors and framing faults (``http.client.HTTPException``), such
+    as a body cut off mid-read, and 429/502/503/504 answers are retried
+    with exponential backoff; after the last attempt they surface as
+    :class:`TransportError` and :class:`ServiceError` respectively, so
+    corpus runs record them per example. A TLS certificate that fails to
+    verify raises :class:`TransportError` at once. A 429 or 503 with a
+    delta-seconds Retry-After header waits at least that long before the
+    next attempt, but never longer than ``timeout``. A reused connection
+    that the server closed while it was idle is replaced at once, with no
+    sleep and no attempt spent.
     """
 
     def __init__(self, url: str, timeout: float, max_retries: int,
@@ -440,7 +581,7 @@ class _HttpService:
         self.max_retries = max(1, max_retries)
         self.backoff = retry_backoff
         self._lock = threading.Lock()
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
 
         parts = urllib.parse.urlsplit(url)
         if not parts.hostname:
@@ -448,10 +589,14 @@ class _HttpService:
         self._https = parts.scheme == "https"
         self._host, self._port = parts.hostname, parts.port
         self._context = ssl.create_default_context() if self._https else None
-        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        self._headers = {"Content-Type": "application/json"}
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        # The Host header, with the port only when it is not the scheme's.
+        host = f"[{self._host.partition('%')[0]}]" if ":" in self._host else self._host
+        if self._port not in (None, 443 if self._https else 80):
+            host = f"{host}:{self._port}"
+        headers = {"Content-Type": "application/json"}
         if parts.username is not None:
-            self._headers["Authorization"] = _basic_auth(parts)
+            headers["Authorization"] = _basic_auth(parts)
 
         self._proxy = None
         self._tunnel_headers = {}
@@ -465,10 +610,27 @@ class _HttpService:
             if self._https:
                 self._tunnel_headers = proxy_headers
             else:
-                # A plain-HTTP proxy takes the target in absolute form.
-                netloc = parts.netloc.rpartition("@")[2]
-                self._target = f"http://{netloc}{self._target}"
-                self._headers.update(proxy_headers)
+                # A plain-HTTP proxy takes the target in absolute form, and
+                # the Host header its host and port as written.
+                host = parts.netloc.rpartition("@")[2]
+                target = f"http://{host}{target}"
+                headers.update(proxy_headers)
+
+        # The head http.client would write, in its order; the body's
+        # length goes after Content-Length.
+        if not target.isascii() or _UNSAFE_TARGET.search(target):
+            raise BackendError(f"endpoint URL {url!r} has a space, a control "
+                               "or a non-ASCII character in its path")
+        try:
+            host = host if host.isascii() else host.encode("idna").decode("ascii")
+        except UnicodeError as exc:
+            raise BackendError(f"endpoint URL {url!r} has an invalid host: "
+                               f"{exc}") from None
+        self._head = (f"POST {target} HTTP/1.1\r\nHost: {host}\r\n"
+                      "Accept-Encoding: identity\r\nContent-Length: ").encode("ascii")
+        self._head_end = "".join(
+            f"\r\n{name}: {value}" for name, value in headers.items()
+        ).encode("latin-1") + b"\r\n\r\n"
 
     def close(self) -> None:
         """Close the idle connections; the client stays usable."""
@@ -477,36 +639,45 @@ class _HttpService:
         for conn in idle:
             conn.close()
 
-    def _connect(self) -> http.client.HTTPConnection:
+    def _connect(self) -> _Connection:
         host, port = self._proxy or (self._host, self._port)
         if not self._https:
-            return http.client.HTTPConnection(host, port, timeout=self.timeout)
-        conn = http.client.HTTPSConnection(host, port, timeout=self.timeout,
-                                           context=self._context)
-        if self._proxy:
-            conn.set_tunnel(self._host, self._port, headers=self._tunnel_headers)
-        return conn
+            conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
+        else:
+            conn = http.client.HTTPSConnection(host, port, timeout=self.timeout,
+                                               context=self._context)
+            if self._proxy:
+                conn.set_tunnel(self._host, self._port,
+                                headers=self._tunnel_headers)
+        try:
+            conn.connect()
+        except BaseException:
+            conn.close()
+            raise
+        sock, conn.sock = conn.sock, None
+        return _Connection(sock)
 
-    def _exchange(self, conn: http.client.HTTPConnection, data: bytes,
+    def _exchange(self, conn: _Connection, data: bytes,
                   reused: bool) -> tuple[int, bytes, str | None]:
         try:
             try:
-                conn.request("POST", self._target, data, self._headers)
-                resp = conn.getresponse()
+                conn.sock.sendall(b"%s%d%s%s" % (self._head, len(data),
+                                                 self._head_end, data))
+                status, http10, fields = _read_head(conn.rfile)
             except ConnectionError as exc:
                 if reused:
                     raise _IdleConnectionClosed() from exc
                 raise
-            body = resp.read()
+            body, keep_open = _read_body(conn.rfile, status, http10, fields)
         except BaseException:
             conn.close()
             raise
-        if resp.will_close:
-            conn.close()
-        else:
+        if keep_open:
             with self._lock:
                 self._idle.append(conn)
-        return resp.status, body, resp.getheader("Retry-After")
+        else:
+            conn.close()
+        return status, body, fields.get("retry-after")
 
     def _round_trip(self, data: bytes) -> tuple[int, bytes, str | None]:
         """POST ``data`` once; the status, the whole response body and the

@@ -63,6 +63,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _resolve_template(name: str, custom: dict[str, str]) -> TemplateKind | str:
     normalized = name.strip().lower().replace("-", "_")
     try:
@@ -237,21 +244,22 @@ def cmd_sweep(args) -> int:
         directions = tuple(directions)
     else:
         directions = directions_in(records)
-    shots = tuple(int(s) for s in args.shots.split(","))
+    grid = SweepGrid(templates=templates, delimiters=delimiters,
+                     directions=directions,
+                     shots=tuple(int(s) for s in args.shots.split(",")))
 
     exemplars_by_direction = None
-    if any(s > 0 for s in shots):
+    if max(grid.shots) > 0:
         if not args.exemplars:
             raise CliError("sweep with shots > 0 requires --exemplars FILE")
         pool = load_dataset(args.exemplars, args.format)
         exemplars_by_direction = {
             direction: _select_exemplars(pool, args.exemplars,
                                          parse_style(direction[0]),
-                                         parse_style(direction[1]), max(shots))
+                                         parse_style(direction[1]),
+                                         max(grid.shots))
             for direction in directions}
 
-    grid = SweepGrid(templates=templates, delimiters=delimiters,
-                     directions=directions, shots=shots)
     result = run_sweep(records, grid, cfg,
                        exemplars_by_direction=exemplars_by_direction,
                        jobs=args.jobs, seed=args.seed,
@@ -384,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_style", required=True, help="target style")
     p.add_argument("--template", default="contrastive")
     p.add_argument("--delimiter", default="curly")
-    p.add_argument("--shots", type=int, default=0)
+    p.add_argument("--shots", type=_non_negative_int, default=0)
     p.add_argument("--exemplars", help="dataset file supplying few-shot exemplars")
     p.add_argument("--out", help="manifest output path (dataset mode)")
     _add_generation(p)
@@ -448,8 +456,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BackendError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # PromptError, DatasetError and MetricError are ValueErrors.
-    except (CliError, ValueError) as exc:
+    # PromptError, DatasetError and MetricError are ValueErrors; an OSError
+    # is an input file that cannot be read or an output that cannot be written.
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

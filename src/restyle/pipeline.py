@@ -305,7 +305,8 @@ def reevaluate_manifest(manifest: RunManifest) -> EvalSummary:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """The axes of a prompt-design sweep; every axis must be non-empty."""
+    """The axes of a prompt-design sweep; every axis must be non-empty and
+    every shot count >= 0."""
 
     templates: tuple[TemplateKind, ...] = tuple(TemplateKind)
     delimiters: tuple[DelimiterPair, ...] = tuple(DELIMITERS.values())
@@ -319,6 +320,8 @@ class SweepGrid:
                            ("shots", self.shots)):
             if not axis:
                 raise ValueError(f"sweep grid axis {name!r} is empty")
+        if min(self.shots) < 0:
+            raise ValueError(f"shot counts must be >= 0, got {self.shots}")
 
 
 def directions_in(records: list[StylePairRecord]) -> tuple[tuple[str, str], ...]:

@@ -35,12 +35,16 @@ TLS_KEY = _DATA / "test-only-loopback-key.pem"
 class Reply:
     """One answer: ``payload`` is sent as JSON, or as it is when it is bytes.
     ``truncate`` declares a longer body than it sends, then closes;
-    ``headers`` are extra ``(name, value)`` response headers."""
+    ``headers`` are extra ``(name, value)`` response headers. ``raw``, when
+    set, is written instead as the whole response, status line and headers
+    included. ``close`` closes the connection after the reply."""
 
-    payload: object
+    payload: object = None
     status: int = 200
     truncate: bool = False
     headers: tuple[tuple[str, str], ...] = ()
+    raw: bytes | None = None
+    close: bool = False
 
 
 def mock_answer(path: str, body: dict) -> Reply:
@@ -76,6 +80,11 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.loads(raw)
         self.server.record(self.command, self.path, dict(self.headers), body)
         reply = self.server.answer(self.path, body)
+        if reply.close or reply.truncate or self.server.close_after_reply:
+            self.close_connection = True
+        if reply.raw is not None:
+            self.wfile.write(reply.raw)
+            return
         data = reply.payload
         if not isinstance(data, bytes):
             data = json.dumps(data).encode("utf-8")
@@ -86,8 +95,6 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
-        if reply.truncate or self.server.close_after_reply:
-            self.close_connection = True
 
     def do_CONNECT(self):
         self.server.record(self.command, self.path, dict(self.headers), None)

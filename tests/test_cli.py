@@ -129,6 +129,18 @@ class TestTransfer:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_shots_exit_2(self, mock_env, tmp_path, capsys,
+                                   sentiment_records):
+        exemplars = tmp_path / "exemplars.jsonl"
+        save_records([replace(r, reference="a reference for it")
+                      for r in sentiment_records[:2]], str(exemplars), "jsonl")
+        with pytest.raises(SystemExit) as exc:
+            main(["transfer", "--text", "good food", "--from", "positive",
+                  "--to", "negative", "--shots", "-1",
+                  "--exemplars", str(exemplars)])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_deterministic_output(self, mock_env, capsys):
         argv = ["transfer", "--text", "great fresh bread", "--from", "positive",
                 "--to", "negative", "--seed", "11", "--json"]
@@ -178,6 +190,15 @@ class TestSweep:
         assert loaded == [dataset_path, str(exemplars)]
         rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 * 2  # two directions, two shot counts
+
+    def test_negative_shots_exit_2(self, mock_env, dataset_path, tmp_path,
+                                   capsys):
+        code = main(["sweep", "--dataset", dataset_path, "--templates", "vanilla",
+                     "--delimiters", "curly", "--shots", "0,-1",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "shot counts must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_bad_direction_syntax_exits_2(self, mock_env, dataset_path):
         code = main(["sweep", "--dataset", dataset_path,
@@ -325,6 +346,23 @@ class TestCopyBaselineCommand:
         assert summary["s_sbleu"] == 100.0
         assert summary["accuracy"] == 0.0
         assert summary["ppl"] == pytest.approx(50257, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--hyp", "{missing}"],
+    ["eval", "--hyp", "{directory}"],
+    ["transfer", "--text", "good food", "--from", "positive", "--to",
+     "negative", "--prompt-config", "{missing}"],
+    ["clean", "--in", "{missing}"],
+    ["clean", "--in", "{directory}"],
+], ids=["eval-hyp", "eval-hyp-directory", "transfer-prompt-config",
+        "clean-in", "clean-in-directory"])
+def test_unreadable_input_file_exits_2(argv, mock_env, tmp_path, capsys):
+    paths = {"missing": str(tmp_path / "missing.txt"), "directory": str(tmp_path)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(tmp_path) in err
 
 
 @pytest.mark.parametrize("argv", [

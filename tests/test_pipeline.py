@@ -361,6 +361,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="delimiters"):
             SweepGrid(delimiters=(), directions=(("a", "b"),))
 
+    def test_negative_shot_count_rejected(self):
+        with pytest.raises(ValueError, match="shot counts must be >= 0"):
+            SweepGrid(directions=(("a", "b"),), shots=(-1,))
+        with pytest.raises(ValueError, match="shot counts"):
+            SweepGrid(directions=(("a", "b"),), shots=(0, 4, -1))
+
 
 class TestCopyBaseline:
     def test_self_bleu_is_100(self, sentiment_records):

@@ -1,4 +1,9 @@
-"""Fuzzing of the four wire response parsers.
+"""Fuzzing of the HTTP response reader and the four wire response parsers.
+
+The reader takes raw response bytes: arbitrary bytes, and well-framed
+responses (by Content-Length, chunks or EOF) as they are, with bytes
+changed, and cut at any byte. It must return the status and body, or raise
+``http.client.HTTPException`` or ``OSError``, the transport retry class.
 
 Each body reaches the client as the raw bytes of a 200 answer: arbitrary
 JSON (with NaN, infinities and huge integers), bodies shaped like the
@@ -8,6 +13,8 @@ MalformedResponseError or LabelError, never anything else, and every number
 in a parsed response is finite.
 """
 
+import http.client
+import io
 import json
 import math
 from unittest import mock
@@ -185,3 +192,108 @@ def test_fill_mask_parser(data):
 @given(st.data())
 def test_embed_parser(data):
     check("embed", data)
+
+
+def read_response(raw: bytes) -> tuple[int, bytes]:
+    """The status and body the client's reader takes from ``raw``."""
+    rfile = io.BytesIO(raw)
+    status, http10, fields = backends._read_head(rfile)
+    body, _ = backends._read_body(rfile, status, http10, fields)
+    return status, body
+
+
+# Lengths and chunk sizes that int() would read, or fail to, but that are
+# not plain decimal or hex digits.
+BAD_SIZES = st.sampled_from([b"ten", b"zz", b"-1", b"+5", b" 5 x", b"1_0",
+                             b"\xb2", b"0x10", b"", b"1e3",
+                             b"99999999999999999999"])
+
+
+@st.composite
+def framed_responses(draw, near=False):
+    """``(raw, status, body)``: a response framed by Content-Length, chunks
+    (with extensions and trailers) or EOF, after 0-2 interim 100s. With
+    ``near`` set, each length and chunk size may be a bad one instead."""
+
+    def size(text: bytes) -> bytes:
+        return draw(st.just(text) | BAD_SIZES) if near else text
+
+    eol = draw(st.sampled_from([b"\r\n", b"\n"]))
+    status = draw(st.sampled_from([200, 201, 404, 429, 503]))
+    body = draw(st.binary(max_size=40))
+    headers = draw(st.lists(st.sampled_from([
+        b"Content-Type: application/json", b"Retry-After: 3",
+        b"Connection: keep-alive", b"X-Empty:", b"x-lower:  spaced  "]),
+        max_size=3))
+    framing = draw(st.sampled_from(["length", "chunked", "eof"]))
+    payload = body
+    if framing == "length":
+        headers.append(b"Content-Length: " + size(b"%d" % len(body)))
+    elif framing == "chunked":
+        headers.append(b"Transfer-Encoding: chunked")
+        cuts = sorted(draw(st.lists(st.integers(0, len(body)), max_size=3)))
+        bounds = list(zip([0] + cuts, cuts + [len(body)]))
+        ext = st.sampled_from([b"", b";a=1", b" ; flag", b';q="x;y"'])
+        payload = b"".join(b"%s%s%s%s%s" % (size(b"%x" % (end - start)),
+                                            draw(ext), eol, body[start:end], eol)
+                           for start, end in bounds if end > start)
+        trailers = draw(st.lists(st.sampled_from([b"X-Sum: 1", b"Y: z"]),
+                                 max_size=2))
+        payload += b"%s%s%s%s" % (size(b"0"), draw(ext), eol,
+                                 b"".join(t + eol for t in trailers)) + eol
+    interim = b"HTTP/1.1 100 Continue" + eol + b"X-Note: wait" + eol + eol
+    head = (interim * draw(st.integers(0, 2))
+            + b"HTTP/1.1 %d Reason Phrase" % status + eol
+            + b"".join(h + eol for h in headers) + eol)
+    return head + payload, status, body
+
+
+NASTY = st.sampled_from([b"\r\n", b"\n", b":", b";", b" ", b"\t", b"0",
+                         b"zz", b"-1", b"ten", b"\x00", b"\xff",
+                         b"HTTP/1.1 100 Continue\r\n\r\n",
+                         b"Content-Length: 99999999999999999999\r\n",
+                         b"Transfer-Encoding: chunked\r\n",
+                         b"fffffffffffffffffff\r\n"])
+
+
+def read_or_fail(raw: bytes) -> None:
+    try:
+        status, body = read_response(raw)
+    except (http.client.HTTPException, OSError):
+        return
+    assert 200 <= status <= 999 and isinstance(body, bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(framed_responses(), st.data())
+def test_reader_reads_framed_responses(response, data):
+    raw, status, body = response
+    assert read_response(raw) == (status, body)
+    read_or_fail(raw[:data.draw(st.integers(0, len(raw)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(framed_responses(near=True), st.data())
+def test_reader_on_changed_bytes(response, data):
+    raw = response[0]
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(raw)))
+        drop = data.draw(st.integers(0, 4))
+        raw = raw[:at] + data.draw(NASTY | st.binary(max_size=4)) + raw[at + drop:]
+    read_or_fail(raw[:data.draw(st.none() | st.integers(0, len(raw)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200))
+def test_reader_on_arbitrary_bytes(raw):
+    read_or_fail(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b"fffffffffffffffffff\r\n{}",
+])
+def test_reader_huge_declared_length_is_incomplete(raw):
+    with pytest.raises(http.client.IncompleteRead):
+        read_response(raw)

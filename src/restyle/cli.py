@@ -49,7 +49,7 @@ from .prompts import (
     load_prompt_config,
     parse_style,
 )
-from .reranking import RerankConfig
+from .reranking import STRENGTH_SOURCES, RerankConfig
 
 
 class CliError(Exception):
@@ -101,13 +101,16 @@ def _run_configs(args) -> tuple[RerankConfig, DecodeConfig]:
     """The rerank and decode settings of a transfer or sweep run, from the
     RESTYLE_* environment and the generation flags."""
     endpoints = BackendEndpoints.from_env()
-    missing = [name for name, value in (
-        ("RESTYLE_COMPLETE_URL", endpoints.complete),
-        ("RESTYLE_FILL_MASK_URL", endpoints.fill_mask),
-        ("RESTYLE_EMBED_URL", endpoints.embed),
-    ) if value is None]
-    if not args.no_fluency and endpoints.score is None:
-        missing.append("RESTYLE_SCORE_URL (or pass --no-fluency)")
+    # Cloze strength calls /fill_mask, and so do classifier strength and the
+    # summary's accuracy when no classifier is set.
+    missing = [name for name, value, needed in (
+        ("RESTYLE_COMPLETE_URL", endpoints.complete, True),
+        ("RESTYLE_FILL_MASK_URL", endpoints.fill_mask,
+         args.strength_source == "mlm_cloze" or endpoints.classifier is None),
+        ("RESTYLE_EMBED_URL", endpoints.embed, True),
+        ("RESTYLE_SCORE_URL (or pass --no-fluency)", endpoints.score,
+         not args.no_fluency),
+    ) if needed and value is None]
     if missing:
         raise CliError("missing backend endpoints: " + ", ".join(missing))
     return (RerankConfig(k=args.k, use_fluency=not args.no_fluency,
@@ -363,7 +366,7 @@ def _add_generation(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-fluency", action="store_true",
                         help="drop the fluency factor from reranking")
     parser.add_argument("--strength-source", default="mlm_cloze",
-                        choices=["mlm_cloze", "external_classifier"])
+                        choices=STRENGTH_SOURCES)
     parser.add_argument("--decode-mode", default="beam", choices=["beam", "sample"])
     parser.add_argument("--beam-width", type=_positive_int, default=None,
                         help="defaults to --k")

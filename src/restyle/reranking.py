@@ -92,12 +92,20 @@ def similarity_score(src: str, cand: str, endpoints: BackendEndpoints) -> float:
     is symmetric in its two texts, and identical texts score 1.0 under any
     embedding backend.
     """
-    return _greedy_f1(_embedded_rows(src, endpoints),
-                      _embedded_rows(cand, endpoints))
+    return _similarities(src, [cand], endpoints)[0]
 
 
-def _embedded_rows(text: str, endpoints: BackendEndpoints) -> np.ndarray:
-    return _unit_rows(backends.embed_tokens(endpoints, text))
+def _similarities(src: str, texts: list[str],
+                  endpoints: BackendEndpoints) -> list[float]:
+    """:func:`similarity_score` of each text against ``src``, embedding the
+    source once and then each text that is not the source."""
+    src_rows = _unit_rows(backends.embed_tokens(endpoints, src))
+    # A fresh buffer: A @ A.T on one array takes NumPy's symmetric product,
+    # whose last bits differ from the general one.
+    rows = [src_rows.copy() if text == src
+            else _unit_rows(backends.embed_tokens(endpoints, text))
+            for text in texts]
+    return [_greedy_f1(src_rows, cand_rows) for cand_rows in rows]
 
 
 def _greedy_f1(src_vecs: np.ndarray, cand_vecs: np.ndarray) -> float:
@@ -175,43 +183,33 @@ def score_pool(req: TransferRequest, pool: list[Candidate],
                cfg: RerankConfig) -> list[RerankScore]:
     """All enabled log factors for every candidate, parallel to ``pool``.
 
-    Backend calls follow a per-example plan: the source is embedded once,
-    and each distinct candidate text costs one call per factor endpoint. A
-    candidate equal to the source reuses the source's embedding, and a
-    repeated text reuses the scores of its first occurrence, so every
-    candidate scores exactly as it would alone.
+    The pool's distinct texts are scored one factor stage at a time, in
+    first-seen order: similarity (the source is embedded once, then each
+    text that is not the source), strength, then fluency, so a failed stage
+    ends the example before any later stage's backend calls. A repeated
+    text shares its first occurrence's scores, so every candidate scores
+    exactly as it would alone.
     """
     endpoints = cfg.endpoints
-    src_rows = _embedded_rows(req.input_text, endpoints)
-    by_text: dict[str, RerankScore] = {}
-    for cand in pool:
-        if cand.text in by_text:
-            continue
-        if cand.text == req.input_text:
-            # A fresh buffer: A @ A.T on one array takes NumPy's symmetric
-            # product, whose last bits differ from the general one.
-            cand_rows = src_rows.copy()
-        else:
-            cand_rows = _embedded_rows(cand.text, endpoints)
-        sim = _greedy_f1(src_rows, cand_rows)
-        if cfg.strength_source == "external_classifier":
-            strength = classifier_strength(cand.text, req.source_style,
-                                           req.target_style, endpoints)
-        else:
-            strength = style_strength(cand.text, req.source_style,
-                                      req.target_style, endpoints)
-        log_sim = _floored_log(sim)
-        log_strength = _floored_log(strength)
-        log_fluency = tokens = None
+    texts = list(dict.fromkeys(cand.text for cand in pool))
+    sims = _similarities(req.input_text, texts, endpoints)
+    strength = (classifier_strength
+                if cfg.strength_source == "external_classifier"
+                else style_strength)
+    strengths = [strength(text, req.source_style, req.target_style, endpoints)
+                 for text in texts]
+    fluencies = ([fluency_logprob(text, endpoints, with_token_count=True)
+                  for text in texts] if cfg.use_fluency
+                 else [(None, None)] * len(texts))
+    by_text = {}
+    for text, sim, p_strength, (log_fluency, tokens) in zip(
+            texts, sims, strengths, fluencies):
+        log_sim, log_strength = _floored_log(sim), _floored_log(p_strength)
         composite = log_sim + log_strength
-        if cfg.use_fluency:
-            log_fluency, tokens = fluency_logprob(cand.text, endpoints,
-                                                  with_token_count=True)
+        if log_fluency is not None:
             composite += log_fluency
-        by_text[cand.text] = RerankScore(
-            log_similarity=log_sim, log_strength=log_strength,
-            log_fluency=log_fluency, composite=composite,
-            fluency_tokens=tokens)
+        by_text[text] = RerankScore(log_sim, log_strength, log_fluency,
+                                    composite, tokens)
     return [by_text[cand.text] for cand in pool]
 
 

@@ -9,15 +9,19 @@ import dataclasses
 
 import pytest
 
+from restyle.backends import BackendError
 from restyle.mocks import SentimentMaskBackend, mock_endpoints, resolve_mock_url
-from restyle.pipeline import RequestTemplate, transfer_corpus
+from restyle.pipeline import RequestTemplate, transfer_corpus, transfer_one
 from restyle.reranking import RerankConfig
 
 class Counted:
-    """Front for one backend service that counts the requests it answers."""
+    """Front for one backend service that counts the requests it answers and
+    appends its name to ``log`` before answering each one."""
 
-    def __init__(self, service):
+    def __init__(self, service, name, log):
         self.service = service
+        self.name = name
+        self.log = log
         self.calls = 0
 
     def __getattr__(self, name):
@@ -25,21 +29,24 @@ class Counted:
 
         def counted(*args, **kwargs):
             self.calls += 1
+            self.log.append(self.name)
             return method(*args, **kwargs)
 
         return counted
 
 
-def counted_endpoints(**overrides):
-    """``mock_endpoints(plant="seed")`` with every service behind a counter.
+def counted_endpoints(log=None, **overrides):
+    """``mock_endpoints(plant="seed")`` with every service behind a counter,
+    all logging to one ``log`` in call order.
 
     The classifier gets its own sentiment service, so summary accuracy calls
     are told apart from cloze strength calls.
     """
+    log = [] if log is None else log
     base = mock_endpoints(plant="seed", **overrides)
-    services = {name: Counted(resolve_mock_url(getattr(base, name)))
+    services = {name: Counted(resolve_mock_url(getattr(base, name)), name, log)
                 for name in ("complete", "embed", "fill_mask", "score")}
-    services["classifier"] = Counted(SentimentMaskBackend())
+    services["classifier"] = Counted(SentimentMaskBackend(), "classifier", log)
     return dataclasses.replace(base, **services), services
 
 
@@ -65,3 +72,59 @@ def test_calls_per_example(sentiment_records, overrides, use_fluency,
     assert manifest.summary.ppl is not None
     assert {name: s.calls for name, s in services.items()} == \
         {name: count * n for name, count in per_example.items()}
+
+
+def split_by_example(log):
+    """A jobs=1 call log cut into one list per example, each opening with
+    its /complete call."""
+    examples = []
+    for name in log:
+        if name == "complete":
+            examples.append([])
+        examples[-1].append(name)
+    return examples
+
+
+def test_factor_stages_run_in_order(sentiment_records):
+    # The flip, a verbatim copy of the source and a padded copy: the copy
+    # reuses the source's embedding, so the similarity stage embeds 3 texts.
+    log = []
+    endpoints, _ = counted_endpoints(log)
+    req = RequestTemplate().request_for(sentiment_records[0])
+    transfer_one(req, RerankConfig(k=3, endpoints=endpoints), seed=3)
+    assert log == ["complete"] + ["embed"] * 3 + ["fill_mask"] * 3 + \
+        ["score"] * 3
+
+
+class FailingEmbed:
+    """An embedding service that fails for one text."""
+
+    def __init__(self, service, text):
+        self.service = service
+        self.text = text
+
+    def embed_tokens(self, text):
+        if text == self.text:
+            raise BackendError(f"injected /embed fault for {text!r}")
+        return self.service.embed_tokens(text)
+
+
+def test_failed_stage_makes_no_later_stage_calls(sentiment_records):
+    req = RequestTemplate().request_for(sentiment_records[0])
+    cfg = RerankConfig(k=3, endpoints=counted_endpoints()[0])
+    third = transfer_one(req, cfg, seed=3)[1]["candidates"][2]["text"]
+    assert third != req.input_text
+
+    log = []
+    endpoints, services = counted_endpoints(log)
+    services["embed"].service = FailingEmbed(services["embed"].service, third)
+    manifest = transfer_corpus(sentiment_records, RequestTemplate(),
+                               RerankConfig(k=3, endpoints=endpoints),
+                               seed=3, jobs=1)
+    assert "BackendError" in manifest.records[0]["error"]
+    assert len(manifest.successful_records()) == len(sentiment_records) - 1
+    examples = split_by_example(log)
+    assert examples[0] == ["complete", "embed", "embed", "embed"]
+    for calls in examples[1:]:
+        assert calls == ["complete"] + ["embed"] * 3 + ["fill_mask"] * 3 + \
+            ["score"] * 3 + ["classifier"]

@@ -66,6 +66,33 @@ class TestTransfer:
         assert code == 2
         assert "missing backend endpoints" in capsys.readouterr().err
 
+    def test_classifier_strength_needs_no_fill_mask(self, mock_env,
+                                                    monkeypatch, capsys):
+        monkeypatch.delenv("RESTYLE_FILL_MASK_URL")
+        monkeypatch.setenv("RESTYLE_CLASSIFIER_URL", "mock://sentiment")
+        code = main(["transfer", "--text", "the food was good", "--from",
+                     "positive", "--to", "negative",
+                     "--strength-source", "external_classifier"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "the food was bad"
+
+    @pytest.mark.parametrize("strength_source, classifier", [
+        ("mlm_cloze", "mock://sentiment"),
+        ("external_classifier", None),
+    ])
+    def test_fill_mask_required_when_called(self, mock_env, monkeypatch,
+                                            capsys, strength_source,
+                                            classifier):
+        monkeypatch.delenv("RESTYLE_FILL_MASK_URL")
+        if classifier is not None:
+            monkeypatch.setenv("RESTYLE_CLASSIFIER_URL", classifier)
+        code = main(["transfer", "--text", "the food was good", "--from",
+                     "positive", "--to", "negative",
+                     "--strength-source", strength_source])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == \
+            "error: missing backend endpoints: RESTYLE_FILL_MASK_URL"
+
     def test_backend_failure_exits_1(self, mock_env, monkeypatch, capsys):
         monkeypatch.setenv("RESTYLE_COMPLETE_URL", "http://127.0.0.1:9/complete")
         monkeypatch.setenv("RESTYLE_TIMEOUT", "0.2")

@@ -6,7 +6,12 @@ from hypothesis import given, strategies as st
 
 from fakes import FixedEmbedBackend, StaticMaskBackend
 from restyle.backends import BackendEndpoints, LabelError
-from restyle.mocks import SentimentMaskBackend, UniformScoreBackend, mock_endpoints
+from restyle.mocks import (
+    HashEmbedBackend,
+    SentimentMaskBackend,
+    UniformScoreBackend,
+    mock_endpoints,
+)
 from restyle.prompts import StyleLabel, TransferRequest
 from restyle.reranking import (
     Candidate,
@@ -33,6 +38,18 @@ class TestSimilarity:
     def test_identical_texts_score_one(self, mock_ep):
         assert similarity_score("fresh bread today", "fresh bread today",
                                 mock_ep) == 1.0
+
+    def test_identical_texts_embed_once(self):
+        embedded = []
+
+        class LoggedEmbed(HashEmbedBackend):
+            def embed_tokens(self, text):
+                embedded.append(text)
+                return super().embed_tokens(text)
+
+        ep = BackendEndpoints(embed=LoggedEmbed())
+        assert similarity_score("fresh bread", "fresh bread", ep) == 1.0
+        assert embedded == ["fresh bread"]
 
     def test_symmetric(self, mock_ep):
         pairs = [("good food", "bad food"),

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .prompts import render_cloze
+
 
 class BackendError(Exception):
     """Base class for backend failures."""
@@ -40,10 +42,9 @@ class TransportError(BackendError):
     """Could not reach the service, no partial result; retried unless the
     service's TLS certificate failed to verify."""
 
-    def __init__(self, message: str, attempts: int = 1, retryable: bool = True):
+    def __init__(self, message: str, attempts: int = 1):
         super().__init__(message)
         self.attempts = attempts
-        self.retryable = retryable
 
 
 class ServiceError(BackendError):
@@ -52,15 +53,10 @@ class ServiceError(BackendError):
     def __init__(self, message: str, status: int | None = None):
         super().__init__(message)
         self.status = status
-        self.retryable = status in _TRANSIENT_STATUSES
 
 
 class MalformedResponseError(BackendError):
     """The service answered 200 but the body violates the wire contract."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.retryable = False
 
 
 class LabelError(BackendError):
@@ -70,7 +66,6 @@ class LabelError(BackendError):
         details = "; ".join(f"{k}: {v}" for k, v in sorted(label_errors.items()))
         super().__init__(f"label errors: {details}")
         self.label_errors = label_errors
-        self.retryable = False
 
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
@@ -104,13 +99,15 @@ def _require_finite(value, what: str) -> float:
 class DecodeConfig:
     """Decoding strategy for candidate generation."""
 
-    mode: str = "beam"  # "beam" or "sample"
+    MODES = ("beam", "sample")
+
+    mode: str = "beam"
     beam_width: int | None = None  # defaults to num_candidates when unset
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in ("beam", "sample"):
-            raise ValueError(f"decode mode must be 'beam' or 'sample', got {self.mode!r}")
+        if self.mode not in self.MODES:
+            raise ValueError(f"decode mode must be one of {self.MODES}, got {self.mode!r}")
 
     def to_wire(self, num_candidates: int) -> dict:
         width = self.beam_width if self.beam_width is not None else num_candidates
@@ -704,7 +701,7 @@ class _HttpService:
                 # Every attempt would fail the same way.
                 raise TransportError(
                     f"could not verify the TLS certificate of {self.url}: {exc}",
-                    attempts=attempt, retryable=False) from exc
+                    attempts=attempt) from exc
             except (OSError, http.client.HTTPException) as exc:
                 failure = exc
                 continue
@@ -831,9 +828,8 @@ def _label_likelihoods(endpoints: BackendEndpoints, endpoint, what: str,
     return resp
 
 
-def fill_mask(endpoints: BackendEndpoints, cloze: str,
-              labels: list[str]) -> MaskFillResponse:
-    """Raw likelihoods of each label at the mask position of a cloze statement."""
+def _cloze_likelihoods(endpoints: BackendEndpoints, cloze: str,
+                       labels: list[str]) -> MaskFillResponse:
     if cloze.count(endpoints.mask_token) != 1:
         raise ValueError(
             f"cloze must contain exactly one {endpoints.mask_token!r} token"
@@ -842,17 +838,24 @@ def fill_mask(endpoints: BackendEndpoints, cloze: str,
                               cloze, labels)
 
 
+def fill_mask(endpoints: BackendEndpoints, cloze: str,
+              labels: list[str]) -> MaskFillResponse:
+    """Raw likelihoods of each label at the mask position of a cloze statement."""
+    return _cloze_likelihoods(endpoints, cloze, labels)
+
+
 def classify(endpoints: BackendEndpoints, text: str,
              labels: list[str]) -> MaskFillResponse:
-    """Label likelihoods for plain text from a /fill_mask-shaped classifier.
-
-    Uses the dedicated classifier endpoint when configured, otherwise the
-    mask-fill service. No cloze wrapping or mask-token check is applied.
-    """
+    """Label likelihoods for plain text: from the classifier endpoint when
+    configured, otherwise from the mask-fill service at the mask position of
+    the text's cloze statement, as style strength asks it."""
     if not text.strip():
         raise ValueError("text to classify must be non-empty")
-    endpoint = endpoints.classifier if endpoints.classifier is not None else endpoints.fill_mask
-    return _label_likelihoods(endpoints, endpoint, "classifier", text, labels)
+    if endpoints.classifier is not None:
+        return _label_likelihoods(endpoints, endpoints.classifier, "classifier",
+                                  text, labels)
+    return _cloze_likelihoods(endpoints, render_cloze(text, endpoints.mask_token),
+                              labels)
 
 
 def embed_tokens(endpoints: BackendEndpoints, text: str) -> EmbeddingResponse:

@@ -46,6 +46,7 @@ from .prompts import (
     TemplateKind,
     TransferRequest,
     delimiter_by_name,
+    delimiter_name,
     load_prompt_config,
     parse_style,
 )
@@ -97,9 +98,9 @@ def _prompt_config(args) -> tuple[dict, dict]:
     return {}, {}
 
 
-def _run_configs(args) -> tuple[RerankConfig, DecodeConfig]:
-    """The rerank and decode settings of a transfer or sweep run, from the
-    RESTYLE_* environment and the generation flags."""
+def _run_config(args) -> RerankConfig:
+    """The generation and rerank settings of a transfer or sweep run, from
+    the RESTYLE_* environment and the generation flags."""
     endpoints = BackendEndpoints.from_env()
     # Cloze strength calls /fill_mask, and so do classifier strength and the
     # summary's accuracy when no classifier is set.
@@ -113,11 +114,19 @@ def _run_configs(args) -> tuple[RerankConfig, DecodeConfig]:
     ) if needed and value is None]
     if missing:
         raise CliError("missing backend endpoints: " + ", ".join(missing))
-    return (RerankConfig(k=args.k, use_fluency=not args.no_fluency,
-                         strength_source=args.strength_source,
-                         endpoints=endpoints),
-            DecodeConfig(mode=args.decode_mode, beam_width=args.beam_width,
-                         temperature=args.temperature))
+    decode = DecodeConfig(mode=args.decode_mode, beam_width=args.beam_width,
+                          temperature=args.temperature)
+    return RerankConfig(k=args.k, max_new_tokens=args.max_new_tokens, decode=decode,
+                        use_fluency=not args.no_fluency,
+                        strength_source=args.strength_source, endpoints=endpoints)
+
+
+def _parse_direction(item: str) -> tuple[str, str]:
+    """A from:to pair, each style rendered as dataset records render it."""
+    if ":" not in item:
+        raise CliError(f"direction {item!r} must look like from:to")
+    source, target = (parse_style(style).render() for style in item.split(":", 1))
+    return source, target
 
 
 def _load_records(args) -> list:
@@ -168,7 +177,7 @@ def cmd_transfer(args) -> int:
     templates, delimiters = _prompt_config(args)
     template = _resolve_template(args.template, templates)
     delimiter = _resolve_delimiter(args.delimiter, delimiters)
-    cfg, decode = _run_configs(args)
+    cfg = _run_config(args)
     source_style = parse_style(args.from_style)
     target_style = parse_style(args.to_style)
 
@@ -185,8 +194,7 @@ def cmd_transfer(args) -> int:
             input_text=clean_text(args.text) if args.clean else args.text,
             source_style=source_style, target_style=target_style,
             template=template, delimiter=delimiter, exemplars=exemplars)
-        winner, record = transfer_one(req, cfg, max_new_tokens=args.max_new_tokens,
-                                      decode=decode, seed=args.seed,
+        winner, record = transfer_one(req, cfg, seed=args.seed,
                                       example_id="cli-0")
         if args.json:
             print(json.dumps(record, indent=2))
@@ -203,8 +211,7 @@ def cmd_transfer(args) -> int:
     plan = RequestTemplate(template=template, delimiter=delimiter,
                            exemplars=exemplars)
     manifest = transfer_corpus(records, plan, cfg, jobs=args.jobs,
-                               seed=args.seed, max_new_tokens=args.max_new_tokens,
-                               decode=decode)
+                               seed=args.seed)
     if args.out:
         write_manifest(manifest, args.out)
     if not args.json:
@@ -225,7 +232,7 @@ def cmd_transfer(args) -> int:
 
 def cmd_sweep(args) -> int:
     templates_cfg, delimiters_cfg = _prompt_config(args)
-    cfg, decode = _run_configs(args)
+    cfg = _run_config(args)
     records = _load_records(args)
     if not records:
         raise CliError(f"{args.dataset} contains no records")
@@ -237,16 +244,8 @@ def cmd_sweep(args) -> int:
                        else list(DELIMITERS))
     delimiters = tuple(_resolve_delimiter(n, delimiters_cfg)
                        for n in delimiter_names)
-    if args.directions:
-        directions = []
-        for item in args.directions.split(","):
-            if ":" not in item:
-                raise CliError(f"direction {item!r} must look like from:to")
-            s1, s2 = item.split(":", 1)
-            directions.append((s1.strip(), s2.strip()))
-        directions = tuple(directions)
-    else:
-        directions = directions_in(records)
+    directions = (tuple(_parse_direction(item) for item in args.directions.split(","))
+                  if args.directions else directions_in(records))
     grid = SweepGrid(templates=templates, delimiters=delimiters,
                      directions=directions,
                      shots=tuple(int(s) for s in args.shots.split(",")))
@@ -265,8 +264,7 @@ def cmd_sweep(args) -> int:
 
     result = run_sweep(records, grid, cfg,
                        exemplars_by_direction=exemplars_by_direction,
-                       jobs=args.jobs, seed=args.seed,
-                       max_new_tokens=args.max_new_tokens, decode=decode)
+                       jobs=args.jobs, seed=args.seed)
     if args.out:
         result.save_csv(args.out)
         print(f"wrote {len(result.rows)} rows to {args.out}")
@@ -279,8 +277,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_symb(args) -> int:
-    spec = SymbSpec(n=args.n, seed=args.seed if args.seed is not None else 0)
-    records = generate_symb(spec)
+    records = generate_symb(SymbSpec(n=args.n, seed=args.seed))
     save_records(records, args.out, args.format)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
@@ -342,7 +339,7 @@ def _add_common(parser: argparse.ArgumentParser, *, seed: bool = False,
     if seed:
         parser.add_argument("--seed", type=int, default=None,
                             help="base seed forwarded to the backends "
-                                 "(symb: generator seed, default 0)")
+                                 f"(symb: generator seed, default {SymbSpec.seed})")
     if json_output:
         parser.add_argument("--json", action="store_true",
                             help="machine-readable output")
@@ -360,17 +357,20 @@ def _add_dataset(parser: argparse.ArgumentParser, *, required: bool) -> None:
 
 
 def _add_generation(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=_positive_int, default=3,
-                        help="candidates per example (default 3)")
-    parser.add_argument("--max-new-tokens", type=_positive_int, default=128)
+    parser.add_argument("--k", type=_positive_int, default=RerankConfig.k,
+                        help=f"candidates per example (default {RerankConfig.k})")
+    parser.add_argument("--max-new-tokens", type=_positive_int,
+                        default=RerankConfig.max_new_tokens)
     parser.add_argument("--no-fluency", action="store_true",
                         help="drop the fluency factor from reranking")
-    parser.add_argument("--strength-source", default="mlm_cloze",
+    parser.add_argument("--strength-source", default=RerankConfig.strength_source,
                         choices=STRENGTH_SOURCES)
-    parser.add_argument("--decode-mode", default="beam", choices=["beam", "sample"])
-    parser.add_argument("--beam-width", type=_positive_int, default=None,
-                        help="defaults to --k")
-    parser.add_argument("--temperature", type=float, default=1.0)
+    parser.add_argument("--decode-mode", default=DecodeConfig.mode,
+                        choices=DecodeConfig.MODES)
+    parser.add_argument("--beam-width", type=_positive_int,
+                        default=DecodeConfig.beam_width, help="defaults to --k")
+    parser.add_argument("--temperature", type=float,
+                        default=DecodeConfig.temperature)
     parser.add_argument("--jobs", type=_positive_int, default=DEFAULT_JOBS,
                         help="concurrent in-flight examples")
     parser.add_argument("--prompt-config", default=None,
@@ -393,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_style", required=True,
                    help="source style ('not X' negates)")
     p.add_argument("--to", dest="to_style", required=True, help="target style")
-    p.add_argument("--template", default="contrastive")
-    p.add_argument("--delimiter", default="curly")
+    p.add_argument("--template", default=TransferRequest.template.value)
+    p.add_argument("--delimiter", default=delimiter_name(TransferRequest.delimiter))
     p.add_argument("--shots", type=_non_negative_int, default=0)
     p.add_argument("--exemplars", help="dataset file supplying few-shot exemplars")
     p.add_argument("--out", help="manifest output path (dataset mode)")
@@ -416,11 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("symb", help="generate the symbolic comparison dataset")
-    p.add_argument("--n", type=_positive_int, default=1000)
+    p.add_argument("--n", type=_positive_int, default=SymbSpec.n)
     p.add_argument("--out", required=True)
     p.add_argument("--format", default="jsonl", choices=["jsonl", "tsv"])
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_symb)
+    p.set_defaults(func=cmd_symb, seed=SymbSpec.seed)
 
     p = sub.add_parser("clean", help="clean text files line by line")
     p.add_argument("--in", dest="input_path", required=True,

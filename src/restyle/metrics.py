@@ -240,11 +240,11 @@ def classifier_accuracy(outputs: list[str], target_styles: list[str],
                         labels: list[str] | None = None) -> float:
     """Fraction of outputs whose predicted style label matches the target.
 
-    Each output is sent to the classifier endpoint (wire-shaped like
-    /fill_mask) with the label set, and the argmax label is compared to the
-    target. ``labels`` defaults to the distinct target styles; pass it
-    explicitly for unidirectional corpora, where fewer than two distinct
-    targets occur.
+    Each output is scored over the label set by :func:`backends.classify`
+    (the classifier endpoint, or the mask filler's cloze), and the argmax
+    label is compared to the target. ``labels`` defaults to the distinct
+    target styles; pass it explicitly for unidirectional corpora, where fewer
+    than two distinct targets occur.
     """
     if len(outputs) != len(target_styles):
         raise MetricError("outputs and target_styles must have equal lengths")

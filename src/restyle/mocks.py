@@ -288,16 +288,15 @@ def resolve_mock_url(url: str):
     raise ValueError(f"unknown mock backend {url!r}")
 
 
-def mock_endpoints(plant: str = "first", vocab: int = 50257,
-                   dim: int = 32, **overrides):
+def mock_endpoints(plant: str = "first", **overrides):
     """A BackendEndpoints wired to the standard sentiment mock suite."""
     from .backends import BackendEndpoints
 
     fields = {
         "complete": f"mock://lexicon-flip?plant={plant}",
-        "score": f"mock://uniform?vocab={vocab}",
+        "score": "mock://uniform?vocab=50257",
         "fill_mask": "mock://sentiment",
-        "embed": f"mock://hash-embed?dim={dim}",
+        "embed": "mock://hash-embed?dim=32",
     }
     fields.update(overrides)
     return BackendEndpoints(**fields)

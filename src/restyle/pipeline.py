@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import backends, metrics
-from .backends import BackendError, CompletionRequest, DecodeConfig
+from .backends import BackendError, CompletionRequest
 from .data import StylePairRecord
 from .metrics import SWEEP_CSV_COLUMNS, EvalRow, EvalSummary
 from .prompts import (
@@ -55,15 +55,16 @@ class PipelineError(RuntimeError):
 
 
 def template_name(template: TemplateKind | str) -> str:
-    return template.value if isinstance(template, TemplateKind) else "custom"
+    """A builtin template's name, or a custom template's text."""
+    return template.value if isinstance(template, TemplateKind) else template
 
 
 @dataclass(frozen=True)
 class RequestTemplate:
     """The per-run prompt choices applied to every dataset record."""
 
-    template: TemplateKind | str = TemplateKind.CONTRASTIVE
-    delimiter: DelimiterPair = DELIMITERS["curly"]
+    template: TemplateKind | str = TransferRequest.template
+    delimiter: DelimiterPair = TransferRequest.delimiter
     exemplars: tuple[Exemplar, ...] = ()
 
     def request_for(self, record: StylePairRecord) -> TransferRequest:
@@ -78,26 +79,25 @@ class RequestTemplate:
 
 
 def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
-                 max_new_tokens: int = 128, decode: DecodeConfig = DecodeConfig(),
                  seed: int | None = None, example_id: str | None = None,
                  with_winner_score: bool = False) -> tuple:
     """Transfer a single text and return the winner plus its audit record.
 
-    Renders the prompt, requests ``cfg.k`` candidates with the closing
-    delimiter as the stop string, re-extracts every completion (services may
-    ignore the stop), drops empty extractions, and reranks the rest. With
-    ``with_winner_score`` a third element is the winner's
+    Renders the prompt, requests ``cfg.k`` candidates as ``cfg`` says, with
+    the closing delimiter as the stop string, re-extracts every completion
+    (services may ignore the stop), drops empty extractions, and reranks the
+    rest. With ``with_winner_score`` a third element is the winner's
     :class:`RerankScore`, whose fluency totals spare the corpus summary a
     second /score call.
     """
     prompt = render_prompt(req)
     creq = CompletionRequest(
         prompt=prompt,
-        max_new_tokens=max_new_tokens,
+        max_new_tokens=cfg.max_new_tokens,
         num_candidates=cfg.k,
         stop=req.delimiter.close,
         seed=seed,
-        decode=decode,
+        decode=cfg.decode,
     )
     resp = backends.complete(cfg.endpoints, creq)
     raw = [{"text": g.text, "gen_score": g.gen_score} for g in resp.candidates]
@@ -154,11 +154,9 @@ def _eval_row(record: dict) -> EvalRow:
 
 
 def _run_config(plan: RequestTemplate, cfg: RerankConfig, *,
-                seed: int | None, max_new_tokens: int,
-                decode: DecodeConfig) -> dict:
+                seed: int | None) -> dict:
     return {
-        "template": (plan.template.value if isinstance(plan.template, TemplateKind)
-                     else plan.template),
+        "template": template_name(plan.template),
         "delimiter": {"name": delimiter_name(plan.delimiter),
                       "open": plan.delimiter.open,
                       "close": plan.delimiter.close},
@@ -166,8 +164,8 @@ def _run_config(plan: RequestTemplate, cfg: RerankConfig, *,
         "k": cfg.k,
         "use_fluency": cfg.use_fluency,
         "strength_source": cfg.strength_source,
-        "max_new_tokens": max_new_tokens,
-        "decode": decode.to_wire(cfg.k),
+        "max_new_tokens": cfg.max_new_tokens,
+        "decode": cfg.decode.to_wire(cfg.k),
         "endpoints": cfg.endpoints.snapshot(),
         "seed": seed,
     }
@@ -175,8 +173,7 @@ def _run_config(plan: RequestTemplate, cfg: RerankConfig, *,
 
 def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
                     cfg: RerankConfig, *, jobs: int = DEFAULT_JOBS,
-                    seed: int | None = None, max_new_tokens: int = 128,
-                    decode: DecodeConfig = DecodeConfig()) -> RunManifest:
+                    seed: int | None = None) -> RunManifest:
     """Transfer every record with bounded concurrency and evaluate the winners.
 
     Per-example failures become error records and the run continues; the run
@@ -196,8 +193,7 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
         try:
             req = plan.request_for(rec)
             winner, record, score = transfer_one(
-                req, cfg, max_new_tokens=max_new_tokens, decode=decode,
-                seed=None if seed is None else seed + index,
+                req, cfg, seed=None if seed is None else seed + index,
                 example_id=rec.id, with_winner_score=True)
             predicted = (None if labels is None else
                          metrics.predict_style(cfg.endpoints, winner.text, labels))
@@ -225,8 +221,7 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
         [_eval_row(record) for record, _, _ in done], cfg.endpoints,
         predicted=None if labels is None else [p for _, _, p in done],
         fluency=fluency)
-    config = _run_config(plan, cfg, seed=seed, max_new_tokens=max_new_tokens,
-                         decode=decode)
+    config = _run_config(plan, cfg, seed=seed)
     run_id = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()[:12]
     # jobs changes no output, so runs that differ only in it share an id.
@@ -359,9 +354,7 @@ def run_sweep(records: list[StylePairRecord], grid: SweepGrid,
               cfg: RerankConfig, *,
               exemplars_by_direction: dict[tuple[str, str],
                                            tuple[Exemplar, ...]] | None = None,
-              jobs: int = DEFAULT_JOBS, seed: int | None = None,
-              max_new_tokens: int = 128,
-              decode: DecodeConfig = DecodeConfig()) -> SweepResult:
+              jobs: int = DEFAULT_JOBS, seed: int | None = None) -> SweepResult:
     """One corpus run per grid cell, collected into a CSV-ready table.
 
     Cell failures are isolated: the failing cell's row keeps empty metric
@@ -392,9 +385,7 @@ def run_sweep(records: list[StylePairRecord], grid: SweepGrid,
                 )
             plan = RequestTemplate(template=template, delimiter=delimiter,
                                    exemplars=tuple(available[:shots]))
-            manifest = transfer_corpus(subset, plan, cfg, jobs=jobs, seed=seed,
-                                       max_new_tokens=max_new_tokens,
-                                       decode=decode)
+            manifest = transfer_corpus(subset, plan, cfg, jobs=jobs, seed=seed)
         except (BackendError, PipelineError, ValueError) as exc:
             logger.warning("sweep cell %s failed: %s", row, exc)
             row["error"] = f"{type(exc).__name__}: {exc}"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends
-from .backends import BackendEndpoints
+from .backends import BackendEndpoints, CompletionRequest, DecodeConfig
 from .prompts import StyleLabel, TransferRequest, render_cloze
 
 # Probability floor applied to the similarity and strength factors before
@@ -47,7 +47,11 @@ class Candidate:
 
 @dataclass(frozen=True)
 class RerankConfig:
+    """How a run generates its ``k`` candidates and how it scores them."""
+
     k: int = 3
+    max_new_tokens: int = CompletionRequest.max_new_tokens
+    decode: DecodeConfig = CompletionRequest.decode
     use_fluency: bool = True
     strength_source: str = "mlm_cloze"
     endpoints: BackendEndpoints = BackendEndpoints()
@@ -55,6 +59,8 @@ class RerankConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.max_new_tokens < 1:
+            raise ValueError("max_new_tokens must be >= 1")
         if self.strength_source not in STRENGTH_SOURCES:
             raise ValueError(
                 f"strength_source must be one of {STRENGTH_SOURCES}"

@@ -1,13 +1,18 @@
+import csv
+import io
 import json
 from dataclasses import replace
 
 import pytest
 
+from loopback import LoopbackServer, Reply, mock_answer
 from restyle import cli
+from restyle.backends import BackendEndpoints
 from restyle.cli import main
 from restyle.data import SymbSpec, generate_symb, load_dataset, save_records
 from restyle.metrics import self_sbleu, sentence_gleu
-from restyle.pipeline import read_manifest
+from restyle.pipeline import RequestTemplate, read_manifest
+from restyle.reranking import RerankConfig
 
 MOCK_ENV = {
     "RESTYLE_COMPLETE_URL": "mock://lexicon-flip",
@@ -120,6 +125,26 @@ class TestTransfer:
         manifest = read_manifest(str(out))
         assert len(manifest.records) == 2
 
+    def test_generation_flags_reach_manifest_and_complete_body(
+            self, mock_env, dataset_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run.jsonl"
+        with LoopbackServer() as server:
+            monkeypatch.setenv("RESTYLE_COMPLETE_URL", f"{server.url}/complete")
+            code = main(["transfer", "--dataset", dataset_path,
+                         "--from", "positive", "--to", "negative",
+                         "--k", "2", "--max-new-tokens", "7",
+                         "--decode-mode", "sample", "--beam-width", "5",
+                         "--temperature", "0.5", "--out", str(out)])
+        assert code == 0
+        decode = {"mode": "sample", "beam_width": 5, "temperature": 0.5}
+        config = read_manifest(str(out)).config
+        assert (config["k"], config["max_new_tokens"], config["decode"]) == \
+            (2, 7, decode)
+        bodies = [body for _, _, _, body in server.requests]
+        assert len(bodies) == 2  # the positive->negative rows
+        assert all((body["num_candidates"], body["max_new_tokens"],
+                    body["decode"]) == (2, 7, decode) for body in bodies)
+
     def test_few_shot_prompt_holds_exemplar(self, mock_env, tmp_path, capsys,
                                             sentiment_records):
         exemplars = tmp_path / "exemplars.jsonl"
@@ -231,6 +256,46 @@ class TestSweep:
         code = main(["sweep", "--dataset", dataset_path,
                      "--directions", "positive-negative"])
         assert code == 2
+
+    def test_directions_parse_like_dataset_styles(self, mock_env, tmp_path,
+                                                  monkeypatch, capsys):
+        dataset = tmp_path / "negated.jsonl"
+        dataset.write_text(json.dumps({
+            "id": "q0", "source": "the food was good",
+            "source_style": "not negative", "target_style": "negative"}) + "\n")
+
+        def any_label(path, body):
+            # The mock mask filler scores single words only.
+            if path.endswith("/fill_mask"):
+                return Reply({"scores": {label: 0.5 for label in body["labels"]}})
+            return mock_answer(path, body)
+
+        with LoopbackServer(any_label) as server:
+            monkeypatch.setenv("RESTYLE_FILL_MASK_URL", f"{server.url}/fill_mask")
+            code = main(["sweep", "--dataset", str(dataset),
+                         "--templates", "vanilla", "--delimiters", "curly",
+                         "--directions", " Not  negative : negative"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "failed" not in captured.err
+        [row] = csv.DictReader(io.StringIO(captured.out))
+        assert row["direction"] == "not negative->negative"
+        assert row["accuracy"] != ""
+
+    def test_custom_templates_named_by_their_text(self, mock_env, dataset_path,
+                                                  tmp_path, capsys):
+        plain = "Rewrite this {s1} text as {s2}: {d1}{x}{d2} Rewrite: {d1}"
+        terse = "{s1} to {s2}. {d1}{x}{d2} {d1}"
+        config = tmp_path / "prompts.json"
+        config.write_text(json.dumps({"templates": {"plain": plain,
+                                                    "terse": terse}}))
+        code = main(["sweep", "--dataset", dataset_path, "--prompt-config",
+                     str(config), "--templates", "plain,terse",
+                     "--delimiters", "curly", "--directions", "positive:negative"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["template"] for row in rows] == [plain, terse]
+        assert all(row["accuracy"] != "" for row in rows)
 
 
 class TestSymb:
@@ -405,3 +470,18 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_defaults_are_the_library_defaults(mock_env):
+    parser = cli.build_parser()
+    for argv in (["transfer", "--from", "a", "--to", "b"],
+                 ["sweep", "--dataset", "d.jsonl"]):
+        args = parser.parse_args(argv)
+        assert cli._run_config(args) == RerankConfig(
+            endpoints=BackendEndpoints.from_env())
+    args = parser.parse_args(["transfer", "--from", "a", "--to", "b"])
+    assert RequestTemplate(cli._resolve_template(args.template, {}),
+                           cli._resolve_delimiter(args.delimiter, {})) == \
+        RequestTemplate()
+    args = parser.parse_args(["symb", "--out", "s.jsonl"])
+    assert SymbSpec(n=args.n, seed=args.seed) == SymbSpec()

@@ -122,7 +122,6 @@ class TestRetryClasses:
             with pytest.raises(ServiceError) as err:
                 backends.score_tokens(ep, "never")
         assert err.value.status == 503
-        assert err.value.retryable
         assert len(server.requests) == 3
 
     @pytest.mark.parametrize("status,retry_after,backoff,timeout,slept", [
@@ -226,7 +225,6 @@ class TestTls:
                 backends.score_tokens(ep, "who goes there")
         assert isinstance(err.value.__cause__, ssl.SSLCertVerificationError)
         assert err.value.attempts == 1
-        assert not err.value.retryable
         assert server.connections == 1
         assert server.requests == []
 

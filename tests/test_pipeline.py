@@ -183,6 +183,32 @@ class TestTransferCorpus:
         assert len(manifest.successful_records()) == 3
         assert manifest.summary.accuracy == 1.0
 
+    @pytest.mark.parametrize("strength_source",
+                             ["mlm_cloze", "external_classifier"])
+    def test_classify_without_classifier_sends_a_cloze(self, sentiment_records,
+                                                       strength_source):
+        class Recording(SentimentMaskBackend):
+            def __init__(self):
+                self.texts = []
+
+            def fill_mask(self, text, labels):
+                self.texts.append(text)
+                return super().fill_mask(text, labels)
+
+        recording = Recording()
+        ep = mock_endpoints(fill_mask=recording)
+        assert ep.classifier is None
+        manifest = transfer_corpus(
+            sentiment_records, RequestTemplate(),
+            RerankConfig(k=3, strength_source=strength_source, endpoints=ep),
+            jobs=1)
+        # One strength call per distinct candidate, one accuracy call each.
+        assert len(recording.texts) == sum(
+            len({c["text"] for c in r["candidates"]}) + 1
+            for r in manifest.records)
+        assert all(text.count(ep.mask_token) == 1 for text in recording.texts)
+        assert manifest.summary.accuracy == 1.0
+
     def test_blank_reference_leaves_reference_metrics(self, mock_ep):
         records = [record("a", "the food was good", reference="the food was bad"),
                    record("b", "the room was dirty", src=NEG, dst=POS,

@@ -241,6 +241,11 @@ class TestRerank:
         with pytest.raises(ValueError):
             RerankConfig(strength_source="oracle")
 
+    def test_max_new_tokens_must_be_positive(self):
+        assert RerankConfig(max_new_tokens=1).max_new_tokens == 1
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            RerankConfig(max_new_tokens=0)
+
 
 class TestTopBeamBaseline:
     def test_highest_gen_score_wins(self):

@@ -97,7 +97,8 @@ def _require_finite(value, what: str) -> float:
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Decoding strategy for candidate generation."""
+    """Decoding strategy for candidate generation: a mode from ``MODES``, a
+    beam width of at least 1 (or None), and a finite temperature >= 0."""
 
     MODES = ("beam", "sample")
 
@@ -108,6 +109,11 @@ class DecodeConfig:
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise ValueError(f"decode mode must be one of {self.MODES}, got {self.mode!r}")
+        if self.beam_width is not None and self.beam_width < 1:
+            raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be a finite number >= 0, "
+                             f"got {self.temperature!r}")
 
     def to_wire(self, num_candidates: int) -> dict:
         width = self.beam_width if self.beam_width is not None else num_candidates
@@ -316,6 +322,11 @@ class BackendEndpoints:
 
     ``classifier`` is an optional /fill_mask-shaped endpoint used when style
     strength comes from a trained classifier instead of the masked-LM cloze.
+    The protocol settings are checked when built, so :meth:`from_env`,
+    :meth:`from_snapshot` and ``dataclasses.replace`` meet the same rules: a
+    non-blank ``mask_token``, a finite ``timeout`` > 0, an integer
+    ``max_retries`` >= 1 (the attempts per call) and a finite
+    ``retry_backoff`` >= 0.
     """
 
     complete: object | str | None = None
@@ -327,6 +338,20 @@ class BackendEndpoints:
     timeout: float = 30.0
     max_retries: int = 3
     retry_backoff: float = 0.25
+
+    def __post_init__(self):
+        if not (isinstance(self.mask_token, str) and self.mask_token.strip()):
+            raise ValueError("mask_token must be a non-blank string, "
+                             f"got {self.mask_token!r}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be a finite number > 0, "
+                             f"got {self.timeout!r}")
+        if not (isinstance(self.max_retries, int) and self.max_retries >= 1):
+            raise ValueError("max_retries must be an integer >= 1, "
+                             f"got {self.max_retries!r}")
+        if not (math.isfinite(self.retry_backoff) and self.retry_backoff >= 0):
+            raise ValueError("retry_backoff must be a finite number >= 0, "
+                             f"got {self.retry_backoff!r}")
 
     @classmethod
     def from_env(cls, env: dict[str, str] | None = None) -> "BackendEndpoints":
@@ -575,7 +600,7 @@ class _HttpService:
                  retry_backoff: float):
         self.url = url
         self.timeout = timeout
-        self.max_retries = max(1, max_retries)
+        self.max_retries = max_retries
         self.backoff = retry_backoff
         self._lock = threading.Lock()
         self._idle: list[_Connection] = []

@@ -45,6 +45,7 @@ from .prompts import (
     PromptError,
     TemplateKind,
     TransferRequest,
+    builtin_template,
     delimiter_by_name,
     delimiter_name,
     load_prompt_config,
@@ -71,15 +72,16 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+# load_prompt_config rejects custom names that shadow a builtin, so a name
+# selects at most one template and one delimiter.
 def _resolve_template(name: str, custom: dict[str, str]) -> TemplateKind | str:
-    normalized = name.strip().lower().replace("-", "_")
-    try:
-        return TemplateKind(normalized)
-    except ValueError:
-        if name in custom:
-            return custom[name]
-        known = [t.value for t in TemplateKind] + sorted(custom)
-        raise CliError(f"unknown template {name!r}; choose from {known}") from None
+    kind = builtin_template(name)
+    if kind is not None:
+        return kind
+    if name in custom:
+        return custom[name]
+    known = [t.value for t in TemplateKind] + sorted(custom)
+    raise CliError(f"unknown template {name!r}; choose from {known}")
 
 
 def _resolve_delimiter(name: str, custom: dict) -> object:

@@ -211,7 +211,8 @@ def perplexity_from_totals(totals: Iterable[tuple[float, int]]) -> float:
     """Token-weighted perplexity from per-text (total log-prob, token count).
 
     The totals are summed in order, so the same totals give the same bytes
-    whether they come from fresh /score calls or from earlier ones.
+    whether they come from fresh /score calls or from earlier ones. No
+    tokens, or a perplexity beyond the float range, raise MetricError.
     """
     total_logprob = 0.0
     total_tokens = 0
@@ -220,7 +221,13 @@ def perplexity_from_totals(totals: Iterable[tuple[float, int]]) -> float:
         total_tokens += tokens
     if total_tokens == 0:
         raise MetricError("scoring backend returned no tokens")
-    return math.exp(-total_logprob / total_tokens)
+    mean_logprob = total_logprob / total_tokens
+    try:
+        return math.exp(-mean_logprob)
+    except OverflowError:
+        raise MetricError(
+            "perplexity overflows a float: the mean token log-prob "
+            f"{mean_logprob:.6g} is below about -709.78") from None
 
 
 def exact_match_accuracy(outputs: list[str], references: list[str]) -> float:
@@ -271,7 +278,8 @@ def predict_style(endpoints: BackendEndpoints, text: str,
 
 @dataclass(frozen=True)
 class EvalSummary:
-    """Corpus-level evaluation results; absent metrics stay None."""
+    """Corpus-level evaluation results; absent metrics stay None, and each
+    present one is a finite, non-bool number within its range."""
 
     r_sbleu: float | None = None
     s_sbleu: float | None = None
@@ -281,6 +289,11 @@ class EvalSummary:
     exact_match: float | None = None
 
     def __post_init__(self):
+        for name, value in self.to_dict().items():
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, (int, float))
+                                      or not math.isfinite(value)):
+                raise MetricError(f"{name} is {value!r}, not a finite number")
         for name, low, high in (
             ("r_sbleu", 0.0, 100.0), ("s_sbleu", 0.0, 100.0),
             ("accuracy", 0.0, 1.0), ("gleu", 0.0, 1.0),

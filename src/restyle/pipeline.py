@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from . import backends, metrics
 from .backends import BackendError, CompletionRequest
 from .data import StylePairRecord
-from .metrics import SWEEP_CSV_COLUMNS, EvalRow, EvalSummary
+from .metrics import SWEEP_CSV_COLUMNS, EvalRow, EvalSummary, MetricError
 from .prompts import (
     DELIMITERS,
     DelimiterPair,
@@ -171,18 +171,25 @@ def _run_config(plan: RequestTemplate, cfg: RerankConfig, *,
     }
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
                     cfg: RerankConfig, *, jobs: int = DEFAULT_JOBS,
                     seed: int | None = None) -> RunManifest:
     """Transfer every record with bounded concurrency and evaluate the winners.
 
-    Per-example failures become error records and the run continues; the run
-    itself fails only if every example fails. Records keep dataset order no
-    matter the completion order, and per-example seeds derive from the run
-    seed plus the record position.
+    ``jobs`` examples are in flight at once; fewer than 1 raises ValueError
+    before any backend call. Per-example failures become error records and
+    the run continues; the run itself fails only if every example fails.
+    Records keep dataset order no matter the completion order, and
+    per-example seeds derive from the run seed plus the record position.
     """
     if not records:
         raise PipelineError("transfer_corpus requires a non-empty record list")
+    _check_jobs(jobs)
     labels = metrics.accuracy_labels(cfg.endpoints, (
         style.render() for r in records for style in (r.source_style, r.target_style)))
 
@@ -203,7 +210,7 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
         record.update(base)
         return record, score, predicted
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as executor:
+    with ThreadPoolExecutor(max_workers=jobs) as executor:
         results = list(executor.map(one, enumerate(records)))
 
     out_records = [record for record, _, _ in results]
@@ -267,16 +274,16 @@ def read_manifest(path: str) -> RunManifest:
                              "run_id, timestamp, config and summary")
     if not all(isinstance(record, dict) for record in records):
         raise not_a_manifest("a record is not an object")
-    for key, value in header["summary"].items():
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, (int, float))):
-            raise not_a_manifest(f"summary {key} is {value!r}, not a number")
+    try:
+        summary = EvalSummary.from_dict(header["summary"])
+    except MetricError as exc:
+        raise not_a_manifest(f"summary {exc}") from None
     return RunManifest(
         run_id=header["run_id"],
         timestamp=header["timestamp"],
         config=header["config"],
         records=records,
-        summary=EvalSummary.from_dict(header["summary"]),
+        summary=summary,
     )
 
 
@@ -358,10 +365,12 @@ def run_sweep(records: list[StylePairRecord], grid: SweepGrid,
     """One corpus run per grid cell, collected into a CSV-ready table.
 
     Cell failures are isolated: the failing cell's row keeps empty metric
-    columns and the sweep continues. Rows follow grid iteration order
+    columns and the sweep continues. A ``jobs`` below 1 fails the whole
+    sweep at once, not each cell. Rows follow grid iteration order
     (templates, then delimiters, directions, shots), so runs with
     deterministic backends produce byte-identical CSV output.
     """
+    _check_jobs(jobs)
     result = SweepResult()
     exemplars_by_direction = exemplars_by_direction or {}
     for template, delimiter, direction, shots in itertools.product(

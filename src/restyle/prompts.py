@@ -145,6 +145,16 @@ TEMPLATES: dict[TemplateKind, str] = {
 _ALLOWED_FIELDS = {"s1", "s2", "x", "d1", "d2"}
 
 
+def builtin_template(name: str) -> TemplateKind | None:
+    """The builtin template a name selects, or None. Case, surrounding
+    whitespace and "-" for "_" do not matter: "Negation-V1" selects
+    :attr:`TemplateKind.NEGATION_V1`."""
+    try:
+        return TemplateKind(name.strip().lower().replace("-", "_"))
+    except ValueError:
+        return None
+
+
 @dataclass(frozen=True)
 class Exemplar:
     """One worked input/output pair prepended to few-shot prompts."""
@@ -298,7 +308,9 @@ def load_prompt_config(path: str) -> PromptConfig:
          "delimiters": {"name": {"open": "<<", "close": ">>"}}}
 
     Template strings use the {s1} {s2} {x} {d1} {d2} placeholders and must
-    end with {d1}.
+    end with {d1}. A name may not shadow a builtin: a template name that
+    :func:`builtin_template` resolves, or a key of :data:`DELIMITERS`,
+    raises PromptError.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -309,12 +321,16 @@ def load_prompt_config(path: str) -> PromptConfig:
             raise PromptError(f"prompt config {section!r} must be a JSON object")
     templates: dict[str, str] = {}
     for name, text in doc.get("templates", {}).items():
+        if builtin_template(name) is not None:
+            raise PromptError(f"template {name!r} shadows a builtin template")
         if not isinstance(text, str):
             raise PromptError(f"template {name!r} must be a string")
         validate_template(text)
         templates[name] = text
     delimiters: dict[str, DelimiterPair] = {}
     for name, spec in doc.get("delimiters", {}).items():
+        if name in DELIMITERS:
+            raise PromptError(f"delimiter {name!r} shadows a builtin delimiter")
         if not isinstance(spec, dict) or "open" not in spec or "close" not in spec:
             raise PromptError(f"delimiter {name!r} needs open and close markers")
         delimiters[name] = DelimiterPair(spec["open"], spec["close"])

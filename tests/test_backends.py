@@ -1,5 +1,6 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,28 @@ class TestRequestValidation:
     def test_decode_mode_checked(self):
         with pytest.raises(ValueError):
             backends.DecodeConfig(mode="greedy")
+
+    @pytest.mark.parametrize("field, value", [
+        ("beam_width", 0), ("beam_width", -2),
+        ("temperature", math.nan), ("temperature", math.inf),
+        ("temperature", -0.5),
+    ])
+    def test_decode_values_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            backends.DecodeConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("timeout", 0.0), ("timeout", -1.0), ("timeout", math.nan),
+        ("timeout", math.inf), ("max_retries", 0), ("max_retries", -1),
+        ("max_retries", 2.5), ("retry_backoff", -0.25),
+        ("retry_backoff", math.nan), ("retry_backoff", math.inf),
+        ("mask_token", ""), ("mask_token", "  "),
+    ])
+    def test_endpoint_settings_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BackendEndpoints(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            replace(BackendEndpoints(), **{field: value})
 
     def test_wire_shape(self):
         req = CompletionRequest(prompt="p", max_new_tokens=8,
@@ -514,6 +537,10 @@ def test_from_env():
     assert ep.classifier is None
     assert ep.mask_token == "[MASK]"
     assert ep.timeout == 5.0
+    for name, value in (("MAX_RETRIES", "0"), ("TIMEOUT", "-1"),
+                        ("RETRY_BACKOFF", "nan"), ("MASK_TOKEN", " ")):
+        with pytest.raises(ValueError):
+            BackendEndpoints.from_env({**env, f"RESTYLE_{name}": value})
 
 
 def test_from_snapshot_round_trips_url_endpoints():
@@ -537,6 +564,8 @@ def test_from_snapshot_defaults_and_numbers():
     assert ep == BackendEndpoints(complete="mock://echo")
     assert (ep.timeout, ep.max_retries) == (30.0, 3)
     assert BackendEndpoints.from_snapshot({"timeout": "5"}).timeout == 5.0
-    for bad in ({"timeout": "soon"}, {"max_retries": "many"}):
+    for bad in ({"timeout": "soon"}, {"max_retries": "many"},
+                {"timeout": "-1"}, {"timeout": "nan"}, {"timeout": 0},
+                {"max_retries": 0}, {"mask_token": ""}):
         with pytest.raises(ValueError):
             BackendEndpoints.from_snapshot(bad)

@@ -107,6 +107,30 @@ class TestTransfer:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_invalid_temperature_exits_2_without_manifest(
+            self, mock_env, dataset_path, tmp_path, capsys, value):
+        out = tmp_path / "run.jsonl"
+        code = main(["transfer", "--dataset", dataset_path, "--from", "positive",
+                     "--to", "negative", "--temperature", value,
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: temperature must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, value", [
+        ("MAX_RETRIES", "0"), ("TIMEOUT", "-1"), ("TIMEOUT", "nan"),
+        ("RETRY_BACKOFF", "-1"), ("MASK_TOKEN", " "),
+    ])
+    def test_invalid_transport_setting_exits_2(self, mock_env, monkeypatch,
+                                               capsys, name, value):
+        monkeypatch.setenv(f"RESTYLE_{name}", value)
+        code = main(["transfer", "--text", "good food", "--from", "positive",
+                     "--to", "negative"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {name.lower()} must be")
+
     def test_unknown_template_exits_2(self, mock_env, capsys):
         code = main(["transfer", "--text", "x", "--from", "a", "--to", "b",
                      "--template", "psychedelic"])
@@ -336,6 +360,14 @@ class TestEval:
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert summary["r_sbleu"] == 100.0
         assert summary["exact_match"] == 1.0
+
+    def test_perplexity_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RESTYLE_SCORE_URL", f"mock://uniform?vocab={10 ** 400}")
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("good food\n")
+        assert main(["eval", "--hyp", str(hyp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: perplexity overflows")
 
     def test_gleu_needs_all_three(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("RESTYLE_SCORE_URL", raising=False)

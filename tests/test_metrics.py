@@ -15,6 +15,7 @@ from restyle.metrics import (
     corpus_gleu,
     corpus_perplexity,
     exact_match_accuracy,
+    perplexity_from_totals,
     ref_sbleu,
     self_sbleu,
     sentence_gleu,
@@ -200,6 +201,15 @@ class TestPerplexity:
         with pytest.raises(MetricError):
             corpus_perplexity([], ep)
 
+    def test_overflow_is_a_metric_error(self):
+        # Every token scores -log(10**400), about -921: exp(921) overflows.
+        ep = BackendEndpoints(score=UniformScoreBackend(10 ** 400))
+        with pytest.raises(MetricError, match="overflows"):
+            corpus_perplexity(["a b"], ep)
+        with pytest.raises(MetricError, match="overflows"):
+            perplexity_from_totals([(-710.0, 1)])
+        assert perplexity_from_totals([(-709.0, 1)]) == math.exp(709.0)
+
 
 class TestExactMatch:
     def test_identical(self):
@@ -278,6 +288,14 @@ class TestEvalSummary:
             EvalSummary(r_sbleu=-1.0)
         with pytest.raises(MetricError):
             EvalSummary(ppl=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("ppl", math.nan), ("ppl", math.inf), ("ppl", True),
+        ("accuracy", True), ("r_sbleu", "12"),
+    ])
+    def test_metrics_are_finite_numbers(self, name, value):
+        with pytest.raises(MetricError, match=name):
+            EvalSummary(**{name: value})
 
 
 @settings(max_examples=60)

@@ -5,7 +5,12 @@ import pytest
 
 from loopback import LoopbackServer, Reply, mock_answer
 from restyle import metrics
-from restyle.backends import CompletionResponse, Generation, ServiceError
+from restyle.backends import (
+    BackendEndpoints,
+    CompletionResponse,
+    Generation,
+    ServiceError,
+)
 from restyle.data import StylePairRecord, load_dataset
 from restyle.metrics import EvalSummary, ref_sbleu
 from restyle.mocks import LexiconFlipBackend, SentimentMaskBackend, mock_endpoints
@@ -33,6 +38,13 @@ from restyle.reranking import RerankConfig
 
 POS = StyleLabel("positive")
 NEG = StyleLabel("negative")
+
+
+class Unreachable:
+    """A backend for every service that fails the test when called."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"unexpected backend call: {name}")
 
 
 def request(text="the food was good"):
@@ -240,6 +252,20 @@ class TestTransferCorpus:
             transfer_corpus([], RequestTemplate(),
                             RerankConfig(endpoints=mock_ep))
 
+    @pytest.mark.parametrize("run", [
+        lambda records, cfg: transfer_corpus(records, RequestTemplate(), cfg,
+                                             jobs=0),
+        lambda records, cfg: run_sweep(
+            records, SweepGrid(directions=directions_in(records)), cfg, jobs=0),
+    ], ids=["transfer_corpus", "run_sweep"])
+    def test_jobs_below_one_rejected_before_any_call(self, sentiment_records,
+                                                     run):
+        unreachable = Unreachable()
+        ep = BackendEndpoints(complete=unreachable, score=unreachable,
+                              fill_mask=unreachable, embed=unreachable)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run(sentiment_records, RerankConfig(endpoints=ep))
+
     def test_bit_reproducible_modulo_timestamp(self, mock_ep, sentiment_records):
         cfg = RerankConfig(k=3, endpoints=mock_ep)
         first = transfer_corpus(sentiment_records, RequestTemplate(), cfg,
@@ -300,9 +326,14 @@ class TestTransferCorpus:
         [{"run_id": "r", "timestamp": "t", "config": {}, "summary": {"ppl": "x"}}],
         [{"run_id": "r", "timestamp": "t", "config": {},
           "summary": {"accuracy": True}}],
+        [{"run_id": "r", "timestamp": "t", "config": {},
+          "summary": {"ppl": float("nan")}}],
+        [{"run_id": "r", "timestamp": "t", "config": {},
+          "summary": {"accuracy": 1.5}}],
         [{"run_id": "r", "timestamp": "t", "config": {}, "summary": {}}, "record"],
     ], ids=["dataset", "list-header", "no-summary", "list-config",
-            "string-metric", "bool-metric", "string-record"])
+            "string-metric", "bool-metric", "nan-metric", "out-of-range-metric",
+            "string-record"])
     def test_non_manifest_rejected(self, tmp_path, lines):
         path = tmp_path / "not-a-manifest.jsonl"
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))

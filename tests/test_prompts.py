@@ -233,7 +233,10 @@ class TestPromptConfig:
         {"templates": ["a"]},
         {"delimiters": [{"open": "<", "close": ">"}]},
         {"delimiters": {"x": {"open": "<", "close": 5}}},
-    ], ids=["templates-list", "delimiters-list", "int-close"])
+        {"templates": {" Negation-V1": "Say {x} again: {d1}"}},
+        {"delimiters": {"curly": {"open": "<", "close": ">"}}},
+    ], ids=["templates-list", "delimiters-list", "int-close",
+            "builtin-template-name", "builtin-delimiter-name"])
     def test_malformed_sections_rejected(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

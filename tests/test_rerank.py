@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fakes import FixedEmbedBackend, StaticMaskBackend
-from restyle.backends import BackendEndpoints, LabelError
+from restyle.backends import BackendEndpoints, DecodeConfig, LabelError
 from restyle.mocks import (
     HashEmbedBackend,
     SentimentMaskBackend,
@@ -242,6 +242,12 @@ class TestRerank:
             RerankConfig(strength_source="oracle")
         with pytest.raises(ValueError, match="max_new_tokens"):
             RerankConfig(max_new_tokens=0)
+        with pytest.raises(ValueError, match="temperature"):
+            RerankConfig(decode=DecodeConfig(temperature=math.nan))
+        with pytest.raises(ValueError, match="beam_width"):
+            RerankConfig(decode=DecodeConfig(beam_width=0))
+        with pytest.raises(ValueError, match="max_retries"):
+            RerankConfig(endpoints=BackendEndpoints(max_retries=0))
 
 
 class TestTopBeamBaseline:

@@ -63,8 +63,10 @@ from .pipeline import (
     SweepResult,
     copy_baseline,
     read_manifest,
+    records_in,
     reevaluate_manifest,
     run_sweep,
+    select_exemplars,
     transfer_corpus,
     transfer_one,
     write_manifest,
@@ -75,6 +77,7 @@ from .prompts import (
     DelimiterPair,
     Exemplar,
     ExtractionResult,
+    PromptConfig,
     PromptError,
     StyleLabel,
     TemplateKind,

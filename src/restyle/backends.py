@@ -88,6 +88,17 @@ def _require_str(value, what: str) -> str:
     return value
 
 
+def check_count(value, what: str) -> int:
+    """``value`` if it is an integer >= 1. A bool is not a count, though
+    Python treats it as an int: ``k=True`` would reach the wire and the
+    manifest as ``true``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value!r}")
+    return value
+
+
 def _require_finite(value, what: str) -> float:
     value = float(_require_number(value, what))
     if not math.isfinite(value):
@@ -98,7 +109,8 @@ def _require_finite(value, what: str) -> float:
 @dataclass(frozen=True)
 class DecodeConfig:
     """Decoding strategy for candidate generation: a mode from ``MODES``, a
-    beam width of at least 1 (or None), and a finite temperature >= 0."""
+    beam width of at least 1 (or None), and a finite temperature >= 0, held
+    as a float so that equal settings give equal run ids."""
 
     MODES = ("beam", "sample")
 
@@ -109,11 +121,12 @@ class DecodeConfig:
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise ValueError(f"decode mode must be one of {self.MODES}, got {self.mode!r}")
-        if self.beam_width is not None and self.beam_width < 1:
-            raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
+        if self.beam_width is not None:
+            check_count(self.beam_width, "beam_width")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError("temperature must be a finite number >= 0, "
                              f"got {self.temperature!r}")
+        object.__setattr__(self, "temperature", float(self.temperature))
 
     def to_wire(self, num_candidates: int) -> dict:
         width = self.beam_width if self.beam_width is not None else num_candidates
@@ -326,7 +339,8 @@ class BackendEndpoints:
     :meth:`from_snapshot` and ``dataclasses.replace`` meet the same rules: a
     non-blank ``mask_token``, a finite ``timeout`` > 0, an integer
     ``max_retries`` >= 1 (the attempts per call) and a finite
-    ``retry_backoff`` >= 0.
+    ``retry_backoff`` >= 0. ``timeout`` and ``retry_backoff`` are held as
+    floats, so that equal settings give equal run ids.
     """
 
     complete: object | str | None = None
@@ -346,12 +360,12 @@ class BackendEndpoints:
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError("timeout must be a finite number > 0, "
                              f"got {self.timeout!r}")
-        if not (isinstance(self.max_retries, int) and self.max_retries >= 1):
-            raise ValueError("max_retries must be an integer >= 1, "
-                             f"got {self.max_retries!r}")
+        check_count(self.max_retries, "max_retries")
         if not (math.isfinite(self.retry_backoff) and self.retry_backoff >= 0):
             raise ValueError("retry_backoff must be a finite number >= 0, "
                              f"got {self.retry_backoff!r}")
+        object.__setattr__(self, "timeout", float(self.timeout))
+        object.__setattr__(self, "retry_backoff", float(self.retry_backoff))
 
     @classmethod
     def from_env(cls, env: dict[str, str] | None = None) -> "BackendEndpoints":

@@ -33,20 +33,19 @@ from .pipeline import (
     copy_baseline,
     directions_in,
     read_manifest,
+    records_in,
     reevaluate_manifest,
     run_sweep,
+    select_exemplars,
     transfer_corpus,
     transfer_one,
     write_manifest,
 )
 from .prompts import (
     DELIMITERS,
-    Exemplar,
-    PromptError,
+    PromptConfig,
     TemplateKind,
     TransferRequest,
-    builtin_template,
-    delimiter_by_name,
     delimiter_name,
     load_prompt_config,
     parse_style,
@@ -56,48 +55,6 @@ from .reranking import STRENGTH_SOURCES, RerankConfig
 
 class CliError(Exception):
     """Configuration problem detected before any backend call."""
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-# load_prompt_config rejects custom names that shadow a builtin, so a name
-# selects at most one template and one delimiter.
-def _resolve_template(name: str, custom: dict[str, str]) -> TemplateKind | str:
-    kind = builtin_template(name)
-    if kind is not None:
-        return kind
-    if name in custom:
-        return custom[name]
-    known = [t.value for t in TemplateKind] + sorted(custom)
-    raise CliError(f"unknown template {name!r}; choose from {known}")
-
-
-def _resolve_delimiter(name: str, custom: dict) -> object:
-    if name in custom:
-        return custom[name]
-    try:
-        return delimiter_by_name(name)
-    except PromptError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _prompt_config(args) -> tuple[dict, dict]:
-    if args.prompt_config:
-        cfg = load_prompt_config(args.prompt_config)
-        return cfg.templates, cfg.delimiters
-    return {}, {}
 
 
 def _run_config(args) -> RerankConfig:
@@ -137,25 +94,6 @@ def _load_records(args) -> list:
                         strict=args.strict)
 
 
-def _select_exemplars(records, path: str, source_style, target_style,
-                      shots: int) -> tuple[Exemplar, ...]:
-    """The first ``shots`` records of ``path`` with a reference in the
-    given direction, as exemplars."""
-    exemplars = [
-        Exemplar(input=r.source, output=r.reference,
-                 source_style=r.source_style, target_style=r.target_style)
-        for r in records
-        if r.reference and r.source_style == source_style
-        and r.target_style == target_style
-    ]
-    if len(exemplars) < shots:
-        raise CliError(
-            f"{path} provides {len(exemplars)} exemplars for "
-            f"{source_style.render()}->{target_style.render()}, need {shots}"
-        )
-    return tuple(exemplars[:shots])
-
-
 def _emit(payload: dict, args) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -175,21 +113,26 @@ def _fmt(value) -> str:
     return "-" if value is None else str(value)
 
 
+def _exemplar_pool(args, max_shots: int) -> list:
+    """The records of --exemplars, read only when some shot count is above 0."""
+    if max_shots <= 0:
+        return []
+    if not args.exemplars:
+        raise CliError("--shots above 0 requires --exemplars FILE")
+    return load_dataset(args.exemplars, args.format)
+
+
 def cmd_transfer(args) -> int:
-    templates, delimiters = _prompt_config(args)
-    template = _resolve_template(args.template, templates)
-    delimiter = _resolve_delimiter(args.delimiter, delimiters)
+    prompts = (load_prompt_config(args.prompt_config) if args.prompt_config
+               else PromptConfig())
+    template = prompts.template(args.template)
+    delimiter = prompts.delimiter(args.delimiter)
     cfg = _run_config(args)
     source_style = parse_style(args.from_style)
     target_style = parse_style(args.to_style)
-
-    exemplars: tuple[Exemplar, ...] = ()
-    if args.shots:
-        if not args.exemplars:
-            raise CliError("--shots > 0 requires --exemplars FILE")
-        exemplars = _select_exemplars(load_dataset(args.exemplars, args.format),
-                                      args.exemplars, source_style,
-                                      target_style, args.shots)
+    direction = (source_style.render(), target_style.render())
+    exemplars = select_exemplars(_exemplar_pool(args, args.shots), direction,
+                                 args.shots)
 
     if args.text is not None:
         req = TransferRequest(
@@ -206,8 +149,7 @@ def cmd_transfer(args) -> int:
 
     if not args.dataset:
         raise CliError("provide either --text or --dataset")
-    records = [r for r in _load_records(args)
-               if r.source_style == source_style and r.target_style == target_style]
+    records = records_in(_load_records(args), direction)
     if not records:
         raise CliError("no dataset records match the requested style direction")
     plan = RequestTemplate(template=template, delimiter=delimiter,
@@ -233,7 +175,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    templates_cfg, delimiters_cfg = _prompt_config(args)
+    prompts = (load_prompt_config(args.prompt_config) if args.prompt_config
+               else PromptConfig())
     cfg = _run_config(args)
     records = _load_records(args)
     if not records:
@@ -241,31 +184,16 @@ def cmd_sweep(args) -> int:
 
     template_names = (args.templates.split(",") if args.templates
                       else [t.value for t in TemplateKind])
-    templates = tuple(_resolve_template(n, templates_cfg) for n in template_names)
     delimiter_names = (args.delimiters.split(",") if args.delimiters
                        else list(DELIMITERS))
-    delimiters = tuple(_resolve_delimiter(n, delimiters_cfg)
-                       for n in delimiter_names)
     directions = (tuple(_parse_direction(item) for item in args.directions.split(","))
                   if args.directions else directions_in(records))
-    grid = SweepGrid(templates=templates, delimiters=delimiters,
+    grid = SweepGrid(templates=tuple(map(prompts.template, template_names)),
+                     delimiters=tuple(map(prompts.delimiter, delimiter_names)),
                      directions=directions,
                      shots=tuple(int(s) for s in args.shots.split(",")))
-
-    exemplars_by_direction = None
-    if max(grid.shots) > 0:
-        if not args.exemplars:
-            raise CliError("sweep with shots > 0 requires --exemplars FILE")
-        pool = load_dataset(args.exemplars, args.format)
-        exemplars_by_direction = {
-            direction: _select_exemplars(pool, args.exemplars,
-                                         parse_style(direction[0]),
-                                         parse_style(direction[1]),
-                                         max(grid.shots))
-            for direction in directions}
-
     result = run_sweep(records, grid, cfg,
-                       exemplars_by_direction=exemplars_by_direction,
+                       exemplars=_exemplar_pool(args, max(grid.shots)),
                        jobs=args.jobs, seed=args.seed)
     if args.out:
         result.save_csv(args.out)
@@ -359,9 +287,9 @@ def _add_dataset(parser: argparse.ArgumentParser, *, required: bool) -> None:
 
 
 def _add_generation(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=_positive_int, default=RerankConfig.k,
+    parser.add_argument("--k", type=int, default=RerankConfig.k,
                         help=f"candidates per example (default {RerankConfig.k})")
-    parser.add_argument("--max-new-tokens", type=_positive_int,
+    parser.add_argument("--max-new-tokens", type=int,
                         default=RerankConfig.max_new_tokens)
     parser.add_argument("--no-fluency", action="store_true",
                         help="drop the fluency factor from reranking")
@@ -369,11 +297,11 @@ def _add_generation(parser: argparse.ArgumentParser) -> None:
                         choices=STRENGTH_SOURCES)
     parser.add_argument("--decode-mode", default=DecodeConfig.mode,
                         choices=DecodeConfig.MODES)
-    parser.add_argument("--beam-width", type=_positive_int,
+    parser.add_argument("--beam-width", type=int,
                         default=DecodeConfig.beam_width, help="defaults to --k")
     parser.add_argument("--temperature", type=float,
                         default=DecodeConfig.temperature)
-    parser.add_argument("--jobs", type=_positive_int, default=DEFAULT_JOBS,
+    parser.add_argument("--jobs", type=int, default=DEFAULT_JOBS,
                         help="concurrent in-flight examples")
     parser.add_argument("--prompt-config", default=None,
                         help="JSON file adding templates/delimiters")
@@ -397,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_style", required=True, help="target style")
     p.add_argument("--template", default=TransferRequest.template.value)
     p.add_argument("--delimiter", default=delimiter_name(TransferRequest.delimiter))
-    p.add_argument("--shots", type=_non_negative_int, default=0)
+    p.add_argument("--shots", type=int, default=0)
     p.add_argument("--exemplars", help="dataset file supplying few-shot exemplars")
     p.add_argument("--out", help="manifest output path (dataset mode)")
     _add_generation(p)
@@ -418,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("symb", help="generate the symbolic comparison dataset")
-    p.add_argument("--n", type=_positive_int, default=SymbSpec.n)
+    p.add_argument("--n", type=int, default=SymbSpec.n)
     p.add_argument("--out", required=True)
     p.add_argument("--format", default="jsonl", choices=["jsonl", "tsv"])
     _add_common(p, seed=True)

@@ -19,12 +19,13 @@ import io
 import itertools
 import json
 import logging
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import backends, metrics
-from .backends import BackendError, CompletionRequest
+from .backends import BackendError, CompletionRequest, check_count
 from .data import StylePairRecord
 from .metrics import SWEEP_CSV_COLUMNS, EvalRow, EvalSummary, MetricError
 from .prompts import (
@@ -171,11 +172,6 @@ def _run_config(plan: RequestTemplate, cfg: RerankConfig, *,
     }
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
 def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
                     cfg: RerankConfig, *, jobs: int = DEFAULT_JOBS,
                     seed: int | None = None) -> RunManifest:
@@ -189,7 +185,7 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     """
     if not records:
         raise PipelineError("transfer_corpus requires a non-empty record list")
-    _check_jobs(jobs)
+    check_count(jobs, "jobs")
     labels = metrics.accuracy_labels(cfg.endpoints, (
         style.render() for r in records for style in (r.source_style, r.target_style)))
 
@@ -254,6 +250,11 @@ def write_manifest(manifest: RunManifest, path: str) -> None:
 
 
 _HEADER_TYPES = {"run_id": str, "timestamp": str, "config": dict, "summary": dict}
+# Every record feeds the accuracy label set; a successful one also feeds a
+# summary row (_eval_row).
+_LABEL_TYPES = {"source_style": str, "target_style": str}
+_ROW_TYPES = {**_LABEL_TYPES, "source": str, "winner": str,
+              "reference": (str, type(None))}
 
 
 def read_manifest(path: str) -> RunManifest:
@@ -267,13 +268,23 @@ def read_manifest(path: str) -> RunManifest:
 
     if not lines:
         raise not_a_manifest("empty file")
-    header, *records = (json.loads(line) for line in lines)
+    try:
+        header, *records = [json.loads(line) for line in lines]
+    except json.JSONDecodeError as exc:
+        raise not_a_manifest(f"a line is not JSON: {exc}") from None
     if not (isinstance(header, dict) and all(
             isinstance(header.get(key), kind) for key, kind in _HEADER_TYPES.items())):
         raise not_a_manifest("the first line is not a header object with "
                              "run_id, timestamp, config and summary")
-    if not all(isinstance(record, dict) for record in records):
-        raise not_a_manifest("a record is not an object")
+    if not isinstance(header["config"].get("endpoints", {}), dict):
+        raise not_a_manifest("config endpoints is not an object")
+    for record in records:
+        if not isinstance(record, dict):
+            raise not_a_manifest("a record is not an object")
+        types = _LABEL_TYPES if "error" in record else _ROW_TYPES
+        if not all(isinstance(record.get(key), kind) for key, kind in types.items()):
+            raise not_a_manifest(f"record {record.get('id')!r} has a missing or "
+                                 f"mistyped field among {', '.join(types)}")
     try:
         summary = EvalSummary.from_dict(header["summary"])
     except MetricError as exc:
@@ -326,12 +337,38 @@ class SweepGrid:
             raise ValueError(f"shot counts must be >= 0, got {self.shots}")
 
 
+def _direction(record: StylePairRecord) -> tuple[str, str]:
+    return record.source_style.render(), record.target_style.render()
+
+
 def directions_in(records: list[StylePairRecord]) -> tuple[tuple[str, str], ...]:
-    """Distinct (source, target) style directions, in first-seen order."""
-    seen: dict[tuple[str, str], None] = {}
-    for r in records:
-        seen.setdefault((r.source_style.render(), r.target_style.render()), None)
-    return tuple(seen)
+    """Distinct rendered (source, target) style directions, in first-seen order."""
+    return tuple(dict.fromkeys(_direction(r) for r in records))
+
+
+def records_in(records: Iterable[StylePairRecord],
+               direction: tuple[str, str]) -> list[StylePairRecord]:
+    """The records whose rendered (source, target) styles are ``direction``,
+    the form :attr:`SweepGrid.directions` holds."""
+    return [r for r in records if _direction(r) == direction]
+
+
+def select_exemplars(pool: Iterable[StylePairRecord], direction: tuple[str, str],
+                     shots: int) -> tuple[Exemplar, ...]:
+    """The first ``shots`` records of ``pool`` in ``direction`` with a
+    non-blank reference, as exemplars. ValueError if ``shots`` is negative
+    or the pool has fewer such records."""
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
+    usable = [r for r in records_in(pool, direction)
+              if r.reference and r.reference.strip()]
+    if len(usable) < shots:
+        raise ValueError(
+            f"{shots} shots need {shots} exemplars with a reference in "
+            f"direction {direction[0]}->{direction[1]}, the pool has {len(usable)}")
+    return tuple(Exemplar(input=r.source, output=r.reference,
+                          source_style=r.source_style, target_style=r.target_style)
+                 for r in usable[:shots])
 
 
 @dataclass
@@ -358,21 +395,21 @@ class SweepResult:
 
 
 def run_sweep(records: list[StylePairRecord], grid: SweepGrid,
-              cfg: RerankConfig, *,
-              exemplars_by_direction: dict[tuple[str, str],
-                                           tuple[Exemplar, ...]] | None = None,
+              cfg: RerankConfig, *, exemplars: Sequence[StylePairRecord] = (),
               jobs: int = DEFAULT_JOBS, seed: int | None = None) -> SweepResult:
     """One corpus run per grid cell, collected into a CSV-ready table.
 
-    Cell failures are isolated: the failing cell's row keeps empty metric
-    columns and the sweep continues. A ``jobs`` below 1 fails the whole
-    sweep at once, not each cell. Rows follow grid iteration order
-    (templates, then delimiters, directions, shots), so runs with
-    deterministic backends produce byte-identical CSV output.
+    A cell's few-shot exemplars come from the ``exemplars`` pool through
+    :func:`select_exemplars`. Cell failures are isolated: a cell with no
+    records or too few exemplars in its direction, or whose run fails,
+    gets a row with an error and empty metric columns, and the sweep
+    continues. A ``jobs`` below 1 fails the whole sweep at once, not each
+    cell. Rows follow grid iteration order (templates, then delimiters,
+    directions, shots), so runs with deterministic backends produce
+    byte-identical CSV output.
     """
-    _check_jobs(jobs)
+    check_count(jobs, "jobs")
     result = SweepResult()
-    exemplars_by_direction = exemplars_by_direction or {}
     for template, delimiter, direction, shots in itertools.product(
             grid.templates, grid.delimiters, grid.directions, grid.shots):
         row = {
@@ -382,18 +419,12 @@ def run_sweep(records: list[StylePairRecord], grid: SweepGrid,
             "shots": shots,
         }
         try:
-            subset = [r for r in records
-                      if (r.source_style.render(), r.target_style.render()) == direction]
+            subset = records_in(records, direction)
             if not subset:
                 raise PipelineError(f"no records in direction {row['direction']}")
-            available = exemplars_by_direction.get(direction, ())
-            if len(available) < shots:
-                raise PipelineError(
-                    f"{shots}-shot cell needs {shots} exemplars for direction "
-                    f"{row['direction']}, got {len(available)}"
-                )
-            plan = RequestTemplate(template=template, delimiter=delimiter,
-                                   exemplars=tuple(available[:shots]))
+            plan = RequestTemplate(
+                template=template, delimiter=delimiter,
+                exemplars=select_exemplars(exemplars, direction, shots))
             manifest = transfer_corpus(subset, plan, cfg, jobs=jobs, seed=seed)
         except (BackendError, PipelineError, ValueError) as exc:
             logger.warning("sweep cell %s failed: %s", row, exc)

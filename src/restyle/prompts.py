@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -293,10 +293,29 @@ def render_cloze(text: str, mask_token: str) -> str:
 
 @dataclass(frozen=True)
 class PromptConfig:
-    """User-supplied template phrasings and delimiter pairs."""
+    """User-supplied template phrasings and delimiter pairs, and the one
+    rule that turns a template or delimiter name into what it selects."""
 
-    templates: dict[str, str]
-    delimiters: dict[str, DelimiterPair]
+    templates: dict[str, str] = field(default_factory=dict)
+    delimiters: dict[str, DelimiterPair] = field(default_factory=dict)
+
+    def template(self, name: str) -> TemplateKind | str:
+        """The builtin phrasing ``name`` selects (see :func:`builtin_template`),
+        else the custom template of that name; PromptError if neither."""
+        kind = builtin_template(name)
+        if kind is not None:
+            return kind
+        if name in self.templates:
+            return self.templates[name]
+        known = [t.value for t in TemplateKind] + sorted(self.templates)
+        raise PromptError(f"unknown template {name!r}; choose from {known}")
+
+    def delimiter(self, name: str) -> DelimiterPair:
+        """The builtin pair ``name`` selects, else the custom pair of that
+        name; PromptError if neither."""
+        if name in self.delimiters and name not in DELIMITERS:
+            return self.delimiters[name]
+        return delimiter_by_name(name)
 
 
 def load_prompt_config(path: str) -> PromptConfig:

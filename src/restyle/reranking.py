@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends
-from .backends import BackendEndpoints, CompletionRequest, DecodeConfig
+from .backends import BackendEndpoints, CompletionRequest, DecodeConfig, check_count
 from .prompts import StyleLabel, TransferRequest, render_cloze
 
 # Probability floor applied to the similarity and strength factors before
@@ -57,10 +57,8 @@ class RerankConfig:
     endpoints: BackendEndpoints = BackendEndpoints()
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
+        check_count(self.k, "k")
+        check_count(self.max_new_tokens, "max_new_tokens")
         if self.strength_source not in STRENGTH_SOURCES:
             raise ValueError(
                 f"strength_source must be one of {STRENGTH_SOURCES}"

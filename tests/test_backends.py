@@ -56,7 +56,8 @@ class TestRequestValidation:
             backends.DecodeConfig(mode="greedy")
 
     @pytest.mark.parametrize("field, value", [
-        ("beam_width", 0), ("beam_width", -2),
+        ("beam_width", 0), ("beam_width", -2), ("beam_width", True),
+        ("beam_width", 2.0),
         ("temperature", math.nan), ("temperature", math.inf),
         ("temperature", -0.5),
     ])
@@ -67,7 +68,7 @@ class TestRequestValidation:
     @pytest.mark.parametrize("field, value", [
         ("timeout", 0.0), ("timeout", -1.0), ("timeout", math.nan),
         ("timeout", math.inf), ("max_retries", 0), ("max_retries", -1),
-        ("max_retries", 2.5), ("retry_backoff", -0.25),
+        ("max_retries", 2.5), ("max_retries", True), ("retry_backoff", -0.25),
         ("retry_backoff", math.nan), ("retry_backoff", math.inf),
         ("mask_token", ""), ("mask_token", "  "),
     ])
@@ -260,6 +261,7 @@ class TestParsers:
         (backends.parse_mask_fill, {"scores": {"a": 0.5, "b": "0.5"}}, ValueError),
         (backends.parse_embedding, {"dim": 2.9, "vectors": [[1, 0]]}, ValueError),
         (backends.parse_embedding, {"dim": 2, "vectors": [["1", True]]}, TypeError),
+        (backends.parse_embedding, {"dim": 3, "vectors": [[1, 0]]}, ValueError),
     ])
     def test_contract_violations(self, parse, body, error):
         with pytest.raises(error):
@@ -313,6 +315,13 @@ class TestLexiconFlipMock:
             resp = flip.complete(CompletionRequest(
                 prompt=prompt, num_candidates=1, stop=pair.close))
             assert resp.candidates[0].text == "bad food" + pair.close, name
+
+
+def test_blank_text_not_classified():
+    ep = BackendEndpoints(classifier=UniformScoreBackend(),
+                          fill_mask=UniformScoreBackend())
+    with pytest.raises(ValueError, match="classify must be non-empty"):
+        backends.classify(ep, " \t", ["positive", "negative"])
 
 
 class TestUniformMock:

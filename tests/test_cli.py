@@ -12,6 +12,7 @@ from restyle.cli import main
 from restyle.data import SymbSpec, generate_symb, load_dataset, save_records
 from restyle.metrics import self_sbleu, sentence_gleu
 from restyle.pipeline import RequestTemplate, read_manifest
+from restyle.prompts import PromptConfig
 from restyle.reranking import RerankConfig
 
 MOCK_ENV = {
@@ -58,11 +59,35 @@ class TestTransfer:
             main(["transfer", "--text", "x", "--from", "positive"])
         assert exc.value.code == 2
 
-    def test_k_zero_exits_2(self, mock_env):
-        with pytest.raises(SystemExit) as exc:
-            main(["transfer", "--text", "x", "--from", "a", "--to", "b",
-                  "--k", "0"])
-        assert exc.value.code == 2
+    def test_k_zero_exits_2(self, mock_env, capsys):
+        assert main(["transfer", "--text", "x", "--from", "a", "--to", "b",
+                     "--k", "0"]) == 2
+        assert capsys.readouterr().err == "error: k must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--beam-width", "0"], "beam_width must be >= 1, got 0"),
+        (["--max-new-tokens", "0"], "max_new_tokens must be >= 1, got 0"),
+    ], ids=["beam-width", "max-new-tokens"])
+    def test_generation_count_below_one_exits_2(self, mock_env, capsys, argv,
+                                                error):
+        assert main(["transfer", "--text", "x", "--from", "a", "--to", "b",
+                     *argv]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_dataset_jobs_zero_exits_2_before_any_call(
+            self, mock_env, dataset_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run.jsonl"
+        with LoopbackServer() as server:
+            for service in ("COMPLETE", "SCORE", "FILL_MASK", "EMBED"):
+                monkeypatch.setenv(f"RESTYLE_{service}_URL",
+                                   f"{server.url}/{service.lower()}")
+            code = main(["transfer", "--dataset", dataset_path,
+                         "--from", "positive", "--to", "negative",
+                         "--jobs", "0", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+        assert server.requests == []
+        assert not out.exists()
 
     def test_missing_endpoints_exit_2(self, monkeypatch, capsys):
         for key in MOCK_ENV:
@@ -210,12 +235,10 @@ class TestTransfer:
         exemplars = tmp_path / "exemplars.jsonl"
         save_records([replace(r, reference="a reference for it")
                       for r in sentiment_records[:2]], str(exemplars), "jsonl")
-        with pytest.raises(SystemExit) as exc:
-            main(["transfer", "--text", "good food", "--from", "positive",
-                  "--to", "negative", "--shots", "-1",
-                  "--exemplars", str(exemplars)])
-        assert exc.value.code == 2
-        assert "must be >= 0" in capsys.readouterr().err
+        assert main(["transfer", "--text", "good food", "--from", "positive",
+                     "--to", "negative", "--shots", "-1",
+                     "--exemplars", str(exemplars)]) == 2
+        assert capsys.readouterr().err == "error: shots must be >= 0, got -1\n"
 
     def test_deterministic_output(self, mock_env, capsys):
         argv = ["transfer", "--text", "great fresh bread", "--from", "positive",
@@ -266,6 +289,21 @@ class TestSweep:
         assert loaded == [dataset_path, str(exemplars)]
         rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 * 2  # two directions, two shot counts
+
+    def test_cell_short_of_exemplars_is_a_failed_row(
+            self, mock_env, dataset_path, tmp_path, capsys, sentiment_records):
+        exemplars = tmp_path / "exemplars.jsonl"
+        save_records([replace(r, id=f"ex-{r.id}", reference="a reference")
+                      for r in sentiment_records], str(exemplars), "jsonl")
+        code = main(["sweep", "--dataset", dataset_path, "--templates", "vanilla",
+                     "--delimiters", "curly", "--directions", "positive:negative",
+                     "--shots", "0,2,3", "--exemplars", str(exemplars)])
+        captured = capsys.readouterr()
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [row["shots"] for row in rows] == ["0", "2", "3"]
+        assert [row["accuracy"] != "" for row in rows] == [True, True, False]
+        assert captured.err.endswith("1 of 3 cells failed\n")
 
     def test_negative_shots_exit_2(self, mock_env, dataset_path, tmp_path,
                                    capsys):
@@ -330,6 +368,12 @@ class TestSymb:
         records = load_dataset(str(out), "jsonl")
         assert len(records) == 40
         assert records == generate_symb(SymbSpec(n=40, seed=7))
+
+    def test_n_zero_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "symb.jsonl"
+        assert main(["symb", "--n", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: n must be >= 1\n"
+        assert not out.exists()
 
     def test_tsv_output(self, tmp_path):
         out = tmp_path / "symb.tsv"
@@ -454,7 +498,9 @@ class TestEval:
          "target_style": "negative"},
         [1, 2],
         {"run_id": "r", "timestamp": "t", "config": {}, "summary": {"ppl": "x"}},
-    ], ids=["dataset", "list-header", "string-metric"])
+        {"run_id": "r", "timestamp": "t", "config": {"endpoints": "x"},
+         "summary": {}},
+    ], ids=["dataset", "list-header", "string-metric", "string-endpoints"])
     def test_non_manifest_is_an_error(self, tmp_path, capsys, header):
         path = tmp_path / "run.jsonl"
         path.write_text(json.dumps(header) + "\n")
@@ -512,8 +558,8 @@ def test_cli_defaults_are_the_library_defaults(mock_env):
         assert cli._run_config(args) == RerankConfig(
             endpoints=BackendEndpoints.from_env())
     args = parser.parse_args(["transfer", "--from", "a", "--to", "b"])
-    assert RequestTemplate(cli._resolve_template(args.template, {}),
-                           cli._resolve_delimiter(args.delimiter, {})) == \
+    assert RequestTemplate(PromptConfig().template(args.template),
+                           PromptConfig().delimiter(args.delimiter)) == \
         RequestTemplate()
     args = parser.parse_args(["symb", "--out", "s.jsonl"])
     assert SymbSpec(n=args.n, seed=args.seed) == SymbSpec()

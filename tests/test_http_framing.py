@@ -119,6 +119,11 @@ FAULTS = {
                        b"zz\r\n{}\r\n0\r\n\r\n", False, "HTTPException"),
     "chunked-cut-short": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
                           b"10\r\n{\"tokens\"", True, "IncompleteRead"),
+    "chunked-no-size-line": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked"
+                             b"\r\n\r\n", True, "IncompleteRead"),
+    "chunk-without-line-end": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked"
+                               b"\r\n\r\n2\r\n{}XX0\r\n\r\n", False,
+                               "not followed by a line end"),
 }
 
 
@@ -178,7 +183,8 @@ def test_one_write_per_request(monkeypatch):
     "http://127.0.0.1:9/a path/score",
     "http://127.0.0.1:9/café/score",
     "http://" + "a" * 64 + "é.example/score",
-], ids=["space-in-path", "non-ascii-path", "bad-idna-host"])
+    "http:///score",
+], ids=["space-in-path", "non-ascii-path", "bad-idna-host", "no-host"])
 def test_unsendable_url_is_rejected(url):
     ep = BackendEndpoints(score=url, max_retries=1)
     with pytest.raises(BackendError, match="endpoint URL") as err:

@@ -8,6 +8,7 @@ from restyle import metrics
 from restyle.backends import (
     BackendEndpoints,
     CompletionResponse,
+    DecodeConfig,
     Generation,
     ServiceError,
 )
@@ -23,12 +24,14 @@ from restyle.pipeline import (
     read_manifest,
     reevaluate_manifest,
     run_sweep,
+    select_exemplars,
     transfer_corpus,
     transfer_one,
     write_manifest,
 )
 from restyle.prompts import (
     DELIMITERS,
+    Exemplar,
     StyleLabel,
     TemplateKind,
     TransferRequest,
@@ -266,6 +269,24 @@ class TestTransferCorpus:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run(sentiment_records, RerankConfig(endpoints=ep))
 
+    def test_bool_jobs_rejected(self, sentiment_records):
+        unreachable = Unreachable()
+        ep = BackendEndpoints(complete=unreachable, score=unreachable,
+                              fill_mask=unreachable, embed=unreachable)
+        with pytest.raises(ValueError, match="jobs must be an integer, got True"):
+            transfer_corpus(sentiment_records, RequestTemplate(),
+                            RerankConfig(endpoints=ep), jobs=True)
+
+    def test_int_and_float_settings_share_a_run_id(self, sentiment_records):
+        def run_id(temperature, timeout):
+            cfg = RerankConfig(
+                decode=DecodeConfig(temperature=temperature),
+                endpoints=replace(mock_endpoints(), timeout=timeout))
+            return transfer_corpus(sentiment_records[:1], RequestTemplate(),
+                                   cfg, seed=1).run_id
+
+        assert run_id(1, 30) == run_id(1.0, 30.0)
+
     def test_bit_reproducible_modulo_timestamp(self, mock_ep, sentiment_records):
         cfg = RerankConfig(k=3, endpoints=mock_ep)
         first = transfer_corpus(sentiment_records, RequestTemplate(), cfg,
@@ -331,12 +352,32 @@ class TestTransferCorpus:
         [{"run_id": "r", "timestamp": "t", "config": {},
           "summary": {"accuracy": 1.5}}],
         [{"run_id": "r", "timestamp": "t", "config": {}, "summary": {}}, "record"],
+        [{"run_id": "r", "timestamp": "t", "config": {}, "summary": {}},
+         b"{not json"],
+        [{"run_id": "r", "timestamp": "t", "config": {}, "summary": {}},
+         {"id": "p0", "source": "good", "source_style": "positive",
+          "target_style": "negative"}],
+        [{"run_id": "r", "timestamp": "t", "config": {}, "summary": {}},
+         {"id": "p0", "source": "good", "winner": 3, "source_style": "positive",
+          "target_style": "negative"}],
+        [{"run_id": "r", "timestamp": "t", "config": {}, "summary": {}},
+         {"id": "p0", "source": "good", "winner": "bad", "reference": 5,
+          "source_style": "positive", "target_style": "negative"}],
+        [{"run_id": "r", "timestamp": "t", "config": {}, "summary": {}},
+         {"id": "p0", "error": "ServiceError: down"}],
+        [{"run_id": "r", "timestamp": "t", "config": {"endpoints": ["x"]},
+          "summary": {}}],
     ], ids=["dataset", "list-header", "no-summary", "list-config",
             "string-metric", "bool-metric", "nan-metric", "out-of-range-metric",
-            "string-record"])
+            "string-record", "not-json", "record-without-winner",
+            "number-winner", "number-reference", "error-record-without-styles",
+            "list-endpoints"])
     def test_non_manifest_rejected(self, tmp_path, lines):
         path = tmp_path / "not-a-manifest.jsonl"
-        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        # A bytes line is written as it is, to make a line that is not JSON.
+        path.write_text("".join(
+            (line.decode() if isinstance(line, bytes) else json.dumps(line)) + "\n"
+            for line in lines))
         with pytest.raises(PipelineError, match="is not a manifest"):
             read_manifest(str(path))
 
@@ -402,6 +443,36 @@ class TestSweep:
         assert "error" not in good
         assert "error" in bad
         assert bad["accuracy"] is None if "accuracy" in bad else True
+
+    def test_exemplar_pool_serves_each_cell(self, mock_ep, sentiment_records):
+        pool = [replace(r, id=f"ex-{r.id}", reference=f"reference {r.id}")
+                for r in sentiment_records]
+        grid = SweepGrid(templates=(TemplateKind.CONTRASTIVE,),
+                         delimiters=(DELIMITERS["curly"],),
+                         directions=directions_in(sentiment_records),
+                         shots=(0, 1, 2, 3))
+        cfg = RerankConfig(k=3, endpoints=mock_ep)
+        result = run_sweep(sentiment_records, grid, cfg, exemplars=pool)
+        assert [("error" in row) for row in result.rows] == \
+            [False, False, False, True] * 2
+        assert "the pool has 2" in result.rows[3]["error"]
+        prompts = [m.records[0]["prompt"] for m in result.manifests]
+        assert [p.count("\n") for p in prompts] == [0, 1, 2] * 2
+        assert "{reference p0}" in prompts[1] and "{reference n0}" in prompts[4]
+        assert prompts[2].index("{reference p0}") < prompts[2].index("{reference p1}")
+
+    def test_select_exemplars_skips_blank_references(self):
+        pool = [record("a", "x", reference="  "), record("b", "y"),
+                record("c", "z", src=NEG, dst=POS, reference="ref c"),
+                record("d", "w", reference="ref d")]
+        direction = ("positive", "negative")
+        assert select_exemplars(pool, direction, 0) == ()
+        assert select_exemplars(pool, direction, 1) == \
+            (Exemplar(input="w", output="ref d", source_style=POS, target_style=NEG),)
+        with pytest.raises(ValueError, match="the pool has 1"):
+            select_exemplars(pool, direction, 2)
+        with pytest.raises(ValueError, match="shots must be >= 0"):
+            select_exemplars(pool, direction, -1)
 
     def test_few_shot_cells_need_exemplars(self, mock_ep, sentiment_records):
         grid = SweepGrid(templates=(TemplateKind.CONTRASTIVE,),

@@ -242,6 +242,9 @@ class TestRerank:
             RerankConfig(strength_source="oracle")
         with pytest.raises(ValueError, match="max_new_tokens"):
             RerankConfig(max_new_tokens=0)
+        for field in ("k", "max_new_tokens"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                RerankConfig(**{field: True})
         with pytest.raises(ValueError, match="temperature"):
             RerankConfig(decode=DecodeConfig(temperature=math.nan))
         with pytest.raises(ValueError, match="beam_width"):

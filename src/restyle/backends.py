@@ -88,29 +88,40 @@ def _require_str(value, what: str) -> str:
     return value
 
 
-def check_count(value, what: str) -> int:
-    """``value`` if it is an integer >= 1. A bool is not a count, though
-    Python treats it as an int: ``k=True`` would reach the wire and the
-    manifest as ``true``."""
+def check_count(value, what: str, minimum: int = 1) -> int:
+    """``value`` if it is an integer >= ``minimum``. A bool is not a count,
+    though Python treats it as an int: ``k=True`` would reach the wire and
+    the manifest as ``true``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{what} must be >= 1, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value!r}")
     return value
 
 
-def _require_finite(value, what: str) -> float:
-    value = float(_require_number(value, what))
+def check_real(value, what: str, low: float = -math.inf, high: float = math.inf,
+               open_low: bool = False) -> float:
+    """``value`` as a float if it is a JSON or NumPy number, finite and in
+    ``[low, high]`` (``(low, high]`` with ``open_low``). A string, or a
+    non-finite or out-of-range number, raises ValueError; a bool, null or
+    any other value raises TypeError."""
+    try:
+        value = float(_require_number(value, what))
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
+    if value > high or (value <= low if open_low else value < low):
+        raise ValueError(f"{what} must be in {'(' if open_low else '['}{low:g}, "
+                         f"{high:g}], got {value!r}")
     return value
 
 
 @dataclass(frozen=True)
 class DecodeConfig:
     """Decoding strategy for candidate generation: a mode from ``MODES``, a
-    beam width of at least 1 (or None), and a finite temperature >= 0, held
-    as a float so that equal settings give equal run ids."""
+    beam width count (or None), and a temperature >= 0, held as a float so
+    that equal settings give equal run ids."""
 
     MODES = ("beam", "sample")
 
@@ -123,10 +134,8 @@ class DecodeConfig:
             raise ValueError(f"decode mode must be one of {self.MODES}, got {self.mode!r}")
         if self.beam_width is not None:
             check_count(self.beam_width, "beam_width")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError("temperature must be a finite number >= 0, "
-                             f"got {self.temperature!r}")
-        object.__setattr__(self, "temperature", float(self.temperature))
+        object.__setattr__(self, "temperature",
+                           check_real(self.temperature, "temperature", 0.0))
 
     def to_wire(self, num_candidates: int) -> dict:
         width = self.beam_width if self.beam_width is not None else num_candidates
@@ -144,10 +153,8 @@ class CompletionRequest:
     decode: DecodeConfig = DecodeConfig()
 
     def __post_init__(self):
-        if self.num_candidates < 1:
-            raise ValueError("num_candidates must be >= 1")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
+        check_count(self.num_candidates, "num_candidates")
+        check_count(self.max_new_tokens, "max_new_tokens")
 
     def to_wire(self) -> dict:
         return {
@@ -174,8 +181,7 @@ class Generation:
 
     def __post_init__(self):
         _require_str(self.text, "text")
-        object.__setattr__(self, "gen_score",
-                           _require_finite(self.gen_score, "gen_score"))
+        object.__setattr__(self, "gen_score", check_real(self.gen_score, "gen_score"))
 
 
 @dataclass(frozen=True)
@@ -198,11 +204,9 @@ class TokenScore:
     logprob: float
 
     def __post_init__(self):
-        lp = _require_finite(self.logprob, "logprob")
-        if lp > 0:
-            raise ValueError(f"logprob must be <= 0, got {lp}")
+        object.__setattr__(self, "logprob",
+                           check_real(self.logprob, "logprob", high=0.0))
         _require_str(self.token, "token")
-        object.__setattr__(self, "logprob", lp)
 
 
 @dataclass(frozen=True)
@@ -231,10 +235,8 @@ class MaskFillResponse:
             raise TypeError("scores must be an object of label likelihoods")
         scores = {}
         for label, value in self.scores.items():
-            value = _require_finite(value, f"score for label {label!r}")
-            if value < 0:
-                raise ValueError(f"raw likelihood for {label!r} must be >= 0")
-            scores[_require_str(label, "label")] = value
+            scores[_require_str(label, "label")] = check_real(
+                value, f"score for label {label!r}", 0.0)
         object.__setattr__(self, "scores", scores)
 
 
@@ -255,8 +257,7 @@ class EmbeddingResponse:
         dim = int(_require_number(self.dim, "dim"))
         if dim != self.dim:
             raise ValueError(f"dim must be an integer, got {self.dim!r}")
-        if dim < 1:
-            raise ValueError("dim must be positive")
+        check_count(dim, "dim")
         mat = np.array(self.vectors)
         if not mat.size:
             raise ValueError("embedding response has no vectors")
@@ -337,10 +338,10 @@ class BackendEndpoints:
     strength comes from a trained classifier instead of the masked-LM cloze.
     The protocol settings are checked when built, so :meth:`from_env`,
     :meth:`from_snapshot` and ``dataclasses.replace`` meet the same rules: a
-    non-blank ``mask_token``, a finite ``timeout`` > 0, an integer
-    ``max_retries`` >= 1 (the attempts per call) and a finite
-    ``retry_backoff`` >= 0. ``timeout`` and ``retry_backoff`` are held as
-    floats, so that equal settings give equal run ids.
+    non-blank ``mask_token``, a ``timeout`` > 0, a ``max_retries`` count
+    (the attempts per call) and a ``retry_backoff`` >= 0. ``timeout`` and
+    ``retry_backoff`` are held as floats, so that equal settings give equal
+    run ids.
     """
 
     complete: object | str | None = None
@@ -357,15 +358,11 @@ class BackendEndpoints:
         if not (isinstance(self.mask_token, str) and self.mask_token.strip()):
             raise ValueError("mask_token must be a non-blank string, "
                              f"got {self.mask_token!r}")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError("timeout must be a finite number > 0, "
-                             f"got {self.timeout!r}")
+        object.__setattr__(self, "timeout",
+                           check_real(self.timeout, "timeout", 0.0, open_low=True))
         check_count(self.max_retries, "max_retries")
-        if not (math.isfinite(self.retry_backoff) and self.retry_backoff >= 0):
-            raise ValueError("retry_backoff must be a finite number >= 0, "
-                             f"got {self.retry_backoff!r}")
-        object.__setattr__(self, "timeout", float(self.timeout))
-        object.__setattr__(self, "retry_backoff", float(self.retry_backoff))
+        object.__setattr__(self, "retry_backoff",
+                           check_real(self.retry_backoff, "retry_backoff", 0.0))
 
     @classmethod
     def from_env(cls, env: dict[str, str] | None = None) -> "BackendEndpoints":
@@ -401,9 +398,9 @@ class BackendEndpoints:
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "BackendEndpoints":
         """Endpoints rebuilt from a :meth:`snapshot`: an ``object:<Class>``
-        endpoint stays unset, numbers convert as in :meth:`from_env`, and an
-        absent key takes its default, as ``retry_backoff`` (never stored,
-        since it changes no output) always does."""
+        endpoint stays unset, a string converts as in :meth:`from_env` and
+        any other value is checked as stored, and an absent key takes its
+        default, as ``retry_backoff`` (never stored: it changes no output) does."""
 
         def url(name):
             value = snapshot.get(name)
@@ -411,11 +408,15 @@ class BackendEndpoints:
                 return value
             return None
 
+        def number(name, convert):
+            value = snapshot.get(name, getattr(cls, name))
+            return convert(value) if isinstance(value, str) else value
+
         return cls(
             **{name: url(name) for name in _SERVICES},
             mask_token=snapshot.get("mask_token", cls.mask_token),
-            timeout=float(snapshot.get("timeout", cls.timeout)),
-            max_retries=int(snapshot.get("max_retries", cls.max_retries)),
+            timeout=number("timeout", float),
+            max_retries=number("max_retries", int),
         )
 
 

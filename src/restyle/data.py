@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .backends import check_count
 from .prompts import StyleLabel, parse_style
 
 logger = logging.getLogger(__name__)
@@ -107,8 +108,9 @@ def _build_record(row: dict, lineno: int, clean: bool) -> StylePairRecord:
             raise DatasetError(f"line {lineno}: missing {key}")
     if not source.strip():
         raise DatasetError(f"line {lineno}: missing source text")
+    row_id = row.get("id")
     return StylePairRecord(
-        id=str(row.get("id") or f"line-{lineno}"),
+        id=f"line-{lineno}" if row_id in (None, "") else str(row_id),
         source=source,
         reference=reference,
         source_style=parse_style(row["source_style"]),
@@ -243,8 +245,7 @@ class SymbSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DatasetError("n must be >= 1")
+        check_count(self.n, "n")
         seen: set[str] = set()
         for name, words in self.categories.items():
             for word in words:

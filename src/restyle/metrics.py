@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from . import backends
-from .backends import BackendEndpoints
+from .backends import BackendEndpoints, check_real
 
 MAX_NGRAM_ORDER = 4
 
@@ -279,7 +279,7 @@ def predict_style(endpoints: BackendEndpoints, text: str,
 @dataclass(frozen=True)
 class EvalSummary:
     """Corpus-level evaluation results; absent metrics stay None, and each
-    present one is a finite, non-bool number within its range."""
+    present one is a finite number within its range (:func:`check_real`)."""
 
     r_sbleu: float | None = None
     s_sbleu: float | None = None
@@ -289,21 +289,17 @@ class EvalSummary:
     exact_match: float | None = None
 
     def __post_init__(self):
-        for name, value in self.to_dict().items():
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, (int, float))
-                                      or not math.isfinite(value)):
-                raise MetricError(f"{name} is {value!r}, not a finite number")
-        for name, low, high in (
-            ("r_sbleu", 0.0, 100.0), ("s_sbleu", 0.0, 100.0),
-            ("accuracy", 0.0, 1.0), ("gleu", 0.0, 1.0),
-            ("exact_match", 0.0, 1.0),
+        # (name, low, high) bounds for check_real; perplexity's low one is open.
+        for name, *bounds in (
+            ("r_sbleu", 0.0, 100.0), ("s_sbleu", 0.0, 100.0), ("accuracy", 0.0, 1.0),
+            ("ppl", 0.0, math.inf, True), ("gleu", 0.0, 1.0), ("exact_match", 0.0, 1.0),
         ):
             value = getattr(self, name)
-            if value is not None and not (low <= value <= high):
-                raise MetricError(f"{name}={value} outside [{low}, {high}]")
-        if self.ppl is not None and self.ppl <= 0:
-            raise MetricError(f"ppl={self.ppl} must be positive")
+            try:
+                if value is not None:
+                    check_real(value, name, *bounds)
+            except (TypeError, ValueError) as exc:
+                raise MetricError(str(exc)) from None
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

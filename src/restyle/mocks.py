@@ -39,6 +39,7 @@ from .backends import (
     MaskFillResponse,
     TokenScore,
     TokenScoreResponse,
+    check_count,
 )
 from .prompts import DELIMITERS
 
@@ -186,9 +187,7 @@ class UniformScoreBackend:
     """Every whitespace token scores log(1/vocab_size)."""
 
     def __init__(self, vocab_size: int = 50257):
-        if vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
-        self.vocab_size = vocab_size
+        self.vocab_size = check_count(vocab_size, "vocab_size", 2)
 
     def score_tokens(self, text: str) -> TokenScoreResponse:
         logprob = -math.log(self.vocab_size)
@@ -243,9 +242,7 @@ class HashEmbedBackend:
     """
 
     def __init__(self, dim: int = 32):
-        if dim < 2:
-            raise ValueError("dim must be >= 2")
-        self.dim = dim
+        self.dim = check_count(dim, "dim", 2)
         self._rows: dict[str, np.ndarray] = {}
 
     def _vector(self, token: str) -> np.ndarray:

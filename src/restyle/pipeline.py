@@ -276,8 +276,13 @@ def read_manifest(path: str) -> RunManifest:
             isinstance(header.get(key), kind) for key, kind in _HEADER_TYPES.items())):
         raise not_a_manifest("the first line is not a header object with "
                              "run_id, timestamp, config and summary")
-    if not isinstance(header["config"].get("endpoints", {}), dict):
+    endpoints = header["config"].get("endpoints", {})
+    if not isinstance(endpoints, dict):
         raise not_a_manifest("config endpoints is not an object")
+    try:
+        backends.BackendEndpoints.from_snapshot(endpoints)
+    except (TypeError, ValueError) as exc:
+        raise not_a_manifest(f"config endpoints: {exc}") from None
     for record in records:
         if not isinstance(record, dict):
             raise not_a_manifest("a record is not an object")
@@ -319,7 +324,7 @@ def reevaluate_manifest(manifest: RunManifest) -> EvalSummary:
 @dataclass(frozen=True)
 class SweepGrid:
     """The axes of a prompt-design sweep; every axis must be non-empty and
-    every shot count >= 0."""
+    every shot count an integer >= 0."""
 
     templates: tuple[TemplateKind, ...] = tuple(TemplateKind)
     delimiters: tuple[DelimiterPair, ...] = tuple(DELIMITERS.values())
@@ -333,8 +338,8 @@ class SweepGrid:
                            ("shots", self.shots)):
             if not axis:
                 raise ValueError(f"sweep grid axis {name!r} is empty")
-        if min(self.shots) < 0:
-            raise ValueError(f"shot counts must be >= 0, got {self.shots}")
+        for shots in self.shots:
+            check_count(shots, "shot counts", 0)
 
 
 def _direction(record: StylePairRecord) -> tuple[str, str]:
@@ -356,10 +361,9 @@ def records_in(records: Iterable[StylePairRecord],
 def select_exemplars(pool: Iterable[StylePairRecord], direction: tuple[str, str],
                      shots: int) -> tuple[Exemplar, ...]:
     """The first ``shots`` records of ``pool`` in ``direction`` with a
-    non-blank reference, as exemplars. ValueError if ``shots`` is negative
-    or the pool has fewer such records."""
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
+    non-blank reference, as exemplars. ValueError if ``shots`` is not a
+    count >= 0 or the pool has fewer such records."""
+    check_count(shots, "shots", 0)
     usable = [r for r in records_in(pool, direction)
               if r.reference and r.reference.strip()]
     if len(usable) < shots:

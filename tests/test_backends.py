@@ -42,41 +42,63 @@ def sentiment_prompt(text="good food"):
         template=TemplateKind.CONTRASTIVE, delimiter=DELIMITERS["curly"]))
 
 
+def cases(*rows):
+    """Rows of (field, value, error), each with the id "<field>-<value>"."""
+    return [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in rows]
+
+
 class TestRequestValidation:
     def test_num_candidates_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="p", num_candidates=0)
+        for value in (0, True, 2.5):
+            with pytest.raises(ValueError, match="num_candidates"):
+                CompletionRequest(prompt="p", num_candidates=value)
 
     def test_max_new_tokens_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="p", max_new_tokens=0)
+        for value in (0, True, 2.5):
+            with pytest.raises(ValueError, match="max_new_tokens"):
+                CompletionRequest(prompt="p", max_new_tokens=value)
 
     def test_decode_mode_checked(self):
         with pytest.raises(ValueError):
             backends.DecodeConfig(mode="greedy")
 
-    @pytest.mark.parametrize("field, value", [
-        ("beam_width", 0), ("beam_width", -2), ("beam_width", True),
-        ("beam_width", 2.0),
-        ("temperature", math.nan), ("temperature", math.inf),
-        ("temperature", -0.5),
-    ])
-    def test_decode_values_checked(self, field, value):
-        with pytest.raises(ValueError, match=field):
+    # A count takes only an int (check_count: ValueError otherwise); a real
+    # takes a JSON or NumPy number, so a bool is a TypeError (check_real).
+    @pytest.mark.parametrize("field, value, error", cases(
+        ("beam_width", 0, ValueError), ("beam_width", -2, ValueError),
+        ("beam_width", True, ValueError), ("beam_width", 2.0, ValueError),
+        ("beam_width", "1", ValueError), ("beam_width", math.nan, ValueError),
+        ("temperature", math.nan, ValueError), ("temperature", math.inf, ValueError),
+        ("temperature", -0.5, ValueError), ("temperature", True, TypeError),
+        ("temperature", "1", ValueError),
+    ))
+    def test_decode_values_checked(self, field, value, error):
+        with pytest.raises(error, match=field):
             backends.DecodeConfig(**{field: value})
 
-    @pytest.mark.parametrize("field, value", [
-        ("timeout", 0.0), ("timeout", -1.0), ("timeout", math.nan),
-        ("timeout", math.inf), ("max_retries", 0), ("max_retries", -1),
-        ("max_retries", 2.5), ("max_retries", True), ("retry_backoff", -0.25),
-        ("retry_backoff", math.nan), ("retry_backoff", math.inf),
-        ("mask_token", ""), ("mask_token", "  "),
-    ])
-    def test_endpoint_settings_checked(self, field, value):
-        with pytest.raises(ValueError, match=field):
+    @pytest.mark.parametrize("field, value, error", cases(
+        ("timeout", 0.0, ValueError), ("timeout", -1.0, ValueError),
+        ("timeout", math.nan, ValueError), ("timeout", math.inf, ValueError),
+        ("timeout", True, TypeError), ("timeout", "1", ValueError),
+        ("max_retries", 0, ValueError), ("max_retries", -1, ValueError),
+        ("max_retries", 2.5, ValueError), ("max_retries", True, ValueError),
+        ("max_retries", "1", ValueError), ("max_retries", math.nan, ValueError),
+        ("retry_backoff", -0.25, ValueError), ("retry_backoff", math.nan, ValueError),
+        ("retry_backoff", math.inf, ValueError), ("retry_backoff", True, TypeError),
+        ("retry_backoff", "1", ValueError),
+        ("mask_token", "", ValueError), ("mask_token", "  ", ValueError),
+    ))
+    def test_endpoint_settings_checked(self, field, value, error):
+        with pytest.raises(error, match=field):
             BackendEndpoints(**{field: value})
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(error, match=field):
             replace(BackendEndpoints(), **{field: value})
+
+    def test_int_and_float_reals_give_equal_settings(self):
+        assert backends.DecodeConfig(temperature=1) == backends.DecodeConfig(temperature=1.0)
+        assert BackendEndpoints(timeout=5, retry_backoff=0) == \
+            BackendEndpoints(timeout=5.0, retry_backoff=0.0)
+        assert type(BackendEndpoints(timeout=np.int64(5)).timeout) is float
 
     def test_wire_shape(self):
         req = CompletionRequest(prompt="p", max_new_tokens=8,
@@ -421,6 +443,9 @@ class TestDeterminism:
                           UniformScoreBackend)
         with pytest.raises(ValueError):
             resolve_mock_url("mock://nonsense")
+        for url in ("mock://uniform?vocab=1", "mock://hash-embed?dim=1"):
+            with pytest.raises(ValueError, match="must be >= 2, got 1"):
+                resolve_mock_url(url)
 
 
 def wire_answer(path: str, body: dict) -> Reply:
@@ -575,6 +600,11 @@ def test_from_snapshot_defaults_and_numbers():
     assert BackendEndpoints.from_snapshot({"timeout": "5"}).timeout == 5.0
     for bad in ({"timeout": "soon"}, {"max_retries": "many"},
                 {"timeout": "-1"}, {"timeout": "nan"}, {"timeout": 0},
-                {"max_retries": 0}, {"mask_token": ""}):
+                {"max_retries": 0}, {"mask_token": ""}, {"max_retries": 2.7}):
         with pytest.raises(ValueError):
             BackendEndpoints.from_snapshot(bad)
+    # A stored JSON value is checked as it is, not converted.
+    with pytest.raises(TypeError, match="timeout"):
+        BackendEndpoints.from_snapshot({"timeout": True})
+    with pytest.raises(ValueError, match="timeout must be a finite number"):
+        BackendEndpoints.from_snapshot({"timeout": 10 ** 400})

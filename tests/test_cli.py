@@ -372,7 +372,7 @@ class TestSymb:
     def test_n_zero_exits_2(self, tmp_path, capsys):
         out = tmp_path / "symb.jsonl"
         assert main(["symb", "--n", "0", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: n must be >= 1\n"
+        assert capsys.readouterr().err == "error: n must be >= 1, got 0\n"
         assert not out.exists()
 
     def test_tsv_output(self, tmp_path):

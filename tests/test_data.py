@@ -72,6 +72,16 @@ class TestLoadDataset:
         assert records[1].reference is None
         assert records[2].target_style == StyleLabel("positive")
 
+    def test_falsy_id_kept_and_absent_id_numbered(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        rows = self.rows() + [{k: v for k, v in self.rows()[0].items() if k != "id"}]
+        rows[0]["id"] = 0
+        rows[1]["id"] = None
+        rows[2]["id"] = ""
+        self.write_jsonl(path, rows)
+        assert [r.id for r in load_dataset(str(path), "jsonl")] == \
+            ["0", "line-2", "line-3", "line-4"]
+
     def test_tsv_missing_reference(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text(
@@ -229,6 +239,11 @@ class TestGenerateSymb:
         tiny = SymbSpec(categories={"x": ("a", "b")}, n=5, seed=0)
         with pytest.raises(DatasetError, match="exceeds"):
             generate_symb(tiny)
+
+    @pytest.mark.parametrize("n", [0, True, 2.5])
+    def test_n_must_be_a_count(self, n):
+        with pytest.raises(ValueError, match="n must be"):
+            SymbSpec(n=n)
 
     def test_category_validation(self):
         with pytest.raises(DatasetError):

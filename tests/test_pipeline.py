@@ -351,6 +351,8 @@ class TestTransferCorpus:
           "summary": {"ppl": float("nan")}}],
         [{"run_id": "r", "timestamp": "t", "config": {},
           "summary": {"accuracy": 1.5}}],
+        [{"run_id": "r", "timestamp": "t", "config": {},
+          "summary": {"ppl": 10 ** 400}}],
         [{"run_id": "r", "timestamp": "t", "config": {}, "summary": {}}, "record"],
         [{"run_id": "r", "timestamp": "t", "config": {}, "summary": {}},
          b"{not json"],
@@ -367,11 +369,21 @@ class TestTransferCorpus:
          {"id": "p0", "error": "ServiceError: down"}],
         [{"run_id": "r", "timestamp": "t", "config": {"endpoints": ["x"]},
           "summary": {}}],
+        [{"run_id": "r", "timestamp": "t",
+          "config": {"endpoints": {"timeout": "soon"}}, "summary": {}}],
+        [{"run_id": "r", "timestamp": "t",
+          "config": {"endpoints": {"timeout": True}}, "summary": {}}],
+        [{"run_id": "r", "timestamp": "t",
+          "config": {"endpoints": {"max_retries": 2.7}}, "summary": {}}],
+        [{"run_id": "r", "timestamp": "t",
+          "config": {"endpoints": {"mask_token": 5}}, "summary": {}}],
     ], ids=["dataset", "list-header", "no-summary", "list-config",
             "string-metric", "bool-metric", "nan-metric", "out-of-range-metric",
+            "huge-int-metric",
             "string-record", "not-json", "record-without-winner",
             "number-winner", "number-reference", "error-record-without-styles",
-            "list-endpoints"])
+            "list-endpoints", "string-timeout", "bool-timeout",
+            "fractional-max-retries", "number-mask-token"])
     def test_non_manifest_rejected(self, tmp_path, lines):
         path = tmp_path / "not-a-manifest.jsonl"
         # A bytes line is written as it is, to make a line that is not JSON.
@@ -473,6 +485,8 @@ class TestSweep:
             select_exemplars(pool, direction, 2)
         with pytest.raises(ValueError, match="shots must be >= 0"):
             select_exemplars(pool, direction, -1)
+        with pytest.raises(ValueError, match="shots must be an integer, got True"):
+            select_exemplars(pool, direction, True)
 
     def test_few_shot_cells_need_exemplars(self, mock_ep, sentiment_records):
         grid = SweepGrid(templates=(TemplateKind.CONTRASTIVE,),
@@ -494,6 +508,8 @@ class TestSweep:
             SweepGrid(directions=(("a", "b"),), shots=(-1,))
         with pytest.raises(ValueError, match="shot counts"):
             SweepGrid(directions=(("a", "b"),), shots=(0, 4, -1))
+        with pytest.raises(ValueError, match="shot counts must be an integer"):
+            SweepGrid(directions=(("a", "b"),), shots=(True,))
 
 
 class TestCopyBaseline:

@@ -9,18 +9,23 @@ recovering the completion from raw model output.
 from restyle import (
     DelimiterCollisionError,
     Exemplar,
-    StyleLabel,
     TemplateKind,
     TransferRequest,
     builtin_delimiters,
     delimiter_by_name,
     extract_completion,
+    parse_style,
     render_cloze,
     render_prompt,
 )
 
-positive = StyleLabel("positive")
-negative = StyleLabel("negative")
+# A style is its label. parse_style is the one normalization every record
+# and request applies: trimmed, with a leading "not " written in lower case.
+positive = "positive"
+negative = "negative"
+print("--- style label")
+print(repr(parse_style(" Not  negative ")))   # 'not negative'
+print()
 text = "I love The Sound of Music; it is the best movie ever!!"
 
 # The four phrasings, over curly braces. Vanilla never mentions the source
@@ -47,9 +52,9 @@ print("raw: ", raw_model_output)
 print("text:", completion.text)
 print("unterminated:", completion.unterminated)
 
-# Few-shot: exemplar blocks rendered under the same template, outputs closed.
-exemplar = Exemplar(input="great food", output="awful food",
-                    source_style=positive, target_style=negative)
+# Few-shot: an exemplar is an (input, output) pair. Its block is rendered
+# under the request's template and styles, its output closed.
+exemplar = Exemplar(input="great food", output="awful food")
 few_shot = TransferRequest(input_text="the staff was friendly",
                            source_style=positive, target_style=negative,
                            exemplars=(exemplar,))

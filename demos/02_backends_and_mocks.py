@@ -12,7 +12,6 @@ import math
 from restyle import (
     BackendEndpoints,
     CompletionRequest,
-    StyleLabel,
     TransferRequest,
     complete,
     embed_tokens,
@@ -29,8 +28,7 @@ endpoints = BackendEndpoints(
 )
 
 prompt = render_prompt(TransferRequest(
-    input_text="good food", source_style=StyleLabel("positive"),
-    target_style=StyleLabel("negative")))
+    input_text="good food", source_style="positive", target_style="negative"))
 
 # Completion: k candidates ordered by generator score. The flip mock swaps
 # antonyms for candidate 1 and pads copies for the rest.

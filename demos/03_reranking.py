@@ -9,7 +9,7 @@ fluency) picks the rewrite instead.
 
 import math
 
-from restyle import Candidate, RerankConfig, StyleLabel, TransferRequest
+from restyle import Candidate, RerankConfig, TransferRequest
 from restyle.mocks import mock_endpoints
 from restyle.reranking import (
     fluency_logprob,
@@ -20,8 +20,6 @@ from restyle.reranking import (
 )
 
 endpoints = mock_endpoints()
-positive = StyleLabel("positive")
-negative = StyleLabel("negative")
 source = "the food was good"
 
 # An adversarial pool: the copy sits at the top of the beam.
@@ -34,7 +32,7 @@ pool = [
 print("--- factor by factor")
 for cand in pool:
     sim = similarity_score(source, cand.text, endpoints)
-    strength = style_strength(cand.text, positive, negative, endpoints)
+    strength = style_strength(cand.text, "positive", "negative", endpoints)
     fluency = fluency_logprob(cand.text, endpoints)
     print(f"  {cand.text!r:24} sim={sim:.3f} strength={strength:.2f} "
           f"fluency={fluency:8.2f}")
@@ -42,8 +40,8 @@ for cand in pool:
 # The copy wins on similarity (1.0) and ties on fluency, but its strength
 # toward "negative" is 0.1 against the flip's 0.9: a gap of ln(9) ~ 2.2 in
 # log space, far larger than the similarity gap.
-req = TransferRequest(input_text=source, source_style=positive,
-                      target_style=negative)
+req = TransferRequest(input_text=source, source_style="positive",
+                      target_style="negative")
 cfg = RerankConfig(k=3, endpoints=endpoints)
 winner, scores = rerank(req, pool, cfg)
 baseline = top_beam_baseline(pool)

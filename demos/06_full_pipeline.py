@@ -11,7 +11,6 @@ import json
 from restyle import (
     RequestTemplate,
     RerankConfig,
-    StyleLabel,
     StylePairRecord,
     SweepGrid,
     TemplateKind,
@@ -23,13 +22,11 @@ from restyle import (
 from restyle.mocks import mock_endpoints
 from restyle.pipeline import directions_in
 
-positive = StyleLabel("positive")
-negative = StyleLabel("negative")
 records = [
-    StylePairRecord("p0", "the food was good", None, positive, negative),
-    StylePairRecord("p1", "great service and fresh bread", None, positive, negative),
-    StylePairRecord("n0", "the room was dirty", None, negative, positive),
-    StylePairRecord("n1", "terrible food and rude staff", None, negative, positive),
+    StylePairRecord("p0", "the food was good", None, "positive", "negative"),
+    StylePairRecord("p1", "great service and fresh bread", None, "positive", "negative"),
+    StylePairRecord("n0", "the room was dirty", None, "negative", "positive"),
+    StylePairRecord("n1", "terrible food and rude staff", None, "negative", "positive"),
 ]
 
 endpoints = mock_endpoints()

@@ -79,7 +79,6 @@ from .prompts import (
     ExtractionResult,
     PromptConfig,
     PromptError,
-    StyleLabel,
     TemplateKind,
     TransferRequest,
     builtin_delimiters,

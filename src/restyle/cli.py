@@ -81,10 +81,10 @@ def _run_config(args) -> RerankConfig:
 
 
 def _parse_direction(item: str) -> tuple[str, str]:
-    """A from:to pair, each style rendered as dataset records render it."""
+    """A from:to pair, each style written as dataset records write it."""
     if ":" not in item:
         raise CliError(f"direction {item!r} must look like from:to")
-    source, target = (parse_style(style).render() for style in item.split(":", 1))
+    source, target = (parse_style(style) for style in item.split(":", 1))
     return source, target
 
 
@@ -128,16 +128,14 @@ def cmd_transfer(args) -> int:
     template = prompts.template(args.template)
     delimiter = prompts.delimiter(args.delimiter)
     cfg = _run_config(args)
-    source_style = parse_style(args.from_style)
-    target_style = parse_style(args.to_style)
-    direction = (source_style.render(), target_style.render())
+    direction = (parse_style(args.from_style), parse_style(args.to_style))
     exemplars = select_exemplars(_exemplar_pool(args, args.shots), direction,
                                  args.shots)
 
     if args.text is not None:
         req = TransferRequest(
             input_text=clean_text(args.text) if args.clean else args.text,
-            source_style=source_style, target_style=target_style,
+            source_style=direction[0], target_style=direction[1],
             template=template, delimiter=delimiter, exemplars=exemplars)
         winner, record = transfer_one(req, cfg, seed=args.seed,
                                       example_id="cli-0")

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .backends import check_count
-from .prompts import StyleLabel, parse_style
+from .prompts import parse_style
 
 logger = logging.getLogger(__name__)
 
@@ -36,25 +36,28 @@ class ComparisonParseError(DatasetError):
 
 @dataclass(frozen=True)
 class StylePairRecord:
-    """One dataset row: a source text with styles and an optional reference."""
+    """One dataset row: a source text with styles and an optional reference.
+    The styles are stored as :func:`~restyle.prompts.parse_style` writes them."""
 
     id: str
     source: str
     reference: str | None
-    source_style: StyleLabel
-    target_style: StyleLabel
+    source_style: str
+    target_style: str
 
     def __post_init__(self):
         if not self.source.strip():
             raise DatasetError(f"record {self.id!r} has a blank source")
+        object.__setattr__(self, "source_style", parse_style(self.source_style))
+        object.__setattr__(self, "target_style", parse_style(self.target_style))
 
     def to_dict(self) -> dict:
         return {
             "id": self.id,
             "source": self.source,
             "reference": self.reference,
-            "source_style": self.source_style.render(),
-            "target_style": self.target_style.render(),
+            "source_style": self.source_style,
+            "target_style": self.target_style,
         }
 
 
@@ -113,8 +116,8 @@ def _build_record(row: dict, lineno: int, clean: bool) -> StylePairRecord:
         id=f"line-{lineno}" if row_id in (None, "") else str(row_id),
         source=source,
         reference=reference,
-        source_style=parse_style(row["source_style"]),
-        target_style=parse_style(row["target_style"]),
+        source_style=row["source_style"],
+        target_style=row["target_style"],
     )
 
 
@@ -179,9 +182,7 @@ def load_dataset(path: str, format: str, *, clean: bool = False,
         seen_ids.add(record.id)
         records.append(record)
 
-    directions = Counter(
-        f"{r.source_style.render()}->{r.target_style.render()}" for r in records
-    )
+    directions = Counter(f"{r.source_style}->{r.target_style}" for r in records)
     logger.info("%s: %d records (%d skipped), directions: %s",
                 path, len(records), skipped, dict(directions))
     return records
@@ -287,8 +288,8 @@ def generate_symb(spec: SymbSpec) -> list[StylePairRecord]:
             id=f"symb-{i:04d}",
             source=source,
             reference=verbalize_comparison(source),
-            source_style=StyleLabel("symbolic"),
-            target_style=StyleLabel("English"),
+            source_style="symbolic",
+            target_style="English",
         ))
     return records
 

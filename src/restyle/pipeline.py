@@ -187,7 +187,7 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
         raise PipelineError("transfer_corpus requires a non-empty record list")
     check_count(jobs, "jobs")
     labels = metrics.accuracy_labels(cfg.endpoints, (
-        style.render() for r in records for style in (r.source_style, r.target_style)))
+        style for r in records for style in (r.source_style, r.target_style)))
 
     def one(item: tuple[int, StylePairRecord]) -> tuple[dict, RerankScore | None,
                                                         str | None]:
@@ -343,18 +343,18 @@ class SweepGrid:
 
 
 def _direction(record: StylePairRecord) -> tuple[str, str]:
-    return record.source_style.render(), record.target_style.render()
+    return record.source_style, record.target_style
 
 
 def directions_in(records: list[StylePairRecord]) -> tuple[tuple[str, str], ...]:
-    """Distinct rendered (source, target) style directions, in first-seen order."""
+    """Distinct (source, target) style directions, in first-seen order."""
     return tuple(dict.fromkeys(_direction(r) for r in records))
 
 
 def records_in(records: Iterable[StylePairRecord],
                direction: tuple[str, str]) -> list[StylePairRecord]:
-    """The records whose rendered (source, target) styles are ``direction``,
-    the form :attr:`SweepGrid.directions` holds."""
+    """The records whose (source, target) styles are ``direction``, the form
+    :attr:`SweepGrid.directions` holds."""
     return [r for r in records if _direction(r) == direction]
 
 
@@ -370,8 +370,7 @@ def select_exemplars(pool: Iterable[StylePairRecord], direction: tuple[str, str]
         raise ValueError(
             f"{shots} shots need {shots} exemplars with a reference in "
             f"direction {direction[0]}->{direction[1]}, the pool has {len(usable)}")
-    return tuple(Exemplar(input=r.source, output=r.reference,
-                          source_style=r.source_style, target_style=r.target_style)
+    return tuple(Exemplar(input=r.source, output=r.reference)
                  for r in usable[:shots])
 
 
@@ -451,5 +450,5 @@ def copy_baseline(records: list[StylePairRecord],
     if not records:
         raise PipelineError("copy_baseline requires a non-empty record list")
     return metrics.summarize(
-        [EvalRow(r.source, r.source, r.reference, r.source_style.render(),
-                 r.target_style.render()) for r in records], endpoints)
+        [EvalRow(r.source, r.source, r.reference, r.source_style,
+                 r.target_style) for r in records], endpoints)

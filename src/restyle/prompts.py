@@ -28,27 +28,17 @@ class DelimiterKind(str, Enum):
     COMPLEMENTARY = "complementary"
 
 
-@dataclass(frozen=True)
-class StyleLabel:
-    """A free-text style descriptor, optionally negated ("not <name>")."""
-
-    name: str
-    negated: bool = False
-
-    def __post_init__(self):
-        if not self.name.strip():
-            raise PromptError("style label name must be non-empty")
-
-    def render(self) -> str:
-        return f"not {self.name}" if self.negated else self.name
-
-
-def parse_style(text: str) -> StyleLabel:
-    """Parse a label string, treating a leading "not " as negation."""
+def parse_style(text: str) -> str:
+    """The one style rule: a style is its trimmed label, and a leading "not "
+    (any case) before a non-blank rest is written "not " + the trimmed rest.
+    PromptError for a blank or non-string label."""
+    if not isinstance(text, str) or not text.strip():
+        raise PromptError(f"style label must be a non-blank string, got {text!r}")
     text = text.strip()
-    if text.lower().startswith("not ") and text[4:].strip():
-        return StyleLabel(text[4:].strip(), negated=True)
-    return StyleLabel(text)
+    rest = text[4:].strip()
+    if text[:4].lower() == "not " and rest:
+        return "not " + rest
+    return text
 
 
 @dataclass(frozen=True)
@@ -120,8 +110,8 @@ class TemplateKind(str, Enum):
     NEGATION_V2 = "negation_v2"
 
 
-# The four builtin phrasings. {x} is the input text, {s1}/{s2} the rendered
-# style labels, {d1}/{d2} the delimiter markers. Every template must end with
+# The four builtin phrasings. {x} is the input text, {s1}/{s2} the style
+# labels, {d1}/{d2} the delimiter markers. Every template must end with
 # {d1}: the trailing opening marker is the generation slot.
 TEMPLATES: dict[TemplateKind, str] = {
     TemplateKind.VANILLA: (
@@ -157,12 +147,11 @@ def builtin_template(name: str) -> TemplateKind | None:
 
 @dataclass(frozen=True)
 class Exemplar:
-    """One worked input/output pair prepended to few-shot prompts."""
+    """One worked input/output pair prepended to few-shot prompts; it is
+    rendered with the styles of the request it belongs to."""
 
     input: str
     output: str
-    source_style: StyleLabel
-    target_style: StyleLabel
 
     def __post_init__(self):
         if not self.input or not self.output:
@@ -174,12 +163,13 @@ class TransferRequest:
     """Everything needed to render one style transfer prompt.
 
     ``template`` is either a builtin :class:`TemplateKind` or a raw template
-    string using the same placeholders (for user-supplied phrasings).
+    string using the same placeholders (for user-supplied phrasings). The
+    styles are stored as :func:`parse_style` writes them.
     """
 
     input_text: str
-    source_style: StyleLabel
-    target_style: StyleLabel
+    source_style: str
+    target_style: str
     template: TemplateKind | str = TemplateKind.CONTRASTIVE
     delimiter: DelimiterPair = DELIMITERS["curly"]
     exemplars: tuple[Exemplar, ...] = ()
@@ -187,14 +177,8 @@ class TransferRequest:
     def __post_init__(self):
         if not self.input_text:
             raise PromptError("input_text must be non-empty")
-        for ex in self.exemplars:
-            if (ex.source_style, ex.target_style) != (self.source_style,
-                                                      self.target_style):
-                raise PromptError(
-                    "exemplar style direction "
-                    f"{ex.source_style.render()}->{ex.target_style.render()} "
-                    "does not match the request direction"
-                )
+        object.__setattr__(self, "source_style", parse_style(self.source_style))
+        object.__setattr__(self, "target_style", parse_style(self.target_style))
 
 
 def template_string(template: TemplateKind | str) -> str:
@@ -217,18 +201,13 @@ def validate_template(text: str) -> None:
         raise PromptError("template must end with {d1} (the generation slot)")
 
 
-def _fill(template: str, x: str, s1: StyleLabel, s2: StyleLabel,
-          d: DelimiterPair) -> str:
-    return template.format(x=x, s1=s1.render(), s2=s2.render(),
-                           d1=d.open, d2=d.close)
-
-
 def render_prompt(req: TransferRequest) -> str:
     """Render the full prompt for a transfer request.
 
-    Exemplar blocks (if any) are rendered under the same template, each with
-    its output enclosed in the delimiter pair, and joined to the query block
-    by single newlines. The result always ends with the opening delimiter.
+    Exemplar blocks (if any) are rendered under the same template and with
+    the request's styles, each with its output enclosed in the delimiter
+    pair, and joined to the query block by single newlines. The result
+    always ends with the opening delimiter.
 
     Raises :class:`DelimiterCollisionError` if any text slot contains the
     closing delimiter; there is deliberately no escaping scheme, callers
@@ -236,6 +215,10 @@ def render_prompt(req: TransferRequest) -> str:
     """
     tmpl = template_string(req.template)
     d = req.delimiter
+
+    def fill(x: str) -> str:
+        return tmpl.format(x=x, s1=req.source_style, s2=req.target_style,
+                           d1=d.open, d2=d.close)
 
     def check_collision(text: str, what: str) -> None:
         if d.close in text:
@@ -248,10 +231,8 @@ def render_prompt(req: TransferRequest) -> str:
     for ex in req.exemplars:
         check_collision(ex.input, "exemplar input")
         check_collision(ex.output, "exemplar output")
-        rendered = _fill(tmpl, ex.input, ex.source_style, ex.target_style, d)
-        blocks.append(rendered + ex.output + d.close)
-    blocks.append(_fill(tmpl, req.input_text, req.source_style,
-                        req.target_style, d))
+        blocks.append(fill(ex.input) + ex.output + d.close)
+    blocks.append(fill(req.input_text))
     return "\n".join(blocks)
 
 

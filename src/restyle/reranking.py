@@ -25,7 +25,7 @@ import numpy as np
 
 from . import backends
 from .backends import BackendEndpoints, CompletionRequest, DecodeConfig, check_count
-from .prompts import StyleLabel, TransferRequest, render_cloze
+from .prompts import TransferRequest, render_cloze
 
 # Probability floor applied to the similarity and strength factors before
 # taking logs; keeps composites finite without moving any non-degenerate
@@ -131,20 +131,19 @@ def _unit_rows(resp: backends.EmbeddingResponse) -> np.ndarray:
     return mat / np.sqrt(np.add.reduce(mat * mat, axis=1, keepdims=True))
 
 
-def _label_strength(lookup, text: str, s1: StyleLabel, s2: StyleLabel,
+def _label_strength(lookup, text: str, s1: str, s2: str,
                     endpoints: BackendEndpoints) -> float:
     """The l1-normalized likelihood of s2 against s1, 0.5 when both are zero,
     from the raw label likelihoods ``lookup`` returns for ``text``."""
-    labels = [s1.render(), s2.render()]
-    scores = lookup(endpoints, text, labels).scores
-    raw_source, raw_target = scores[labels[0]], scores[labels[1]]
+    scores = lookup(endpoints, text, [s1, s2]).scores
+    raw_source, raw_target = scores[s1], scores[s2]
     total = raw_source + raw_target
     if total == 0:
         return 0.5
     return raw_target / total
 
 
-def style_strength(cand: str, s1: StyleLabel, s2: StyleLabel,
+def style_strength(cand: str, s1: str, s2: str,
                    endpoints: BackendEndpoints) -> float:
     """Probability in [0, 1] that the text carries style s2 rather than s1.
 
@@ -160,7 +159,7 @@ def style_strength(cand: str, s1: StyleLabel, s2: StyleLabel,
                            s1, s2, endpoints)
 
 
-def classifier_strength(cand: str, s1: StyleLabel, s2: StyleLabel,
+def classifier_strength(cand: str, s1: str, s2: str,
                         endpoints: BackendEndpoints) -> float:
     """Like style_strength, but from a trained classifier endpoint."""
     return _label_strength(backends.classify, cand, s1, s2, endpoints)

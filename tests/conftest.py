@@ -5,11 +5,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from restyle import StyleLabel, StylePairRecord
+from restyle import StylePairRecord
 from restyle.mocks import mock_endpoints
 
-POSITIVE = StyleLabel("positive")
-NEGATIVE = StyleLabel("negative")
+POSITIVE = "positive"
+NEGATIVE = "negative"
 
 
 @pytest.fixture

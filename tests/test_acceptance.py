@@ -22,7 +22,6 @@ from restyle.metrics import (
 from restyle.mocks import UniformScoreBackend, antonym_flip, mock_endpoints
 from restyle.pipeline import SweepGrid, directions_in, run_sweep, transfer_one
 from restyle.prompts import (
-    StyleLabel,
     TemplateKind,
     TransferRequest,
     builtin_delimiters,
@@ -31,8 +30,8 @@ from restyle.prompts import (
 )
 from restyle.reranking import RerankConfig, style_strength
 
-POS = StyleLabel("positive")
-NEG = StyleLabel("negative")
+POS = "positive"
+NEG = "negative"
 
 
 def report(n, message):
@@ -54,7 +53,7 @@ def test_criterion_1_prompt_fidelity():
     words = ["zq7kv", "wm3xt", "plume", "vortex", "ember", "slate", "roan"]
     inputs = [" ".join(rng.choices(words, k=rng.randint(2, 9)))
               for _ in range(1000)]
-    labels = (StyleLabel("ornate"), StyleLabel("plain"))
+    labels = ("ornate", "plain")
     pairs = builtin_delimiters()
     start = time.perf_counter()
     failures = 0

@@ -30,10 +30,10 @@ from restyle.mocks import (
     UniformScoreBackend,
     resolve_mock_url,
 )
-from restyle.prompts import DELIMITERS, StyleLabel, TemplateKind, TransferRequest, render_prompt
+from restyle.prompts import DELIMITERS, TemplateKind, TransferRequest, render_prompt
 
-POS = StyleLabel("positive")
-NEG = StyleLabel("negative")
+POS = "positive"
+NEG = "negative"
 
 
 def sentiment_prompt(text="good food"):

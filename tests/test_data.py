@@ -16,7 +16,6 @@ from restyle.data import (
     save_records,
     verbalize_comparison,
 )
-from restyle.prompts import StyleLabel
 
 
 class TestCleanText:
@@ -70,7 +69,7 @@ class TestLoadDataset:
         assert len(records) == 3
         assert records[0].source == "good food"
         assert records[1].reference is None
-        assert records[2].target_style == StyleLabel("positive")
+        assert records[2].target_style == "positive"
 
     def test_falsy_id_kept_and_absent_id_numbered(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -170,8 +169,7 @@ class TestLoadDataset:
     def test_record_rejects_blank_source(self):
         with pytest.raises(DatasetError, match="blank source"):
             StylePairRecord(id="x", source="  ", reference="y",
-                            source_style=StyleLabel("a"),
-                            target_style=StyleLabel("b"))
+                            source_style="a", target_style="b")
 
     def test_duplicate_id_strict(self, tmp_path):
         rows = self.rows()
@@ -201,11 +199,9 @@ class TestLoadDataset:
     def test_round_trip_both_formats(self, tmp_path):
         records = [
             StylePairRecord(id="a", source="good food", reference="bad food",
-                            source_style=StyleLabel("positive"),
-                            target_style=StyleLabel("negative")),
+                            source_style="positive", target_style="negative"),
             StylePairRecord(id="b", source="quiet night", reference=None,
-                            source_style=StyleLabel("calm"),
-                            target_style=StyleLabel("tense")),
+                            source_style="calm", target_style="tense"),
         ]
         for fmt in ("jsonl", "tsv"):
             path = tmp_path / f"out.{fmt}"
@@ -222,8 +218,8 @@ class TestGenerateSymb:
             assert op in ("<", ">")
             assert a != b
             assert record.reference == verbalize_comparison(record.source)
-            assert record.source_style == StyleLabel("symbolic")
-            assert record.target_style == StyleLabel("English")
+            assert record.source_style == "symbolic"
+            assert record.target_style == "English"
 
     def test_seeded_determinism(self):
         assert generate_symb(SymbSpec(n=50, seed=7)) == \

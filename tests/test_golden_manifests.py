@@ -16,13 +16,12 @@ import pytest
 from restyle.data import StylePairRecord
 from restyle.mocks import ANTONYMS, antonym_flip, mock_endpoints
 from restyle.pipeline import RequestTemplate, transfer_corpus, write_manifest
-from restyle.prompts import StyleLabel
 from restyle.reranking import RerankConfig
 
 DATA = Path(__file__).parent / "data"
 PINNED_TIMESTAMP = "2000-01-01T00:00:00+00:00"
-POS = StyleLabel("positive")
-NEG = StyleLabel("negative")
+POS = "positive"
+NEG = "negative"
 
 SUBJECTS = ("the food", "our waiter", "the room", "this place",
             "the bread", "the staff", "my meal")

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from fakes import StaticMaskBackend
 from loopback import LoopbackServer, Reply, mock_answer
 from restyle import metrics
 from restyle.backends import (
@@ -14,7 +15,12 @@ from restyle.backends import (
 )
 from restyle.data import StylePairRecord, load_dataset
 from restyle.metrics import EvalSummary, ref_sbleu
-from restyle.mocks import LexiconFlipBackend, SentimentMaskBackend, mock_endpoints
+from restyle.mocks import (
+    EchoCompletionBackend,
+    LexiconFlipBackend,
+    SentimentMaskBackend,
+    mock_endpoints,
+)
 from restyle.pipeline import (
     PipelineError,
     RequestTemplate,
@@ -22,6 +28,7 @@ from restyle.pipeline import (
     copy_baseline,
     directions_in,
     read_manifest,
+    records_in,
     reevaluate_manifest,
     run_sweep,
     select_exemplars,
@@ -31,16 +38,17 @@ from restyle.pipeline import (
 )
 from restyle.prompts import (
     DELIMITERS,
+    DelimiterPair,
     Exemplar,
-    StyleLabel,
+    PromptConfig,
     TemplateKind,
     TransferRequest,
     builtin_delimiters,
 )
 from restyle.reranking import RerankConfig
 
-POS = StyleLabel("positive")
-NEG = StyleLabel("negative")
+POS = "positive"
+NEG = "negative"
 
 
 class Unreachable:
@@ -108,6 +116,44 @@ class TestTransferCorpus:
         assert manifest.summary.ppl == pytest.approx(50257, rel=1e-9)
         assert manifest.summary.r_sbleu is None  # no references anywhere
         assert [r["id"] for r in manifest.records] == ["p0", "p1", "n0", "n1"]
+
+    def test_custom_delimiter_reaches_prompt_and_manifest(self, sentiment_records):
+        wide = PromptConfig(delimiters={"wide": DelimiterPair("<<", ">>")}
+                            ).delimiter("wide")
+        ep = mock_endpoints(complete=EchoCompletionBackend("the food was bad>>"))
+        manifest = transfer_corpus(sentiment_records[:1],
+                                   RequestTemplate(delimiter=wide),
+                                   RerankConfig(k=2, endpoints=ep), jobs=1)
+        (rec,) = manifest.records
+        assert rec["prompt"] == (
+            "Here is a text, which is positive: <<the food was good>> "
+            "Here is a rewrite of the text, which is negative: <<")
+        assert rec["winner"] == "the food was bad"
+        assert manifest.config["delimiter"] == \
+            {"name": "<<|>>", "open": "<<", "close": ">>"}
+
+    def test_negated_direction_with_exemplars(self):
+        # Labels as a dataset might write them; records, exemplars and the
+        # request all hold the parse_style form.
+        rows = [record("a", "the food was good", src=" Not  negative",
+                       dst="negative ", reference="the food was bad"),
+                record("b", "great service", src=" Not  negative", dst="negative ")]
+        exemplars = select_exemplars(rows, ("not negative", "negative"), 1)
+        ep = mock_endpoints(fill_mask=StaticMaskBackend(
+            {"not negative": 0.2, "negative": 0.6}))
+        cfg = RerankConfig(k=2, use_fluency=False, endpoints=ep)
+        manifest = transfer_corpus(rows[1:], RequestTemplate(exemplars=exemplars),
+                                   cfg, jobs=1)
+        (rec,) = manifest.records
+        assert "error" not in rec
+        assert rec["prompt"].split("\n") == [
+            "Here is a text, which is not negative: {the food was good} "
+            "Here is a rewrite of the text, which is negative: {the food was bad}",
+            "Here is a text, which is not negative: {great service} "
+            "Here is a rewrite of the text, which is negative: {",
+        ]
+        assert (rec["source_style"], rec["target_style"]) == \
+            ("not negative", "negative")
 
     def test_references_enable_r_sbleu(self, mock_ep):
         records = [record("a", "the food was good", reference="the food was bad")]
@@ -473,6 +519,11 @@ class TestSweep:
         assert "{reference p0}" in prompts[1] and "{reference n0}" in prompts[4]
         assert prompts[2].index("{reference p0}") < prompts[2].index("{reference p1}")
 
+    def test_record_styles_are_parsed(self):
+        spaced = record("a", "x", src=" positive ")
+        assert spaced == record("a", "x")
+        assert records_in([spaced], ("positive", "negative")) == [spaced]
+
     def test_select_exemplars_skips_blank_references(self):
         pool = [record("a", "x", reference="  "), record("b", "y"),
                 record("c", "z", src=NEG, dst=POS, reference="ref c"),
@@ -480,7 +531,7 @@ class TestSweep:
         direction = ("positive", "negative")
         assert select_exemplars(pool, direction, 0) == ()
         assert select_exemplars(pool, direction, 1) == \
-            (Exemplar(input="w", output="ref d", source_style=POS, target_style=NEG),)
+            (Exemplar(input="w", output="ref d"),)
         with pytest.raises(ValueError, match="the pool has 1"):
             select_exemplars(pool, direction, 2)
         with pytest.raises(ValueError, match="shots must be >= 0"):

@@ -12,7 +12,6 @@ from restyle.prompts import (
     DelimiterPair,
     Exemplar,
     PromptError,
-    StyleLabel,
     TemplateKind,
     TransferRequest,
     builtin_delimiters,
@@ -25,8 +24,8 @@ from restyle.prompts import (
     render_prompt,
 )
 
-POS = StyleLabel("positive")
-NEG = StyleLabel("negative")
+POS = "positive"
+NEG = "negative"
 MOVIE = "I love The Sound of Music; it is the best movie ever!!"
 
 
@@ -78,17 +77,29 @@ class TestDelimiters:
 
 
 class TestStyleLabel:
-    def test_negated_rendering(self):
-        assert StyleLabel("positive", negated=True).render() == "not positive"
-        assert StyleLabel("formal").render() == "formal"
+    """A style is its label, written as parse_style writes it."""
 
     def test_empty_name_rejected(self):
-        with pytest.raises(PromptError):
-            StyleLabel("   ")
+        for label in ("", "   ", None, 3):
+            with pytest.raises(PromptError, match="non-blank string"):
+                parse_style(label)
+            with pytest.raises(PromptError, match="non-blank string"):
+                make_request(source_style=label)
 
     def test_parse_style(self):
-        assert parse_style("not informal") == StyleLabel("informal", negated=True)
-        assert parse_style("informal") == StyleLabel("informal")
+        assert parse_style("not informal") == "not informal"
+        assert parse_style(" NOT   informal ") == "not informal"
+        assert parse_style("informal") == "informal"
+        assert parse_style(" informal\t") == "informal"
+        assert parse_style("Not") == "Not"
+        assert parse_style("not ") == "not"
+        assert parse_style("notable") == "notable"
+
+    def test_request_stores_parsed_styles(self):
+        req = make_request(source_style=" Not  negative", target_style="negative ")
+        assert (req.source_style, req.target_style) == ("not negative", "negative")
+        assert req == make_request(source_style="not negative",
+                                   target_style="negative")
 
 
 class TestRenderPrompt:
@@ -128,8 +139,7 @@ class TestRenderPrompt:
         assert len(TemplateKind) == 4
 
     def test_few_shot_blocks(self):
-        exemplar = Exemplar(input="great food", output="awful food",
-                            source_style=POS, target_style=NEG)
+        exemplar = Exemplar(input="great food", output="awful food")
         prompt = render_prompt(make_request(exemplars=(exemplar, exemplar)))
         blocks = prompt.split("\n")
         assert len(blocks) == 3
@@ -142,11 +152,13 @@ class TestRenderPrompt:
         assert render_prompt(make_request(exemplars=())) == \
             render_prompt(make_request())
 
-    def test_exemplar_direction_must_match(self):
-        flipped = Exemplar(input="x", output="y",
-                           source_style=NEG, target_style=POS)
-        with pytest.raises(PromptError):
-            make_request(exemplars=(flipped,))
+    def test_exemplars_take_the_request_styles(self):
+        exemplar = Exemplar(input="great food", output="awful food")
+        prompt = render_prompt(make_request(
+            source_style=NEG, target_style=POS, exemplars=(exemplar,)))
+        assert prompt.split("\n")[0] == (
+            "Here is a text, which is negative: {great food} "
+            "Here is a rewrite of the text, which is positive: {awful food}")
 
     def test_empty_input_rejected(self):
         with pytest.raises(PromptError):
@@ -247,7 +259,7 @@ class TestPromptConfig:
 def test_random_render_extract_round_trip():
     rng = random.Random(1234)
     words = ["calm", "vivid", "slate", "ember", "quartz", "violet", "thorn"]
-    labels = (StyleLabel("ornate"), StyleLabel("plain"))
+    labels = ("ornate", "plain")
     for _ in range(200):
         text = " ".join(rng.choices(words, k=rng.randint(1, 8)))
         template = rng.choice(list(TemplateKind))

@@ -12,8 +12,9 @@ from restyle.mocks import (
     UniformScoreBackend,
     mock_endpoints,
 )
-from restyle.prompts import StyleLabel, TransferRequest
+from restyle.prompts import TransferRequest, parse_style
 from restyle.reranking import (
+    PROB_FLOOR,
     Candidate,
     RerankConfig,
     RerankScore,
@@ -24,8 +25,8 @@ from restyle.reranking import (
     top_beam_baseline,
 )
 
-POS = StyleLabel("positive")
-NEG = StyleLabel("negative")
+POS = "positive"
+NEG = "negative"
 
 
 def make_pool(*texts, gen_scores=None):
@@ -84,6 +85,12 @@ class TestSimilarity:
         value = similarity_score("alpha beta", "gamma delta", mock_ep)
         assert 0.0 < value <= 1.0
 
+    def test_opposite_tokens_score_the_floor(self):
+        # cos = -1 gives precision + recall = -2, with no F1 to take
+        ep = BackendEndpoints(embed=FixedEmbedBackend({"a": (1.0, 0.0),
+                                                       "b": (-1.0, 0.0)}))
+        assert similarity_score("a", "b", ep) == PROB_FLOOR
+
     def test_empty_text_rejected(self, mock_ep):
         with pytest.raises(ValueError):
             similarity_score("", "x", mock_ep)
@@ -116,11 +123,14 @@ class TestStyleStrength:
     def test_same_style_rejected(self, mock_ep):
         with pytest.raises(ValueError):
             style_strength("x", POS, POS, mock_ep)
+        with pytest.raises(ValueError, match="two distinct styles"):
+            style_strength("x", "not negative", parse_style(" Not  negative"),
+                           mock_ep)
 
     def test_multi_token_label_rejected(self):
         ep = BackendEndpoints(fill_mask=SentimentMaskBackend())
         with pytest.raises(LabelError, match="label not single-token"):
-            style_strength("x", StyleLabel("positive", negated=True), NEG, ep)
+            style_strength("x", "not positive", NEG, ep)
 
 
 class TestFluency:
@@ -274,9 +284,12 @@ class TestTopBeamBaseline:
             top_beam_baseline([])
 
 
-@given(st.lists(st.tuples(st.floats(-10, 0), st.floats(-10, 0), st.floats(-60, 0)),
+# Exact arithmetic: over floats a shift rounds each sum, so a near-tie can
+# become a tie or flip, while the property holds over the reals.
+@given(st.lists(st.tuples(st.fractions(-10, 0), st.fractions(-10, 0),
+                          st.fractions(-60, 0)),
                 min_size=1, max_size=6),
-       st.floats(-5, 5), st.integers(0, 2))
+       st.fractions(-5, 5), st.integers(0, 2))
 def test_argmax_invariant_under_factor_shift(tuples, shift, which):
     def winner(rows):
         best = 0

@@ -14,15 +14,18 @@ signatures are comparable in spirit only.
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from . import backends
 from .backends import BackendEndpoints, check_real
+
+logger = logging.getLogger(__name__)
 
 MAX_NGRAM_ORDER = 4
 
@@ -269,11 +272,16 @@ def classifier_accuracy(outputs: list[str], target_styles: list[str],
     return hits / len(outputs)
 
 
+def top_label(scores: Mapping[str, float]) -> str:
+    """The label with the highest likelihood, the first in sorted order on
+    ties."""
+    return max(sorted(scores), key=scores.__getitem__)
+
+
 def predict_style(endpoints: BackendEndpoints, text: str,
                   labels: Sequence[str]) -> str:
-    """The label the classifier endpoint scores highest, the first on ties."""
-    resp = backends.classify(endpoints, text, list(labels))
-    return max(labels, key=lambda lb: resp.scores[lb])
+    """The :func:`top_label` of the classifier endpoint's likelihoods."""
+    return top_label(backends.classify(endpoints, text, list(labels)).scores)
 
 
 @dataclass(frozen=True)
@@ -341,7 +349,9 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
     the rows with a non-blank reference; GLEU the rows with both. Accuracy
     compares ``predicted`` styles, or else the classifier's pick among
     ``labels`` (default: :func:`accuracy_labels` of the rows' styles), to the
-    target styles. PPL comes from ``fluency``, each output's (total log-prob, token
+    target styles; when the service cannot score one of ``labels``
+    (:class:`backends.LabelError`), accuracy is None and a warning names the
+    labels. PPL comes from ``fluency``, each output's (total log-prob, token
     count) from reranking, or else from /score calls when ``endpoints`` has
     a score endpoint. Each text is tokenized and counted once.
 
@@ -384,8 +394,7 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
                 style for row in rows
                 for style in (row.source_style, row.target_style)))
         if labels is not None:
-            predicted = [predict_style(endpoints, row.output, labels)
-                         if row.output.strip() else None for row in rows]
+            predicted = _predictions(rows, endpoints, labels)
     if predicted is not None:
         hits = sum(label is not None and label == row.target_style
                    for label, row in zip(predicted, rows))
@@ -397,6 +406,19 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
         if scored:
             values["ppl"] = corpus_perplexity(scored, endpoints)
     return EvalSummary(**values)
+
+
+def _predictions(rows: Sequence[EvalRow], endpoints: BackendEndpoints,
+                 labels: list[str]) -> list[str | None] | None:
+    """The predicted style of each non-blank output, or None from the first
+    label the service cannot score on, with no further call."""
+    try:
+        return [predict_style(endpoints, row.output, labels)
+                if row.output.strip() else None for row in rows]
+    except backends.LabelError as exc:
+        logger.warning("accuracy not measured: the service cannot score the "
+                       "labels %s (%s)", ", ".join(labels), exc)
+        return None
 
 
 # Column order for the prompt-design sweep table.

@@ -88,8 +88,8 @@ def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
     the closing delimiter as the stop string, re-extracts every completion
     (services may ignore the stop), drops empty extractions, and reranks the
     rest. With ``with_winner_score`` a third element is the winner's
-    :class:`RerankScore`, whose fluency totals spare the corpus summary a
-    second /score call.
+    :class:`RerankScore`, whose fluency totals and strength likelihoods can
+    spare the corpus summary a second /score and classify call.
     """
     prompt = render_prompt(req)
     creq = CompletionRequest(
@@ -188,6 +188,11 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     check_count(jobs, "jobs")
     labels = metrics.accuracy_labels(cfg.endpoints, (
         style for r in records for style in (r.source_style, r.target_style)))
+    # Accuracy and strength ask one service when there is no separate
+    # classifier or strength asks the classifier. Over the example's own two
+    # styles the winner's strength likelihoods then answer accuracy.
+    same_service = (cfg.endpoints.classifier is None
+                    or cfg.strength_source == "external_classifier")
 
     def one(item: tuple[int, StylePairRecord]) -> tuple[dict, RerankScore | None,
                                                         str | None]:
@@ -198,8 +203,14 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
             winner, record, score = transfer_one(
                 req, cfg, seed=None if seed is None else seed + index,
                 example_id=rec.id, with_winner_score=True)
-            predicted = (None if labels is None else
-                         metrics.predict_style(cfg.endpoints, winner.text, labels))
+            if labels is None:
+                predicted = None
+            elif same_service and set(labels) == {req.source_style,
+                                                  req.target_style}:
+                predicted = metrics.top_label(score.strength_scores)
+            else:
+                predicted = metrics.predict_style(cfg.endpoints, winner.text,
+                                                  labels)
         except (BackendError, PipelineError, ValueError) as exc:
             logger.warning("example %s failed: %s", rec.id, exc)
             return {**base, "error": f"{type(exc).__name__}: {exc}"}, None, None

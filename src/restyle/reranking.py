@@ -19,7 +19,8 @@ baseline instead takes the candidate the generator itself ranked first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +72,9 @@ class RerankScore:
 
     ``fluency_tokens`` is the token count of the /score response behind
     ``log_fluency``; perplexity needs it, the score record does not.
+    ``strength_scores`` are the raw label likelihoods behind
+    ``log_strength``; summary accuracy reads the winner's, and they take no
+    part in equality or in the score record.
     """
 
     log_similarity: float
@@ -78,6 +82,8 @@ class RerankScore:
     log_fluency: float | None
     composite: float
     fluency_tokens: int | None = None
+    strength_scores: Mapping[str, float] | None = field(default=None,
+                                                        compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -132,37 +138,40 @@ def _unit_rows(resp: backends.EmbeddingResponse) -> np.ndarray:
 
 
 def _label_strength(lookup, text: str, s1: str, s2: str,
-                    endpoints: BackendEndpoints) -> float:
+                    endpoints: BackendEndpoints, with_scores: bool):
     """The l1-normalized likelihood of s2 against s1, 0.5 when both are zero,
-    from the raw label likelihoods ``lookup`` returns for ``text``."""
+    from the raw label likelihoods ``lookup`` returns for ``text``; with
+    ``with_scores``, paired with those likelihoods."""
     scores = lookup(endpoints, text, [s1, s2]).scores
     raw_source, raw_target = scores[s1], scores[s2]
     total = raw_source + raw_target
-    if total == 0:
-        return 0.5
-    return raw_target / total
+    strength = 0.5 if total == 0 else raw_target / total
+    return (strength, scores) if with_scores else strength
 
 
-def style_strength(cand: str, s1: str, s2: str,
-                   endpoints: BackendEndpoints) -> float:
+def style_strength(cand: str, s1: str, s2: str, endpoints: BackendEndpoints,
+                   *, with_scores: bool = False):
     """Probability in [0, 1] that the text carries style s2 rather than s1.
 
     The text is wrapped in the cloze statement, the masked-LM is queried for
     the raw likelihoods of the two style words at the mask position, and the
     pair is l1-normalized. When both raw likelihoods are zero the result is
-    the indifferent 0.5.
+    the indifferent 0.5. With ``with_scores`` the result is ``(strength,
+    scores)``, ``scores`` being the raw likelihood of each of the two labels.
     """
     if s1 == s2:
         raise ValueError("style_strength needs two distinct styles")
     return _label_strength(backends.fill_mask,
                            render_cloze(cand, endpoints.mask_token),
-                           s1, s2, endpoints)
+                           s1, s2, endpoints, with_scores)
 
 
 def classifier_strength(cand: str, s1: str, s2: str,
-                        endpoints: BackendEndpoints) -> float:
+                        endpoints: BackendEndpoints, *,
+                        with_scores: bool = False):
     """Like style_strength, but from a trained classifier endpoint."""
-    return _label_strength(backends.classify, cand, s1, s2, endpoints)
+    return _label_strength(backends.classify, cand, s1, s2, endpoints,
+                           with_scores)
 
 
 def fluency_logprob(cand: str, endpoints: BackendEndpoints, *,
@@ -199,20 +208,21 @@ def score_pool(req: TransferRequest, pool: list[Candidate],
     strength = (classifier_strength
                 if cfg.strength_source == "external_classifier"
                 else style_strength)
-    strengths = [strength(text, req.source_style, req.target_style, endpoints)
+    strengths = [strength(text, req.source_style, req.target_style, endpoints,
+                          with_scores=True)
                  for text in texts]
     fluencies = ([fluency_logprob(text, endpoints, with_token_count=True)
                   for text in texts] if cfg.use_fluency
                  else [(None, None)] * len(texts))
     by_text = {}
-    for text, sim, p_strength, (log_fluency, tokens) in zip(
+    for text, sim, (p_strength, label_scores), (log_fluency, tokens) in zip(
             texts, sims, strengths, fluencies):
         log_sim, log_strength = _floored_log(sim), _floored_log(p_strength)
         composite = log_sim + log_strength
         if log_fluency is not None:
             composite += log_fluency
         by_text[text] = RerankScore(log_sim, log_strength, log_fluency,
-                                    composite, tokens)
+                                    composite, tokens, label_scores)
     return [by_text[cand.text] for cand in pool]
 
 

@@ -2,14 +2,22 @@
 
 At k candidates with d distinct candidate texts, of which c are not the
 source, an example costs 1 complete + (1 + c) embed + d fill_mask + d score
-+ 1 classify calls; the summary reuses the winner's /score response.
+calls; the summary reuses the winner's /score response. Accuracy reads the
+winner's strength likelihoods when it asks the service strength asked (no
+classifier endpoint, or strength from the classifier) over the example's own
+two styles. Otherwise it costs 1 classify call more: a classifier beside
+cloze strength, or a corpus of three or more styles. Strength from the
+classifier endpoint makes its d calls there instead of at /fill_mask.
 """
 
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from restyle.backends import BackendError
+from restyle.backends import BackendEndpoints, BackendError, MaskFillResponse
+from restyle.data import StylePairRecord
+from restyle.metrics import predict_style
 from restyle.mocks import SentimentMaskBackend, mock_endpoints, resolve_mock_url
 from restyle.pipeline import RequestTemplate, transfer_corpus, transfer_one
 from restyle.reranking import RerankConfig
@@ -35,18 +43,20 @@ class Counted:
         return counted
 
 
-def counted_endpoints(log=None, **overrides):
+def counted_endpoints(log=None, classifier=True, **overrides):
     """``mock_endpoints(plant="seed")`` with every service behind a counter,
     all logging to one ``log`` in call order.
 
-    The classifier gets its own sentiment service, so summary accuracy calls
-    are told apart from cloze strength calls.
+    With ``classifier`` the classifier gets its own sentiment service, so
+    summary accuracy calls are told apart from cloze strength calls.
     """
     log = [] if log is None else log
     base = mock_endpoints(plant="seed", **overrides)
     services = {name: Counted(resolve_mock_url(getattr(base, name)), name, log)
                 for name in ("complete", "embed", "fill_mask", "score")}
-    services["classifier"] = Counted(SentimentMaskBackend(), "classifier", log)
+    if classifier:
+        services["classifier"] = Counted(SentimentMaskBackend(), "classifier",
+                                         log)
     return dataclasses.replace(base, **services), services
 
 
@@ -72,6 +82,99 @@ def test_calls_per_example(sentiment_records, overrides, use_fluency,
     assert manifest.summary.ppl is not None
     assert {name: s.calls for name, s in services.items()} == \
         {name: count * n for name, count in per_example.items()}
+
+
+@pytest.mark.parametrize("classifier, strength_source, per_example", [
+    # no separate classifier: accuracy reads the winner's cloze likelihoods
+    (False, "mlm_cloze",
+     {"complete": 1, "embed": 3, "fill_mask": 3, "score": 3}),
+    (False, "external_classifier",
+     {"complete": 1, "embed": 3, "fill_mask": 3, "score": 3}),
+    # strength from the classifier: d classifier calls, not d + 1
+    (True, "external_classifier",
+     {"complete": 1, "embed": 3, "fill_mask": 0, "score": 3, "classifier": 3}),
+])
+def test_accuracy_reuses_the_winners_strength(sentiment_records, classifier,
+                                              strength_source, per_example):
+    endpoints, services = counted_endpoints(classifier=classifier)
+    cfg = RerankConfig(k=3, strength_source=strength_source,
+                       endpoints=endpoints)
+    manifest = transfer_corpus(sentiment_records, RequestTemplate(), cfg,
+                               seed=3, jobs=1)
+    n = len(sentiment_records)
+    assert len(manifest.successful_records()) == n
+    assert manifest.summary.accuracy == 1.0
+    assert {name: s.calls for name, s in services.items()} == \
+        {name: count * n for name, count in per_example.items()}
+
+
+class EveryLabel:
+    """A /fill_mask-shaped service that scores every label alike."""
+
+    def fill_mask(self, text, labels):
+        return MaskFillResponse({label: 1.0 for label in labels})
+
+
+def test_a_third_style_keeps_the_accuracy_call(sentiment_records):
+    # The label set {negative, neutral, positive} is no example's own pair.
+    records = sentiment_records + [StylePairRecord(
+        id="u0", source="the food was here", reference=None,
+        source_style="neutral", target_style="positive")]
+    log = []
+    endpoints, services = counted_endpoints(log, classifier=False)
+    services["fill_mask"].service = EveryLabel()
+    manifest = transfer_corpus(records, RequestTemplate(),
+                               RerankConfig(k=3, endpoints=endpoints),
+                               seed=3, jobs=1)
+    assert len(manifest.successful_records()) == len(records)
+    assert manifest.summary.accuracy is not None
+    for record, calls in zip(manifest.records, split_by_example(log)):
+        distinct = len({c["text"] for c in record["candidates"]})
+        assert calls.count("fill_mask") == distinct + 1
+        assert calls[-1] == "fill_mask"
+
+
+class TableMask:
+    """A /fill_mask-shaped service that answers each label's likelihood from
+    a fixed table, whatever the order of the labels asked for."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def fill_mask(self, text, labels):
+        return MaskFillResponse({label: self.table[label] for label in labels})
+
+
+# Zeros and exact ties come from the sampled values.
+LIKELIHOODS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                        st.floats(0.0, 1e6, allow_nan=False))
+
+
+@given(styles=st.lists(st.sampled_from(["a", "b", "formal", "informal",
+                                        "negative", "positive"]),
+                       min_size=2, max_size=2, unique=True),
+       likelihoods=st.tuples(LIKELIHOODS, LIKELIHOODS))
+@settings(max_examples=60, deadline=None)
+def test_reused_label_is_the_live_prediction(styles, likelihoods):
+    # The strength request asks for [source, target]: sorted or reversed,
+    # as the draw falls.
+    source, target = styles
+    table = dict(zip(styles, likelihoods))
+    endpoints, services = counted_endpoints(classifier=False,
+                                            complete="mock://echo")
+    services["fill_mask"].service = TableMask(table)
+    record = StylePairRecord(id="x", source="the food was good",
+                             reference=None, source_style=source,
+                             target_style=target)
+    manifest = transfer_corpus([record], RequestTemplate(),
+                               RerankConfig(k=3, endpoints=endpoints), jobs=1)
+    # k copies of the source: one strength call and no accuracy call.
+    assert services["fill_mask"].calls == 1
+    live = predict_style(BackendEndpoints(fill_mask=TableMask(table)),
+                         manifest.records[0]["winner"], sorted(styles))
+    # Over two labels, accuracy on one example is 1 exactly when the reused
+    # label is the target, so equal accuracy means an equal label.
+    assert manifest.summary.accuracy == float(live == target)
 
 
 def split_by_example(log):

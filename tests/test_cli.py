@@ -517,6 +517,26 @@ class TestCopyBaselineCommand:
         assert summary["accuracy"] == 0.0
         assert summary["ppl"] == pytest.approx(50257, rel=1e-9)
 
+    def test_unscorable_styles_leave_accuracy_null(self, mock_env, tmp_path,
+                                                   capsys, caplog):
+        # The sentiment mock cannot score the symbolic styles.
+        path = tmp_path / "symb.jsonl"
+        records = generate_symb(SymbSpec(n=20, seed=0))
+        save_records(records, str(path), "jsonl")
+        with caplog.at_level("WARNING"):
+            code = main(["copy-baseline", "--dataset", str(path), "--json"])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["accuracy"] is None
+        assert summary["s_sbleu"] == 100.0
+        assert summary["r_sbleu"] is not None
+        assert summary["ppl"] == pytest.approx(50257, rel=1e-9)
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "restyle.metrics"]
+        assert len(warnings) == 1
+        styles = {s for r in records for s in (r.source_style, r.target_style)}
+        assert all(style in warnings[0] for style in styles)
+
 
 @pytest.mark.parametrize("argv", [
     ["eval", "--hyp", "{missing}"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_bleu, oracle_gleu, oracle_tokenize
-from restyle.backends import BackendEndpoints
+from restyle.backends import BackendEndpoints, MaskFillResponse
 from restyle.metrics import (
     EvalRow,
     EvalSummary,
@@ -16,11 +16,13 @@ from restyle.metrics import (
     corpus_perplexity,
     exact_match_accuracy,
     perplexity_from_totals,
+    predict_style,
     ref_sbleu,
     self_sbleu,
     sentence_gleu,
     summarize,
     tokenize_eval,
+    top_label,
 )
 from restyle.mocks import SentimentMaskBackend, UniformScoreBackend
 
@@ -270,6 +272,26 @@ class TestClassifierAccuracy:
                                    labels=["positive", "negative"]) == 1.0
 
 
+    @pytest.mark.parametrize("scores, label", [
+        ({"positive": 0.9, "negative": 0.1}, "positive"),
+        ({"positive": 0.5, "negative": 0.5}, "negative"),
+        ({"positive": 0.0, "negative": 0.0}, "negative"),
+        ({"b": 1.0, "c": 1.0, "a": 0.0}, "b"),
+    ])
+    def test_top_label_takes_the_first_sorted_on_ties(self, scores, label):
+        assert top_label(scores) == label
+        assert top_label(dict(reversed(scores.items()))) == label
+
+    def test_prediction_ignores_the_label_order(self):
+        class Tied:
+            def fill_mask(self, text, labels):
+                return MaskFillResponse({label: 0.5 for label in labels})
+
+        ep = BackendEndpoints(classifier=Tied())
+        for labels in (["positive", "negative"], ["negative", "positive"]):
+            assert predict_style(ep, "food", labels) == "negative"
+
+
 class TestEvalSummary:
     def test_round_trip(self):
         summary = EvalSummary(r_sbleu=42.5, s_sbleu=77.0, accuracy=0.9,
@@ -406,6 +428,30 @@ class TestSummarize:
         assert summary.exact_match == 0.5
         assert classifier.texts == ["good food"]
         assert scorer.texts == ["good food"]
+
+    def test_unscorable_label_leaves_accuracy_absent(self, caplog):
+        class Counting(SentimentMaskBackend):
+            calls = 0
+
+            def fill_mask(self, text, labels):
+                self.calls += 1
+                return super().fill_mask(text, labels)
+
+        mask = Counting()
+        ep = BackendEndpoints(fill_mask=mask,
+                              score=UniformScoreBackend(vocab_size=7))
+        rows = [EvalRow("good food", "bad food", "good food", "negative", "formal"),
+                EvalRow("bad day", "good day", "bad day", "positive", "negative")]
+        with caplog.at_level("WARNING"):
+            summary = summarize(rows, ep)
+        assert summary.accuracy is None
+        assert summary.exact_match == 1.0
+        assert summary.ppl == pytest.approx(7.0)
+        assert mask.calls == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "accuracy not measured: the service cannot score the labels "
+            "formal, negative, positive (label errors: formal: label not in "
+            "backend vocabulary)"]
 
     def test_only_blank_outputs_leave_ppl_absent(self):
         ep = BackendEndpoints(score=UniformScoreBackend(vocab_size=7))

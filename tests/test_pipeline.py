@@ -263,9 +263,10 @@ class TestTransferCorpus:
             sentiment_records, RequestTemplate(),
             RerankConfig(k=3, strength_source=strength_source, endpoints=ep),
             jobs=1)
-        # One strength call per distinct candidate, one accuracy call each.
+        # One strength call per distinct candidate; accuracy reads the
+        # winner's strength likelihoods and makes no call of its own.
         assert len(recording.texts) == sum(
-            len({c["text"] for c in r["candidates"]}) + 1
+            len({c["text"] for c in r["candidates"]})
             for r in manifest.records)
         assert all(text.count(ep.mask_token) == 1 for text in recording.texts)
         assert manifest.summary.accuracy == 1.0

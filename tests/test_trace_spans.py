@@ -33,6 +33,7 @@ def test_every_target_resolves():
 def test_traced_corpus_records_the_call_plan(sentiment_records):
     # Per example at k=3: the flip, a verbatim copy of the source and a
     # padded copy, so d = 3 distinct texts of which c = 2 are not the source.
+    # Accuracy reads the winner's strength likelihoods: no classify call.
     spans = load_spans()
     tracer = spans.Tracer()
     tracer.install()
@@ -57,7 +58,7 @@ def test_traced_corpus_records_the_call_plan(sentiment_records):
         "backends.embed": 3 * n,
         "backends.fill_mask": 3 * n,
         "backends.score": 3 * n,
-        "backends.classify": n,
+        "backends.classify": 0,
     }
     assert {name: counts.get(name, 0) for name in expected} == expected
     # Spans under transfer_one carry its example id.

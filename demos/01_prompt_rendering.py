@@ -7,9 +7,9 @@ recovering the completion from raw model output.
 """
 
 from restyle import (
+    TEMPLATES,
     DelimiterCollisionError,
     Exemplar,
-    TemplateKind,
     TransferRequest,
     builtin_delimiters,
     delimiter_by_name,
@@ -28,12 +28,14 @@ print(repr(parse_style(" Not  negative ")))   # 'not negative'
 print()
 text = "I love The Sound of Music; it is the best movie ever!!"
 
-# The four phrasings, over curly braces. Vanilla never mentions the source
-# style; the negation variants describe one style as "not" the other.
-for kind in TemplateKind:
+# The four phrasings, over curly braces. A template is its text; TEMPLATES
+# names the builtin ones, as manifests and sweep tables do. Vanilla never
+# mentions the source style; the negation variants describe one style as
+# "not" the other.
+for name, template in TEMPLATES.items():
     req = TransferRequest(input_text=text, source_style=positive,
-                          target_style=negative, template=kind)
-    print(f"--- {kind.value}")
+                          target_style=negative, template=template)
+    print(f"--- {name}")
     print(render_prompt(req))
     print()
 

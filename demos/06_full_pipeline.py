@@ -9,11 +9,11 @@ templates over three delimiter pairs and print the CSV table.
 import json
 
 from restyle import (
+    TEMPLATES,
     RequestTemplate,
     RerankConfig,
     StylePairRecord,
     SweepGrid,
-    TemplateKind,
     copy_baseline,
     delimiter_by_name,
     run_sweep,
@@ -46,7 +46,7 @@ print("\ncopy baseline:", json.dumps(baseline.to_dict()))
 
 # A small sweep: 2 templates x 3 delimiters x 2 directions = 12 cells.
 grid = SweepGrid(
-    templates=(TemplateKind.VANILLA, TemplateKind.CONTRASTIVE),
+    templates=(TEMPLATES["vanilla"], TEMPLATES["contrastive"]),
     delimiters=tuple(delimiter_by_name(n) for n in ("curly", "square", "quote")),
     directions=directions_in(records),
 )

@@ -72,6 +72,7 @@ from .pipeline import (
     write_manifest,
 )
 from .prompts import (
+    TEMPLATES,
     DelimiterCollisionError,
     DelimiterKind,
     DelimiterPair,
@@ -79,7 +80,6 @@ from .prompts import (
     ExtractionResult,
     PromptConfig,
     PromptError,
-    TemplateKind,
     TransferRequest,
     builtin_delimiters,
     delimiter_by_name,

@@ -43,12 +43,13 @@ from .pipeline import (
 )
 from .prompts import (
     DELIMITERS,
+    TEMPLATES,
     PromptConfig,
-    TemplateKind,
     TransferRequest,
     delimiter_name,
     load_prompt_config,
     parse_style,
+    template_name,
 )
 from .reranking import STRENGTH_SOURCES, RerankConfig
 
@@ -181,7 +182,7 @@ def cmd_sweep(args) -> int:
         raise CliError(f"{args.dataset} contains no records")
 
     template_names = (args.templates.split(",") if args.templates
-                      else [t.value for t in TemplateKind])
+                      else list(TEMPLATES))
     delimiter_names = (args.delimiters.split(",") if args.delimiters
                        else list(DELIMITERS))
     directions = (tuple(_parse_direction(item) for item in args.directions.split(","))
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_style", required=True,
                    help="source style ('not X' negates)")
     p.add_argument("--to", dest="to_style", required=True, help="target style")
-    p.add_argument("--template", default=TransferRequest.template.value)
+    p.add_argument("--template", default=template_name(TransferRequest.template))
     p.add_argument("--delimiter", default=delimiter_name(TransferRequest.delimiter))
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--exemplars", help="dataset file supplying few-shot exemplars")

@@ -341,7 +341,7 @@ def accuracy_labels(endpoints: BackendEndpoints | None,
 
 def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None,
               *, labels: list[str] | None = None,
-              predicted: Sequence[str] | None = None,
+              predicted: Sequence[str | None] | backends.LabelError | None = None,
               fluency: Iterable[tuple[float, int]] | None = None) -> EvalSummary:
     """Corpus metrics over ``rows``, each one where its inputs are present.
 
@@ -349,11 +349,12 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
     the rows with a non-blank reference; GLEU the rows with both. Accuracy
     compares ``predicted`` styles, or else the classifier's pick among
     ``labels`` (default: :func:`accuracy_labels` of the rows' styles), to the
-    target styles; when the service cannot score one of ``labels``
-    (:class:`backends.LabelError`), accuracy is None and a warning names the
-    labels. PPL comes from ``fluency``, each output's (total log-prob, token
-    count) from reranking, or else from /score calls when ``endpoints`` has
-    a score endpoint. Each text is tokenized and counted once.
+    target styles; when the service cannot score one of ``labels`` (a
+    :class:`backends.LabelError` raised, or passed as ``predicted``),
+    accuracy is None and a warning names the labels. PPL comes from
+    ``fluency``, each output's (total log-prob, token count) from reranking,
+    or else from /score calls when ``endpoints`` has a score endpoint. Each
+    text is tokenized and counted once.
 
     A blank output scores GLEU 0 for its row, counts as an accuracy miss and
     adds no tokens to PPL, with no backend call for it.
@@ -394,8 +395,15 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
                 style for row in rows
                 for style in (row.source_style, row.target_style)))
         if labels is not None:
-            predicted = _predictions(rows, endpoints, labels)
-    if predicted is not None:
+            try:  # no call after the first LabelError
+                predicted = [predict_style(endpoints, row.output, labels)
+                             if row.output.strip() else None for row in rows]
+            except backends.LabelError as exc:
+                predicted = exc
+    if isinstance(predicted, backends.LabelError):
+        logger.warning("accuracy not measured: the service cannot score the "
+                       "labels %s (%s)", ", ".join(labels or ()), predicted)
+    elif predicted is not None:
         hits = sum(label is not None and label == row.target_style
                    for label, row in zip(predicted, rows))
         values["accuracy"] = hits / len(rows)
@@ -406,19 +414,6 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
         if scored:
             values["ppl"] = corpus_perplexity(scored, endpoints)
     return EvalSummary(**values)
-
-
-def _predictions(rows: Sequence[EvalRow], endpoints: BackendEndpoints,
-                 labels: list[str]) -> list[str | None] | None:
-    """The predicted style of each non-blank output, or None from the first
-    label the service cannot score on, with no further call."""
-    try:
-        return [predict_style(endpoints, row.output, labels)
-                if row.output.strip() else None for row in rows]
-    except backends.LabelError as exc:
-        logger.warning("accuracy not measured: the service cannot score the "
-                       "labels %s (%s)", ", ".join(labels), exc)
-        return None
 
 
 # Column order for the prompt-design sweep table.

@@ -41,7 +41,6 @@ from .backends import (
     TokenScoreResponse,
     check_count,
 )
-from .prompts import DELIMITERS
 
 # Antonym pairs used by the flip mock, mirrored into the word lists the
 # sentiment mock scores with. Kept small and public so tests can hand-check.
@@ -66,39 +65,28 @@ POSITIVE_WORDS = frozenset(ANTONYMS)
 NEGATIVE_WORDS = frozenset(ANTONYMS.values())
 _FLIP = {**ANTONYMS, **{v: k for k, v in ANTONYMS.items()}}
 
-# Longest openers first so e.g. "<<<" wins over "<" and '> "' over '"'.
-_OPENERS = sorted((pair.open for pair in DELIMITERS.values()),
-                  key=len, reverse=True)
-_CLOSE_FOR_OPEN = {pair.open: pair.close for pair in DELIMITERS.values()}
-
-
-def parse_prompt_input(prompt: str, stop: str | None = None):
+def parse_prompt_input(prompt: str, stop: str | None):
     """Recover (input_text, open, close) from a rendered transfer prompt.
 
-    Relies on the rendering invariant that the prompt ends with the opening
-    marker of a builtin delimiter pair; the query input is the last delimited
-    block before that generation slot. Returns None when the prompt does not
-    look like one of ours.
+    ``stop`` is the pair's close. The opener ending the prompt is taken as
+    its last ``len(stop)`` characters (each builtin opener is as long as its
+    close or ends with it). The input ends at the last close before it and
+    starts after the first opener of the query block; blocks are joined by
+    newlines, each ending in the close. None when the prompt is not ours.
     """
-    open_ = next((o for o in _OPENERS if prompt.endswith(o)), None)
-    if open_ is None:
+    if not stop:
         return None
-    close = stop if stop is not None else _CLOSE_FOR_OPEN[open_]
-    stripped = prompt[: -len(open_)]
-    if open_ == close:
-        positions = [m.start() for m in re.finditer(re.escape(open_), stripped)]
-        if len(positions) < 2:
-            return None
-        start, end = positions[-2] + len(open_), positions[-1]
-    else:
-        at = stripped.rfind(open_)
-        if at < 0:
-            return None
-        start = at + len(open_)
-        end = stripped.find(close, start)
-        if end < 0:
-            return None
-    return stripped[start:end], open_, close
+    open_, body = prompt[-len(stop):], prompt[:-len(stop)]
+    end = body.rfind(stop)
+    if end < 0:
+        return None
+    join = body.rfind(stop + "\n", 0, end)
+    start = body.find(open_, 0 if join < 0 else join + len(stop) + 1, end)
+    if start < 0 and open_ == stop:  # the join is the opener before "\n..."
+        start = join
+    if start < 0:
+        return None
+    return body[start + len(open_):end], open_, stop
 
 
 def antonym_flip(text: str) -> str:

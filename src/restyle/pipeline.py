@@ -25,23 +25,24 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import backends, metrics
-from .backends import BackendError, CompletionRequest, check_count
+from .backends import BackendError, CompletionRequest, LabelError, check_count
 from .data import StylePairRecord
 from .metrics import SWEEP_CSV_COLUMNS, EvalRow, EvalSummary, MetricError
 from .prompts import (
     DELIMITERS,
+    TEMPLATES,
     DelimiterPair,
     Exemplar,
-    TemplateKind,
     TransferRequest,
     delimiter_name,
     extract_completion,
     render_prompt,
+    template_name,
+    validate_template,
 )
 from .reranking import (
     Candidate,
     RerankConfig,
-    RerankScore,
     rerank,
     top_beam_baseline,
 )
@@ -55,18 +56,17 @@ class PipelineError(RuntimeError):
     """Run-level failure: empty inputs, empty pools, or every example failing."""
 
 
-def template_name(template: TemplateKind | str) -> str:
-    """A builtin template's name, or a custom template's text."""
-    return template.value if isinstance(template, TemplateKind) else template
-
-
 @dataclass(frozen=True)
 class RequestTemplate:
-    """The per-run prompt choices applied to every dataset record."""
+    """The per-run prompt choices applied to every dataset record; the
+    template text is checked when the plan is built."""
 
-    template: TemplateKind | str = TransferRequest.template
+    template: str = TransferRequest.template
     delimiter: DelimiterPair = TransferRequest.delimiter
     exemplars: tuple[Exemplar, ...] = ()
+
+    def __post_init__(self):
+        validate_template(self.template)
 
     def request_for(self, record: StylePairRecord) -> TransferRequest:
         return TransferRequest(
@@ -188,29 +188,30 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     check_count(jobs, "jobs")
     labels = metrics.accuracy_labels(cfg.endpoints, (
         style for r in records for style in (r.source_style, r.target_style)))
-    # Accuracy and strength ask one service when there is no separate
-    # classifier or strength asks the classifier. Over the example's own two
-    # styles the winner's strength likelihoods then answer accuracy.
-    same_service = (cfg.endpoints.classifier is None
-                    or cfg.strength_source == "external_classifier")
+    # A reranked example's two styles are among the labels. When accuracy
+    # asks the service strength asked and they are the only two labels, the
+    # winner's strength likelihoods answer it.
+    reuse = ((cfg.endpoints.classifier is None
+              or cfg.strength_source == "external_classifier")
+             and len(labels or ()) == 2)
 
-    def one(item: tuple[int, StylePairRecord]) -> tuple[dict, RerankScore | None,
-                                                        str | None]:
+    def one(item: tuple[int, StylePairRecord]):
         index, rec = item
         base = rec.to_dict()
         try:
-            req = plan.request_for(rec)
             winner, record, score = transfer_one(
-                req, cfg, seed=None if seed is None else seed + index,
+                plan.request_for(rec), cfg,
+                seed=None if seed is None else seed + index,
                 example_id=rec.id, with_winner_score=True)
-            if labels is None:
-                predicted = None
-            elif same_service and set(labels) == {req.source_style,
-                                                  req.target_style}:
+            if reuse:
                 predicted = metrics.top_label(score.strength_scores)
             else:
-                predicted = metrics.predict_style(cfg.endpoints, winner.text,
-                                                  labels)
+                try:
+                    predicted = metrics.predict_style(cfg.endpoints,
+                                                      winner.text, labels)
+                except LabelError as exc:
+                    # The run's accuracy is absent; the transfer stands.
+                    predicted = exc
         except (BackendError, PipelineError, ValueError) as exc:
             logger.warning("example %s failed: %s", rec.id, exc)
             return {**base, "error": f"{type(exc).__name__}: {exc}"}, None, None
@@ -231,10 +232,13 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     if cfg.use_fluency:
         fluency = [(score.log_fluency, score.fluency_tokens)
                    for _, score, _ in done]
+    predicted = [p for _, _, p in done]
+    # One label the service cannot score leaves the run's accuracy absent.
+    predicted = next((p for p in predicted if isinstance(p, LabelError)),
+                     predicted)
     summary = metrics.summarize(
         [_eval_row(record) for record, _, _ in done], cfg.endpoints,
-        predicted=None if labels is None else [p for _, _, p in done],
-        fluency=fluency)
+        labels=labels, predicted=predicted, fluency=fluency)
     config = _run_config(plan, cfg, seed=seed)
     run_id = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()[:12]
@@ -334,10 +338,10 @@ def reevaluate_manifest(manifest: RunManifest) -> EvalSummary:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """The axes of a prompt-design sweep; every axis must be non-empty and
-    every shot count an integer >= 0."""
+    """The axes of a prompt-design sweep; every axis must be non-empty,
+    every template a valid text and every shot count an integer >= 0."""
 
-    templates: tuple[TemplateKind, ...] = tuple(TemplateKind)
+    templates: tuple[str, ...] = tuple(TEMPLATES.values())
     delimiters: tuple[DelimiterPair, ...] = tuple(DELIMITERS.values())
     directions: tuple[tuple[str, str], ...] = ()
     shots: tuple[int, ...] = (0,)
@@ -349,6 +353,8 @@ class SweepGrid:
                            ("shots", self.shots)):
             if not axis:
                 raise ValueError(f"sweep grid axis {name!r} is empty")
+        for template in self.templates:
+            validate_template(template)
         for shots in self.shots:
             check_count(shots, "shot counts", 0)
 

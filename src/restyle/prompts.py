@@ -9,6 +9,7 @@ recovered by scanning the model output for the first closing delimiter.
 
 from __future__ import annotations
 
+import functools
 import json
 import string
 from dataclasses import dataclass, field
@@ -24,6 +25,8 @@ class DelimiterCollisionError(PromptError):
 
 
 class DelimiterKind(str, Enum):
+    """How a pair's markers relate; derived, never set (:attr:`DelimiterPair.kind`)."""
+
     INDISTINGUISHABLE = "indistinguishable"
     COMPLEMENTARY = "complementary"
 
@@ -103,30 +106,24 @@ def delimiter_name(pair: DelimiterPair) -> str:
     return f"{pair.open}|{pair.close}"
 
 
-class TemplateKind(str, Enum):
-    VANILLA = "vanilla"
-    CONTRASTIVE = "contrastive"
-    NEGATION_V1 = "negation_v1"
-    NEGATION_V2 = "negation_v2"
-
-
-# The four builtin phrasings. {x} is the input text, {s1}/{s2} the style
-# labels, {d1}/{d2} the delimiter markers. Every template must end with
+# The four builtin phrasings, keyed by the names the CLI accepts, as
+# DELIMITERS keys the builtin pairs. {x} is the input text, {s1}/{s2} the
+# style labels, {d1}/{d2} the delimiter markers. Every template must end with
 # {d1}: the trailing opening marker is the generation slot.
-TEMPLATES: dict[TemplateKind, str] = {
-    TemplateKind.VANILLA: (
+TEMPLATES: dict[str, str] = {
+    "vanilla": (
         "Here is a text: {d1}{x}{d2} "
         "Here is a rewrite of the text, which is {s2}: {d1}"
     ),
-    TemplateKind.CONTRASTIVE: (
+    "contrastive": (
         "Here is a text, which is {s1}: {d1}{x}{d2} "
         "Here is a rewrite of the text, which is {s2}: {d1}"
     ),
-    TemplateKind.NEGATION_V1: (
+    "negation_v1": (
         "Here is a text, which is {s1}: {d1}{x}{d2} "
         "Here is a rewrite of the text, which is not {s1}: {d1}"
     ),
-    TemplateKind.NEGATION_V2: (
+    "negation_v2": (
         "Here is a text, which is not {s2}: {d1}{x}{d2} "
         "Here is a rewrite of the text, which is {s2}: {d1}"
     ),
@@ -135,14 +132,16 @@ TEMPLATES: dict[TemplateKind, str] = {
 _ALLOWED_FIELDS = {"s1", "s2", "x", "d1", "d2"}
 
 
-def builtin_template(name: str) -> TemplateKind | None:
-    """The builtin template a name selects, or None. Case, surrounding
+def builtin_template(name: str) -> str | None:
+    """The builtin text a name selects, or None. Case, surrounding
     whitespace and "-" for "_" do not matter: "Negation-V1" selects
-    :attr:`TemplateKind.NEGATION_V1`."""
-    try:
-        return TemplateKind(name.strip().lower().replace("-", "_"))
-    except ValueError:
-        return None
+    ``TEMPLATES["negation_v1"]``."""
+    return TEMPLATES.get(name.strip().lower().replace("-", "_"))
+
+
+def template_name(text: str) -> str:
+    """Name of a builtin template text, or a custom template's own text."""
+    return next((name for name, t in TEMPLATES.items() if t == text), text)
 
 
 @dataclass(frozen=True)
@@ -162,35 +161,31 @@ class Exemplar:
 class TransferRequest:
     """Everything needed to render one style transfer prompt.
 
-    ``template`` is either a builtin :class:`TemplateKind` or a raw template
-    string using the same placeholders (for user-supplied phrasings). The
-    styles are stored as :func:`parse_style` writes them.
+    ``template`` is the template text: a value of :data:`TEMPLATES` or a
+    custom phrasing with the same placeholders, checked by
+    :func:`validate_template`. The styles are stored as :func:`parse_style`
+    writes them.
     """
 
     input_text: str
     source_style: str
     target_style: str
-    template: TemplateKind | str = TemplateKind.CONTRASTIVE
+    template: str = TEMPLATES["contrastive"]
     delimiter: DelimiterPair = DELIMITERS["curly"]
     exemplars: tuple[Exemplar, ...] = ()
 
     def __post_init__(self):
         if not self.input_text:
             raise PromptError("input_text must be non-empty")
+        validate_template(self.template)
         object.__setattr__(self, "source_style", parse_style(self.source_style))
         object.__setattr__(self, "target_style", parse_style(self.target_style))
 
 
-def template_string(template: TemplateKind | str) -> str:
-    """Resolve a builtin kind or pass a raw template string through, validated."""
-    if isinstance(template, TemplateKind):
-        return TEMPLATES[template]
-    validate_template(template)
-    return template
-
-
+@functools.cache
 def validate_template(text: str) -> None:
-    """Check placeholder names and that the template ends in the generation slot."""
+    """Check placeholder names and that the template ends in the generation
+    slot; each distinct text is checked once."""
     fields = {name for _, name, _, _ in string.Formatter().parse(text) if name}
     unknown = fields - _ALLOWED_FIELDS
     if unknown:
@@ -213,12 +208,11 @@ def render_prompt(req: TransferRequest) -> str:
     closing delimiter; there is deliberately no escaping scheme, callers
     should pick a different pair.
     """
-    tmpl = template_string(req.template)
     d = req.delimiter
 
     def fill(x: str) -> str:
-        return tmpl.format(x=x, s1=req.source_style, s2=req.target_style,
-                           d1=d.open, d2=d.close)
+        return req.template.format(x=x, s1=req.source_style,
+                                   s2=req.target_style, d1=d.open, d2=d.close)
 
     def check_collision(text: str, what: str) -> None:
         if d.close in text:
@@ -280,16 +274,14 @@ class PromptConfig:
     templates: dict[str, str] = field(default_factory=dict)
     delimiters: dict[str, DelimiterPair] = field(default_factory=dict)
 
-    def template(self, name: str) -> TemplateKind | str:
-        """The builtin phrasing ``name`` selects (see :func:`builtin_template`),
+    def template(self, name: str) -> str:
+        """The builtin text ``name`` selects (see :func:`builtin_template`),
         else the custom template of that name; PromptError if neither."""
-        kind = builtin_template(name)
-        if kind is not None:
-            return kind
-        if name in self.templates:
-            return self.templates[name]
-        known = [t.value for t in TemplateKind] + sorted(self.templates)
-        raise PromptError(f"unknown template {name!r}; choose from {known}")
+        text = builtin_template(name) or self.templates.get(name)
+        if text is None:
+            known = list(TEMPLATES) + sorted(self.templates)
+            raise PromptError(f"unknown template {name!r}; choose from {known}")
+        return text
 
     def delimiter(self, name: str) -> DelimiterPair:
         """The builtin pair ``name`` selects, else the custom pair of that

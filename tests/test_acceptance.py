@@ -22,7 +22,7 @@ from restyle.metrics import (
 from restyle.mocks import UniformScoreBackend, antonym_flip, mock_endpoints
 from restyle.pipeline import SweepGrid, directions_in, run_sweep, transfer_one
 from restyle.prompts import (
-    TemplateKind,
+    TEMPLATES,
     TransferRequest,
     builtin_delimiters,
     extract_completion,
@@ -42,7 +42,7 @@ def test_criterion_1_prompt_fidelity():
     req = TransferRequest(
         input_text="I love The Sound of Music; it is the best movie ever!!",
         source_style=POS, target_style=NEG,
-        template=TemplateKind.CONTRASTIVE)
+        template=TEMPLATES["contrastive"])
     assert render_prompt(req) == (
         "Here is a text, which is positive: "
         "{I love The Sound of Music; it is the best movie ever!!} "
@@ -58,7 +58,7 @@ def test_criterion_1_prompt_fidelity():
     start = time.perf_counter()
     failures = 0
     for text in inputs:
-        for template in TemplateKind:
+        for template in TEMPLATES.values():
             for pair in pairs:
                 prompt = render_prompt(TransferRequest(
                     input_text=text, source_style=labels[0],

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from loopback import LoopbackServer, Reply
 from restyle import backends
@@ -28,9 +29,17 @@ from restyle.mocks import (
     LexiconFlipBackend,
     SentimentMaskBackend,
     UniformScoreBackend,
+    parse_prompt_input,
     resolve_mock_url,
 )
-from restyle.prompts import DELIMITERS, TemplateKind, TransferRequest, render_prompt
+from restyle.prompts import (
+    DELIMITERS,
+    TEMPLATES,
+    DelimiterPair,
+    Exemplar,
+    TransferRequest,
+    render_prompt,
+)
 
 POS = "positive"
 NEG = "negative"
@@ -39,7 +48,7 @@ NEG = "negative"
 def sentiment_prompt(text="good food"):
     return render_prompt(TransferRequest(
         input_text=text, source_style=POS, target_style=NEG,
-        template=TemplateKind.CONTRASTIVE, delimiter=DELIMITERS["curly"]))
+        template=TEMPLATES["contrastive"], delimiter=DELIMITERS["curly"]))
 
 
 def cases(*rows):
@@ -337,6 +346,37 @@ class TestLexiconFlipMock:
             resp = flip.complete(CompletionRequest(
                 prompt=prompt, num_candidates=1, stop=pair.close))
             assert resp.candidates[0].text == "bad food" + pair.close, name
+
+
+# Letters, blanks, a newline and every marker character, so inputs hold
+# whole and partial markers.
+_PROMPT_TEXT = st.text(alphabet='ab :\n{}[]<>()"-*', max_size=8)
+
+
+class TestParsePromptInput:
+    """The completion mocks read the query input back out of a prompt."""
+
+    @given(template=st.sampled_from(list(TEMPLATES.values())),
+           pair=st.sampled_from([*DELIMITERS.values(), DelimiterPair("<<", ">>")]),
+           parts=st.lists(_PROMPT_TEXT, min_size=1, max_size=3),
+           exemplars=st.lists(st.tuples(_PROMPT_TEXT, _PROMPT_TEXT), max_size=2))
+    def test_round_trip(self, template, pair, parts, exemplars):
+        # Joined by the opener, the input holds it wherever it can: an
+        # opener that holds the close cannot appear in an input.
+        text = pair.open.join(parts)
+        assume(text and pair.close not in text)
+        assume(all(side and pair.close not in side
+                   for sides in exemplars for side in sides))
+        req = TransferRequest(
+            input_text=text, source_style=POS, target_style=NEG,
+            template=template, delimiter=pair,
+            exemplars=tuple(Exemplar(*sides) for sides in exemplars))
+        assert parse_prompt_input(render_prompt(req), pair.close)[0] == text
+
+    def test_no_stop_or_no_close_is_not_a_prompt(self):
+        assert parse_prompt_input(sentiment_prompt(), None) is None
+        assert parse_prompt_input("no markers here", "}") is None
+        assert parse_prompt_input("a close} but no opener {", "}") is None
 
 
 def test_blank_text_not_classified():

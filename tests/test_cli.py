@@ -9,7 +9,13 @@ from loopback import LoopbackServer, Reply, mock_answer
 from restyle import cli
 from restyle.backends import BackendEndpoints
 from restyle.cli import main
-from restyle.data import SymbSpec, generate_symb, load_dataset, save_records
+from restyle.data import (
+    StylePairRecord,
+    SymbSpec,
+    generate_symb,
+    load_dataset,
+    save_records,
+)
 from restyle.metrics import self_sbleu, sentence_gleu
 from restyle.pipeline import RequestTemplate, read_manifest
 from restyle.prompts import PromptConfig
@@ -46,6 +52,22 @@ class TestTransfer:
         assert code == 0
         assert capsys.readouterr().out.strip() == "bad food"
 
+    @pytest.mark.parametrize("text, argv, winner", [
+        ("the food was good", ["--template", "Negation-V2"], "the food was bad"),
+        ("the food was good", ["--prompt-config", "{config}", "--delimiter",
+                               "wide"], "the food was bad"),
+        ("apple < pear is good", ["--delimiter", "angle"], "apple < pear is bad"),
+    ], ids=["template-name", "custom-delimiter", "input-holds-the-opener"])
+    def test_mock_reads_the_query_input(self, mock_env, tmp_path, capsys, text,
+                                        argv, winner):
+        config = tmp_path / "prompts.json"
+        config.write_text(json.dumps(
+            {"delimiters": {"wide": {"open": "<<", "close": ">>"}}}))
+        code = main(["transfer", "--text", text, "--from", "positive", "--to",
+                     "negative", *(arg.format(config=config) for arg in argv)])
+        assert code == 0
+        assert capsys.readouterr().out == winner + "\n"
+
     def test_json_record(self, mock_env, capsys):
         code = main(["transfer", "--text", "good food", "--from", "positive",
                      "--to", "negative", "--json"])
@@ -53,6 +75,36 @@ class TestTransfer:
         record = json.loads(capsys.readouterr().out)
         assert record["winner"] == "bad food"
         assert len(record["candidates"]) == 3
+
+    def test_needs_text_or_dataset(self, mock_env, capsys):
+        assert main(["transfer", "--from", "positive", "--to", "negative"]) == 2
+        assert capsys.readouterr().err == \
+            "error: provide either --text or --dataset\n"
+
+    def test_no_record_in_the_direction_exits_2(self, mock_env, dataset_path,
+                                                capsys):
+        assert main(["transfer", "--dataset", dataset_path, "--from", "formal",
+                     "--to", "informal"]) == 2
+        assert capsys.readouterr().err == ("error: no dataset records match "
+                                           "the requested style direction\n")
+
+    def test_failed_example_prints_an_error_line(self, mock_env, tmp_path,
+                                                 capsys):
+        path = tmp_path / "collide.jsonl"
+        save_records([
+            StylePairRecord("p0", "the food was good", None, "positive",
+                            "negative"),
+            StylePairRecord("p1", "the } food", None, "positive", "negative"),
+        ], str(path), "jsonl")
+        code = main(["transfer", "--dataset", str(path), "--from", "positive",
+                     "--to", "negative"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "p0: the food was bad",
+            "p1: ERROR DelimiterCollisionError: input_text contains the "
+            "closing delimiter '}'"]
+        assert "failed: 1" in lines
 
     def test_missing_to_exits_2(self, mock_env):
         with pytest.raises(SystemExit) as exc:
@@ -313,6 +365,12 @@ class TestSweep:
         assert code == 2
         assert "shot counts must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_empty_dataset_exits_2(self, mock_env, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert main(["sweep", "--dataset", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path} contains no records\n"
 
     def test_bad_direction_syntax_exits_2(self, mock_env, dataset_path):
         code = main(["sweep", "--dataset", dataset_path,

@@ -140,6 +140,19 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 3"):
             load_dataset(path, format, strict=True)
 
+    @pytest.mark.parametrize("line, error", [
+        ('{"id": "a", "source": "x", "source_style": "s"}',
+         "line 1: missing target_style"),
+        ('{"id": "a", "source": "x", "source_style": " ", "target_style": "t"}',
+         "line 1: missing source_style"),
+        ('["a", "x", null, "s", "t"]', "line 1: expected a JSON object"),
+    ], ids=["missing-style", "blank-style", "not-an-object"])
+    def test_bad_jsonl_row_named(self, tmp_path, line, error):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(DatasetError, match=error):
+            load_dataset(str(path), "jsonl", strict=True)
+
     def test_non_string_field_skipped(self, tmp_path, caplog):
         rows = self.rows()
         rows[0]["source"] = 5
@@ -195,6 +208,14 @@ class TestLoadDataset:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DatasetError):
             load_dataset(str(tmp_path / "x"), "csv")
+        with pytest.raises(DatasetError, match="format must be one of"):
+            save_records([], str(tmp_path / "x"), "csv")
+
+    def test_tsv_cell_with_a_tab_rejected(self, tmp_path):
+        record = StylePairRecord(id="a", source="good\tfood", reference=None,
+                                 source_style="positive", target_style="negative")
+        with pytest.raises(DatasetError, match="contains a tab or newline"):
+            save_records([record], str(tmp_path / "out.tsv"), "tsv")
 
     def test_round_trip_both_formats(self, tmp_path):
         records = [
@@ -283,3 +304,19 @@ class TestComparisonGrammar:
     def test_equal_words_rejected(self):
         with pytest.raises(ComparisonParseError):
             verbalize_comparison("red > red")
+
+    @pytest.mark.parametrize("convert, text, error, position", [
+        (verbalize_comparison, "", "expected a word", 0),
+        (parse_comparison, "red is less than ", "expected a word", 17),
+        (verbalize_comparison, "red > blue green", "unexpected trailing input",
+         10),
+        (verbalize_comparison, "red = blue", "expected '<' or '>'", 4),
+        (parse_comparison, "red is less than red", "the two words must differ",
+         0),
+    ], ids=["no-word", "no-second-word", "trailing-input", "no-operator",
+            "same-words"])
+    def test_grammar_errors_name_the_fault(self, convert, text, error,
+                                           position):
+        with pytest.raises(ComparisonParseError, match=error) as err:
+            convert(text)
+        assert err.value.position == position

@@ -38,10 +38,11 @@ from restyle.pipeline import (
 )
 from restyle.prompts import (
     DELIMITERS,
+    TEMPLATES,
     DelimiterPair,
     Exemplar,
     PromptConfig,
-    TemplateKind,
+    PromptError,
     TransferRequest,
     builtin_delimiters,
 )
@@ -131,6 +132,56 @@ class TestTransferCorpus:
         assert rec["winner"] == "the food was bad"
         assert manifest.config["delimiter"] == \
             {"name": "<<|>>", "open": "<<", "close": ">>"}
+
+    def test_one_run_id_per_template_text(self, mock_ep, sentiment_records):
+        text = TEMPLATES["contrastive"]
+        prompts = PromptConfig(templates={"mine": "".join(list(text))})
+        manifests = [
+            transfer_corpus(sentiment_records[:1], RequestTemplate(template),
+                            RerankConfig(endpoints=mock_ep), seed=1)
+            for template in (text, prompts.template(" Contrastive "),
+                             prompts.template("mine"))]
+        assert len({m.run_id for m in manifests}) == 1
+        assert [m.config["template"] for m in manifests] == ["contrastive"] * 3
+
+    @pytest.mark.parametrize("declare", [
+        lambda bad: RequestTemplate(template=bad),
+        lambda bad: TransferRequest("x", POS, NEG, template=bad),
+        lambda bad: SweepGrid(templates=(bad,), directions=((POS, NEG),)),
+    ], ids=["RequestTemplate", "TransferRequest", "SweepGrid"])
+    def test_bad_template_fails_where_declared(self, declare):
+        with pytest.raises(PromptError, match=r"\{x\} input slot"):
+            declare("no slot: {d1}")
+
+    def test_bad_template_fails_before_any_call(self, sentiment_records):
+        unreachable = Unreachable()
+        ep = BackendEndpoints(complete=unreachable, score=unreachable,
+                              fill_mask=unreachable, embed=unreachable)
+        with pytest.raises(PromptError):
+            transfer_corpus(sentiment_records,
+                            RequestTemplate(template="no slot: {d1}"),
+                            RerankConfig(endpoints=ep))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unscorable_accuracy_label_keeps_the_transfer(self, caplog, jobs):
+        # The sentiment mock scores positive and negative only. The formal
+        # example fails at strength; the positive one transfers, and its
+        # accuracy call over all four labels raises LabelError.
+        records = [record("p0", "the food was good"),
+                   record("f0", "gonna eat now", src="informal", dst="formal")]
+        with caplog.at_level("WARNING"):
+            manifest = transfer_corpus(records, RequestTemplate(),
+                                       RerankConfig(endpoints=mock_endpoints()),
+                                       jobs=jobs)
+        assert manifest.records[0]["winner"] == "the food was bad"
+        assert manifest.records[1]["error"].startswith("LabelError")
+        assert manifest.summary.accuracy is None
+        assert manifest.summary.s_sbleu is not None
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "restyle.metrics"]
+        assert len(warnings) == 1
+        assert "labels formal, informal, negative, positive" in warnings[0]
+        assert reevaluate_manifest(manifest) == manifest.summary
 
     def test_negated_direction_with_exemplars(self):
         # Labels as a dataset might write them; records, exemplars and the
@@ -368,6 +419,15 @@ class TestTransferCorpus:
         assert len(lines) == 1 + len(sentiment_records)
         assert "config" in json.loads(lines[0])
 
+    def test_reevaluation_needs_a_successful_record(self, mock_ep,
+                                                    sentiment_records):
+        manifest = transfer_corpus(sentiment_records, RequestTemplate(),
+                                   RerankConfig(endpoints=mock_ep))
+        failed = replace(manifest, records=[
+            {**r, "error": "ServiceError: down"} for r in manifest.records])
+        with pytest.raises(PipelineError, match="no successful records"):
+            reevaluate_manifest(failed)
+
     def test_reevaluation_keeps_stored_timeout_and_retries(
             self, monkeypatch, sentiment_records):
         ep = replace(mock_endpoints(), timeout=120.0, max_retries=7)
@@ -386,6 +446,7 @@ class TestTransferCorpus:
         assert seen[0].snapshot() == manifest.config["endpoints"]
 
     @pytest.mark.parametrize("lines", [
+        [],
         [{"id": "p0", "source": "good", "source_style": "positive",
           "target_style": "negative"}],
         [[1, 2]],
@@ -424,7 +485,7 @@ class TestTransferCorpus:
           "config": {"endpoints": {"max_retries": 2.7}}, "summary": {}}],
         [{"run_id": "r", "timestamp": "t",
           "config": {"endpoints": {"mask_token": 5}}, "summary": {}}],
-    ], ids=["dataset", "list-header", "no-summary", "list-config",
+    ], ids=["empty-file", "dataset", "list-header", "no-summary", "list-config",
             "string-metric", "bool-metric", "nan-metric", "out-of-range-metric",
             "huge-int-metric",
             "string-record", "not-json", "record-without-winner",
@@ -444,7 +505,7 @@ class TestTransferCorpus:
 class TestSweep:
     def test_restricted_grid_rows(self, mock_ep, sentiment_records):
         grid = SweepGrid(
-            templates=(TemplateKind.VANILLA, TemplateKind.CONTRASTIVE),
+            templates=(TEMPLATES["vanilla"], TEMPLATES["contrastive"]),
             delimiters=(DELIMITERS["curly"],),
             directions=directions_in(sentiment_records),
             shots=(0,))
@@ -466,7 +527,7 @@ class TestSweep:
         assert len(result.manifests) == 80
 
     def test_csv_deterministic(self, mock_ep, sentiment_records):
-        grid = SweepGrid(templates=(TemplateKind.CONTRASTIVE,),
+        grid = SweepGrid(templates=(TEMPLATES["contrastive"],),
                          delimiters=tuple(builtin_delimiters()[:3]),
                          directions=directions_in(sentiment_records))
         cfg = RerankConfig(k=3, endpoints=mock_ep)
@@ -479,7 +540,7 @@ class TestSweep:
 
     def test_csv_formats_every_metric(self, mock_ep):
         records = [record("a", "the food was good", reference="the food was bad")]
-        grid = SweepGrid(templates=(TemplateKind.CONTRASTIVE,),
+        grid = SweepGrid(templates=(TEMPLATES["contrastive"],),
                          delimiters=(DELIMITERS["curly"],),
                          directions=directions_in(records))
         result = run_sweep(records, grid, RerankConfig(k=3, endpoints=mock_ep))
@@ -490,7 +551,7 @@ class TestSweep:
     def test_cell_failures_isolated(self, mock_ep):
         # one direction has records, the other none: its cells fail alone
         records = [record("a", "good food"), record("b", "fresh bread")]
-        grid = SweepGrid(templates=(TemplateKind.CONTRASTIVE,),
+        grid = SweepGrid(templates=(TEMPLATES["contrastive"],),
                          delimiters=(DELIMITERS["curly"],),
                          directions=(("positive", "negative"),
                                      ("negative", "positive")),
@@ -506,7 +567,7 @@ class TestSweep:
     def test_exemplar_pool_serves_each_cell(self, mock_ep, sentiment_records):
         pool = [replace(r, id=f"ex-{r.id}", reference=f"reference {r.id}")
                 for r in sentiment_records]
-        grid = SweepGrid(templates=(TemplateKind.CONTRASTIVE,),
+        grid = SweepGrid(templates=(TEMPLATES["contrastive"],),
                          delimiters=(DELIMITERS["curly"],),
                          directions=directions_in(sentiment_records),
                          shots=(0, 1, 2, 3))
@@ -541,7 +602,7 @@ class TestSweep:
             select_exemplars(pool, direction, True)
 
     def test_few_shot_cells_need_exemplars(self, mock_ep, sentiment_records):
-        grid = SweepGrid(templates=(TemplateKind.CONTRASTIVE,),
+        grid = SweepGrid(templates=(TEMPLATES["contrastive"],),
                          delimiters=(DELIMITERS["curly"],),
                          directions=(("positive", "negative"),),
                          shots=(4,))

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import string
 
 import pytest
@@ -7,14 +8,16 @@ from hypothesis import given, strategies as st
 
 from restyle.prompts import (
     DELIMITERS,
+    TEMPLATES,
     DelimiterCollisionError,
     DelimiterKind,
     DelimiterPair,
     Exemplar,
+    PromptConfig,
     PromptError,
-    TemplateKind,
     TransferRequest,
     builtin_delimiters,
+    builtin_template,
     delimiter_by_name,
     delimiter_name,
     extract_completion,
@@ -22,6 +25,7 @@ from restyle.prompts import (
     parse_style,
     render_cloze,
     render_prompt,
+    template_name,
 )
 
 POS = "positive"
@@ -31,7 +35,7 @@ MOVIE = "I love The Sound of Music; it is the best movie ever!!"
 
 def make_request(**kwargs):
     defaults = dict(input_text=MOVIE, source_style=POS, target_style=NEG,
-                    template=TemplateKind.CONTRASTIVE,
+                    template=TEMPLATES["contrastive"],
                     delimiter=DELIMITERS["curly"])
     defaults.update(kwargs)
     return TransferRequest(**defaults)
@@ -76,6 +80,36 @@ class TestDelimiters:
             delimiter_by_name("fancy")
 
 
+class TestTemplates:
+    """A template is its text; TEMPLATES names the builtin ones."""
+
+    def test_name_lookup_roundtrip(self):
+        for name, text in TEMPLATES.items():
+            assert builtin_template(name) == text
+            assert builtin_template(f" {name.upper().replace('_', '-')} ") == text
+            assert template_name(text) == name
+        assert builtin_template("fancy") is None
+        custom = "Say {x} as {s2}: {d1}"
+        assert template_name(custom) == custom
+
+    def test_prompt_config_returns_text(self):
+        custom = "Say {x} as {s2}: {d1}"
+        prompts = PromptConfig(templates={"say": custom})
+        assert prompts.template(" Contrastive ") == TEMPLATES["contrastive"]
+        assert prompts.template("say") == custom
+        with pytest.raises(PromptError, match="choose from"):
+            prompts.template("fancy")
+
+    @pytest.mark.parametrize("template, error", [
+        ("no slot: {d1}", "{x} input slot"),
+        ("{x} {oops} {d1}", "unknown template placeholders"),
+        ("{d1}{x}{d2} done", "must end with {d1}"),
+    ], ids=["no-input-slot", "unknown-placeholder", "no-generation-slot"])
+    def test_template_checked_when_request_is_built(self, template, error):
+        with pytest.raises(PromptError, match=re.escape(error)):
+            make_request(template=template)
+
+
 class TestStyleLabel:
     """A style is its label, written as parse_style writes it."""
 
@@ -112,7 +146,7 @@ class TestRenderPrompt:
         assert render_prompt(make_request()) == expected
 
     def test_vanilla_never_mentions_source_style(self):
-        prompt = render_prompt(make_request(template=TemplateKind.VANILLA))
+        prompt = render_prompt(make_request(template=TEMPLATES["vanilla"]))
         assert prompt == (
             "Here is a text: "
             "{I love The Sound of Music; it is the best movie ever!!} "
@@ -122,21 +156,21 @@ class TestRenderPrompt:
 
     def test_negation_v1_uses_not_source(self):
         prompt = render_prompt(make_request(
-            template=TemplateKind.NEGATION_V1,
+            template=TEMPLATES["negation_v1"],
             delimiter=DELIMITERS["square"]))
         assert "which is not positive" in prompt
         assert "negative" not in prompt
 
     def test_negation_templates_contain_not(self):
-        for kind in (TemplateKind.NEGATION_V1, TemplateKind.NEGATION_V2):
-            assert "not " in render_prompt(make_request(template=kind))
+        for name in ("negation_v1", "negation_v2"):
+            assert "not " in render_prompt(make_request(template=TEMPLATES[name]))
 
     def test_delimiter_collision_rejected(self):
         with pytest.raises(DelimiterCollisionError):
             render_prompt(make_request(input_text="bad } text"))
 
     def test_four_template_variants_exist(self):
-        assert len(TemplateKind) == 4
+        assert len(TEMPLATES) == 4
 
     def test_few_shot_blocks(self):
         exemplar = Exemplar(input="great food", output="awful food")
@@ -164,12 +198,18 @@ class TestRenderPrompt:
         with pytest.raises(PromptError):
             make_request(input_text="")
 
-    @pytest.mark.parametrize("template", list(TemplateKind))
+    def test_exemplar_sides_must_be_non_empty(self):
+        for sides in (("", "awful food"), ("great food", "")):
+            with pytest.raises(PromptError, match="non-empty"):
+                Exemplar(*sides)
+
+    @pytest.mark.parametrize("template", list(TEMPLATES))
     @pytest.mark.parametrize("name", list(DELIMITERS))
     def test_ends_with_open_and_contains_input_once(self, template, name):
         text = "zq7xkw vmb9r plaintive"
         prompt = render_prompt(make_request(
-            input_text=text, template=template, delimiter=DELIMITERS[name]))
+            input_text=text, template=TEMPLATES[template],
+            delimiter=DELIMITERS[name]))
         assert prompt.endswith(DELIMITERS[name].open)
         assert prompt.count(text) == 1
 
@@ -247,8 +287,15 @@ class TestPromptConfig:
         {"delimiters": {"x": {"open": "<", "close": 5}}},
         {"templates": {" Negation-V1": "Say {x} again: {d1}"}},
         {"delimiters": {"curly": {"open": "<", "close": ">"}}},
+        ["templates"],
+        {"templates": {"t": 5}},
+        {"delimiters": {"x": {"open": "<"}}},
+        {"delimiters": {"x": {"close": ">"}}},
+        {"templates": {"t": "no input slot: {d1}"}},
     ], ids=["templates-list", "delimiters-list", "int-close",
-            "builtin-template-name", "builtin-delimiter-name"])
+            "builtin-template-name", "builtin-delimiter-name", "not-an-object",
+            "non-string-template", "delimiter-without-close",
+            "delimiter-without-open", "template-without-input"])
     def test_malformed_sections_rejected(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -262,7 +309,7 @@ def test_random_render_extract_round_trip():
     labels = ("ornate", "plain")
     for _ in range(200):
         text = " ".join(rng.choices(words, k=rng.randint(1, 8)))
-        template = rng.choice(list(TemplateKind))
+        template = rng.choice(list(TEMPLATES.values()))
         pair = rng.choice(builtin_delimiters())
         req = TransferRequest(input_text=text, source_style=labels[0],
                               target_style=labels[1], template=template,

@@ -4,7 +4,8 @@
 Why the highest beam score is not enough: a verbatim copy of the input is
 maximally similar and perfectly fluent, yet carries the wrong style. The
 composite of the three log factors (similarity, target style strength,
-fluency) picks the rewrite instead.
+fluency) passes it over. With the fluency factor, the mock scorer's length
+penalty lets the truncated 'the food' win; without it, the rewrite wins.
 """
 
 import math
@@ -46,17 +47,25 @@ cfg = RerankConfig(k=3, endpoints=endpoints)
 winner, scores = rerank(req, pool, cfg)
 baseline = top_beam_baseline(pool)
 
+# Reranking scores fluency first and visits the texts from the most fluent
+# down. Every log factor is <= 0, so a composite never exceeds its fluency:
+# a text already less fluent than the best composite so far cannot win, and
+# it is pruned without its /embed and /fill_mask calls.
 print("\n--- composites")
 for cand, score in zip(pool, scores):
     marker = " <- winner" if cand is winner else ""
-    print(f"  [{cand.index}] {score.composite:9.4f}  {cand.text!r}{marker}")
+    shown = ("pruned" if score.composite is None
+             else f"{score.composite:.4f}")
+    print(f"  [{cand.index}] {shown:>9}  {cand.text!r}{marker}")
 print(f"\ntop-beam baseline picked: {baseline.text!r}")
 print(f"reranker picked:          {winner.text!r}")
 print("strength gap ln(0.9/0.1) =", math.log(0.9 / 0.1))
 
 # The no-fluency variant: useful because total log-probability penalizes
-# long texts, which can drown the other two factors for wordy candidates.
+# long texts, which can drown the other two factors for wordy candidates,
+# as it does here for the truncated 'the food'. Nothing is pruned without
+# the fluency bound.
 no_fluency = RerankConfig(k=3, use_fluency=False, endpoints=endpoints)
 winner2, scores2 = rerank(req, pool, no_fluency)
-print("\nwithout the fluency factor the winner is still:", winner2.text)
+print("\nwithout the fluency factor the winner is:", winner2.text)
 print("composites:", [round(s.composite, 4) for s in scores2])

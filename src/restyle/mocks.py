@@ -68,22 +68,33 @@ _FLIP = {**ANTONYMS, **{v: k for k, v in ANTONYMS.items()}}
 def parse_prompt_input(prompt: str, stop: str | None):
     """Recover (input_text, open, close) from a rendered transfer prompt.
 
-    ``stop`` is the pair's close. The opener ending the prompt is taken as
-    its last ``len(stop)`` characters (each builtin opener is as long as its
-    close or ends with it). The input ends at the last close before it and
-    starts after the first opener of the query block; blocks are joined by
+    ``stop`` is the pair's close. The opener ending the prompt is its
+    shortest suffix, at least as long as ``stop``, that occurs only at the
+    end of the text after the input's close: an opener longer than its
+    close, such as ``[[`` for ``]``, cut too short also occurs one character
+    earlier. The input ends at the last close before the opener and starts
+    after the first opener of the query block; blocks are joined by
     newlines, each ending in the close. None when the prompt is not ours.
     """
     if not stop:
         return None
-    open_, body = prompt[-len(stop):], prompt[:-len(stop)]
-    end = body.rfind(stop)
-    if end < 0:
+    for size in range(len(stop), len(prompt)):
+        open_, body = prompt[-size:], prompt[:-size]
+        end = body.rfind(stop)
+        if end < 0:
+            return None
+        if prompt.find(open_, end + len(stop)) == len(body):
+            break
+    else:
         return None
     join = body.rfind(stop + "\n", 0, end)
     start = body.find(open_, 0 if join < 0 else join + len(stop) + 1, end)
-    if start < 0 and open_ == stop:  # the join is the opener before "\n..."
-        start = join
+    if start < 0 and open_ == stop:
+        # The "join" found is the opener, or its end and the input's first
+        # characters, before a newline: the block starts after the join
+        # before it.
+        join = body.rfind(stop + "\n", 0, join)
+        start = body.find(open_, 0 if join < 0 else join + len(stop) + 1, end)
     if start < 0:
         return None
     return body[start + len(open_):end], open_, stop

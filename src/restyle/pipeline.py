@@ -194,8 +194,13 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     reuse = ((cfg.endpoints.classifier is None
               or cfg.strength_source == "external_classifier")
              and len(labels or ()) == 2)
+    # A label error depends on the label set, not on the text, so the first
+    # one answers every later accuracy call of the run. A worker that looked
+    # before it was set makes its call, which fails alike: no lock needed.
+    label_error: LabelError | None = None
 
     def one(item: tuple[int, StylePairRecord]):
+        nonlocal label_error
         index, rec = item
         base = rec.to_dict()
         try:
@@ -205,13 +210,15 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
                 example_id=rec.id, with_winner_score=True)
             if reuse:
                 predicted = metrics.top_label(score.strength_scores)
+            elif label_error is not None:
+                predicted = label_error
             else:
                 try:
                     predicted = metrics.predict_style(cfg.endpoints,
                                                       winner.text, labels)
                 except LabelError as exc:
                     # The run's accuracy is absent; the transfer stands.
-                    predicted = exc
+                    predicted = label_error = exc
         except (BackendError, PipelineError, ValueError) as exc:
             logger.warning("example %s failed: %s", rec.id, exc)
             return {**base, "error": f"{type(exc).__name__}: {exc}"}, None, None

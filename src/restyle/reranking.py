@@ -70,17 +70,19 @@ class RerankConfig:
 class RerankScore:
     """The log factors of one candidate; composite sums the enabled terms.
 
-    ``fluency_tokens`` is the token count of the /score response behind
-    ``log_fluency``; perplexity needs it, the score record does not.
-    ``strength_scores`` are the raw label likelihoods behind
+    A candidate pruned by :func:`score_pool` has ``log_similarity``,
+    ``log_strength`` and ``composite`` None: its ``log_fluency`` alone shows
+    it cannot win. ``fluency_tokens`` is the token count of the /score
+    response behind ``log_fluency``; perplexity needs it, the score record
+    does not. ``strength_scores`` are the raw label likelihoods behind
     ``log_strength``; summary accuracy reads the winner's, and they take no
     part in equality or in the score record.
     """
 
-    log_similarity: float
-    log_strength: float
+    log_similarity: float | None
+    log_strength: float | None
     log_fluency: float | None
-    composite: float
+    composite: float | None
     fluency_tokens: int | None = None
     strength_scores: Mapping[str, float] | None = field(default=None,
                                                         compare=False)
@@ -102,20 +104,17 @@ def similarity_score(src: str, cand: str, endpoints: BackendEndpoints) -> float:
     is symmetric in its two texts, and identical texts score 1.0 under any
     embedding backend.
     """
-    return _similarities(src, [cand], endpoints)[0]
+    return _similarity(src, _unit_rows(endpoints, src), cand, endpoints)
 
 
-def _similarities(src: str, texts: list[str],
-                  endpoints: BackendEndpoints) -> list[float]:
-    """:func:`similarity_score` of each text against ``src``, embedding the
-    source once and then each text that is not the source."""
-    src_rows = _unit_rows(backends.embed_tokens(endpoints, src))
+def _similarity(src: str, src_rows: np.ndarray, cand: str,
+                endpoints: BackendEndpoints) -> float:
+    """:func:`similarity_score` against a source whose unit rows are known;
+    a candidate equal to the source reuses them and makes no call."""
     # A fresh buffer: A @ A.T on one array takes NumPy's symmetric product,
     # whose last bits differ from the general one.
-    rows = [src_rows.copy() if text == src
-            else _unit_rows(backends.embed_tokens(endpoints, text))
-            for text in texts]
-    return [_greedy_f1(src_rows, cand_rows) for cand_rows in rows]
+    cand_rows = src_rows.copy() if cand == src else _unit_rows(endpoints, cand)
+    return _greedy_f1(src_rows, cand_rows)
 
 
 def _greedy_f1(src_vecs: np.ndarray, cand_vecs: np.ndarray) -> float:
@@ -130,10 +129,11 @@ def _greedy_f1(src_vecs: np.ndarray, cand_vecs: np.ndarray) -> float:
     return min(max(f1, PROB_FLOOR), 1.0)
 
 
-def _unit_rows(resp: backends.EmbeddingResponse) -> np.ndarray:
+def _unit_rows(endpoints: BackendEndpoints, text: str) -> np.ndarray:
+    """The text's token embeddings, each row scaled to unit length."""
     # np.linalg.norm(mat, axis=1, keepdims=True) computes exactly this for a
     # real matrix, behind a Python wrapper that costs more than the math.
-    mat = resp.vectors
+    mat = backends.embed_tokens(endpoints, text).vectors
     return mat / np.sqrt(np.add.reduce(mat * mat, axis=1, keepdims=True))
 
 
@@ -193,49 +193,74 @@ def _floored_log(p: float) -> float:
 
 def score_pool(req: TransferRequest, pool: list[Candidate],
                cfg: RerankConfig) -> list[RerankScore]:
-    """All enabled log factors for every candidate, parallel to ``pool``.
+    """All enabled log factors for every candidate that can win, parallel to
+    ``pool``.
 
-    The pool's distinct texts are scored one factor stage at a time, in
-    first-seen order: similarity (the source is embedded once, then each
-    text that is not the source), strength, then fluency, so a failed stage
-    ends the example before any later stage's backend calls. A repeated
-    text shares its first occurrence's scores, so every candidate scores
+    With the fluency factor, every distinct text is scored at /score first,
+    in first-seen order. The texts are then visited in descending
+    log-fluency, ties in first-seen order, and each gets its similarity
+    (the source is embedded once, and a text equal to it reuses its rows)
+    and its strength. Every log factor is at most 0 and float addition is
+    monotone, so a composite never exceeds its log-fluency: a text whose
+    log-fluency is already below the best composite so far cannot win, and
+    it is pruned with no /embed or strength call. Pruning only on a strict
+    ``<`` keeps every possible tie scored. Without the fluency factor there
+    is no bound, and every text is scored in first-seen order.
+
+    A failed call ends the example before any later call. A repeated text
+    shares its first occurrence's scores, and every scored candidate scores
     exactly as it would alone.
     """
     endpoints = cfg.endpoints
-    texts = list(dict.fromkeys(cand.text for cand in pool))
-    sims = _similarities(req.input_text, texts, endpoints)
+    src, s1, s2 = req.input_text, req.source_style, req.target_style
     strength = (classifier_strength
                 if cfg.strength_source == "external_classifier"
                 else style_strength)
-    strengths = [strength(text, req.source_style, req.target_style, endpoints,
-                          with_scores=True)
-                 for text in texts]
-    fluencies = ([fluency_logprob(text, endpoints, with_token_count=True)
-                  for text in texts] if cfg.use_fluency
-                 else [(None, None)] * len(texts))
+    texts = list(dict.fromkeys(cand.text for cand in pool))
+    if cfg.use_fluency:
+        fluencies = {text: fluency_logprob(text, endpoints,
+                                           with_token_count=True)
+                     for text in texts}
+        # sorted is stable: equal fluencies keep first-seen order.
+        texts.sort(key=lambda text: -fluencies[text][0])
+    else:
+        fluencies = dict.fromkeys(texts, (None, None))
+    # The first text visited is never pruned, so the source is embedded
+    # before the first text that needs it.
+    src_rows = _unit_rows(endpoints, src)
+    best = -math.inf
     by_text = {}
-    for text, sim, (p_strength, label_scores), (log_fluency, tokens) in zip(
-            texts, sims, strengths, fluencies):
+    for text in texts:
+        log_fluency, tokens = fluencies[text]
+        if log_fluency is not None and log_fluency < best:
+            by_text[text] = RerankScore(None, None, log_fluency, None, tokens)
+            continue
+        sim = _similarity(src, src_rows, text, endpoints)
+        p_strength, label_scores = strength(text, s1, s2, endpoints,
+                                            with_scores=True)
         log_sim, log_strength = _floored_log(sim), _floored_log(p_strength)
         composite = log_sim + log_strength
         if log_fluency is not None:
             composite += log_fluency
+        best = max(best, composite)
         by_text[text] = RerankScore(log_sim, log_strength, log_fluency,
                                     composite, tokens, label_scores)
     return [by_text[cand.text] for cand in pool]
 
 
-def _first_max(values: list[float]) -> int:
-    """Index of the largest value, ties to the lowest index."""
-    return max(range(len(values)), key=values.__getitem__)
+def _first_max(values: list[float | None]) -> int:
+    """Index of the largest value that is not None, ties to the lowest
+    index."""
+    return max((i for i, value in enumerate(values) if value is not None),
+               key=values.__getitem__)
 
 
 def rerank(req: TransferRequest, pool: list[Candidate],
            cfg: RerankConfig) -> tuple[Candidate, list[RerankScore]]:
-    """Score every candidate and pick the composite argmax.
+    """Score the candidates and pick the composite argmax.
 
-    Ties break toward the lowest pool index.
+    Ties break toward the lowest pool index. A pruned candidate has no
+    composite and cannot win.
     """
     if not pool:
         raise ValueError("rerank requires a non-empty candidate pool")

@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from restyle.backends import BackendError, EmbeddingResponse, MaskFillResponse
+from restyle.backends import (
+    BackendError,
+    EmbeddingResponse,
+    MaskFillResponse,
+    TokenScore,
+    TokenScoreResponse,
+)
 
 
 class StaticMaskBackend:
@@ -34,3 +40,33 @@ class FixedEmbedBackend:
         except KeyError as exc:
             raise BackendError(f"token {exc.args[0]!r} not in embedding table")
         return EmbeddingResponse(vectors=rows, dim=self.dim)
+
+
+class FactorTableBackend:
+    """Answers /embed, /fill_mask and /score from tables keyed by the
+    request text: each text embeds as the one row ``rows[text]``, gets the
+    label likelihoods ``likelihoods[text]``, and scores one token per entry
+    of ``logprobs[text]``. Every text asked about is appended to ``asked``
+    as ``(endpoint, text)``."""
+
+    def __init__(self, rows, likelihoods, logprobs):
+        self.rows = rows
+        self.likelihoods = likelihoods
+        self.logprobs = logprobs
+        self.asked = []
+
+    def embed_tokens(self, text: str) -> EmbeddingResponse:
+        self.asked.append(("embed", text))
+        row = self.rows[text]
+        return EmbeddingResponse(vectors=[row], dim=len(row))
+
+    def fill_mask(self, text: str, labels: list[str]) -> MaskFillResponse:
+        self.asked.append(("fill_mask", text))
+        return MaskFillResponse({label: self.likelihoods[text][label]
+                                 for label in labels})
+
+    def score_tokens(self, text: str) -> TokenScoreResponse:
+        self.asked.append(("score", text))
+        return TokenScoreResponse(tuple(
+            TokenScore(f"t{i}", logprob)
+            for i, logprob in enumerate(self.logprobs[text])))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from loopback import LoopbackServer, Reply
 from restyle import backends
@@ -357,9 +357,16 @@ class TestParsePromptInput:
     """The completion mocks read the query input back out of a prompt."""
 
     @given(template=st.sampled_from(list(TEMPLATES.values())),
-           pair=st.sampled_from([*DELIMITERS.values(), DelimiterPair("<<", ">>")]),
+           pair=st.sampled_from([*DELIMITERS.values(), DelimiterPair("<<", ">>"),
+                                 DelimiterPair("<<", ">"), DelimiterPair("[[", "]")]),
            parts=st.lists(_PROMPT_TEXT, min_size=1, max_size=3),
            exemplars=st.lists(st.tuples(_PROMPT_TEXT, _PROMPT_TEXT), max_size=2))
+    # An opener longer than its close; the dash opener's end and the input
+    # run into a newline, as a block join would.
+    @example(template=TEMPLATES["vanilla"], pair=DelimiterPair("[[", "]"),
+             parts=["a"], exemplars=[])
+    @example(template=TEMPLATES["vanilla"], pair=DELIMITERS["dash"],
+             parts=["-\n"], exemplars=[])
     def test_round_trip(self, template, pair, parts, exemplars):
         # Joined by the opener, the input holds it wherever it can: an
         # opener that holds the close cannot appear in an input.

@@ -1,13 +1,25 @@
 """Backend calls per example, counted at each service endpoint.
 
-At k candidates with d distinct candidate texts, of which c are not the
-source, an example costs 1 complete + (1 + c) embed + d fill_mask + d score
-calls; the summary reuses the winner's /score response. Accuracy reads the
-winner's strength likelihoods when it asks the service strength asked (no
-classifier endpoint, or strength from the classifier) over the example's own
-two styles. Otherwise it costs 1 classify call more: a classifier beside
-cloze strength, or a corpus of three or more styles. Strength from the
-classifier endpoint makes its d calls there instead of at /fill_mask.
+Reranking scores each of the d distinct candidate texts at /score first,
+in first-seen order. It then visits them in descending log-fluency, ties in
+first-seen order, and embeds and strength-scores each text it cannot rule
+out; the source is embedded once, before the first of them. Every log
+factor is at most 0 and float addition is monotone, so a composite never
+exceeds its log-fluency: a text whose log-fluency is strictly below the best
+composite so far cannot win, and it is pruned, with null similarity,
+strength and composite in its score record. With d' survivors, of which c'
+are not the source, an example costs
+
+    1 complete + d score + (1 + c') embed + d' fill_mask
+
+calls; the summary reuses the winner's /score response. Without the
+fluency factor nothing is pruned (d' = d, c' = c) and the summary scores
+each winner once. Accuracy reads the winner's strength likelihoods when it
+asks the service strength asked (no classifier endpoint, or strength from
+the classifier) over the example's own two styles. Otherwise it costs 1
+classify call more: a classifier beside cloze strength, or a corpus of three
+or more styles. Strength from the classifier endpoint makes its d' calls
+there instead of at /fill_mask.
 """
 
 import dataclasses
@@ -61,13 +73,15 @@ def counted_endpoints(log=None, classifier=True, **overrides):
 
 
 @pytest.mark.parametrize("overrides, use_fluency, per_example", [
-    # flip, verbatim copy and a padded copy: d = 3, c = 2
-    ({}, True, {"complete": 1, "embed": 3, "fill_mask": 3, "score": 3,
+    # flip, verbatim copy and a padded copy: d = 3; the padded copy is
+    # pruned, so d' = 2 and c' = 1
+    ({}, True, {"complete": 1, "embed": 2, "fill_mask": 2, "score": 3,
                 "classifier": 1}),
-    # k copies of the source: d = 1, c = 0
+    # k copies of the source: d = d' = 1, c' = 0
     ({"complete": "mock://echo"}, True,
      {"complete": 1, "embed": 1, "fill_mask": 1, "score": 1, "classifier": 1}),
-    # no fluency factor: the summary scores each winner once
+    # no fluency factor: no pruning (d' = 3, c' = 2), and the summary scores
+    # each winner once
     ({}, False, {"complete": 1, "embed": 3, "fill_mask": 3, "score": 1,
                  "classifier": 1}),
 ])
@@ -87,12 +101,12 @@ def test_calls_per_example(sentiment_records, overrides, use_fluency,
 @pytest.mark.parametrize("classifier, strength_source, per_example", [
     # no separate classifier: accuracy reads the winner's cloze likelihoods
     (False, "mlm_cloze",
-     {"complete": 1, "embed": 3, "fill_mask": 3, "score": 3}),
+     {"complete": 1, "embed": 2, "fill_mask": 2, "score": 3}),
     (False, "external_classifier",
-     {"complete": 1, "embed": 3, "fill_mask": 3, "score": 3}),
-    # strength from the classifier: d classifier calls, not d + 1
+     {"complete": 1, "embed": 2, "fill_mask": 2, "score": 3}),
+    # strength from the classifier: d' classifier calls, not d' + 1
     (True, "external_classifier",
-     {"complete": 1, "embed": 3, "fill_mask": 0, "score": 3, "classifier": 3}),
+     {"complete": 1, "embed": 2, "fill_mask": 0, "score": 3, "classifier": 2}),
 ])
 def test_accuracy_reuses_the_winners_strength(sentiment_records, classifier,
                                               strength_source, per_example):
@@ -129,8 +143,7 @@ def test_a_third_style_keeps_the_accuracy_call(sentiment_records):
     assert len(manifest.successful_records()) == len(records)
     assert manifest.summary.accuracy is not None
     for record, calls in zip(manifest.records, split_by_example(log)):
-        distinct = len({c["text"] for c in record["candidates"]})
-        assert calls.count("fill_mask") == distinct + 1
+        assert calls.count("fill_mask") == survivors(record) + 1
         assert calls[-1] == "fill_mask"
 
 
@@ -188,46 +201,97 @@ def split_by_example(log):
     return examples
 
 
+def survivors(record):
+    """The number of distinct texts of a record that reranking scored."""
+    return len({c["text"] for c, s in zip(record["candidates"],
+                                          record["scores"])
+                if s["composite"] is not None})
+
+
 def test_factor_stages_run_in_order(sentiment_records):
-    # The flip, a verbatim copy of the source and a padded copy: the copy
-    # reuses the source's embedding, so the similarity stage embeds 3 texts.
+    # The flip, a verbatim copy of the source and a padded copy: all three
+    # are scored at /score first. The flip and the copy are equally fluent
+    # and are visited in pool order: the source is embedded, then the flip,
+    # and the copy reuses the source's rows. The padded copy is pruned.
     log = []
     endpoints, _ = counted_endpoints(log)
     req = RequestTemplate().request_for(sentiment_records[0])
-    transfer_one(req, RerankConfig(k=3, endpoints=endpoints), seed=3)
-    assert log == ["complete"] + ["embed"] * 3 + ["fill_mask"] * 3 + \
-        ["score"] * 3
+    _, record = transfer_one(req, RerankConfig(k=3, endpoints=endpoints),
+                             seed=3)
+    texts = [c["text"] for c in record["candidates"]]
+    assert texts[1] == req.input_text
+    assert [s["composite"] is None for s in record["scores"]] == \
+        [False, False, True]
+    assert log == ["complete"] + ["score"] * 3 + \
+        ["embed", "embed", "fill_mask", "fill_mask"]
 
 
-class FailingEmbed:
-    """An embedding service that fails for one text."""
+def test_no_fluency_scores_every_text_in_pool_order(sentiment_records):
+    log = []
+    endpoints, _ = counted_endpoints(log)
+    req = RequestTemplate().request_for(sentiment_records[0])
+    _, record = transfer_one(
+        req, RerankConfig(k=3, use_fluency=False, endpoints=endpoints), seed=3)
+    assert all(s["composite"] is not None for s in record["scores"])
+    # The flip, then the copy (no embed call), then the padded copy.
+    assert log == ["complete", "embed", "embed", "fill_mask", "fill_mask",
+                   "embed", "fill_mask"]
 
-    def __init__(self, service, text):
+
+class Failing:
+    """A service whose ``method`` fails for one text."""
+
+    def __init__(self, service, method, text):
         self.service = service
+        self.method = method
         self.text = text
 
-    def embed_tokens(self, text):
-        if text == self.text:
-            raise BackendError(f"injected /embed fault for {text!r}")
-        return self.service.embed_tokens(text)
+    def __getattr__(self, name):
+        method = getattr(self.service, name)
+
+        def failing(text, *args):
+            if name == self.method and text == self.text:
+                raise BackendError(f"injected {name} fault for {text!r}")
+            return method(text, *args)
+
+        return failing
 
 
-def test_failed_stage_makes_no_later_stage_calls(sentiment_records):
+def faulted_run(sentiment_records, service, method, which):
+    """The call log of a jobs=1 corpus run in which ``method`` of
+    ``service`` fails for candidate ``which`` of the first example, cut by
+    example. The other examples must succeed with the full plan."""
     req = RequestTemplate().request_for(sentiment_records[0])
     cfg = RerankConfig(k=3, endpoints=counted_endpoints()[0])
-    third = transfer_one(req, cfg, seed=3)[1]["candidates"][2]["text"]
-    assert third != req.input_text
+    text = transfer_one(req, cfg, seed=3)[1]["candidates"][which]["text"]
+    assert text != req.input_text
 
     log = []
     endpoints, services = counted_endpoints(log)
-    services["embed"].service = FailingEmbed(services["embed"].service, third)
+    services[service].service = Failing(services[service].service, method,
+                                        text)
     manifest = transfer_corpus(sentiment_records, RequestTemplate(),
                                RerankConfig(k=3, endpoints=endpoints),
                                seed=3, jobs=1)
     assert "BackendError" in manifest.records[0]["error"]
     assert len(manifest.successful_records()) == len(sentiment_records) - 1
     examples = split_by_example(log)
-    assert examples[0] == ["complete", "embed", "embed", "embed"]
     for calls in examples[1:]:
-        assert calls == ["complete"] + ["embed"] * 3 + ["fill_mask"] * 3 + \
-            ["score"] * 3 + ["classifier"]
+        # Whether the flip or the copy is visited first sets the order of
+        # the middle calls.
+        assert calls[:4] == ["complete"] + ["score"] * 3
+        assert sorted(calls[4:-1]) == ["embed"] * 2 + ["fill_mask"] * 2
+        assert calls[-1] == "classifier"
+    return examples
+
+
+def test_failed_stage_makes_no_later_stage_calls(sentiment_records):
+    # The flip's /embed fails: no strength call follows.
+    examples = faulted_run(sentiment_records, "embed", "embed_tokens", 0)
+    assert examples[0] == ["complete"] + ["score"] * 3 + ["embed", "embed"]
+
+
+def test_failed_score_makes_no_factor_calls(sentiment_records):
+    # The padded copy's /score fails: no /embed or strength call follows.
+    examples = faulted_run(sentiment_records, "score", "score_tokens", 2)
+    assert examples[0] == ["complete"] + ["score"] * 3

@@ -8,6 +8,8 @@ difference. Regenerate them only for an intended output change, with
 """
 
 import dataclasses
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -79,6 +81,42 @@ def test_manifest_bytes_unchanged(name, tmp_path):
     out = tmp_path / f"{name}.jsonl"
     write_run(name, out)
     assert out.read_bytes() == (DATA / f"golden_{name}.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_winners_and_pruned_entries_follow_the_rule(name):
+    # Replays the rerank on the stored factors: the distinct texts are
+    # visited in descending log-fluency, ties in first-seen order; a null
+    # entry's log-fluency is below the best composite before it, and every
+    # scored text's is not.
+    lines = (DATA / f"golden_{name}.jsonl").read_text().splitlines()
+    pruned = 0
+    for line in lines[1:]:
+        record = json.loads(line)
+        if "error" in record:
+            continue
+        composites = [s["composite"] for s in record["scores"]]
+        winner = max((i for i, c in enumerate(composites) if c is not None),
+                     key=composites.__getitem__)
+        assert record["winner_index"] == record["candidates"][winner]["index"]
+        by_text = {}
+        for cand, score in zip(record["candidates"], record["scores"]):
+            assert by_text.setdefault(cand["text"], score) == score
+        visits = list(by_text.values())
+        if RUNS[name]["use_fluency"]:
+            visits.sort(key=lambda s: -s["log_fluency"])
+        best = -math.inf
+        for score in visits:
+            if score["composite"] is None:
+                assert score["log_similarity"] is None
+                assert score["log_strength"] is None
+                assert score["log_fluency"] < best
+                pruned += 1
+            else:
+                assert score["log_fluency"] is None or \
+                    score["log_fluency"] >= best
+                best = max(best, score["composite"])
+    assert (pruned > 0) == RUNS[name]["use_fluency"]
 
 
 if __name__ == "__main__":

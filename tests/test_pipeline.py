@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ from restyle.backends import (
     CompletionResponse,
     DecodeConfig,
     Generation,
+    LabelError,
     ServiceError,
 )
 from restyle.data import StylePairRecord, load_dataset
@@ -183,6 +185,65 @@ class TestTransferCorpus:
         assert "labels formal, informal, negative, positive" in warnings[0]
         assert reevaluate_manifest(manifest) == manifest.summary
 
+    @staticmethod
+    def label_error_corpus(jobs, copies=1):
+        """``copies`` times four positive examples and one informal one
+        under the sentiment mock, with every /fill_mask call logged as
+        (label count, failed)."""
+        class Logged(SentimentMaskBackend):
+            def __init__(self):
+                self.calls = []
+
+            def fill_mask(self, text, labels):
+                try:
+                    resp = super().fill_mask(text, labels)
+                except LabelError:
+                    self.calls.append((len(labels), True))
+                    raise
+                self.calls.append((len(labels), False))
+                return resp
+
+        service = Logged()
+        records = []
+        for copy in range(copies):
+            records += [record(f"p{copy}-{i}", text) for i, text in enumerate(
+                ("the food was good", "great service", "the room was clean",
+                 "fresh bread"))]
+            records.append(record(f"f{copy}", "gonna eat now", src="informal",
+                                  dst="formal"))
+        manifest = transfer_corpus(
+            records, RequestTemplate(),
+            RerankConfig(endpoints=mock_endpoints(fill_mask=service)),
+            jobs=jobs, seed=5)
+        # Accuracy asks about all four labels; strength about two.
+        return manifest, [failed for labels, failed in service.calls
+                          if labels == 4]
+
+    def test_one_label_error_ends_the_accuracy_calls(self):
+        manifest, accuracy_calls = self.label_error_corpus(jobs=1)
+        assert accuracy_calls == [True]
+        assert [r["id"] for r in manifest.successful_records()] == \
+            ["p0-0", "p0-1", "p0-2", "p0-3"]
+        assert manifest.records[4]["error"].startswith("LabelError")
+        assert manifest.summary.accuracy is None
+
+    @pytest.mark.parametrize("jobs, copies", [(2, 1), (8, 4)])
+    def test_label_error_stop_keeps_the_manifest_under_jobs(self, jobs,
+                                                            copies):
+        serial, _ = self.label_error_corpus(jobs=1, copies=copies)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded, accuracy_calls = self.label_error_corpus(jobs, copies)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.records == serial.records
+        assert threaded.summary == serial.summary
+        assert threaded.run_id == serial.run_id
+        # A worker calls only if no error was in when it looked, so at most
+        # one call per worker fails.
+        assert all(accuracy_calls) and 1 <= len(accuracy_calls) <= jobs
+
     def test_negated_direction_with_exemplars(self):
         # Labels as a dataset might write them; records, exemplars and the
         # request all hold the parse_style form.
@@ -314,10 +375,12 @@ class TestTransferCorpus:
             sentiment_records, RequestTemplate(),
             RerankConfig(k=3, strength_source=strength_source, endpoints=ep),
             jobs=1)
-        # One strength call per distinct candidate; accuracy reads the
-        # winner's strength likelihoods and makes no call of its own.
+        # One strength call per distinct candidate that is not pruned;
+        # accuracy reads the winner's strength likelihoods and makes no call
+        # of its own.
         assert len(recording.texts) == sum(
-            len({c["text"] for c in r["candidates"]})
+            len({c["text"] for c, s in zip(r["candidates"], r["scores"])
+                 if s["composite"] is not None})
             for r in manifest.records)
         assert all(text.count(ep.mask_token) == 1 for text in recording.texts)
         assert manifest.summary.accuracy == 1.0

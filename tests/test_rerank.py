@@ -2,9 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from fakes import FixedEmbedBackend, StaticMaskBackend
+from fakes import FactorTableBackend, FixedEmbedBackend, StaticMaskBackend
 from restyle.backends import BackendEndpoints, DecodeConfig, LabelError
 from restyle.mocks import (
     HashEmbedBackend,
@@ -12,12 +12,13 @@ from restyle.mocks import (
     UniformScoreBackend,
     mock_endpoints,
 )
-from restyle.prompts import TransferRequest, parse_style
+from restyle.prompts import TransferRequest, parse_style, render_cloze
 from restyle.reranking import (
     PROB_FLOOR,
     Candidate,
     RerankConfig,
     RerankScore,
+    _first_max,
     fluency_logprob,
     rerank,
     similarity_score,
@@ -318,3 +319,80 @@ def test_rerank_argmax_invariance_through_scaled_backend():
         winner, _ = rerank(req, pool, cfg)
         results.append(winner.index)
     assert results[0] == results[1]
+
+
+# A few values drawn again and again, so that distinct texts often share
+# every factor (an exact composite tie) or their fluency alone, plus free
+# draws. A row at (1, 0) is the source's direction.
+_ROWS = st.one_of(st.sampled_from([(1.0, 0.0), (0.6, 0.8), (0.0, 1.0),
+                                   (-1.0, 0.0)]),
+                  st.tuples(st.floats(-1, 1), st.floats(-1, 1)).filter(
+                      lambda row: math.hypot(*row) > 1e-3))
+_LIKELIHOODS = st.tuples(*[st.one_of(st.sampled_from([0.0, 0.25, 1.0]),
+                                     st.floats(0, 1e3))] * 2)
+_LOGPROBS = st.lists(st.one_of(st.sampled_from([-1.0, -2.5]),
+                               st.floats(-60, 0)), min_size=1, max_size=3)
+_SOURCE = "the source"
+
+
+@st.composite
+def factor_tables(draw):
+    """A pool over the source and four other texts, and a backend whose
+    tables give each text a factor profile; a few shared profiles make
+    ties common."""
+    profiles = draw(st.lists(st.tuples(_ROWS, _LIKELIHOODS, _LOGPROBS),
+                             min_size=1, max_size=3))
+    texts = [_SOURCE, "a", "b", "c", "d"]
+    rows, likelihoods, logprobs = {_SOURCE: (1.0, 0.0)}, {}, {}
+    for text in texts:
+        row, (l_source, l_target), tokens = draw(st.one_of(
+            st.sampled_from(profiles),
+            st.tuples(_ROWS, _LIKELIHOODS, _LOGPROBS)))
+        rows.setdefault(text, row)
+        likelihoods[render_cloze(text, "<mask>")] = {POS: l_source,
+                                                     NEG: l_target}
+        logprobs[text] = tokens
+    pool_texts = draw(st.lists(st.sampled_from(texts), min_size=1,
+                               max_size=6))
+    return make_pool(*pool_texts), FactorTableBackend(rows, likelihoods,
+                                                      logprobs)
+
+
+@given(tables=factor_tables(), use_fluency=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_pruned_rerank_picks_the_full_argmax(tables, use_fluency):
+    pool, backend = tables
+    endpoints = BackendEndpoints(embed=backend, fill_mask=backend,
+                                 score=backend)
+    req = TransferRequest(input_text=_SOURCE, source_style=POS,
+                          target_style=NEG)
+    winner, scores = rerank(req, pool, RerankConfig(use_fluency=use_fluency,
+                                                    endpoints=endpoints))
+    # The source and each scored text are embedded and strength-scored
+    # once; a pruned text is not.
+    scored = {cand.text for cand, score in zip(pool, scores)
+              if score.composite is not None}
+    assert sorted(text for name, text in backend.asked if name == "embed") \
+        == sorted([_SOURCE, *(scored - {_SOURCE})])
+    assert sorted(text for name, text in backend.asked
+                  if name == "fill_mask") \
+        == sorted(render_cloze(text, "<mask>") for text in scored)
+
+    def full_composite(text):
+        sim = similarity_score(_SOURCE, text, endpoints)
+        strength = style_strength(text, POS, NEG, endpoints)
+        composite = (math.log(max(sim, PROB_FLOOR))
+                     + math.log(max(strength, PROB_FLOOR)))
+        if use_fluency:
+            composite += fluency_logprob(text, endpoints)
+        return composite
+
+    full = [full_composite(cand.text) for cand in pool]
+    assert winner is pool[_first_max(full)]
+    best = scores[pool.index(winner)].composite
+    for score, composite in zip(scores, full):
+        if score.composite is None:
+            assert use_fluency
+            assert score.log_fluency < best
+        else:
+            assert score.composite == composite

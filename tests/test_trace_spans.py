@@ -32,8 +32,10 @@ def test_every_target_resolves():
 
 def test_traced_corpus_records_the_call_plan(sentiment_records):
     # Per example at k=3: the flip, a verbatim copy of the source and a
-    # padded copy, so d = 3 distinct texts of which c = 2 are not the source.
-    # Accuracy reads the winner's strength likelihoods: no classify call.
+    # padded copy, so d = 3 distinct texts. The padded copy is one token
+    # longer and less fluent than the flip's composite, so it is pruned:
+    # d' = 2 survivors, of which c' = 1 is not the source. Accuracy reads
+    # the winner's strength likelihoods: no classify call.
     spans = load_spans()
     tracer = spans.Tracer()
     tracer.install()
@@ -52,11 +54,11 @@ def test_traced_corpus_records_the_call_plan(sentiment_records):
         "prompts.render_prompt": n,
         "prompts.extract_completion": 3 * n,
         "reranking.rerank": n,
-        "reranking.style_strength": 3 * n,
+        "reranking.style_strength": 2 * n,
         "reranking.fluency_logprob": 3 * n,
         "backends.complete": n,
-        "backends.embed": 3 * n,
-        "backends.fill_mask": 3 * n,
+        "backends.embed": 2 * n,
+        "backends.fill_mask": 2 * n,
         "backends.score": 3 * n,
         "backends.classify": 0,
     }

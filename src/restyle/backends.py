@@ -324,10 +324,13 @@ def parse_embedding(body: dict) -> EmbeddingResponse:
     return EmbeddingResponse(vectors=body["vectors"], dim=body["dim"])
 
 
-_ENV_PREFIX = "RESTYLE"
 # The service endpoints: the fields read from RESTYLE_<NAME>_URL and shown
 # in a run manifest's snapshot.
 _SERVICES = ("complete", "score", "fill_mask", "embed", "classifier")
+# The protocol settings, each read from RESTYLE_<SETTING>, and the
+# conversion a text value of it goes through.
+_SETTINGS = {"mask_token": str, "timeout": float, "max_retries": int,
+             "retry_backoff": float}
 
 
 @dataclass(frozen=True)
@@ -366,22 +369,17 @@ class BackendEndpoints:
 
     @classmethod
     def from_env(cls, env: dict[str, str] | None = None) -> "BackendEndpoints":
-        """Build endpoints from RESTYLE_*_URL (and related) variables."""
+        """Build endpoints from the RESTYLE_<NAME>_URL and RESTYLE_<SETTING>
+        variables, read as :meth:`from_snapshot` reads text values."""
         env = os.environ if env is None else env
-
-        def get(name, default=None):
-            return env.get(f"{_ENV_PREFIX}_{name}", default)
-
-        return cls(
-            **{name: get(f"{name.upper()}_URL") for name in _SERVICES},
-            mask_token=get("MASK_TOKEN", cls.mask_token),
-            timeout=float(get("TIMEOUT", cls.timeout)),
-            max_retries=int(get("MAX_RETRIES", cls.max_retries)),
-            retry_backoff=float(get("RETRY_BACKOFF", cls.retry_backoff)),
-        )
+        names = {f"RESTYLE_{name.upper()}_URL": name for name in _SERVICES}
+        names.update({f"RESTYLE_{name.upper()}": name for name in _SETTINGS})
+        return cls.from_snapshot({name: env[var] for var, name in names.items()
+                                  if var in env})
 
     def snapshot(self) -> dict:
-        """URL-level view of the configuration, for run manifests."""
+        """URL-level view of the configuration, for run manifests;
+        ``retry_backoff`` changes no output and is left out."""
 
         def show(value):
             if value is None or isinstance(value, str):
@@ -390,33 +388,35 @@ class BackendEndpoints:
 
         return {
             **{name: show(getattr(self, name)) for name in _SERVICES},
-            "mask_token": self.mask_token,
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
+            **{name: getattr(self, name) for name in _SETTINGS
+               if name != "retry_backoff"},
         }
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "BackendEndpoints":
-        """Endpoints rebuilt from a :meth:`snapshot`: an ``object:<Class>``
-        endpoint stays unset, a string converts as in :meth:`from_env` and
-        any other value is checked as stored, and an absent key takes its
-        default, as ``retry_backoff`` (never stored: it changes no output) does."""
+        """Endpoints rebuilt from a :meth:`snapshot` or from text settings:
+        an empty or ``object:<Class>`` endpoint stays unset, a text setting
+        goes through its conversion and any other value is checked as
+        stored, and an absent key takes its default."""
 
         def url(name):
             value = snapshot.get(name)
-            if isinstance(value, str) and not value.startswith("object:"):
+            if isinstance(value, str) and value and not value.startswith("object:"):
                 return value
             return None
 
-        def number(name, convert):
-            value = snapshot.get(name, getattr(cls, name))
-            return convert(value) if isinstance(value, str) else value
+        def setting(name, convert):
+            value = snapshot[name]
+            try:
+                return convert(value) if isinstance(value, str) else value
+            except ValueError:  # only int and float conversions fail
+                kind = "an integer" if convert is int else "a number"
+                raise ValueError(f"{name} must be {kind}, got {value!r}") from None
 
         return cls(
             **{name: url(name) for name in _SERVICES},
-            mask_token=snapshot.get("mask_token", cls.mask_token),
-            timeout=number("timeout", float),
-            max_retries=number("max_retries", int),
+            **{name: setting(name, convert) for name, convert in _SETTINGS.items()
+               if name in snapshot},
         )
 
 

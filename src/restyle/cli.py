@@ -230,7 +230,7 @@ def cmd_clean(args) -> int:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return [line.rstrip("\n") for line in fh]
 
 

@@ -14,7 +14,7 @@ import logging
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .backends import check_count
 from .prompts import parse_style
@@ -154,7 +154,9 @@ def load_dataset(path: str, format: str, *, clean: bool = False,
     if format not in FORMATS:
         raise DatasetError(f"format must be one of {FORMATS}, got {format!r}")
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a byte order mark, which would otherwise join the
+        # first row's text.
+        with open(path, encoding="utf-8-sig") as fh:
             lines = list(fh)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
@@ -214,7 +216,7 @@ def save_records(records: list[StylePairRecord], path: str, format: str) -> None
 # ---------------------------------------------------------------------------
 # Synthetic comparison corpus
 
-DEFAULT_CATEGORIES: dict[str, tuple[str, ...]] = {
+CATEGORIES: dict[str, tuple[str, ...]] = {
     "animals": (
         "dog", "cat", "horse", "cow", "sheep", "goat", "pig", "rabbit",
         "fox", "wolf", "bear", "lion", "tiger", "deer", "owl", "eagle",
@@ -236,31 +238,19 @@ DEFAULT_CATEGORIES: dict[str, tuple[str, ...]] = {
 }
 
 
+# Every word of the category lists: single tokens, none in two categories.
+_WORDS = tuple(word for words in CATEGORIES.values() for word in words)
+
+
 @dataclass(frozen=True)
 class SymbSpec:
     """Configuration for the symbolic comparison generator."""
 
-    categories: dict[str, tuple[str, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_CATEGORIES))
     n: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         check_count(self.n, "n")
-        seen: set[str] = set()
-        for name, words in self.categories.items():
-            for word in words:
-                if not word or any(ch.isspace() for ch in word):
-                    raise DatasetError(
-                        f"category {name!r}: {word!r} is not a single token")
-                if word in seen:
-                    raise DatasetError(
-                        f"word {word!r} appears in more than one category")
-                seen.add(word)
-
-    @property
-    def words(self) -> list[str]:
-        return [w for words in self.categories.values() for w in words]
 
 
 def generate_symb(spec: SymbSpec) -> list[StylePairRecord]:
@@ -270,9 +260,8 @@ def generate_symb(spec: SymbSpec) -> list[StylePairRecord]:
     category lists; the reference is the verbalized English sentence. Sources
     are unique, so ``n`` may not exceed the number of distinct comparisons.
     """
-    words = spec.words
     combos = [(a, op, b)
-              for a in words for b in words if a != b
+              for a in _WORDS for b in _WORDS if a != b
               for op in ("<", ">")]
     if spec.n > len(combos):
         raise DatasetError(

@@ -164,7 +164,7 @@ class TransferRequest:
     ``template`` is the template text: a value of :data:`TEMPLATES` or a
     custom phrasing with the same placeholders, checked by
     :func:`validate_template`. The styles are stored as :func:`parse_style`
-    writes them.
+    writes them, and must differ.
     """
 
     input_text: str
@@ -180,6 +180,9 @@ class TransferRequest:
         validate_template(self.template)
         object.__setattr__(self, "source_style", parse_style(self.source_style))
         object.__setattr__(self, "target_style", parse_style(self.target_style))
+        if self.source_style == self.target_style:
+            raise PromptError("source and target style are both "
+                              f"{self.source_style!r}; a transfer needs two styles")
 
 
 @functools.cache

@@ -159,8 +159,6 @@ def style_strength(cand: str, s1: str, s2: str, endpoints: BackendEndpoints,
     the indifferent 0.5. With ``with_scores`` the result is ``(strength,
     scores)``, ``scores`` being the raw likelihood of each of the two labels.
     """
-    if s1 == s2:
-        raise ValueError("style_strength needs two distinct styles")
     return _label_strength(backends.fill_mask,
                            render_cloze(cand, endpoints.mask_token),
                            s1, s2, endpoints, with_scores)

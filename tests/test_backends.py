@@ -188,6 +188,7 @@ class TestResponseInvariants:
         assert resp == EmbeddingResponse(vectors=np.array([[1, 0], [0.5, 0.5]]), dim=2)
         assert resp != EmbeddingResponse(vectors=((1.0, 0.0), (0.5, 0.25)), dim=2)
         assert resp != EmbeddingResponse(vectors=((1.0, 0.0),), dim=2)
+        assert resp != "vectors"
         with pytest.raises(TypeError):
             hash(resp)
 
@@ -384,6 +385,16 @@ class TestParsePromptInput:
         assert parse_prompt_input(sentiment_prompt(), None) is None
         assert parse_prompt_input("no markers here", "}") is None
         assert parse_prompt_input("a close} but no opener {", "}") is None
+        # Too short to hold both a close and an opener.
+        assert parse_prompt_input("}", "}") is None
+
+    @pytest.mark.parametrize("backend", [EchoCompletionBackend(),
+                                         LexiconFlipBackend()],
+                             ids=["echo", "lexicon-flip"])
+    def test_foreign_prompt_gets_empty_candidates(self, backend):
+        resp = backend.complete(CompletionRequest(
+            prompt="no markers here", num_candidates=2, stop="}"))
+        assert [c.text for c in resp.candidates] == ["", ""]
 
 
 def test_blank_text_not_classified():
@@ -493,6 +504,8 @@ class TestDeterminism:
         for url in ("mock://uniform?vocab=1", "mock://hash-embed?dim=1"):
             with pytest.raises(ValueError, match="must be >= 2, got 1"):
                 resolve_mock_url(url)
+        with pytest.raises(ValueError, match="plant must be"):
+            resolve_mock_url("mock://lexicon-flip?plant=last")
 
 
 def wire_answer(path: str, body: dict) -> Reply:
@@ -618,9 +631,14 @@ def test_from_env():
     assert ep.classifier is None
     assert ep.mask_token == "[MASK]"
     assert ep.timeout == 5.0
+    assert BackendEndpoints.from_env({**env, "RESTYLE_SCORE_URL": ""}).score is None
+    assert BackendEndpoints.from_env({}) == BackendEndpoints()
+    # A bad value names its setting, also where the text does not convert.
     for name, value in (("MAX_RETRIES", "0"), ("TIMEOUT", "-1"),
-                        ("RETRY_BACKOFF", "nan"), ("MASK_TOKEN", " ")):
-        with pytest.raises(ValueError):
+                        ("RETRY_BACKOFF", "nan"), ("MASK_TOKEN", " "),
+                        ("MAX_RETRIES", "x"), ("MAX_RETRIES", "2.7"),
+                        ("TIMEOUT", "soon"), ("RETRY_BACKOFF", "")):
+        with pytest.raises(ValueError, match=f"^{name.lower()} must be"):
             BackendEndpoints.from_env({**env, f"RESTYLE_{name}": value})
 
 
@@ -645,6 +663,7 @@ def test_from_snapshot_defaults_and_numbers():
     assert ep == BackendEndpoints(complete="mock://echo")
     assert (ep.timeout, ep.max_retries) == (30.0, 3)
     assert BackendEndpoints.from_snapshot({"timeout": "5"}).timeout == 5.0
+    assert BackendEndpoints.from_snapshot({"score": ""}).score is None
     for bad in ({"timeout": "soon"}, {"max_retries": "many"},
                 {"timeout": "-1"}, {"timeout": "nan"}, {"timeout": 0},
                 {"max_retries": 0}, {"mask_token": ""}, {"max_retries": 2.7}):

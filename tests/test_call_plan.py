@@ -122,6 +122,28 @@ def test_accuracy_reuses_the_winners_strength(sentiment_records, classifier,
         {name: count * n for name, count in per_example.items()}
 
 
+def test_same_style_records_make_no_calls(sentiment_records):
+    # A record asking for the style it has is an error record before its
+    # /complete call; appended last, it moves no other record's seed, and
+    # the other records keep their call plan.
+    same = [dataclasses.replace(r, id=f"{r.id}-same", target_style=r.source_style)
+            for r in sentiment_records[:2]]
+    logs = []
+    for records in (sentiment_records, sentiment_records + same):
+        log = []
+        endpoints, _ = counted_endpoints(log)
+        manifest = transfer_corpus(records, RequestTemplate(),
+                                   RerankConfig(k=3, endpoints=endpoints),
+                                   seed=3, jobs=1)
+        logs.append(log)
+    assert logs[1] == logs[0]
+    assert len(manifest.successful_records()) == len(sentiment_records)
+    assert [r["id"] for r in manifest.records if "error" in r] == \
+        [r.id for r in same]
+    assert all(r["error"].startswith("PromptError: source and target style")
+               for r in manifest.records[-2:])
+
+
 class EveryLabel:
     """A /fill_mask-shaped service that scores every label alike."""
 

@@ -141,6 +141,24 @@ class TestTransfer:
         assert server.requests == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, env, error", [
+        (["--from", "positive", "--to", " positive"], {},
+         "source and target style are both 'positive'"),
+        (["--from", "positive", "--to", "negative"], {"SCORE": ""},
+         "missing backend endpoints: RESTYLE_SCORE_URL (or pass --no-fluency)"),
+    ], ids=["same-style", "empty-score-url"])
+    def test_exits_2_before_any_call(self, mock_env, monkeypatch, capsys,
+                                     argv, env, error):
+        with LoopbackServer() as server:
+            for service in ("COMPLETE", "SCORE", "FILL_MASK", "EMBED"):
+                monkeypatch.setenv(
+                    f"RESTYLE_{service}_URL",
+                    env.get(service, f"{server.url}/{service.lower()}"))
+            code = main(["transfer", "--text", "the food was good", *argv])
+        assert code == 2
+        assert error in capsys.readouterr().err
+        assert server.requests == []
+
     def test_missing_endpoints_exit_2(self, monkeypatch, capsys):
         for key in MOCK_ENV:
             monkeypatch.delenv(key, raising=False)
@@ -198,7 +216,8 @@ class TestTransfer:
 
     @pytest.mark.parametrize("name, value", [
         ("MAX_RETRIES", "0"), ("TIMEOUT", "-1"), ("TIMEOUT", "nan"),
-        ("RETRY_BACKOFF", "-1"), ("MASK_TOKEN", " "),
+        ("RETRY_BACKOFF", "-1"), ("MASK_TOKEN", " "), ("MAX_RETRIES", "x"),
+        ("TIMEOUT", "soon"),
     ])
     def test_invalid_transport_setting_exits_2(self, mock_env, monkeypatch,
                                                capsys, name, value):
@@ -449,6 +468,12 @@ class TestClean:
         assert code == 0
         assert dst.read_text() == "this place was great!\ndon't go\n"
 
+    def test_writes_stdout_by_default(self, tmp_path, capsys):
+        src = tmp_path / "raw.txt"
+        src.write_text("( hello ) !\n")
+        assert main(["clean", "--in", str(src)]) == 0
+        assert capsys.readouterr().out == "(hello)!\n"
+
 
 class TestEval:
     def test_identical_files_bleu_100(self, tmp_path, capsys, monkeypatch):
@@ -462,6 +487,19 @@ class TestEval:
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert summary["r_sbleu"] == 100.0
         assert summary["exact_match"] == 1.0
+
+    def test_byte_order_marks_ignored(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("RESTYLE_SCORE_URL", raising=False)
+        for name, bom in (("h", "\ufeff"), ("s", "\ufeff"), ("r", "")):
+            (tmp_path / f"{name}.txt").write_text(f"{bom}good food\nnice day\n",
+                                                  encoding="utf-8")
+        code = main(["eval", "--hyp", str(tmp_path / "h.txt"),
+                     "--src", str(tmp_path / "s.txt"),
+                     "--ref", str(tmp_path / "r.txt"), "--json"])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["exact_match"] == 1.0
+        assert summary["s_sbleu"] == summary["r_sbleu"] == 100.0
 
     def test_perplexity_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RESTYLE_SCORE_URL", f"mock://uniform?vocab={10 ** 400}")

@@ -1,3 +1,4 @@
+import codecs
 import json
 import re
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from restyle.data import (
+    CATEGORIES,
     ComparisonParseError,
     DatasetError,
     SymbSpec,
@@ -229,6 +231,22 @@ class TestLoadDataset:
             save_records(records, str(path), fmt)
             assert load_dataset(str(path), fmt) == records
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    def test_byte_order_mark_ignored(self, tmp_path, fmt, strict):
+        # Without it being dropped, a TSV header would load as a record and
+        # a first JSONL row would fail to parse.
+        records = [
+            StylePairRecord(id="a", source="good food", reference="bad food",
+                            source_style="positive", target_style="negative"),
+            StylePairRecord(id="b", source="quiet night", reference=None,
+                            source_style="calm", target_style="tense"),
+        ]
+        path = tmp_path / f"bom.{fmt}"
+        save_records(records, str(path), fmt)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert load_dataset(str(path), fmt, strict=strict) == records
+
 
 class TestGenerateSymb:
     def test_count_and_distinct_words(self):
@@ -253,9 +271,11 @@ class TestGenerateSymb:
         assert len({r.source for r in records}) == 500
 
     def test_capacity_error(self):
-        tiny = SymbSpec(categories={"x": ("a", "b")}, n=5, seed=0)
-        with pytest.raises(DatasetError, match="exceeds"):
-            generate_symb(tiny)
+        words = sum(len(words) for words in CATEGORIES.values())
+        comparisons = 2 * words * (words - 1)
+        assert len(generate_symb(SymbSpec(n=comparisons))) == comparisons
+        with pytest.raises(DatasetError, match=f"exceeds the {comparisons}"):
+            generate_symb(SymbSpec(n=comparisons + 1))
 
     @pytest.mark.parametrize("n", [0, True, 2.5])
     def test_n_must_be_a_count(self, n):
@@ -263,10 +283,11 @@ class TestGenerateSymb:
             SymbSpec(n=n)
 
     def test_category_validation(self):
-        with pytest.raises(DatasetError):
-            SymbSpec(categories={"x": ("a b",)})
-        with pytest.raises(DatasetError):
-            SymbSpec(categories={"x": ("a",), "y": ("a",)})
+        # Every word is one token, so a comparison parses back, and no word
+        # is in two categories, so no comparison can be drawn twice.
+        words = [word for words in CATEGORIES.values() for word in words]
+        assert all(word and word.split() == [word] for word in words)
+        assert len(set(words)) == len(words)
 
 
 class TestComparisonGrammar:
@@ -285,7 +306,7 @@ class TestComparisonGrammar:
         import random as _random
 
         rng = _random.Random(99)
-        words = SymbSpec().words
+        words = [word for words in CATEGORIES.values() for word in words]
         for _ in range(100):
             a, b = rng.sample(words, 2)
             op = rng.choice("<>")

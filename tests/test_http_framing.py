@@ -113,6 +113,10 @@ FAULTS = {
                     + b"".join(b"X-Field-%d: v\r\n" % i for i in range(100))
                     + b"Content-Length: 2\r\n\r\n{}", False, "HTTPException"),
     "garbage-status": (b"garbage\r\n\r\n", False, "BadStatusLine"),
+    "http2-status": (b"HTTP/2 200\r\n\r\n{}", False, "UnknownProtocol"),
+    # A fresh connection closed before any response byte is a failed
+    # attempt; only a reused one is replaced for free.
+    "closed-before-response": (b"", True, "RemoteDisconnected"),
     "word-length": (b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n{}",
                     False, "HTTPException"),
     "bad-chunk-size": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"

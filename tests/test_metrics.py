@@ -76,6 +76,13 @@ class TestCorpusBleu:
         assert report.score == pytest.approx(31.94715521231363, abs=1e-9)
         assert report.ngram_precisions[0] == pytest.approx(0.25)
 
+    def test_hypotheses_without_tokens_score_zero(self):
+        report = corpus_bleu(["", " "], ["the cat", "sat"])
+        assert report.score == 0.0
+        assert report.ngram_precisions == (0.0, 1.0, 1.0, 1.0)
+        assert report.hyp_len == 0
+        assert report.brevity_penalty == math.exp(1 - 3)
+
     def test_disjoint_vocabulary_scores_zero(self):
         report = corpus_bleu(["aa bb cc"], ["xx yy zz"])
         assert report.score == 0.0
@@ -179,6 +186,14 @@ class TestSentenceGleu:
         expected = sum(sentence_gleu(*t) for t in triples) / 2
         assert corpus_gleu(*map(list, zip(*triples))) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("srcs, hyps, refs, error", [
+        (["a"], ["a"], [], "equal-length"),
+        ([], [], [], "at least one"),
+    ], ids=["length-mismatch", "empty"])
+    def test_corpus_gleu_rejects_bad_corpora(self, srcs, hyps, refs, error):
+        with pytest.raises(MetricError, match=error):
+            corpus_gleu(srcs, hyps, refs)
+
 
 class TestPerplexity:
     def test_uniform_equals_vocab_size(self):
@@ -202,6 +217,8 @@ class TestPerplexity:
         ep = BackendEndpoints(score=UniformScoreBackend(4))
         with pytest.raises(MetricError):
             corpus_perplexity([], ep)
+        with pytest.raises(MetricError, match="no tokens"):
+            perplexity_from_totals([])
 
     def test_overflow_is_a_metric_error(self):
         # Every token scores -log(10**400), about -921: exp(921) overflows.
@@ -232,6 +249,10 @@ class TestExactMatch:
         with pytest.raises(MetricError):
             exact_match_accuracy(["a"], [])
 
+    def test_empty_corpus(self):
+        with pytest.raises(MetricError, match="at least one pair"):
+            exact_match_accuracy([], [])
+
 
 class TestClassifierAccuracy:
     def test_perfectly_flipped_corpus(self):
@@ -250,6 +271,12 @@ class TestClassifierAccuracy:
         ep = BackendEndpoints(fill_mask=SentimentMaskBackend())
         with pytest.raises(MetricError):
             classifier_accuracy([], [], ep)
+
+    def test_length_mismatch(self):
+        ep = BackendEndpoints(fill_mask=SentimentMaskBackend())
+        with pytest.raises(MetricError, match="equal lengths"):
+            classifier_accuracy(["bad food"], [], ep,
+                                labels=["positive", "negative"])
 
     def test_needs_two_labels(self):
         ep = BackendEndpoints(fill_mask=SentimentMaskBackend())

@@ -124,7 +124,7 @@ class TestStyleStrength:
     def test_same_style_rejected(self, mock_ep):
         with pytest.raises(ValueError):
             style_strength("x", POS, POS, mock_ep)
-        with pytest.raises(ValueError, match="two distinct styles"):
+        with pytest.raises(ValueError, match="at least 2 distinct labels"):
             style_strength("x", "not negative", parse_style(" Not  negative"),
                            mock_ep)
 

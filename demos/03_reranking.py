@@ -33,10 +33,13 @@ pool = [
 print("--- factor by factor")
 for cand in pool:
     sim = similarity_score(source, cand.text, endpoints)
-    strength = style_strength(cand.text, "positive", "negative", endpoints)
-    fluency = fluency_logprob(cand.text, endpoints)
+    strength, likelihoods = style_strength(cand.text, "positive", "negative",
+                                           endpoints)
+    fluency, tokens = fluency_logprob(cand.text, endpoints)
     print(f"  {cand.text!r:24} sim={sim:.3f} strength={strength:.2f} "
-          f"fluency={fluency:8.2f}")
+          f"(likelihoods {likelihoods['positive']:.2f} / "
+          f"{likelihoods['negative']:.2f}) "
+          f"fluency={fluency:8.2f} over {tokens} tokens")
 
 # The copy wins on similarity (1.0) and ties on fluency, but its strength
 # toward "negative" is 0.1 against the flip's 0.9: a gap of ln(9) ~ 2.2 in

@@ -138,8 +138,8 @@ def cmd_transfer(args) -> int:
             input_text=clean_text(args.text) if args.clean else args.text,
             source_style=direction[0], target_style=direction[1],
             template=template, delimiter=delimiter, exemplars=exemplars)
-        winner, record = transfer_one(req, cfg, seed=args.seed,
-                                      example_id="cli-0")
+        winner, record, _ = transfer_one(req, cfg, seed=args.seed,
+                                         example_id="cli-0")
         if args.json:
             print(json.dumps(record, indent=2))
         else:
@@ -214,7 +214,7 @@ def cmd_symb(args) -> int:
 
 def cmd_clean(args) -> int:
     stream_in = sys.stdin if args.input_path == "-" else open(
-        args.input_path, encoding="utf-8")
+        args.input_path, encoding="utf-8-sig")
     try:
         lines = [clean_text(line) for line in stream_in]
     finally:

@@ -37,7 +37,8 @@ class ComparisonParseError(DatasetError):
 @dataclass(frozen=True)
 class StylePairRecord:
     """One dataset row: a source text with styles and an optional reference.
-    The styles are stored as :func:`~restyle.prompts.parse_style` writes them."""
+    The styles are stored as :func:`~restyle.prompts.parse_style` writes them,
+    and they must differ: a row asks for a transfer."""
 
     id: str
     source: str
@@ -50,6 +51,10 @@ class StylePairRecord:
             raise DatasetError(f"record {self.id!r} has a blank source")
         object.__setattr__(self, "source_style", parse_style(self.source_style))
         object.__setattr__(self, "target_style", parse_style(self.target_style))
+        if self.source_style == self.target_style:
+            raise DatasetError(f"record {self.id!r}: source and target style "
+                               f"are both {self.source_style!r}; a transfer "
+                               "needs two styles")
 
     def to_dict(self) -> dict:
         return {
@@ -112,13 +117,16 @@ def _build_record(row: dict, lineno: int, clean: bool) -> StylePairRecord:
     if not source.strip():
         raise DatasetError(f"line {lineno}: missing source text")
     row_id = row.get("id")
-    return StylePairRecord(
-        id=f"line-{lineno}" if row_id in (None, "") else str(row_id),
-        source=source,
-        reference=reference,
-        source_style=row["source_style"],
-        target_style=row["target_style"],
-    )
+    try:
+        return StylePairRecord(
+            id=f"line-{lineno}" if row_id in (None, "") else str(row_id),
+            source=source,
+            reference=reference,
+            source_style=row["source_style"],
+            target_style=row["target_style"],
+        )
+    except DatasetError as exc:
+        raise DatasetError(f"line {lineno}: {exc}") from exc
 
 
 def _jsonl_row(line: str, lineno: int) -> dict:

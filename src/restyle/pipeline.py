@@ -43,6 +43,7 @@ from .prompts import (
 from .reranking import (
     Candidate,
     RerankConfig,
+    RerankScore,
     rerank,
     top_beam_baseline,
 )
@@ -80,16 +81,16 @@ class RequestTemplate:
 
 
 def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
-                 seed: int | None = None, example_id: str | None = None,
-                 with_winner_score: bool = False) -> tuple:
-    """Transfer a single text and return the winner plus its audit record.
+                 seed: int | None = None, example_id: str | None = None
+                 ) -> tuple[Candidate, dict, RerankScore]:
+    """Transfer a single text: the winner, its audit record and its score.
 
     Renders the prompt, requests ``cfg.k`` candidates as ``cfg`` says, with
     the closing delimiter as the stop string, re-extracts every completion
     (services may ignore the stop), drops empty extractions, and reranks the
-    rest. With ``with_winner_score`` a third element is the winner's
-    :class:`RerankScore`, whose fluency totals and strength likelihoods can
-    spare the corpus summary a second /score and classify call.
+    rest. The winner's :class:`RerankScore` holds its fluency totals and
+    strength likelihoods, which spare the corpus summary a second /score
+    and classify call.
     """
     prompt = render_prompt(req)
     creq = CompletionRequest(
@@ -130,9 +131,7 @@ def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
         "winner": winner.text,
         "baseline": baseline.text,
     }
-    if with_winner_score:
-        return winner, record, scores[pool.index(winner)]
-    return winner, record
+    return winner, record, scores[pool.index(winner)]
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,7 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
             winner, record, score = transfer_one(
                 plan.request_for(rec), cfg,
                 seed=None if seed is None else seed + index,
-                example_id=rec.id, with_winner_score=True)
+                example_id=rec.id)
             if reuse:
                 predicted = metrics.top_label(score.strength_scores)
             elif label_error is not None:
@@ -281,8 +280,8 @@ _ROW_TYPES = {**_LABEL_TYPES, "source": str, "winner": str,
 
 def read_manifest(path: str) -> RunManifest:
     """Load a manifest written by :func:`write_manifest`; any other JSONL
-    file raises PipelineError."""
-    with open(path, encoding="utf-8") as fh:
+    file raises PipelineError. A leading byte order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [line for line in fh if line.strip()]
 
     def not_a_manifest(why: str) -> PipelineError:

@@ -305,9 +305,9 @@ def load_prompt_config(path: str) -> PromptConfig:
     Template strings use the {s1} {s2} {x} {d1} {d2} placeholders and must
     end with {d1}. A name may not shadow a builtin: a template name that
     :func:`builtin_template` resolves, or a key of :data:`DELIMITERS`,
-    raises PromptError.
+    raises PromptError. A leading byte order mark is dropped.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise PromptError("prompt config must be a JSON object")

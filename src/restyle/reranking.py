@@ -138,51 +138,45 @@ def _unit_rows(endpoints: BackendEndpoints, text: str) -> np.ndarray:
 
 
 def _label_strength(lookup, text: str, s1: str, s2: str,
-                    endpoints: BackendEndpoints, with_scores: bool):
+                    endpoints: BackendEndpoints
+                    ) -> tuple[float, dict[str, float]]:
     """The l1-normalized likelihood of s2 against s1, 0.5 when both are zero,
-    from the raw label likelihoods ``lookup`` returns for ``text``; with
-    ``with_scores``, paired with those likelihoods."""
+    paired with the raw label likelihoods ``lookup`` returns for ``text``."""
     scores = lookup(endpoints, text, [s1, s2]).scores
     raw_source, raw_target = scores[s1], scores[s2]
     total = raw_source + raw_target
     strength = 0.5 if total == 0 else raw_target / total
-    return (strength, scores) if with_scores else strength
+    return strength, scores
 
 
-def style_strength(cand: str, s1: str, s2: str, endpoints: BackendEndpoints,
-                   *, with_scores: bool = False):
-    """Probability in [0, 1] that the text carries style s2 rather than s1.
+def style_strength(cand: str, s1: str, s2: str, endpoints: BackendEndpoints
+                   ) -> tuple[float, dict[str, float]]:
+    """Probability in [0, 1] that the text carries style s2 rather than s1,
+    paired with the raw likelihood of each of the two labels.
 
     The text is wrapped in the cloze statement, the masked-LM is queried for
     the raw likelihoods of the two style words at the mask position, and the
-    pair is l1-normalized. When both raw likelihoods are zero the result is
-    the indifferent 0.5. With ``with_scores`` the result is ``(strength,
-    scores)``, ``scores`` being the raw likelihood of each of the two labels.
+    pair is l1-normalized. When both raw likelihoods are zero the strength
+    is the indifferent 0.5.
     """
     return _label_strength(backends.fill_mask,
                            render_cloze(cand, endpoints.mask_token),
-                           s1, s2, endpoints, with_scores)
+                           s1, s2, endpoints)
 
 
 def classifier_strength(cand: str, s1: str, s2: str,
-                        endpoints: BackendEndpoints, *,
-                        with_scores: bool = False):
+                        endpoints: BackendEndpoints
+                        ) -> tuple[float, dict[str, float]]:
     """Like style_strength, but from a trained classifier endpoint."""
-    return _label_strength(backends.classify, cand, s1, s2, endpoints,
-                           with_scores)
+    return _label_strength(backends.classify, cand, s1, s2, endpoints)
 
 
-def fluency_logprob(cand: str, endpoints: BackendEndpoints, *,
-                    with_token_count: bool = False):
-    """Total log-probability of the text: the sum of per-token conditionals.
-
-    With ``with_token_count`` the result is ``(total_logprob, token_count)``,
-    the pair token-weighted perplexity is built from.
-    """
+def fluency_logprob(cand: str, endpoints: BackendEndpoints
+                    ) -> tuple[float, int]:
+    """Total log-probability of the text, the sum of per-token conditionals,
+    and its token count: the pair token-weighted perplexity is built from."""
     resp = backends.score_tokens(endpoints, cand)
-    if with_token_count:
-        return resp.total_logprob, len(resp.tokens)
-    return resp.total_logprob
+    return resp.total_logprob, len(resp.tokens)
 
 
 def _floored_log(p: float) -> float:
@@ -216,9 +210,7 @@ def score_pool(req: TransferRequest, pool: list[Candidate],
                 else style_strength)
     texts = list(dict.fromkeys(cand.text for cand in pool))
     if cfg.use_fluency:
-        fluencies = {text: fluency_logprob(text, endpoints,
-                                           with_token_count=True)
-                     for text in texts}
+        fluencies = {text: fluency_logprob(text, endpoints) for text in texts}
         # sorted is stable: equal fluencies keep first-seen order.
         texts.sort(key=lambda text: -fluencies[text][0])
     else:
@@ -234,8 +226,7 @@ def score_pool(req: TransferRequest, pool: list[Candidate],
             by_text[text] = RerankScore(None, None, log_fluency, None, tokens)
             continue
         sim = _similarity(src, src_rows, text, endpoints)
-        p_strength, label_scores = strength(text, s1, s2, endpoints,
-                                            with_scores=True)
+        p_strength, label_scores = strength(text, s1, s2, endpoints)
         log_sim, log_strength = _floored_log(sim), _floored_log(p_strength)
         composite = log_sim + log_strength
         if log_fluency is not None:

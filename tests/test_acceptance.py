@@ -153,7 +153,8 @@ def test_criterion_5_rerank_beats_top_beam():
         source = sources[i % len(sources)]
         req = TransferRequest(input_text=source, source_style=POS,
                               target_style=NEG)
-        winner, record = transfer_one(req, cfg, seed=i, example_id=str(i))
+        winner, record, _ = transfer_one(req, cfg, seed=i,
+                                         example_id=str(i))
         flipped = antonym_flip(source)
         rerank_hits += winner.text == flipped
         baseline_hits += record["baseline"] == flipped
@@ -197,8 +198,8 @@ def test_criterion_6_cloze_normalization():
         for b in values:
             ep = BackendEndpoints(fill_mask=StaticMaskBackend(
                 {"positive": float(a), "negative": float(b)}))
-            forward = style_strength("x", POS, NEG, ep)
-            backward = style_strength("x", NEG, POS, ep)
+            forward, _ = style_strength("x", POS, NEG, ep)
+            backward, _ = style_strength("x", NEG, POS, ep)
             assert abs(forward + backward - 1.0) < 1e-12
             if a == 0 and b == 0:
                 assert forward == 0.5 and backward == 0.5

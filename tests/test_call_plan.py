@@ -23,12 +23,13 @@ there instead of at /fill_mask.
 """
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from restyle.backends import BackendEndpoints, BackendError, MaskFillResponse
-from restyle.data import StylePairRecord
+from restyle.data import StylePairRecord, load_dataset
 from restyle.metrics import predict_style
 from restyle.mocks import SentimentMaskBackend, mock_endpoints, resolve_mock_url
 from restyle.pipeline import RequestTemplate, transfer_corpus, transfer_one
@@ -122,14 +123,24 @@ def test_accuracy_reuses_the_winners_strength(sentiment_records, classifier,
         {name: count * n for name, count in per_example.items()}
 
 
-def test_same_style_records_make_no_calls(sentiment_records):
-    # A record asking for the style it has is an error record before its
-    # /complete call; appended last, it moves no other record's seed, and
-    # the other records keep their call plan.
-    same = [dataclasses.replace(r, id=f"{r.id}-same", target_style=r.source_style)
-            for r in sentiment_records[:2]]
+def test_same_style_records_make_no_calls(sentiment_records, tmp_path,
+                                          caplog):
+    # A row asking for the style it has is skipped at load, wherever it sits
+    # in the file: it makes no call, moves no other record's seed, and the
+    # other records keep their call plan.
+    rows = []
+    for rec in sentiment_records:
+        rows += [rec.to_dict(), {**rec.to_dict(), "id": f"{rec.id}-same",
+                                 "target_style": rec.source_style}]
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with caplog.at_level("WARNING"):
+        loaded = load_dataset(str(path), "jsonl")
+    assert loaded == sentiment_records
+    assert sum("source and target style are both" in m
+               for m in caplog.messages) == len(sentiment_records)
     logs = []
-    for records in (sentiment_records, sentiment_records + same):
+    for records in (sentiment_records, loaded):
         log = []
         endpoints, _ = counted_endpoints(log)
         manifest = transfer_corpus(records, RequestTemplate(),
@@ -138,10 +149,6 @@ def test_same_style_records_make_no_calls(sentiment_records):
         logs.append(log)
     assert logs[1] == logs[0]
     assert len(manifest.successful_records()) == len(sentiment_records)
-    assert [r["id"] for r in manifest.records if "error" in r] == \
-        [r.id for r in same]
-    assert all(r["error"].startswith("PromptError: source and target style")
-               for r in manifest.records[-2:])
 
 
 class EveryLabel:
@@ -238,8 +245,8 @@ def test_factor_stages_run_in_order(sentiment_records):
     log = []
     endpoints, _ = counted_endpoints(log)
     req = RequestTemplate().request_for(sentiment_records[0])
-    _, record = transfer_one(req, RerankConfig(k=3, endpoints=endpoints),
-                             seed=3)
+    _, record, _ = transfer_one(req, RerankConfig(k=3, endpoints=endpoints),
+                                seed=3)
     texts = [c["text"] for c in record["candidates"]]
     assert texts[1] == req.input_text
     assert [s["composite"] is None for s in record["scores"]] == \
@@ -252,7 +259,7 @@ def test_no_fluency_scores_every_text_in_pool_order(sentiment_records):
     log = []
     endpoints, _ = counted_endpoints(log)
     req = RequestTemplate().request_for(sentiment_records[0])
-    _, record = transfer_one(
+    _, record, _ = transfer_one(
         req, RerankConfig(k=3, use_fluency=False, endpoints=endpoints), seed=3)
     assert all(s["composite"] is not None for s in record["scores"])
     # The flip, then the copy (no embed call), then the padded copy.

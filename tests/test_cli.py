@@ -1,7 +1,9 @@
+import codecs
 import csv
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -468,6 +470,12 @@ class TestClean:
         assert code == 0
         assert dst.read_text() == "this place was great!\ndon't go\n"
 
+    def test_byte_order_mark_dropped(self, tmp_path, capsys):
+        src = tmp_path / "raw.txt"
+        src.write_text("\ufeffdo n't go\n", encoding="utf-8")
+        assert main(["clean", "--in", str(src)]) == 0
+        assert capsys.readouterr().out == "don't go\n"
+
     def test_writes_stdout_by_default(self, tmp_path, capsys):
         src = tmp_path / "raw.txt"
         src.write_text("( hello ) !\n")
@@ -586,6 +594,17 @@ class TestEval:
         stored = read_manifest(str(out)).summary.to_dict()
         assert recomputed == stored
 
+    def test_byte_order_mark_manifest_reads_alike(self, tmp_path, capsys):
+        golden = Path(__file__).parent / "data" / "golden_fluency_on.jsonl"
+        bom = tmp_path / "bom.jsonl"
+        bom.write_bytes(codecs.BOM_UTF8 + golden.read_bytes())
+        outputs = []
+        for path in (golden, bom):
+            assert main(["eval", "--manifest", str(path), "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+        assert read_manifest(str(bom)) == read_manifest(str(golden))
+
     def test_needs_some_input(self, capsys):
         assert main(["eval"]) == 2
 
@@ -612,6 +631,23 @@ class TestCopyBaselineCommand:
         assert summary["s_sbleu"] == 100.0
         assert summary["accuracy"] == 0.0
         assert summary["ppl"] == pytest.approx(50257, rel=1e-9)
+
+    @pytest.mark.parametrize("command", ["copy-baseline", "transfer"])
+    def test_same_style_row_strict_exits_2(self, mock_env, tmp_path, capsys,
+                                           command):
+        # The row fails at load, before any call: neither scored (exit 0)
+        # nor taken for a backend failure (exit 1).
+        path = tmp_path / "same.jsonl"
+        path.write_text(json.dumps({"id": "s", "source": "the food was good",
+                                    "source_style": "positive",
+                                    "target_style": "positive"}) + "\n")
+        argv = [command, "--dataset", str(path), "--strict"]
+        if command == "transfer":
+            argv += ["--from", "positive", "--to", "negative"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: record 's': source and target style are both "
+            "'positive'; a transfer needs two styles\n")
 
     def test_unscorable_styles_leave_accuracy_null(self, mock_env, tmp_path,
                                                    capsys, caplog):

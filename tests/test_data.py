@@ -186,6 +186,27 @@ class TestLoadDataset:
             StylePairRecord(id="x", source="  ", reference="y",
                             source_style="a", target_style="b")
 
+    def test_record_rejects_same_style(self):
+        with pytest.raises(DatasetError, match="record 'x': source and target "
+                                               "style are both 'not happy'"):
+            StylePairRecord(id="x", source="good food", reference=None,
+                            source_style="not happy",
+                            target_style=" NOT  happy ")
+
+    def test_same_style_row_skipped_or_strict_error(self, tmp_path, caplog):
+        rows = self.rows()
+        rows[1]["target_style"] = " positive"
+        path = tmp_path / "same.jsonl"
+        self.write_jsonl(path, rows)
+        with caplog.at_level("WARNING"):
+            records = load_dataset(str(path), "jsonl")
+        assert [r.id for r in records] == ["a", "c"]
+        assert any("line 2: record 'b': source and target style are both "
+                   "'positive'" in m for m in caplog.messages)
+        with pytest.raises(DatasetError, match="line 2: record 'b': source "
+                                               "and target style are both"):
+            load_dataset(str(path), "jsonl", strict=True)
+
     def test_duplicate_id_strict(self, tmp_path):
         rows = self.rows()
         rows[1]["id"] = "a"

@@ -6,7 +6,7 @@ import pytest
 
 from fakes import StaticMaskBackend
 from loopback import LoopbackServer, Reply, mock_answer
-from restyle import metrics
+from restyle import backends, metrics
 from restyle.backends import (
     BackendEndpoints,
     CompletionResponse,
@@ -48,7 +48,7 @@ from restyle.prompts import (
     TransferRequest,
     builtin_delimiters,
 )
-from restyle.reranking import RerankConfig
+from restyle.reranking import RerankConfig, classifier_strength, style_strength
 
 POS = "positive"
 NEG = "negative"
@@ -73,7 +73,7 @@ def record(rid, text, src=POS, dst=NEG, reference=None):
 class TestTransferOne:
     def test_flip_mock_winner_is_flipped(self, mock_ep):
         cfg = RerankConfig(k=3, endpoints=mock_ep)
-        winner, rec = transfer_one(request(), cfg, example_id="x")
+        winner, rec, _ = transfer_one(request(), cfg, example_id="x")
         assert winner.text == "the food was bad"
         assert rec["winner"] == "the food was bad"
         assert len(rec["raw_candidates"]) == 3
@@ -82,12 +82,12 @@ class TestTransferOne:
     def test_echo_mock_copies_input(self):
         ep = mock_endpoints(complete="mock://echo")
         cfg = RerankConfig(k=3, endpoints=ep)
-        winner, _ = transfer_one(request(), cfg)
+        winner, _, _ = transfer_one(request(), cfg)
         assert winner.text == "the food was good"
 
     def test_k1_rerank_and_baseline_agree(self, mock_ep):
         cfg = RerankConfig(k=1, endpoints=mock_ep)
-        winner, rec = transfer_one(request(), cfg)
+        winner, rec, _ = transfer_one(request(), cfg)
         assert rec["winner_index"] == rec["baseline_index"]
         assert len(rec["candidates"]) == 1
         assert winner.text == "the food was bad"
@@ -98,9 +98,28 @@ class TestTransferOne:
         with pytest.raises(PipelineError, match="empty extraction pool"):
             transfer_one(request(), cfg, example_id="bad")
 
+    @pytest.mark.parametrize("strength_source, strength", [
+        ("mlm_cloze", style_strength),
+        ("external_classifier", classifier_strength),
+    ])
+    def test_winner_score_is_the_winners_entry(self, strength_source,
+                                               strength):
+        # The rewrite is planted last, after the source and a pruned copy.
+        ep = mock_endpoints(plant="seed", classifier="mock://sentiment")
+        cfg = RerankConfig(k=3, strength_source=strength_source, endpoints=ep)
+        winner, rec, score = transfer_one(request(), cfg, seed=2)
+        pos = [c["index"] for c in rec["candidates"]].index(winner.index)
+        assert pos == 2
+        assert score.composite is not None
+        assert score.to_dict() == rec["scores"][pos]
+        assert score.fluency_tokens == \
+            len(backends.score_tokens(ep, winner.text).tokens)
+        assert score.strength_scores == strength(winner.text, POS, NEG, ep)[1]
+
     def test_argmax_dominance_over_baseline(self, mock_ep):
         cfg = RerankConfig(k=3, endpoints=mock_ep)
-        _, rec = transfer_one(request("great service and fresh bread"), cfg)
+        _, rec, _ = transfer_one(request("great service and fresh bread"),
+                                 cfg)
         composites = [s["composite"] for s in rec["scores"]]
         indexes = [c["index"] for c in rec["candidates"]]
         winner_composite = composites[indexes.index(rec["winner_index"])]

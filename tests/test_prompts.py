@@ -269,6 +269,15 @@ class TestPromptConfig:
         assert extract_completion("calm words>> tail",
                                   cfg.delimiters["wide-angle"]).text == "calm words"
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        doc = {"templates": {"plain": "Rewrite {x} to {s2}: {d1}"},
+               "delimiters": {"wide": {"open": "<<", "close": ">>"}}}
+        path = tmp_path / "prompts.json"
+        path.write_text("\ufeff" + json.dumps(doc), encoding="utf-8")
+        cfg = load_prompt_config(str(path))
+        assert cfg.templates["plain"] == doc["templates"]["plain"]
+        assert cfg.delimiters["wide"] == DelimiterPair("<<", ">>")
+
     def test_unknown_placeholder_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"templates": {"t": "{x} {oops} {d1}"}}))

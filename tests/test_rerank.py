@@ -101,15 +101,16 @@ class TestStyleStrength:
     def test_l1_normalization(self):
         ep = BackendEndpoints(fill_mask=StaticMaskBackend(
             {"positive": 0.1, "negative": 0.3}))
-        assert style_strength("x", POS, NEG, ep) == pytest.approx(0.75)
+        assert style_strength("x", POS, NEG, ep) == (pytest.approx(0.75),
+                                                   {POS: 0.1, NEG: 0.3})
 
     def test_double_zero_gives_half(self):
         ep = BackendEndpoints(fill_mask=StaticMaskBackend({}))
-        assert style_strength("x", POS, NEG, ep) == 0.5
+        assert style_strength("x", POS, NEG, ep)[0] == 0.5
 
     def test_flipped_sentence_toward_target(self):
         ep = BackendEndpoints(fill_mask=SentimentMaskBackend())
-        assert style_strength("bad food", POS, NEG, ep) > 0.5
+        assert style_strength("bad food", POS, NEG, ep)[0] > 0.5
 
     def test_complement_identity_on_rationals(self):
         values = [Fraction(n, d) for d in (1, 2, 3, 4) for n in range(0, d + 1)]
@@ -117,8 +118,8 @@ class TestStyleStrength:
             for b in values:
                 ep = BackendEndpoints(fill_mask=StaticMaskBackend(
                     {"positive": float(a), "negative": float(b)}))
-                forward = style_strength("x", POS, NEG, ep)
-                backward = style_strength("x", NEG, POS, ep)
+                forward = style_strength("x", POS, NEG, ep)[0]
+                backward = style_strength("x", NEG, POS, ep)[0]
                 assert forward + backward == pytest.approx(1.0, abs=1e-12)
 
     def test_same_style_rejected(self, mock_ep):
@@ -137,15 +138,15 @@ class TestStyleStrength:
 class TestFluency:
     def test_uniform_four_tokens(self, mock_ep):
         assert fluency_logprob("a b c d", mock_ep) == \
-            pytest.approx(4 * -math.log(50257))
+            (pytest.approx(4 * -math.log(50257)), 4)
 
     def test_single_token(self):
         ep = BackendEndpoints(score=UniformScoreBackend(4))
-        assert fluency_logprob("word", ep) == pytest.approx(-math.log(4))
+        assert fluency_logprob("word", ep) == (pytest.approx(-math.log(4)), 1)
 
     def test_longer_is_less_fluent(self, mock_ep):
-        short = fluency_logprob("one two", mock_ep)
-        long = fluency_logprob("one two three four", mock_ep)
+        short, _ = fluency_logprob("one two", mock_ep)
+        long, _ = fluency_logprob("one two three four", mock_ep)
         assert long < short
 
 
@@ -380,11 +381,11 @@ def test_pruned_rerank_picks_the_full_argmax(tables, use_fluency):
 
     def full_composite(text):
         sim = similarity_score(_SOURCE, text, endpoints)
-        strength = style_strength(text, POS, NEG, endpoints)
+        strength, _ = style_strength(text, POS, NEG, endpoints)
         composite = (math.log(max(sim, PROB_FLOOR))
                      + math.log(max(strength, PROB_FLOOR)))
         if use_fluency:
-            composite += fluency_logprob(text, endpoints)
+            composite += fluency_logprob(text, endpoints)[0]
         return composite
 
     full = [full_composite(cand.text) for cand in pool]

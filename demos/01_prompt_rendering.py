@@ -42,7 +42,7 @@ for name, template in TEMPLATES.items():
 # Ten delimiter pairs; quotes and dashes use the same marker on both sides.
 print("--- delimiter pairs")
 for pair in builtin_delimiters():
-    print(f"  {pair.kind.value:17} open={pair.open!r:7} close={pair.close!r}")
+    print(f"  open={pair.open!r:7} close={pair.close!r}")
 
 # The prompt always ends with the opening marker, so the model continues
 # inside the delimited slot; extraction cuts at the first closing marker.

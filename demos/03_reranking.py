@@ -50,25 +50,36 @@ cfg = RerankConfig(k=3, endpoints=endpoints)
 winner, scores = rerank(req, pool, cfg)
 baseline = top_beam_baseline(pool)
 
-# Reranking scores fluency first and visits the texts from the most fluent
-# down. Every log factor is <= 0, so a composite never exceeds its fluency:
-# a text already less fluent than the best composite so far cannot win, and
-# it is pruned without its /embed and /fill_mask calls.
+# Reranking asks each text's factors in a fixed order: fluency, then
+# strength, then similarity. A text's bound is the sum of its known log
+# factors, and the text with the highest bound gets its next factor. Every
+# log factor is <= 0, so no bound is below the composite it ends in: once
+# the best bound left is below the best composite, the rest cannot win and
+# are pruned, keeping the factors they were given.
+def shown(score):
+    if score.composite is not None:
+        return f"{score.composite:9.4f}"
+    known = [f"{name}={value:.2f}" for name, value in
+             (("strength", score.log_strength), ("fluency", score.log_fluency))
+             if value is not None]
+    return f"   pruned ({', '.join(known)})"
+
+
 print("\n--- composites")
 for cand, score in zip(pool, scores):
     marker = " <- winner" if cand is winner else ""
-    shown = ("pruned" if score.composite is None
-             else f"{score.composite:.4f}")
-    print(f"  [{cand.index}] {shown:>9}  {cand.text!r}{marker}")
+    print(f"  [{cand.index}] {shown(score)}  {cand.text!r}{marker}")
 print(f"\ntop-beam baseline picked: {baseline.text!r}")
 print(f"reranker picked:          {winner.text!r}")
 print("strength gap ln(0.9/0.1) =", math.log(0.9 / 0.1))
 
 # The no-fluency variant: useful because total log-probability penalizes
 # long texts, which can drown the other two factors for wordy candidates,
-# as it does here for the truncated 'the food'. Nothing is pruned without
-# the fluency bound.
+# as it does here for the truncated 'the food'. Without fluency the loop
+# starts at strength: the copy's log-strength ln(0.1) is already below the
+# rewrite's composite, so the copy is never embedded.
 no_fluency = RerankConfig(k=3, use_fluency=False, endpoints=endpoints)
 winner2, scores2 = rerank(req, pool, no_fluency)
 print("\nwithout the fluency factor the winner is:", winner2.text)
-print("composites:", [round(s.composite, 4) for s in scores2])
+for cand, score in zip(pool, scores2):
+    print(f"  [{cand.index}] {shown(score)}  {cand.text!r}")

@@ -74,7 +74,6 @@ from .pipeline import (
 from .prompts import (
     TEMPLATES,
     DelimiterCollisionError,
-    DelimiterKind,
     DelimiterPair,
     Exemplar,
     ExtractionResult,

@@ -257,7 +257,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_copy_baseline(args) -> int:
-    summary = copy_baseline(_load_records(args), BackendEndpoints.from_env())
+    records = _load_records(args)
+    if not records:
+        raise CliError(f"{args.dataset} contains no records")
+    summary = copy_baseline(records, BackendEndpoints.from_env())
     _emit({"summary": summary.to_dict()}, args)
     return 0
 

@@ -13,7 +13,6 @@ import functools
 import json
 import string
 from dataclasses import dataclass, field
-from enum import Enum
 
 
 class PromptError(ValueError):
@@ -22,13 +21,6 @@ class PromptError(ValueError):
 
 class DelimiterCollisionError(PromptError):
     """Input text contains the closing delimiter, which would corrupt extraction."""
-
-
-class DelimiterKind(str, Enum):
-    """How a pair's markers relate; derived, never set (:attr:`DelimiterPair.kind`)."""
-
-    INDISTINGUISHABLE = "indistinguishable"
-    COMPLEMENTARY = "complementary"
 
 
 def parse_style(text: str) -> str:
@@ -56,13 +48,6 @@ class DelimiterPair:
             raise PromptError("delimiter markers must be strings")
         if not self.open or not self.close:
             raise PromptError("delimiter markers must be non-empty")
-
-    @property
-    def kind(self) -> DelimiterKind:
-        """Indistinguishable when both markers are the same string."""
-        if self.open == self.close:
-            return DelimiterKind.INDISTINGUISHABLE
-        return DelimiterKind.COMPLEMENTARY
 
 
 # Builtin delimiter pairs, keyed by the short names the CLI accepts. The

@@ -18,6 +18,7 @@ baseline instead takes the candidate the generator itself ranked first.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -70,11 +71,11 @@ class RerankConfig:
 class RerankScore:
     """The log factors of one candidate; composite sums the enabled terms.
 
-    A candidate pruned by :func:`score_pool` has ``log_similarity``,
-    ``log_strength`` and ``composite`` None: its ``log_fluency`` alone shows
-    it cannot win. ``fluency_tokens`` is the token count of the /score
-    response behind ``log_fluency``; perplexity needs it, the score record
-    does not. ``strength_scores`` are the raw label likelihoods behind
+    A candidate pruned by :func:`score_pool` keeps the factors it was
+    given, whose sum already shows it cannot win; its other factors and
+    ``composite`` are None. ``fluency_tokens`` is the token count of the
+    /score response behind ``log_fluency``; perplexity needs it, the score
+    record does not. ``strength_scores`` are the raw label likelihoods behind
     ``log_strength``; summary accuracy reads the winner's, and they take no
     part in equality or in the score record.
     """
@@ -188,20 +189,23 @@ def score_pool(req: TransferRequest, pool: list[Candidate],
     """All enabled log factors for every candidate that can win, parallel to
     ``pool``.
 
-    With the fluency factor, every distinct text is scored at /score first,
-    in first-seen order. The texts are then visited in descending
-    log-fluency, ties in first-seen order, and each gets its similarity
-    (the source is embedded once, and a text equal to it reuses its rows)
-    and its strength. Every log factor is at most 0 and float addition is
-    monotone, so a composite never exceeds its log-fluency: a text whose
-    log-fluency is already below the best composite so far cannot win, and
-    it is pruned with no /embed or strength call. Pruning only on a strict
-    ``<`` keeps every possible tie scored. Without the fluency factor there
-    is no bound, and every text is scored in first-seen order.
+    Each distinct text's factors are asked in a fixed order: fluency (when
+    enabled), then strength, then similarity. A text's bound is the float
+    sum of its known log factors, in the composite's own order: 0 with none
+    known, then its log-fluency, then ``log_strength + log_fluency``, and
+    last the full ``(log_sim + log_strength) + log_fluency``. The loop takes
+    the pending text with the highest bound, ties in first-seen order, and
+    asks its next factor; the source is embedded once, just before the
+    first similarity. It stops once that bound is strictly below the best
+    full composite. Every log factor is at most 0 and float addition is
+    monotone, so no bound is below the composite it ends in: a text it
+    stops at cannot win, and ``<`` keeps every possible tie scored. A text
+    that kept the source style is thus often ruled out by its strength,
+    before its /embed call.
 
     A failed call ends the example before any later call. A repeated text
-    shares its first occurrence's scores, and every scored candidate scores
-    exactly as it would alone.
+    shares its first occurrence's scores, and every fully scored candidate
+    scores exactly as it would alone.
     """
     endpoints = cfg.endpoints
     src, s1, s2 = req.input_text, req.source_style, req.target_style
@@ -209,31 +213,46 @@ def score_pool(req: TransferRequest, pool: list[Candidate],
                 if cfg.strength_source == "external_classifier"
                 else style_strength)
     texts = list(dict.fromkeys(cand.text for cand in pool))
-    if cfg.use_fluency:
-        fluencies = {text: fluency_logprob(text, endpoints) for text in texts}
-        # sorted is stable: equal fluencies keep first-seen order.
-        texts.sort(key=lambda text: -fluencies[text][0])
-    else:
-        fluencies = dict.fromkeys(texts, (None, None))
-    # The first text visited is never pruned, so the source is embedded
-    # before the first text that needs it.
-    src_rows = _unit_rows(endpoints, src)
-    best = -math.inf
+    # Without the fluency factor every text's fluency is known to be absent,
+    # so its first factor asked is strength.
+    fluencies = {} if cfg.use_fluency else dict.fromkeys(texts, (None, None))
+    strengths = {}
     by_text = {}
-    for text in texts:
-        log_fluency, tokens = fluencies[text]
-        if log_fluency is not None and log_fluency < best:
-            by_text[text] = RerankScore(None, None, log_fluency, None, tokens)
+    src_rows = None
+    best = -math.inf
+    # (-bound, first-seen position, text); sorted, so already a heap.
+    heap = [(0.0, i, text) for i, text in enumerate(texts)]
+    while heap and -heap[0][0] >= best:
+        _, order, text = heapq.heappop(heap)
+        if text not in fluencies:
+            fluencies[text] = fluency_logprob(text, endpoints)
+            bound = fluencies[text][0]
+        elif text not in strengths:
+            p_strength, label_scores = strength(text, s1, s2, endpoints)
+            log_strength = _floored_log(p_strength)
+            strengths[text] = log_strength, label_scores
+            log_fluency = fluencies[text][0]
+            bound = (log_strength if log_fluency is None
+                     else log_strength + log_fluency)
+        else:
+            if src_rows is None:
+                src_rows = _unit_rows(endpoints, src)
+            log_sim = _floored_log(_similarity(src, src_rows, text, endpoints))
+            (log_strength, label_scores), (log_fluency, tokens) = \
+                strengths[text], fluencies[text]
+            composite = log_sim + log_strength
+            if log_fluency is not None:
+                composite += log_fluency
+            best = max(best, composite)
+            by_text[text] = RerankScore(log_sim, log_strength, log_fluency,
+                                        composite, tokens, label_scores)
             continue
-        sim = _similarity(src, src_rows, text, endpoints)
-        p_strength, label_scores = strength(text, s1, s2, endpoints)
-        log_sim, log_strength = _floored_log(sim), _floored_log(p_strength)
-        composite = log_sim + log_strength
-        if log_fluency is not None:
-            composite += log_fluency
-        best = max(best, composite)
-        by_text[text] = RerankScore(log_sim, log_strength, log_fluency,
-                                    composite, tokens, label_scores)
+        heapq.heappush(heap, (-bound, order, text))
+    for _, _, text in heap:
+        log_strength, label_scores = strengths.get(text, (None, None))
+        log_fluency, tokens = fluencies.get(text, (None, None))
+        by_text[text] = RerankScore(None, log_strength, log_fluency, None,
+                                    tokens, label_scores)
     return [by_text[cand.text] for cand in pool]
 
 

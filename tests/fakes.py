@@ -70,3 +70,24 @@ class FactorTableBackend:
         return TokenScoreResponse(tuple(
             TokenScore(f"t{i}", logprob)
             for i, logprob in enumerate(self.logprobs[text])))
+
+
+class Counted:
+    """Front for one backend service that counts the requests it answers and
+    appends its name to ``log`` before answering each one."""
+
+    def __init__(self, service, name, log):
+        self.service = service
+        self.name = name
+        self.log = log
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.service, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            self.log.append(self.name)
+            return method(*args, **kwargs)
+
+        return counted

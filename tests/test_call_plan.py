@@ -1,25 +1,28 @@
 """Backend calls per example, counted at each service endpoint.
 
-Reranking scores each of the d distinct candidate texts at /score first,
-in first-seen order. It then visits them in descending log-fluency, ties in
-first-seen order, and embeds and strength-scores each text it cannot rule
-out; the source is embedded once, before the first of them. Every log
-factor is at most 0 and float addition is monotone, so a composite never
-exceeds its log-fluency: a text whose log-fluency is strictly below the best
-composite so far cannot win, and it is pruned, with null similarity,
-strength and composite in its score record. With d' survivors, of which c'
-are not the source, an example costs
+Reranking asks each of the d distinct candidate texts its factors in a
+fixed order: fluency at /score, then strength, then similarity at /embed.
+A text's bound is the sum of its known log factors. The pending text with
+the highest bound, ties in first-seen order, gets its next factor, until
+that bound is strictly below the best composite; the source is embedded
+once, just before the first similarity. Every log factor is at most 0 and
+float addition is monotone, so no bound is below the composite it ends in:
+a text the loop stops at cannot win, and its score record holds null for
+the factors it was not given and for the composite. With d_s texts reaching
+strength, and c_s texts other than the source reaching similarity, an
+example costs
 
-    1 complete + d score + (1 + c') embed + d' fill_mask
+    1 complete + d score + d_s fill_mask + (1 + c_s) embed
 
 calls; the summary reuses the winner's /score response. Without the
-fluency factor nothing is pruned (d' = d, c' = c) and the summary scores
-each winner once. Accuracy reads the winner's strength likelihoods when it
-asks the service strength asked (no classifier endpoint, or strength from
-the classifier) over the example's own two styles. Otherwise it costs 1
-classify call more: a classifier beside cloze strength, or a corpus of three
-or more styles. Strength from the classifier endpoint makes its d' calls
-there instead of at /fill_mask.
+fluency factor reranking makes no /score call, every text reaches strength
+(d_s = d), and the summary scores each winner once. Accuracy reads the
+winner's strength likelihoods when it asks the service strength asked (no
+classifier endpoint, or strength from the classifier) over the example's
+own two styles. Otherwise it costs 1 classify call more: a classifier
+beside cloze strength, or a corpus of three or more styles. Strength from
+the classifier endpoint makes its d_s calls there instead of at
+/fill_mask.
 """
 
 import dataclasses
@@ -28,32 +31,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fakes import Counted
 from restyle.backends import BackendEndpoints, BackendError, MaskFillResponse
 from restyle.data import StylePairRecord, load_dataset
 from restyle.metrics import predict_style
 from restyle.mocks import SentimentMaskBackend, mock_endpoints, resolve_mock_url
 from restyle.pipeline import RequestTemplate, transfer_corpus, transfer_one
+from restyle.prompts import render_cloze
 from restyle.reranking import RerankConfig
-
-class Counted:
-    """Front for one backend service that counts the requests it answers and
-    appends its name to ``log`` before answering each one."""
-
-    def __init__(self, service, name, log):
-        self.service = service
-        self.name = name
-        self.log = log
-        self.calls = 0
-
-    def __getattr__(self, name):
-        method = getattr(self.service, name)
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            self.log.append(self.name)
-            return method(*args, **kwargs)
-
-        return counted
 
 
 def counted_endpoints(log=None, classifier=True, **overrides):
@@ -75,15 +60,16 @@ def counted_endpoints(log=None, classifier=True, **overrides):
 
 @pytest.mark.parametrize("overrides, use_fluency, per_example", [
     # flip, verbatim copy and a padded copy: d = 3; the padded copy is
-    # pruned, so d' = 2 and c' = 1
+    # pruned on its fluency and the copy on its strength, so d_s = 2 and
+    # c_s = 1
     ({}, True, {"complete": 1, "embed": 2, "fill_mask": 2, "score": 3,
                 "classifier": 1}),
-    # k copies of the source: d = d' = 1, c' = 0
+    # k copies of the source: d = d_s = 1, c_s = 0
     ({"complete": "mock://echo"}, True,
      {"complete": 1, "embed": 1, "fill_mask": 1, "score": 1, "classifier": 1}),
-    # no fluency factor: no pruning (d' = 3, c' = 2), and the summary scores
-    # each winner once
-    ({}, False, {"complete": 1, "embed": 3, "fill_mask": 3, "score": 1,
+    # no fluency factor: every text reaches strength (d_s = 3), both copies
+    # are pruned there (c_s = 1), and the summary scores each winner once
+    ({}, False, {"complete": 1, "embed": 2, "fill_mask": 3, "score": 1,
                  "classifier": 1}),
 ])
 def test_calls_per_example(sentiment_records, overrides, use_fluency,
@@ -105,7 +91,7 @@ def test_calls_per_example(sentiment_records, overrides, use_fluency,
      {"complete": 1, "embed": 2, "fill_mask": 2, "score": 3}),
     (False, "external_classifier",
      {"complete": 1, "embed": 2, "fill_mask": 2, "score": 3}),
-    # strength from the classifier: d' classifier calls, not d' + 1
+    # strength from the classifier: d_s classifier calls, not d_s + 1
     (True, "external_classifier",
      {"complete": 1, "embed": 2, "fill_mask": 0, "score": 3, "classifier": 2}),
 ])
@@ -172,7 +158,7 @@ def test_a_third_style_keeps_the_accuracy_call(sentiment_records):
     assert len(manifest.successful_records()) == len(records)
     assert manifest.summary.accuracy is not None
     for record, calls in zip(manifest.records, split_by_example(log)):
-        assert calls.count("fill_mask") == survivors(record) + 1
+        assert calls.count("fill_mask") == reached_strength(record) + 1
         assert calls[-1] == "fill_mask"
 
 
@@ -230,18 +216,22 @@ def split_by_example(log):
     return examples
 
 
-def survivors(record):
-    """The number of distinct texts of a record that reranking scored."""
+def reached_strength(record):
+    """The number of distinct texts of a record that reranking asked for
+    their strength."""
     return len({c["text"] for c, s in zip(record["candidates"],
                                           record["scores"])
-                if s["composite"] is not None})
+                if s["log_strength"] is not None})
 
 
 def test_factor_stages_run_in_order(sentiment_records):
     # The flip, a verbatim copy of the source and a padded copy: all three
     # are scored at /score first. The flip and the copy are equally fluent
-    # and are visited in pool order: the source is embedded, then the flip,
-    # and the copy reuses the source's rows. The padded copy is pruned.
+    # and get their strength in pool order; the padded copy's fluency is
+    # below the flip's strength bound. The flip's bound is then the
+    # highest: the source is embedded, then the flip. The copy's strength
+    # bound and the padded copy's fluency are below the flip's composite,
+    # so both are pruned, and the copy keeps its strength.
     log = []
     endpoints, _ = counted_endpoints(log)
     req = RequestTemplate().request_for(sentiment_records[0])
@@ -250,21 +240,27 @@ def test_factor_stages_run_in_order(sentiment_records):
     texts = [c["text"] for c in record["candidates"]]
     assert texts[1] == req.input_text
     assert [s["composite"] is None for s in record["scores"]] == \
+        [False, True, True]
+    assert [s["log_strength"] is None for s in record["scores"]] == \
         [False, False, True]
     assert log == ["complete"] + ["score"] * 3 + \
-        ["embed", "embed", "fill_mask", "fill_mask"]
+        ["fill_mask", "fill_mask", "embed", "embed"]
 
 
-def test_no_fluency_scores_every_text_in_pool_order(sentiment_records):
+def test_no_fluency_asks_strength_before_similarity(sentiment_records):
     log = []
     endpoints, _ = counted_endpoints(log)
     req = RequestTemplate().request_for(sentiment_records[0])
     _, record, _ = transfer_one(
         req, RerankConfig(k=3, use_fluency=False, endpoints=endpoints), seed=3)
-    assert all(s["composite"] is not None for s in record["scores"])
-    # The flip, then the copy (no embed call), then the padded copy.
-    assert log == ["complete", "embed", "embed", "fill_mask", "fill_mask",
-                   "embed", "fill_mask"]
+    # Every text gets its strength, in pool order. Only the flip's bound
+    # reaches similarity: the source is embedded, then the flip; the copy
+    # and the padded copy are pruned with their strength.
+    assert all(s["log_strength"] is not None for s in record["scores"])
+    assert [s["composite"] is None for s in record["scores"]] == \
+        [False, True, True]
+    assert log == ["complete", "fill_mask", "fill_mask", "fill_mask",
+                   "embed", "embed"]
 
 
 class Failing:
@@ -297,6 +293,8 @@ def faulted_run(sentiment_records, service, method, which):
 
     log = []
     endpoints, services = counted_endpoints(log)
+    if method == "fill_mask":
+        text = render_cloze(text, endpoints.mask_token)
     services[service].service = Failing(services[service].service, method,
                                         text)
     manifest = transfer_corpus(sentiment_records, RequestTemplate(),
@@ -306,18 +304,19 @@ def faulted_run(sentiment_records, service, method, which):
     assert len(manifest.successful_records()) == len(sentiment_records) - 1
     examples = split_by_example(log)
     for calls in examples[1:]:
-        # Whether the flip or the copy is visited first sets the order of
-        # the middle calls.
-        assert calls[:4] == ["complete"] + ["score"] * 3
-        assert sorted(calls[4:-1]) == ["embed"] * 2 + ["fill_mask"] * 2
-        assert calls[-1] == "classifier"
+        assert calls == ["complete"] + ["score"] * 3 + ["fill_mask"] * 2 + \
+            ["embed"] * 2 + ["classifier"]
     return examples
 
 
 def test_failed_stage_makes_no_later_stage_calls(sentiment_records):
-    # The flip's /embed fails: no strength call follows.
+    # The flip's /fill_mask fails: no /embed call follows.
+    examples = faulted_run(sentiment_records, "fill_mask", "fill_mask", 0)
+    assert examples[0] == ["complete"] + ["score"] * 3 + ["fill_mask"]
+    # The flip's /embed fails, after the source's: no later call follows.
     examples = faulted_run(sentiment_records, "embed", "embed_tokens", 0)
-    assert examples[0] == ["complete"] + ["score"] * 3 + ["embed", "embed"]
+    assert examples[0] == ["complete"] + ["score"] * 3 + \
+        ["fill_mask"] * 2 + ["embed"] * 2
 
 
 def test_failed_score_makes_no_factor_calls(sentiment_records):

@@ -649,6 +649,21 @@ class TestCopyBaselineCommand:
             "error: line 1: record 's': source and target style are both "
             "'positive'; a transfer needs two styles\n")
 
+    def test_every_row_skipped_exits_2(self, mock_env, tmp_path, capsys,
+                                       caplog):
+        # A lenient load skips the same-style row and leaves no record: a
+        # usage error (exit 2), not a backend failure (exit 1).
+        path = tmp_path / "same.jsonl"
+        path.write_text(json.dumps({"id": "s", "source": "the food was good",
+                                    "source_style": "positive",
+                                    "target_style": "positive"}) + "\n")
+        with caplog.at_level("WARNING"):
+            assert main(["copy-baseline", "--dataset", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path} contains no records\n"
+        assert any("source and target style are both" in r.getMessage()
+                   for r in caplog.records)
+
     def test_unscorable_styles_leave_accuracy_null(self, mock_env, tmp_path,
                                                    capsys, caplog):
         # The sentiment mock cannot score the symbolic styles.

@@ -9,12 +9,12 @@ difference. Regenerate them only for an intended output change, with
 
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 import pytest
 
+from oracles import known_bound, oracle_rerank_plan
 from restyle.data import StylePairRecord
 from restyle.mocks import ANTONYMS, antonym_flip, mock_endpoints
 from restyle.pipeline import RequestTemplate, transfer_corpus, write_manifest
@@ -85,10 +85,12 @@ def test_manifest_bytes_unchanged(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_winners_and_pruned_entries_follow_the_rule(name):
-    # Replays the rerank on the stored factors: the distinct texts are
-    # visited in descending log-fluency, ties in first-seen order; a null
-    # entry's log-fluency is below the best composite before it, and every
-    # scored text's is not.
+    # Replays the rerank on the stored factors: the best-first rule asks
+    # only factors that are stored, and at its stop each distinct text
+    # knows exactly the factors its entry holds. A full entry's composite is
+    # the sum of its factors, and a pruned one's bound is below the
+    # winner's composite.
+    use_fluency = RUNS[name]["use_fluency"]
     lines = (DATA / f"golden_{name}.jsonl").read_text().splitlines()
     pruned = 0
     for line in lines[1:]:
@@ -102,21 +104,16 @@ def test_winners_and_pruned_entries_follow_the_rule(name):
         by_text = {}
         for cand, score in zip(record["candidates"], record["scores"]):
             assert by_text.setdefault(cand["text"], score) == score
-        visits = list(by_text.values())
-        if RUNS[name]["use_fluency"]:
-            visits.sort(key=lambda s: -s["log_fluency"])
-        best = -math.inf
-        for score in visits:
+        _, known = oracle_rerank_plan(by_text, use_fluency)
+        for text, score in by_text.items():
+            assert {f: v for f, v in score.items()
+                    if v is not None and f != "composite"} == known[text]
             if score["composite"] is None:
-                assert score["log_similarity"] is None
-                assert score["log_strength"] is None
-                assert score["log_fluency"] < best
+                assert known_bound(known[text]) < composites[winner]
                 pruned += 1
             else:
-                assert score["log_fluency"] is None or \
-                    score["log_fluency"] >= best
-                best = max(best, score["composite"])
-    assert (pruned > 0) == RUNS[name]["use_fluency"]
+                assert score["composite"] == known_bound(known[text])
+    assert pruned > 0
 
 
 if __name__ == "__main__":

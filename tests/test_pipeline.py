@@ -394,12 +394,12 @@ class TestTransferCorpus:
             sentiment_records, RequestTemplate(),
             RerankConfig(k=3, strength_source=strength_source, endpoints=ep),
             jobs=1)
-        # One strength call per distinct candidate that is not pruned;
+        # One strength call per distinct candidate that reached strength;
         # accuracy reads the winner's strength likelihoods and makes no call
         # of its own.
         assert len(recording.texts) == sum(
             len({c["text"] for c, s in zip(r["candidates"], r["scores"])
-                 if s["composite"] is not None})
+                 if s["log_strength"] is not None})
             for r in manifest.records)
         assert all(text.count(ep.mask_token) == 1 for text in recording.texts)
         assert manifest.summary.accuracy == 1.0

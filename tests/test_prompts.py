@@ -10,7 +10,6 @@ from restyle.prompts import (
     DELIMITERS,
     TEMPLATES,
     DelimiterCollisionError,
-    DelimiterKind,
     DelimiterPair,
     Exemplar,
     PromptConfig,
@@ -56,22 +55,16 @@ class TestDelimiters:
     def test_curly_is_complementary(self):
         curly = DELIMITERS["curly"]
         assert (curly.open, curly.close) == ("{", "}")
-        assert curly.kind == DelimiterKind.COMPLEMENTARY
+        assert curly.open != curly.close
 
     def test_quotes_and_dashes_indistinguishable(self):
-        kinds = [d.kind for d in builtin_delimiters()]
-        assert kinds.count(DelimiterKind.INDISTINGUISHABLE) == 2
-        assert kinds.count(DelimiterKind.COMPLEMENTARY) == 8
-        assert DELIMITERS["quote"].kind == DelimiterKind.INDISTINGUISHABLE
-        assert DELIMITERS["dash"].kind == DelimiterKind.INDISTINGUISHABLE
+        same = [name for name, d in DELIMITERS.items() if d.open == d.close]
+        assert same == ["quote", "dash"]
 
-    def test_kind_derived_and_checked(self):
-        assert DelimiterPair("a", "a").kind == DelimiterKind.INDISTINGUISHABLE
-        assert DelimiterPair("a", "b").kind == DelimiterKind.COMPLEMENTARY
-        with pytest.raises(AttributeError):
-            DelimiterPair("a", "b").kind = DelimiterKind.INDISTINGUISHABLE
-        with pytest.raises(PromptError):
-            DelimiterPair("", "}")
+    def test_empty_marker_rejected(self):
+        for markers in (("", "}"), ("{", "")):
+            with pytest.raises(PromptError, match="non-empty"):
+                DelimiterPair(*markers)
 
     def test_name_lookup_roundtrip(self):
         for name in DELIMITERS:

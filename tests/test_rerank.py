@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fakes import FactorTableBackend, FixedEmbedBackend, StaticMaskBackend
+from oracles import known_bound, oracle_rerank_plan
 from restyle.backends import BackendEndpoints, DecodeConfig, LabelError
 from restyle.mocks import (
     HashEmbedBackend,
@@ -180,16 +181,25 @@ class TestRerank:
         # candidate A copies the source (similarity 1, strength 0.1 toward
         # the target), candidate B is the antonym flip (strength 0.9);
         # B must win because the strength gap outweighs the similarity gap.
+        # A's strength alone rules it out, so its similarity is not asked.
         cfg = RerankConfig(k=2, use_fluency=False, endpoints=mock_ep)
         req = self.request("the food was good")
         pool = make_pool("the food was good", "the food was bad")
         winner, scores = rerank(req, pool, cfg)
         assert winner.text == "the food was bad"
 
-        composite_a = math.log(1.0) + math.log(0.1)
+        sim_a = similarity_score("the food was good", "the food was good",
+                                 mock_ep)
+        strength_a, _ = style_strength("the food was good", POS, NEG, mock_ep)
+        composite_a = math.log(sim_a) + math.log(strength_a)
+        assert composite_a == pytest.approx(math.log(1.0) + math.log(0.1),
+                                            abs=1e-9)
         sim_b = similarity_score("the food was good", "the food was bad", mock_ep)
         composite_b = math.log(sim_b) + math.log(0.9)
-        assert scores[0].composite == pytest.approx(composite_a, abs=1e-9)
+        assert scores[0].composite is None
+        assert scores[0].log_similarity is None
+        assert scores[0].log_strength == pytest.approx(math.log(0.1), abs=1e-9)
+        assert scores[0].log_strength < scores[1].composite
         assert scores[1].composite == pytest.approx(composite_b, abs=1e-9)
         assert composite_b > composite_a
 
@@ -215,8 +225,17 @@ class TestRerank:
         pool = make_pool("the food was bad", "the food was good")
         winner, scores = rerank(self.request(), pool, cfg)
         assert all(s.log_fluency is None for s in scores)
-        assert all(s.composite == pytest.approx(s.log_similarity + s.log_strength)
-                   for s in scores)
+        assert scores[0].composite == pytest.approx(
+            scores[0].log_similarity + scores[0].log_strength)
+        # The copy is pruned on its strength; its full composite, from the
+        # factor functions, is below the flip's.
+        assert scores[1].composite is None
+        assert scores[1].log_strength < scores[0].composite
+        copy = "the food was good"
+        log_strength = math.log(style_strength(copy, POS, NEG, ep)[0])
+        copy_composite = math.log(similarity_score(copy, copy, ep)) + log_strength
+        assert scores[1].log_strength == pytest.approx(log_strength)
+        assert copy_composite < scores[0].composite
 
     def test_fluency_included_in_composite(self, mock_ep):
         cfg = RerankConfig(endpoints=mock_ep)
@@ -369,31 +388,49 @@ def test_pruned_rerank_picks_the_full_argmax(tables, use_fluency):
                           target_style=NEG)
     winner, scores = rerank(req, pool, RerankConfig(use_fluency=use_fluency,
                                                     endpoints=endpoints))
-    # The source and each scored text are embedded and strength-scored
-    # once; a pruned text is not.
-    scored = {cand.text for cand, score in zip(pool, scores)
-              if score.composite is not None}
-    assert sorted(text for name, text in backend.asked if name == "embed") \
-        == sorted([_SOURCE, *(scored - {_SOURCE})])
-    assert sorted(text for name, text in backend.asked
-                  if name == "fill_mask") \
-        == sorted(render_cloze(text, "<mask>") for text in scored)
+    asked = list(backend.asked)
 
-    def full_composite(text):
+    def factors(text):
         sim = similarity_score(_SOURCE, text, endpoints)
         strength, _ = style_strength(text, POS, NEG, endpoints)
-        composite = (math.log(max(sim, PROB_FLOOR))
-                     + math.log(max(strength, PROB_FLOOR)))
-        if use_fluency:
-            composite += fluency_logprob(text, endpoints)[0]
-        return composite
+        return {"log_similarity": math.log(max(sim, PROB_FLOOR)),
+                "log_strength": math.log(max(strength, PROB_FLOOR)),
+                "log_fluency": (fluency_logprob(text, endpoints)[0]
+                                if use_fluency else None)}
 
-    full = [full_composite(cand.text) for cand in pool]
-    assert winner is pool[_first_max(full)]
-    best = scores[pool.index(winner)].composite
-    for score, composite in zip(scores, full):
-        if score.composite is None:
-            assert use_fluency
-            assert score.log_fluency < best
+    # Every factor of every distinct text, from the factor functions.
+    full = {text: factors(text) for text in dict.fromkeys(c.text for c in pool)}
+    composites = [known_bound(full[cand.text]) for cand in pool]
+    assert winner is pool[_first_max(composites)]
+
+    # The calls follow the best-first rule: each text's factors in order,
+    # the source embedded once just before the first similarity, and a text
+    # equal to the source reusing its rows.
+    plan, known = oracle_rerank_plan(full, use_fluency)
+    expected = []
+    for factor, text in plan:
+        if factor == "log_fluency":
+            expected.append(("score", text))
+        elif factor == "log_strength":
+            expected.append(("fill_mask", render_cloze(text, "<mask>")))
         else:
-            assert score.composite == composite
+            if ("embed", _SOURCE) not in expected:
+                expected.append(("embed", _SOURCE))
+            if text != _SOURCE:
+                expected.append(("embed", text))
+    assert asked == expected
+
+    # A scored entry holds every factor and the full composite; a pruned one
+    # holds the factors it was given, and their bound is below the winner's.
+    best = scores[pool.index(winner)].composite
+    for cand, score in zip(pool, scores):
+        entry = score.to_dict()
+        composite = entry.pop("composite")
+        given = {name: value for name, value in entry.items()
+                 if value is not None}
+        assert given == known[cand.text]
+        if composite is None:
+            assert known_bound(given) < best
+        else:
+            assert len(given) == (3 if use_fluency else 2)
+            assert composite == composites[pool.index(cand)]

@@ -33,9 +33,10 @@ def test_every_target_resolves():
 def test_traced_corpus_records_the_call_plan(sentiment_records):
     # Per example at k=3: the flip, a verbatim copy of the source and a
     # padded copy, so d = 3 distinct texts. The padded copy is one token
-    # longer and less fluent than the flip's composite, so it is pruned:
-    # d' = 2 survivors, of which c' = 1 is not the source. Accuracy reads
-    # the winner's strength likelihoods: no classify call.
+    # longer and less fluent than the flip's composite, so it is pruned on
+    # its fluency, and the copy on its strength: d_s = 2 texts reach
+    # strength and c_s = 1 reaches similarity. Accuracy reads the winner's
+    # strength likelihoods: no classify call.
     spans = load_spans()
     tracer = spans.Tracer()
     tracer.install()

@@ -14,13 +14,17 @@ signatures are comparable in spirit only.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import re
-from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from array import array
+from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
+
+import numpy as np
 
 from . import backends
 from .backends import BackendEndpoints, check_real
@@ -43,35 +47,108 @@ def tokenize_eval(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-def _profile(text: str) -> tuple[int, list[Counter]]:
-    """A text's token count and its n-gram counts for n = 1..4."""
-    tokens = tokenize_eval(text)
-    return len(tokens), [Counter(zip(*[tokens[i:] for i in range(n)]))
-                         for n in range(1, MAX_NGRAM_ORDER + 1)]
+# Rows whose n-grams the kernel counts at a time: its working set is bounded
+# by one chunk, whatever the corpus size.
+CHUNK_ROWS = 64
+# BLEU's sufficient statistics per row: both lengths, then per order the
+# clipped matches and the hypothesis n-gram count.
+_STATS = 2 + 2 * MAX_NGRAM_ORDER
 
 
-def _clipped(hgrams: Counter, rgrams: dict) -> int:
-    """Hypothesis n-grams, each counted at most as often as in ``rgrams``."""
-    matched = 0
-    for gram, count in hgrams.items():
-        limit = rgrams.get(gram)
-        if limit:
-            matched += count if count < limit else limit
-    return matched
+class _GramCounts:
+    """The token counts and n-gram counts of a chunk of rows of texts.
+
+    Side 0 of a row is the hypothesis, side 1 its reference and side 2, when
+    there is one, its source. Each text is tokenized once. Tokens get ids
+    from a vocabulary of the chunk, and each order's n-grams get dense ids by
+    re-indexing the order below, so ids and keys are bounded by the chunk's
+    size, not the corpus's, and cannot overflow. Every statistic is an exact
+    integer.
+    """
+
+    def __init__(self, rows: Sequence[tuple[str, ...]]):
+        self.height = len(rows)
+        vocab = defaultdict(itertools.count().__next__)
+        ids = array("q")
+        lengths = []
+        for side in zip(*rows):
+            for text in side:
+                start = len(ids)
+                ids.extend(map(vocab.__getitem__, tokenize_eval(text)))
+                lengths.append(len(ids) - start)
+        self.lengths = np.array(lengths, dtype=np.int64).reshape(-1, self.height)
+        ids = np.frombuffer(ids, dtype=np.int64)
+        texts = np.repeat(np.arange(len(lengths)), lengths)
+        # Tokens from each position to the end of its text, itself included.
+        left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
+        grams, size = ids, len(vocab)
+        # Per order: the sorted keys text * size + gram, their counts, and
+        # where each side's keys start.
+        self.orders = []
+        for n in range(1, MAX_NGRAM_ORDER + 1):
+            if n > 1:
+                grams = grams[:-1] * len(vocab) + ids[n - 1:]
+                distinct, grams = np.unique(grams, return_inverse=True)
+                size = len(distinct)
+            whole = left[:len(grams)] >= n
+            keys, counts = np.unique(texts[:len(grams)][whole] * size + grams[whole],
+                                     return_counts=True)
+            starts = np.arange(len(self.lengths) + 1) * (self.height * size)
+            self.orders.append((keys, counts, size, np.searchsorted(keys, starts)))
+
+    def _side(self, n: int, side: int) -> tuple[np.ndarray, np.ndarray]:
+        """The order-``n`` keys row * size + gram of one side, and their counts."""
+        keys, counts, size, bounds = self.orders[n]
+        lo, hi = bounds[side], bounds[side + 1]
+        return keys[lo:hi] - side * self.height * size, counts[lo:hi]
+
+    def clipped(self, other: int, drop: int | None = None) -> np.ndarray:
+        """Per order and row, the hypothesis n-grams, each counted at most as
+        often as in side ``other``; with ``drop``, at most as often as in
+        ``other`` and not at all when in side ``drop``."""
+        out = np.zeros((MAX_NGRAM_ORDER, self.height), dtype=np.int64)
+        for n in range(MAX_NGRAM_ORDER):
+            hkeys, hcounts = self._side(n, 0)
+            okeys, ocounts = self._side(n, other)
+            if drop is not None:
+                keep = ~np.isin(okeys, self._side(n, drop)[0], assume_unique=True)
+                okeys, ocounts = okeys[keep], ocounts[keep]
+            common, hi, oi = np.intersect1d(hkeys, okeys, assume_unique=True,
+                                            return_indices=True)
+            np.add.at(out[n], common // self.orders[n][2],
+                      np.minimum(hcounts[hi], ocounts[oi]))
+        return out
+
+    def bleu_stats(self, other: int) -> np.ndarray:
+        """BLEU's sufficient statistics of each row's hypothesis against side
+        ``other``, one line per statistic."""
+        hyp_len = self.lengths[0]
+        stats = np.empty((_STATS, self.height), dtype=np.int64)
+        stats[0], stats[1] = hyp_len, self.lengths[other]
+        stats[2::2] = self.clipped(other)
+        stats[3::2] = np.maximum(hyp_len - np.arange(MAX_NGRAM_ORDER)[:, None], 0)
+        return stats
+
+    def gleus(self, pair: np.ndarray, rows) -> list[float]:
+        """Sentence GLEU of ``rows``, from the hyp/ref :meth:`bleu_stats`
+        ``pair`` with the hyp's matches of source-only n-grams taken off
+        each order."""
+        stats = pair.copy()
+        stats[2::2] = np.maximum(pair[2::2] - self.clipped(2, drop=1), 0)
+        return [_gleu(row) for row in stats[:, rows].T.tolist()]
 
 
-_NO_STATS = [0] * (2 + 2 * MAX_NGRAM_ORDER)
+def _chunks(rows: Iterable[tuple[str, ...]]) -> Iterator[_GramCounts]:
+    """:class:`_GramCounts` of each run of :data:`CHUNK_ROWS` rows, in order.
 
-
-def _pair_stats(hyp: tuple, ref: tuple) -> list[int]:
-    """BLEU's sufficient statistics for one pair of profiles: both lengths,
-    then per order the clipped matches and the hypothesis n-gram count."""
-    (hyp_len, hyp_grams), (ref_len, ref_grams) = hyp, ref
-    stats = [hyp_len, ref_len]
-    for n in range(MAX_NGRAM_ORDER):
-        stats.append(_clipped(hyp_grams[n], ref_grams[n]))
-        stats.append(max(hyp_len - n, 0))
-    return stats
+    A chunk's n-gram counts are dropped when the next chunk is asked for, so
+    that only one chunk's arrays are alive at a time.
+    """
+    rows = iter(rows)
+    while batch := list(itertools.islice(rows, CHUNK_ROWS)):
+        chunk = _GramCounts(batch)
+        yield chunk
+        chunk.orders.clear()
 
 
 @dataclass(frozen=True)
@@ -105,15 +182,14 @@ def corpus_bleu(hyps: list[str], refs: list[str]) -> BleuReport:
         )
     if not hyps:
         raise MetricError("corpus_bleu requires at least one pair")
-    stats = _NO_STATS
-    for hyp, ref in zip(hyps, refs):
-        pair = _pair_stats(_profile(hyp), _profile(ref))
-        stats = [a + b for a, b in zip(stats, pair)]
+    stats = sum(chunk.bleu_stats(1).sum(axis=1)
+                for chunk in _chunks(zip(hyps, refs)))
     return _bleu_report(stats)
 
 
-def _bleu_report(stats: list[int]) -> BleuReport:
-    """Corpus BLEU-4 from :func:`_pair_stats` summed over the pairs."""
+def _bleu_report(stats: np.ndarray) -> BleuReport:
+    """Corpus BLEU-4 from :meth:`_GramCounts.bleu_stats` summed over the pairs."""
+    stats = stats.tolist()
     hyp_len, ref_len = stats[0], stats[1]
     precisions = []
     for n in range(1, MAX_NGRAM_ORDER + 1):
@@ -164,21 +240,15 @@ def sentence_gleu(src: str, hyp: str, ref: str) -> float:
     one for sentence-level use, and hypotheses shorter than the reference
     take the usual exponential length penalty.
     """
-    src, hyp, ref = _profile(src), _profile(hyp), _profile(ref)
-    return _gleu(src, hyp, ref, _pair_stats(hyp, ref))
-
-
-def _gleu(src: tuple, hyp: tuple, ref: tuple, pair: list[int]) -> float:
-    """Sentence GLEU from three profiles and the hyp/ref :func:`_pair_stats`."""
-    (src_len, sgrams), (hyp_len, hgrams), (ref_len, rgrams) = src, hyp, ref
-    if not src_len or not hyp_len or not ref_len:
+    chunk = _GramCounts([(hyp, ref, src)])
+    if not chunk.lengths.all():
         raise MetricError("sentence_gleu requires non-empty src, hyp and ref")
+    return chunk.gleus(chunk.bleu_stats(1), [0])[0]
 
-    stats: list[float] = list(pair)
-    for n in range(MAX_NGRAM_ORDER):
-        src_only = {g: c for g, c in sgrams[n].items() if g not in rgrams[n]}
-        stats[2 + 2 * n] = max(pair[2 + 2 * n] - _clipped(hgrams[n], src_only), 0)
 
+def _gleu(stats: list[int]) -> float:
+    """Sentence GLEU from one row's hyp/ref BLEU statistics, each order's
+    matches already less the hyp's matches of source-only n-grams."""
     stats = [s if s != 0 else 1 for s in stats]
     hyp_len, ref_len = stats[0], stats[1]
     log_prec = sum(
@@ -193,8 +263,22 @@ def corpus_gleu(srcs: list[str], hyps: list[str], refs: list[str]) -> float:
         raise MetricError("corpus_gleu requires equal-length lists")
     if not srcs:
         raise MetricError("corpus_gleu requires at least one triple")
-    return sum(sentence_gleu(s, h, r)
-               for s, h, r in zip(srcs, hyps, refs)) / len(srcs)
+    return sum(_corpus_gleus(srcs, hyps, refs)) / len(srcs)
+
+
+def _corpus_gleus(srcs: list[str], hyps: list[str],
+                  refs: list[str]) -> Iterator[float]:
+    """Each triple's sentence GLEU, in order; a triple with a side without
+    tokens raises MetricError naming its index and that side."""
+    start = 0
+    for chunk in _chunks(zip(hyps, refs, srcs)):
+        empty = np.argwhere(chunk.lengths.T == 0)
+        if len(empty):
+            row, side = empty[0]
+            raise MetricError(f"corpus_gleu: triple {start + row} has no "
+                              f"tokens in its {('hyp', 'ref', 'src')[side]}")
+        yield from chunk.gleus(chunk.bleu_stats(1), slice(None))
+        start += chunk.height
 
 
 def corpus_perplexity(texts: list[str], endpoints: BackendEndpoints) -> float:
@@ -339,6 +423,11 @@ def accuracy_labels(endpoints: BackendEndpoints | None,
     return labels if len(labels) >= 2 else None
 
 
+def _nonblank(text: str | None) -> str:
+    """``text``, or "" when it is absent or blank."""
+    return text if text is not None and text.strip() else ""
+
+
 def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None,
               *, labels: list[str] | None = None,
               predicted: Sequence[str | None] | backends.LabelError | None = None,
@@ -354,41 +443,47 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
     accuracy is None and a warning names the labels. PPL comes from
     ``fluency``, each output's (total log-prob, token count) from reranking,
     or else from /score calls when ``endpoints`` has a score endpoint. Each
-    text is tokenized and counted once.
+    text is tokenized and its n-grams counted once, a chunk of rows at a
+    time.
 
     A blank output scores GLEU 0 for its row, counts as an accuracy miss and
     adds no tokens to PPL, with no backend call for it.
     """
     if not rows:
         raise MetricError("summarize requires at least one row")
-    by_source = by_reference = _NO_STATS
-    sourced = referenced = exact = 0
-    gleus: list[float] = []
-    for row in rows:
-        hyp = _profile(row.output)
-        has_source = row.source is not None and bool(row.source.strip())
-        if has_source:
-            src = _profile(row.source)
-            by_source = [a + b for a, b in zip(by_source, _pair_stats(hyp, src))]
-            sourced += 1
-        if row.reference is not None and row.reference.strip():
-            ref = _profile(row.reference)
-            pair = _pair_stats(hyp, ref)
-            by_reference = [a + b for a, b in zip(by_reference, pair)]
-            referenced += 1
-            exact += row.output.strip() == row.reference.strip()
-            if has_source:
-                # A blank output has no n-grams to score: GLEU 0.
-                gleus.append(_gleu(src, hyp, ref, pair) if hyp[0] else 0.0)
+    by_source = by_reference = np.zeros(_STATS, dtype=np.int64)
+    sourced = referenced = scored = 0
 
+    def gleus() -> Iterator[float]:
+        # One pass over the chunks: sums the BLEU statistics on the way and
+        # yields the GLEU of each row with both a source and a reference, in
+        # row order, so that sum() takes their mean over one sequence.
+        nonlocal by_source, by_reference, sourced, referenced, scored
+        for chunk in _chunks((row.output, _nonblank(row.reference),
+                              _nonblank(row.source)) for row in rows):
+            has_output, has_reference, has_source = chunk.lengths > 0
+            pair = chunk.bleu_stats(1)
+            by_reference = by_reference + pair[:, has_reference].sum(axis=1)
+            by_source = by_source + chunk.bleu_stats(2)[:, has_source].sum(axis=1)
+            sourced += int(has_source.sum())
+            referenced += int(has_reference.sum())
+            both = np.flatnonzero(has_source & has_reference)
+            scored += len(both)
+            # A blank output has no n-grams to score: GLEU 0.
+            for row, gleu in zip(both, chunk.gleus(pair, both)):
+                yield gleu if has_output[row] else 0.0
+
+    gleu_sum = sum(gleus())
+    exact = sum(row.output.strip() == row.reference.strip() for row in rows
+                if _nonblank(row.reference))
     values: dict = {}
     if sourced:
         values["s_sbleu"] = _bleu_report(by_source).score
     if referenced:
         values["r_sbleu"] = _bleu_report(by_reference).score
         values["exact_match"] = exact / referenced
-    if gleus:
-        values["gleu"] = sum(gleus) / len(gleus)
+    if scored:
+        values["gleu"] = gleu_sum / scored
     if predicted is None:
         if labels is None:
             labels = accuracy_labels(endpoints, (

@@ -1,10 +1,13 @@
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import oracle_bleu, oracle_gleu, oracle_tokenize
+from restyle import metrics
 from restyle.backends import BackendEndpoints, MaskFillResponse
 from restyle.metrics import (
     EvalRow,
@@ -177,8 +180,25 @@ class TestSentenceGleu:
             assert 0.0 <= sentence_gleu(src, hyp, ref) <= 1.0
 
     def test_empty_rejected(self):
-        with pytest.raises(MetricError):
-            sentence_gleu("", "a", "b")
+        for triple in (("", "a", "b"), ("a", " ", "b"), ("a", "b", "\t")):
+            with pytest.raises(MetricError, match="^sentence_gleu requires "
+                               "non-empty src, hyp and ref$"):
+                sentence_gleu(*triple)
+
+    @pytest.mark.parametrize("row, side", [
+        (17, "hyp"), (0, "src"), (63, "ref"), (64, "hyp"), (70, "src"),
+    ])
+    def test_corpus_gleu_names_the_triple_without_tokens(self, row, side):
+        triples = [["the cat", "a cat", "a dog"] for _ in range(80)]
+        triples[row][("src", "hyp", "ref").index(side)] = ("", " \t")[row % 2]
+        triples[row + 3][0] = ""  # a later empty triple is not the one named
+        with pytest.raises(MetricError, match=f"^corpus_gleu: triple {row} "
+                           f"has no tokens in its {side}$"):
+            corpus_gleu(*map(list, zip(*triples)))
+
+    def test_corpus_gleu_names_the_first_empty_side(self):
+        with pytest.raises(MetricError, match="triple 1 has no tokens in its hyp"):
+            corpus_gleu(["a", "b"], ["a", ""], ["a", ""])
 
     def test_corpus_mean(self):
         triples = [("the cat sat", "the cat sat", "the cat sat"),
@@ -400,6 +420,77 @@ def test_summarize_equals_the_metric_functions(triples):
     else:
         assert summary.gleu is None
     assert summary.accuracy is summary.ppl is None
+
+
+GRAM_WORDS = st.sampled_from(["the", "cat", "sat", "Σ", "a_b", "42", "."])
+
+
+@st.composite
+def gram_triples(draw):
+    """(src, hyp, ref) triples whose sides share a phrase repeated up to three
+    times each, so clipping takes a minimum above 1, and whose src and hyp
+    share a repeated gram "qq zz" that no reference holds; any side may be
+    blank, and a reference may be absent."""
+    phrase = draw(st.lists(GRAM_WORDS, min_size=1, max_size=3))
+
+    def side(extra=()):
+        words = draw(st.lists(GRAM_WORDS, max_size=6))
+        at = draw(st.integers(0, len(words)))
+        text = " ".join(words[:at] + phrase * draw(st.integers(0, 3))
+                        + list(extra) + words[at:])
+        return draw(st.sampled_from([text, text, text, text.upper(), " "]))
+
+    src_only = ["qq", "zz"] * draw(st.integers(0, 3))
+    ref = side() if draw(st.booleans()) else None
+    return side(src_only), side(src_only), ref
+
+
+def _chunked(rows, fn, *args):
+    with mock.patch.object(metrics, "CHUNK_ROWS", rows):
+        return fn(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(gram_triples(), min_size=1, max_size=9), st.integers(1, 4))
+@example([("the cat qq zz qq zz", "the the cat qq zz qq zz", "the the cat")] * 5, 2)
+def test_chunk_boundaries_change_nothing(triples, chunk):
+    srcs = [s for s, _, _ in triples]
+    hyps = [h for _, h, _ in triples]
+    refs = [r if r is not None else "" for _, _, r in triples]
+    whole = 10 ** 6
+    for outputs, others in ((hyps, refs), (hyps, srcs)):
+        report = _chunked(chunk, corpus_bleu, outputs, others)
+        assert report == _chunked(whole, corpus_bleu, outputs, others)
+        assert report.score == pytest.approx(oracle_bleu(
+            [tokenize_eval(o) for o in outputs],
+            [tokenize_eval(o) for o in others]), abs=1e-9)
+    rows = [EvalRow(h, s, r) for s, h, r in triples]
+    assert _chunked(chunk, summarize, rows) == _chunked(whole, summarize, rows)
+    scored = [t for t in zip(srcs, hyps, refs) if all(x.strip() for x in t)]
+    if scored:
+        columns = [list(texts) for texts in zip(*scored)]
+        gleu = _chunked(chunk, corpus_gleu, *columns)
+        assert gleu == _chunked(whole, corpus_gleu, *columns)
+        assert gleu == pytest.approx(sum(
+            oracle_gleu(*map(tokenize_eval, t)) for t in scored) / len(scored),
+            abs=1e-9)
+
+
+def test_summary_working_set_does_not_grow_with_the_corpus():
+    rng = random.Random(3)
+    pool = [EvalRow(*(" ".join(rng.choices(VOCAB, k=rng.randint(3, 12)))
+                      for _ in range(3))) for _ in range(500)]
+    rows = pool * 40
+    tracemalloc.start()
+    try:
+        summarize(rows[:2000])
+        small = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        summarize(rows)
+        large = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert large <= 2 * small, (small, large)
 
 
 class TestSummarize:

@@ -7,12 +7,12 @@ recovering the completion from raw model output.
 """
 
 from restyle import (
+    DELIMITERS,
     TEMPLATES,
     DelimiterCollisionError,
     Exemplar,
+    PromptConfig,
     TransferRequest,
-    builtin_delimiters,
-    delimiter_by_name,
     extract_completion,
     parse_style,
     render_cloze,
@@ -41,12 +41,20 @@ for name, template in TEMPLATES.items():
 
 # Ten delimiter pairs; quotes and dashes use the same marker on both sides.
 print("--- delimiter pairs")
-for pair in builtin_delimiters():
-    print(f"  open={pair.open!r:7} close={pair.close!r}")
+for name, pair in DELIMITERS.items():
+    print(f"  {name:12} open={pair.open!r:7} close={pair.close!r}")
+
+# Names select pieces by one rule: a builtin name ignores case, surrounding
+# spaces and "-" for "_", as the --template and --delimiter flags do; a
+# custom name from a prompt config file matches only exactly.
+prompts = PromptConfig()
+print("\n--- names")
+print(repr(prompts.delimiter(" Triple_Angle ")))
+print(prompts.template("Negation-V1") == TEMPLATES["negation_v1"])
 
 # The prompt always ends with the opening marker, so the model continues
 # inside the delimited slot; extraction cuts at the first closing marker.
-curly = delimiter_by_name("curly")
+curly = DELIMITERS["curly"]
 raw_model_output = "I hate The Sound of Music; it is the worst movie ever!!} and then some"
 completion = extract_completion(raw_model_output, curly)
 print("\n--- extraction")

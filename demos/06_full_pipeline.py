@@ -9,13 +9,13 @@ templates over three delimiter pairs and print the CSV table.
 import json
 
 from restyle import (
+    DELIMITERS,
     TEMPLATES,
     RequestTemplate,
     RerankConfig,
     StylePairRecord,
     SweepGrid,
     copy_baseline,
-    delimiter_by_name,
     run_sweep,
     transfer_corpus,
 )
@@ -47,7 +47,7 @@ print("\ncopy baseline:", json.dumps(baseline.to_dict()))
 # A small sweep: 2 templates x 3 delimiters x 2 directions = 12 cells.
 grid = SweepGrid(
     templates=(TEMPLATES["vanilla"], TEMPLATES["contrastive"]),
-    delimiters=tuple(delimiter_by_name(n) for n in ("curly", "square", "quote")),
+    delimiters=tuple(DELIMITERS[n] for n in ("curly", "square", "quote")),
     directions=directions_in(records),
 )
 result = run_sweep(records, grid, cfg, seed=0)

@@ -72,6 +72,7 @@ from .pipeline import (
     write_manifest,
 )
 from .prompts import (
+    DELIMITERS,
     TEMPLATES,
     DelimiterCollisionError,
     DelimiterPair,
@@ -80,8 +81,6 @@ from .prompts import (
     PromptConfig,
     PromptError,
     TransferRequest,
-    builtin_delimiters,
-    delimiter_by_name,
     extract_completion,
     load_prompt_config,
     parse_style,

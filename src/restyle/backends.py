@@ -137,9 +137,20 @@ class DecodeConfig:
         object.__setattr__(self, "temperature",
                            check_real(self.temperature, "temperature", 0.0))
 
+    def width(self, num_candidates: int) -> int:
+        """The beam width of a request for ``num_candidates`` candidates:
+        ``beam_width``, or the candidate count when unset. In beam mode a
+        width below the count raises ValueError, as a beam search returns at
+        most its width of sequences."""
+        if self.beam_width is None:
+            return num_candidates
+        if self.mode == "beam" and self.beam_width < num_candidates:
+            raise ValueError(f"beam_width must be >= the {num_candidates} "
+                             f"candidates asked for, got {self.beam_width}")
+        return self.beam_width
+
     def to_wire(self, num_candidates: int) -> dict:
-        width = self.beam_width if self.beam_width is not None else num_candidates
-        return {"mode": self.mode, "beam_width": width,
+        return {"mode": self.mode, "beam_width": self.width(num_candidates),
                 "temperature": self.temperature}
 
 
@@ -155,6 +166,7 @@ class CompletionRequest:
     def __post_init__(self):
         check_count(self.num_candidates, "num_candidates")
         check_count(self.max_new_tokens, "max_new_tokens")
+        self.decode.width(self.num_candidates)
 
     def to_wire(self) -> dict:
         return {
@@ -211,6 +223,9 @@ class TokenScore:
 
 @dataclass(frozen=True)
 class TokenScoreResponse:
+    """The scored tokens of one text; their log-probabilities must sum to a
+    finite total, which finite logprobs near -1e308 can overflow."""
+
     tokens: tuple[TokenScore, ...]
 
     def __post_init__(self):
@@ -218,6 +233,8 @@ class TokenScoreResponse:
         # log-probability 0, the most fluent text possible.
         if not self.tokens:
             raise ValueError("token score response has no tokens")
+        if not math.isfinite(self.total_logprob):
+            raise ValueError(f"token logprobs sum to {self.total_logprob!r}")
 
     @property
     def total_logprob(self) -> float:

@@ -300,7 +300,8 @@ def _add_generation(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--decode-mode", default=DecodeConfig.mode,
                         choices=DecodeConfig.MODES)
     parser.add_argument("--beam-width", type=int,
-                        default=DecodeConfig.beam_width, help="defaults to --k")
+                        default=DecodeConfig.beam_width,
+                        help="defaults to --k; at least --k in beam mode")
     parser.add_argument("--temperature", type=float,
                         default=DecodeConfig.temperature)
     parser.add_argument("--jobs", type=int, default=DEFAULT_JOBS,

@@ -212,8 +212,9 @@ def save_records(records: list[StylePairRecord], path: str, format: str) -> None
                 row = record.to_dict()
                 cells = ["" if row[key] is None else str(row[key])
                          for key in _SCHEMA]
+                # Reading in text mode ends a line at "\r" as at "\n".
                 for cell in cells:
-                    if "\t" in cell or "\n" in cell:
+                    if any(c in cell for c in "\t\n\r"):
                         raise DatasetError(
                             f"record {record.id!r} contains a tab or newline; "
                             "use the jsonl format"

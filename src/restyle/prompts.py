@@ -69,20 +69,6 @@ DELIMITERS: dict[str, DelimiterPair] = {
 }
 
 
-def builtin_delimiters() -> list[DelimiterPair]:
-    """The ten builtin delimiter pairs, in canonical order."""
-    return list(DELIMITERS.values())
-
-
-def delimiter_by_name(name: str) -> DelimiterPair:
-    try:
-        return DELIMITERS[name]
-    except KeyError:
-        raise PromptError(
-            f"unknown delimiter {name!r}; choose one of {', '.join(DELIMITERS)}"
-        ) from None
-
-
 def delimiter_name(pair: DelimiterPair) -> str:
     """Short name of a builtin pair, or "open|close" for custom pairs."""
     for name, candidate in DELIMITERS.items():
@@ -115,13 +101,6 @@ TEMPLATES: dict[str, str] = {
 }
 
 _ALLOWED_FIELDS = {"s1", "s2", "x", "d1", "d2"}
-
-
-def builtin_template(name: str) -> str | None:
-    """The builtin text a name selects, or None. Case, surrounding
-    whitespace and "-" for "_" do not matter: "Negation-V1" selects
-    ``TEMPLATES["negation_v1"]``."""
-    return TEMPLATES.get(name.strip().lower().replace("-", "_"))
 
 
 def template_name(text: str) -> str:
@@ -160,8 +139,9 @@ class TransferRequest:
     exemplars: tuple[Exemplar, ...] = ()
 
     def __post_init__(self):
-        if not self.input_text:
-            raise PromptError("input_text must be non-empty")
+        if not isinstance(self.input_text, str) or not self.input_text.strip():
+            raise PromptError("input_text must be a non-blank string, "
+                              f"got {self.input_text!r}")
         validate_template(self.template)
         object.__setattr__(self, "source_style", parse_style(self.source_style))
         object.__setattr__(self, "target_style", parse_style(self.target_style))
@@ -254,29 +234,52 @@ def render_cloze(text: str, mask_token: str) -> str:
     return f"The following text is {mask_token}: [{text}]."
 
 
+def _builtin_name(builtins: dict, name: str) -> str | None:
+    """The key of ``builtins`` that ``name`` matches, or None. Case,
+    surrounding whitespace and "-" for "_" do not matter: " Triple_Angle "
+    matches "triple-angle"."""
+    key = name.strip().lower().replace("-", "_")
+    return next((b for b in builtins if b.replace("-", "_") == key), None)
+
+
 @dataclass(frozen=True)
 class PromptConfig:
     """User-supplied template phrasings and delimiter pairs, and the one
-    rule that turns a template or delimiter name into what it selects."""
+    rule that turns a template or delimiter name into what it selects: a
+    builtin name matches after ``strip().lower()`` with "-" read as "_", a
+    custom name only exactly. A custom name that matches a builtin under
+    that rule raises PromptError."""
 
     templates: dict[str, str] = field(default_factory=dict)
     delimiters: dict[str, DelimiterPair] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for kind, builtins, custom in (("template", TEMPLATES, self.templates),
+                                       ("delimiter", DELIMITERS, self.delimiters)):
+            for name in custom:
+                builtin = _builtin_name(builtins, name)
+                if builtin is not None:
+                    raise PromptError(f"{kind} {name!r} shadows the builtin "
+                                      f"{kind} {builtin!r}")
+
     def template(self, name: str) -> str:
-        """The builtin text ``name`` selects (see :func:`builtin_template`),
-        else the custom template of that name; PromptError if neither."""
-        text = builtin_template(name) or self.templates.get(name)
-        if text is None:
-            known = list(TEMPLATES) + sorted(self.templates)
-            raise PromptError(f"unknown template {name!r}; choose from {known}")
-        return text
+        """The template text ``name`` selects; PromptError if none."""
+        return _lookup("template", TEMPLATES, self.templates, name)
 
     def delimiter(self, name: str) -> DelimiterPair:
-        """The builtin pair ``name`` selects, else the custom pair of that
-        name; PromptError if neither."""
-        if name in self.delimiters and name not in DELIMITERS:
-            return self.delimiters[name]
-        return delimiter_by_name(name)
+        """The delimiter pair ``name`` selects; PromptError if none."""
+        return _lookup("delimiter", DELIMITERS, self.delimiters, name)
+
+
+def _lookup(kind: str, builtins: dict, custom: dict, name: str):
+    """The piece of ``kind`` that ``name`` selects, builtins first."""
+    builtin = _builtin_name(builtins, name)
+    if builtin is not None:
+        return builtins[builtin]
+    if name in custom:
+        return custom[name]
+    known = list(builtins) + sorted(custom)
+    raise PromptError(f"unknown {kind} {name!r}; choose from {known}")
 
 
 def load_prompt_config(path: str) -> PromptConfig:
@@ -288,9 +291,9 @@ def load_prompt_config(path: str) -> PromptConfig:
          "delimiters": {"name": {"open": "<<", "close": ">>"}}}
 
     Template strings use the {s1} {s2} {x} {d1} {d2} placeholders and must
-    end with {d1}. A name may not shadow a builtin: a template name that
-    :func:`builtin_template` resolves, or a key of :data:`DELIMITERS`,
-    raises PromptError. A leading byte order mark is dropped.
+    end with {d1}. A name that matches a builtin under the name rule of
+    :class:`PromptConfig` raises PromptError. A leading byte order mark is
+    dropped.
     """
     with open(path, encoding="utf-8-sig") as fh:
         doc = json.load(fh)
@@ -301,16 +304,12 @@ def load_prompt_config(path: str) -> PromptConfig:
             raise PromptError(f"prompt config {section!r} must be a JSON object")
     templates: dict[str, str] = {}
     for name, text in doc.get("templates", {}).items():
-        if builtin_template(name) is not None:
-            raise PromptError(f"template {name!r} shadows a builtin template")
         if not isinstance(text, str):
             raise PromptError(f"template {name!r} must be a string")
         validate_template(text)
         templates[name] = text
     delimiters: dict[str, DelimiterPair] = {}
     for name, spec in doc.get("delimiters", {}).items():
-        if name in DELIMITERS:
-            raise PromptError(f"delimiter {name!r} shadows a builtin delimiter")
         if not isinstance(spec, dict) or "open" not in spec or "close" not in spec:
             raise PromptError(f"delimiter {name!r} needs open and close markers")
         delimiters[name] = DelimiterPair(spec["open"], spec["close"])

@@ -61,6 +61,7 @@ class RerankConfig:
     def __post_init__(self):
         check_count(self.k, "k")
         check_count(self.max_new_tokens, "max_new_tokens")
+        self.decode.width(self.k)
         if self.strength_source not in STRENGTH_SOURCES:
             raise ValueError(
                 f"strength_source must be one of {STRENGTH_SOURCES}"

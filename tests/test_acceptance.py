@@ -22,9 +22,9 @@ from restyle.metrics import (
 from restyle.mocks import UniformScoreBackend, antonym_flip, mock_endpoints
 from restyle.pipeline import SweepGrid, directions_in, run_sweep, transfer_one
 from restyle.prompts import (
+    DELIMITERS,
     TEMPLATES,
     TransferRequest,
-    builtin_delimiters,
     extract_completion,
     render_prompt,
 )
@@ -54,7 +54,7 @@ def test_criterion_1_prompt_fidelity():
     inputs = [" ".join(rng.choices(words, k=rng.randint(2, 9)))
               for _ in range(1000)]
     labels = ("ornate", "plain")
-    pairs = builtin_delimiters()
+    pairs = list(DELIMITERS.values())
     start = time.perf_counter()
     failures = 0
     for text in inputs:

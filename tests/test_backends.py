@@ -109,6 +109,24 @@ class TestRequestValidation:
             BackendEndpoints(timeout=5.0, retry_backoff=0.0)
         assert type(BackendEndpoints(timeout=np.int64(5)).timeout) is float
 
+    @pytest.mark.parametrize("k, width, mode, wire", [
+        (3, None, "beam", 3), (3, 3, "beam", 3), (3, 5, "beam", 5),
+        (5, 3, "sample", 3),
+    ])
+    def test_beam_width_on_the_wire(self, k, width, mode, wire):
+        decode = backends.DecodeConfig(mode=mode, beam_width=width)
+        req = CompletionRequest(prompt="p", num_candidates=k, decode=decode)
+        assert req.to_wire()["decode"]["beam_width"] == wire
+
+    def test_beam_narrower_than_the_candidates_rejected(self):
+        # A beam search returns at most its width of sequences.
+        decode = backends.DecodeConfig(beam_width=3)
+        error = "beam_width must be >= the 5 candidates asked for, got 3"
+        with pytest.raises(ValueError, match=error):
+            CompletionRequest(prompt="p", num_candidates=5, decode=decode)
+        with pytest.raises(ValueError, match=error):
+            decode.to_wire(5)
+
     def test_wire_shape(self):
         req = CompletionRequest(prompt="p", max_new_tokens=8,
                                 num_candidates=3, stop="}", seed=7)
@@ -372,7 +390,7 @@ class TestParsePromptInput:
         # Joined by the opener, the input holds it wherever it can: an
         # opener that holds the close cannot appear in an input.
         text = pair.open.join(parts)
-        assume(text and pair.close not in text)
+        assume(text.strip() and pair.close not in text)
         assume(all(side and pair.close not in side
                    for sides in exemplars for side in sides))
         req = TransferRequest(

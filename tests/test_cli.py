@@ -59,7 +59,10 @@ class TestTransfer:
         ("the food was good", ["--prompt-config", "{config}", "--delimiter",
                                "wide"], "the food was bad"),
         ("apple < pear is good", ["--delimiter", "angle"], "apple < pear is bad"),
-    ], ids=["template-name", "custom-delimiter", "input-holds-the-opener"])
+        ("the food was good", ["--delimiter", " Triple_Angle "], "the food was bad"),
+        ("the food was good", ["--delimiter", "Curly"], "the food was bad"),
+    ], ids=["template-name", "custom-delimiter", "input-holds-the-opener",
+            "delimiter-name-spaced", "delimiter-name-case"])
     def test_mock_reads_the_query_input(self, mock_env, tmp_path, capsys, text,
                                         argv, winner):
         config = tmp_path / "prompts.json"
@@ -148,7 +151,12 @@ class TestTransfer:
          "source and target style are both 'positive'"),
         (["--from", "positive", "--to", "negative"], {"SCORE": ""},
          "missing backend endpoints: RESTYLE_SCORE_URL (or pass --no-fluency)"),
-    ], ids=["same-style", "empty-score-url"])
+        (["--text", "   ", "--from", "positive", "--to", "negative"], {},
+         "input_text must be a non-blank string, got '   '"),
+        (["--from", "positive", "--to", "negative", "--k", "5",
+          "--beam-width", "3"], {},
+         "beam_width must be >= the 5 candidates asked for, got 3"),
+    ], ids=["same-style", "empty-score-url", "blank-text", "beam-below-k"])
     def test_exits_2_before_any_call(self, mock_env, monkeypatch, capsys,
                                      argv, env, error):
         with LoopbackServer() as server:

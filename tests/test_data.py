@@ -240,6 +240,19 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="contains a tab or newline"):
             save_records([record], str(tmp_path / "out.tsv"), "tsv")
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    @pytest.mark.parametrize("side", ["source", "reference"])
+    def test_tsv_refuses_what_would_not_read_back(self, tmp_path, brk, side):
+        # Text-mode reading ends a line at "\r" as at "\n"; JSONL escapes both.
+        fields = dict(id="a", source="good food", reference="bad food",
+                      source_style="positive", target_style="negative")
+        record = StylePairRecord(**{**fields, side: f"first line{brk}second"})
+        with pytest.raises(DatasetError, match="contains a tab or newline"):
+            save_records([record], str(tmp_path / "out.tsv"), "tsv")
+        save_records([record], str(tmp_path / "out.jsonl"), "jsonl")
+        assert load_dataset(str(tmp_path / "out.jsonl"), "jsonl",
+                            strict=True) == [record]
+
     def test_round_trip_both_formats(self, tmp_path):
         records = [
             StylePairRecord(id="a", source="good food", reference="bad food",

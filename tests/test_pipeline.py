@@ -46,7 +46,6 @@ from restyle.prompts import (
     PromptConfig,
     PromptError,
     TransferRequest,
-    builtin_delimiters,
 )
 from restyle.reranking import RerankConfig, classifier_strength, style_strength
 
@@ -341,6 +340,25 @@ class TestTransferCorpus:
         assert errors[0]["error"].startswith("MalformedResponseError")
         assert len(manifest.successful_records()) == 3
 
+    def test_overflowing_score_total_fails_one_example(self, sentiment_records):
+        # Each logprob is finite, but the two sum to -inf.
+        def answer(path, body):
+            if path.endswith("/score") and "staff" in body["text"]:
+                return Reply({"tokens": [{"token": token, "logprob": -1e308}
+                                         for token in ("rude", "staff")]})
+            return mock_answer(path, body)
+
+        with LoopbackServer(answer) as server:
+            ep = mock_endpoints(score=f"{server.url}/score")
+            manifest = transfer_corpus(sentiment_records, RequestTemplate(),
+                                       RerankConfig(k=3, endpoints=ep))
+        errors = [r for r in manifest.records if "error" in r]
+        assert [r["id"] for r in errors] == ["n1"]
+        assert errors[0]["error"].startswith("MalformedResponseError")
+        assert "token logprobs sum to -inf" in errors[0]["error"]
+        assert len(manifest.successful_records()) == 3
+        json.dumps(manifest.records, allow_nan=False)
+
     def test_non_finite_gen_score_fails_one_example(self, sentiment_records):
         class NanScores(LexiconFlipBackend):
             def complete(self, req):
@@ -610,7 +628,7 @@ class TestSweep:
 
     def test_csv_deterministic(self, mock_ep, sentiment_records):
         grid = SweepGrid(templates=(TEMPLATES["contrastive"],),
-                         delimiters=tuple(builtin_delimiters()[:3]),
+                         delimiters=tuple(DELIMITERS.values())[:3],
                          directions=directions_in(sentiment_records))
         cfg = RerankConfig(k=3, endpoints=mock_ep)
         first = run_sweep(sentiment_records, grid, cfg, seed=9).to_csv()

@@ -15,9 +15,6 @@ from restyle.prompts import (
     PromptConfig,
     PromptError,
     TransferRequest,
-    builtin_delimiters,
-    builtin_template,
-    delimiter_by_name,
     delimiter_name,
     extract_completion,
     load_prompt_config,
@@ -42,7 +39,7 @@ def make_request(**kwargs):
 
 class TestDelimiters:
     def test_ten_builtin_pairs(self):
-        assert len(builtin_delimiters()) == 10
+        assert len(DELIMITERS) == 10
 
     def test_exact_pairs(self):
         expected = [
@@ -50,7 +47,7 @@ class TestDelimiters:
             ("--", "--"), ("<<<", ">>>"), ('> "', '"'), ('* "', '"'),
             ("{{", "}}"),
         ]
-        assert [(d.open, d.close) for d in builtin_delimiters()] == expected
+        assert [(d.open, d.close) for d in DELIMITERS.values()] == expected
 
     def test_curly_is_complementary(self):
         curly = DELIMITERS["curly"]
@@ -68,9 +65,9 @@ class TestDelimiters:
 
     def test_name_lookup_roundtrip(self):
         for name in DELIMITERS:
-            assert delimiter_name(delimiter_by_name(name)) == name
-        with pytest.raises(PromptError):
-            delimiter_by_name("fancy")
+            assert delimiter_name(PromptConfig().delimiter(name)) == name
+        with pytest.raises(PromptError, match="unknown delimiter 'fancy'"):
+            PromptConfig().delimiter("fancy")
 
 
 class TestTemplates:
@@ -78,10 +75,10 @@ class TestTemplates:
 
     def test_name_lookup_roundtrip(self):
         for name, text in TEMPLATES.items():
-            assert builtin_template(name) == text
-            assert builtin_template(f" {name.upper().replace('_', '-')} ") == text
-            assert template_name(text) == name
-        assert builtin_template("fancy") is None
+            assert PromptConfig().template(name) == text
+            assert template_name(PromptConfig().template(name)) == name
+        with pytest.raises(PromptError, match="unknown template 'fancy'"):
+            PromptConfig().template("fancy")
         custom = "Say {x} as {s2}: {d1}"
         assert template_name(custom) == custom
 
@@ -305,6 +302,54 @@ class TestPromptConfig:
             load_prompt_config(str(path))
 
 
+# Each kind of named prompt piece: its builtins, and a custom piece with
+# the JSON a prompt config file writes it as.
+PIECES = {
+    "template": (TEMPLATES, "Say {x} as {s2}: {d1}", lambda text: text),
+    "delimiter": (DELIMITERS, DelimiterPair("<<", ">>"),
+                  lambda pair: {"open": pair.open, "close": pair.close}),
+}
+
+
+def name_variants(name: str) -> list[str]:
+    """``name`` with other case, surrounding whitespace and "-"/"_" swaps."""
+    swapped = name.translate(str.maketrans("-_", "_-"))
+    return [name, name.upper(), f" {name.title()} ", f"\t{swapped}\n",
+            swapped.upper(), name.replace("-", "_").capitalize()]
+
+
+@pytest.mark.parametrize("kind", list(PIECES))
+class TestNameRule:
+    """One rule selects templates and delimiters by name: a builtin name
+    matches after strip().lower() with "-" read as "_", a custom name only
+    exactly, and a custom name may not match a builtin under that rule."""
+
+    def test_builtin_name_variants_resolve(self, kind):
+        builtins, _, _ = PIECES[kind]
+        select = getattr(PromptConfig(), kind)
+        for name, piece in builtins.items():
+            for variant in name_variants(name):
+                assert select(variant) == piece, variant
+
+    def test_custom_name_matches_only_exactly(self, kind):
+        _, custom, _ = PIECES[kind]
+        select = getattr(PromptConfig(**{f"{kind}s": {"My-Piece": custom}}), kind)
+        assert select("My-Piece") == custom
+        for variant in name_variants("My-Piece")[1:]:
+            with pytest.raises(PromptError, match=f"unknown {kind} "):
+                select(variant)
+
+    def test_custom_name_matching_a_builtin_rejected(self, kind, tmp_path):
+        builtins, custom, wire = PIECES[kind]
+        path = tmp_path / "prompts.json"
+        for name in builtins:
+            for variant in name_variants(name):
+                path.write_text(json.dumps({f"{kind}s": {variant: wire(custom)}}))
+                with pytest.raises(PromptError,
+                                   match=f"shadows the builtin {kind} {name!r}"):
+                    load_prompt_config(str(path))
+
+
 def test_random_render_extract_round_trip():
     rng = random.Random(1234)
     words = ["calm", "vivid", "slate", "ember", "quartz", "violet", "thorn"]
@@ -312,7 +357,7 @@ def test_random_render_extract_round_trip():
     for _ in range(200):
         text = " ".join(rng.choices(words, k=rng.randint(1, 8)))
         template = rng.choice(list(TEMPLATES.values()))
-        pair = rng.choice(builtin_delimiters())
+        pair = rng.choice(list(DELIMITERS.values()))
         req = TransferRequest(input_text=text, source_style=labels[0],
                               target_style=labels[1], template=template,
                               delimiter=pair)

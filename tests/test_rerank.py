@@ -280,6 +280,9 @@ class TestRerank:
             RerankConfig(decode=DecodeConfig(temperature=math.nan))
         with pytest.raises(ValueError, match="beam_width"):
             RerankConfig(decode=DecodeConfig(beam_width=0))
+        with pytest.raises(ValueError, match="beam_width must be >= the 5 "):
+            RerankConfig(k=5, decode=DecodeConfig(beam_width=3))
+        RerankConfig(k=5, decode=DecodeConfig(mode="sample", beam_width=3))
         with pytest.raises(ValueError, match="max_retries"):
             RerankConfig(endpoints=BackendEndpoints(max_retries=0))
 

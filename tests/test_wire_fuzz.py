@@ -17,6 +17,7 @@ import http.client
 import io
 import json
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -64,11 +65,14 @@ def valid_embed():
 
 
 # Near-valid bodies: the contract's shape with non-finite numbers (st.floats
-# draws NaN and infinities), empty lists and wrong label sets.
+# draws NaN and infinities), empty lists and wrong label sets. Logprobs also
+# come from near the float range's end, where two finite ones sum to -inf.
 VALID = {
     "complete": valid_complete(),
     "score": st.fixed_dictionaries({"tokens": st.lists(st.fixed_dictionaries(
-        {"token": st.text(max_size=8), "logprob": st.floats(max_value=0)}),
+        {"token": st.text(max_size=8),
+         "logprob": (st.floats(max_value=0)
+                     | st.floats(-sys.float_info.max, -1e308))}),
         max_size=3)}),
     "fill_mask": st.fixed_dictionaries(
         {"scores": st.sampled_from([LABELS, LABELS + ["neutral"], ["positive"]])
@@ -101,7 +105,7 @@ CALLS = {
 
 NUMBERS = {
     "complete": lambda resp: [c.gen_score for c in resp.candidates],
-    "score": lambda resp: [t.logprob for t in resp.tokens],
+    "score": lambda resp: [t.logprob for t in resp.tokens] + [resp.total_logprob],
     "fill_mask": lambda resp: list(resp.scores.values()),
     "embed": lambda resp: [v for vec in resp.vectors for v in vec],
 }

@@ -18,7 +18,6 @@ import itertools
 import logging
 import math
 import re
-from array import array
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
@@ -44,7 +43,15 @@ class MetricError(ValueError):
 
 def tokenize_eval(text: str) -> list[str]:
     """Lowercase, split punctuation from word characters, split on whitespace."""
-    return _TOKEN.findall(text.lower())
+    tokens = []
+    # str.split() splits where \s matches, and an isalnum() word is one run of
+    # \w: only the other words need the regex.
+    for word in text.lower().split():
+        if word.isalnum():
+            tokens.append(word)
+        else:
+            tokens += _TOKEN.findall(word)
+    return tokens
 
 
 # Rows whose n-grams the kernel counts at a time: its working set is bounded
@@ -59,64 +66,67 @@ class _GramCounts:
     """The token counts and n-gram counts of a chunk of rows of texts.
 
     Side 0 of a row is the hypothesis, side 1 its reference and side 2, when
-    there is one, its source. Each text is tokenized once. Tokens get ids
-    from a vocabulary of the chunk, and each order's n-grams get dense ids by
-    re-indexing the order below, so ids and keys are bounded by the chunk's
-    size, not the corpus's, and cannot overflow. Every statistic is an exact
-    integer.
+    there is one, its source. Each text is tokenized once, and its tokens get
+    ids from a vocabulary of the chunk. Each order sorts the key ``prefix *
+    vocabulary + last token`` of the whole n-grams of every side once. The
+    prefix is the row at order 1, and above it the dense id of the gram's
+    first n - 1 tokens, so one id names one n-gram of one row, on every side.
+    The runs of equal keys give the dense ids, and one ``np.bincount`` gives
+    the order's sides × grams count table. Ids and keys are bounded by the
+    chunk's size, not the corpus's, and cannot overflow. Every statistic is
+    an exact integer.
     """
 
     def __init__(self, rows: Sequence[tuple[str, ...]]):
         self.height = len(rows)
         vocab = defaultdict(itertools.count().__next__)
-        ids = array("q")
-        lengths = []
-        for side in zip(*rows):
-            for text in side:
-                start = len(ids)
-                ids.extend(map(vocab.__getitem__, tokenize_eval(text)))
-                lengths.append(len(ids) - start)
+        tokens = [tokenize_eval(text) for side in zip(*rows) for text in side]
+        lengths = list(map(len, tokens))
         self.lengths = np.array(lengths, dtype=np.int64).reshape(-1, self.height)
-        ids = np.frombuffer(ids, dtype=np.int64)
-        texts = np.repeat(np.arange(len(lengths)), lengths)
+        ids = np.fromiter(map(vocab.__getitem__, itertools.chain(*tokens)),
+                          dtype=np.int64, count=sum(lengths))
         # Tokens from each position to the end of its text, itself included.
         left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
-        grams, size = ids, len(vocab)
-        # Per order: the sorted keys text * size + gram, their counts, and
-        # where each side's keys start.
+        # The side and the row of each token. At each order, starts holds
+        # where each whole n-gram begins, sides its side and prefixes the id
+        # of its first n - 1 tokens (at order 1, its row).
+        sides, rows = np.divmod(np.repeat(np.arange(len(lengths)), lengths),
+                                self.height)
+        prefixes, starts = rows, np.arange(len(ids))
+        # Per order: the sides × grams count table, and the row of each gram.
         self.orders = []
         for n in range(1, MAX_NGRAM_ORDER + 1):
-            if n > 1:
-                grams = grams[:-1] * len(vocab) + ids[n - 1:]
-                distinct, grams = np.unique(grams, return_inverse=True)
-                size = len(distinct)
-            whole = left[:len(grams)] >= n
-            keys, counts = np.unique(texts[:len(grams)][whole] * size + grams[whole],
-                                     return_counts=True)
-            starts = np.arange(len(self.lengths) + 1) * (self.height * size)
-            self.orders.append((keys, counts, size, np.searchsorted(keys, starts)))
-
-    def _side(self, n: int, side: int) -> tuple[np.ndarray, np.ndarray]:
-        """The order-``n`` keys row * size + gram of one side, and their counts."""
-        keys, counts, size, bounds = self.orders[n]
-        lo, hi = bounds[side], bounds[side + 1]
-        return keys[lo:hi] - side * self.height * size, counts[lo:hi]
+            # Below rows × vocabulary at order 1, and below tokens² above it.
+            keys = prefixes * len(vocab) + ids[starts + n - 1]
+            order = np.argsort(keys)
+            keys = keys[order]
+            first = np.empty(len(keys), dtype=bool)
+            first[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            # The dense ids follow the sorted keys, and the members of a run
+            # share their key and so their row: how the sort orders equal
+            # keys changes no id and no count.
+            grams = np.cumsum(first) - 1
+            size = int(grams[-1]) + 1 if len(grams) else 0
+            prefixes = np.empty_like(grams)
+            prefixes[order] = grams
+            table = np.bincount(sides * size + prefixes,
+                                minlength=len(self.lengths) * size)
+            self.orders.append((table.reshape(len(self.lengths), size),
+                                rows[starts[order[first]]]))
+            whole = left[starts] > n
+            prefixes, starts, sides = prefixes[whole], starts[whole], sides[whole]
 
     def clipped(self, other: int, drop: int | None = None) -> np.ndarray:
         """Per order and row, the hypothesis n-grams, each counted at most as
         often as in side ``other``; with ``drop``, at most as often as in
         ``other`` and not at all when in side ``drop``."""
         out = np.zeros((MAX_NGRAM_ORDER, self.height), dtype=np.int64)
-        for n in range(MAX_NGRAM_ORDER):
-            hkeys, hcounts = self._side(n, 0)
-            okeys, ocounts = self._side(n, other)
+        for n, (table, rows) in enumerate(self.orders):
+            matched = np.minimum(table[0], table[other])
             if drop is not None:
-                keep = ~np.isin(okeys, self._side(n, drop)[0], assume_unique=True)
-                okeys, ocounts = okeys[keep], ocounts[keep]
-            common, hi, oi = np.intersect1d(hkeys, okeys, assume_unique=True,
-                                            return_indices=True)
-            np.add.at(out[n], common // self.orders[n][2],
-                      np.minimum(hcounts[hi], ocounts[oi]))
+                matched[table[drop] > 0] = 0
+            np.add.at(out[n], rows, matched)
         return out
 
     def bleu_stats(self, other: int) -> np.ndarray:
@@ -442,7 +452,9 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
     :class:`backends.LabelError` raised, or passed as ``predicted``),
     accuracy is None and a warning names the labels. PPL comes from
     ``fluency``, each output's (total log-prob, token count) from reranking,
-    or else from /score calls when ``endpoints`` has a score endpoint. Each
+    or else from /score calls when ``endpoints`` has a score endpoint. When
+    the ``fluency`` totals give no perplexity (:func:`perplexity_from_totals`
+    raises), PPL is None and a warning says why; the /score path raises. Each
     text is tokenized and its n-grams counted once, a chunk of rows at a
     time.
 
@@ -503,7 +515,10 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
                    for label, row in zip(predicted, rows))
         values["accuracy"] = hits / len(rows)
     if fluency is not None:
-        values["ppl"] = perplexity_from_totals(fluency)
+        try:
+            values["ppl"] = perplexity_from_totals(fluency)
+        except MetricError as exc:
+            logger.warning("perplexity not measured: %s", exc)
     elif endpoints is not None and endpoints.score is not None:
         scored = [row.output for row in rows if row.output.strip()]
         if scored:

@@ -117,8 +117,11 @@ class Exemplar:
     output: str
 
     def __post_init__(self):
-        if not self.input or not self.output:
-            raise PromptError("exemplar input and output must be non-empty")
+        for name in ("input", "output"):
+            text = getattr(self, name)
+            if not isinstance(text, str) or not text.strip():
+                raise PromptError(f"exemplar {name} must be a non-blank string, "
+                                  f"got {text!r}")
 
 
 @dataclass(frozen=True)

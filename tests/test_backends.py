@@ -391,7 +391,7 @@ class TestParsePromptInput:
         # opener that holds the close cannot appear in an input.
         text = pair.open.join(parts)
         assume(text.strip() and pair.close not in text)
-        assume(all(side and pair.close not in side
+        assume(all(side.strip() and pair.close not in side
                    for sides in exemplars for side in sides))
         req = TransferRequest(
             input_text=text, source_style=POS, target_style=NEG,

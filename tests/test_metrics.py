@@ -6,7 +6,13 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import oracle_bleu, oracle_gleu, oracle_tokenize
+from oracles import (
+    clipped_matches,
+    ngram_list,
+    oracle_bleu,
+    oracle_gleu,
+    oracle_tokenize,
+)
 from restyle import metrics
 from restyle.backends import BackendEndpoints, MaskFillResponse
 from restyle.metrics import (
@@ -55,12 +61,13 @@ class TestTokenizeEval:
         assert tokenize_eval("The CAT") == ["the", "cat"]
 
     # "_", digits of several scripts, combining marks, Unicode spaces and
-    # separators, case oddities (U+0130 lowercases to two characters), and
-    # anything else.
+    # separators, case oddities (U+0130 lowercases to two characters, and a
+    # capital sigma lowercases by its place in the word), and anything else.
     @settings(max_examples=300)
     @given(st.text(alphabet=st.one_of(
         st.sampled_from("_a1\u0663\u2167\u00b2\u0301\u20dd\u00a0\u2003"
-                        "\u3000\u2028\x1c\x85\t\n \u0130\u00df\u01c5.,'-"),
+                        "\u3000\u2028\x1c\x85\t\n \u0130\u00df\u01c5\u03a3"
+                        "\u03c2\u03c3.,'-"),
         st.characters())))
     def test_equals_character_loop(self, text):
         assert tokenize_eval(text) == oracle_tokenize(text)
@@ -474,6 +481,50 @@ def test_chunk_boundaries_change_nothing(triples, chunk):
         assert gleu == pytest.approx(sum(
             oracle_gleu(*map(tokenize_eval, t)) for t in scored) / len(scored),
             abs=1e-9)
+
+
+def oracle_row_stats(hyp, other):
+    """One row's BLEU statistics from the oracle's n-gram lists."""
+    hyp, other = tokenize_eval(hyp), tokenize_eval(other)
+    stats = [len(hyp), len(other)]
+    for n in range(1, 5):
+        stats += [clipped_matches(ngram_list(hyp, n), ngram_list(other, n)),
+                  max(len(hyp) + 1 - n, 0)]
+    return stats
+
+
+# Chunks of (hyp, ref, src) rows at the kernel's edges.
+EDGE_CHUNKS = {
+    "all-blank": [("", " ", "\t"), (" ", "", ""), ("\n", "\u3000", " ")],
+    # No whole n-gram above order 1.
+    "one-token": [("a", "a", "b"), ("b", "c", "b"), ("Σ", "σ", "."),
+                  ("c", "", "c")],
+    "one-row": [("the cat sat on the mat", "the cat sits on a mat",
+                 "a cat sat on the mat")],
+    # Both rows hold "the cat": row 0's hyp repeats it more often than its
+    # ref, row 1's ref more often than its hyp, and it is source-only in
+    # row 0 alone. Clipped or dropped over the chunk instead of per row, the
+    # counts differ.
+    "shared-gram": [("the cat the cat the cat", "the dog", "the cat"),
+                    ("the cat", "the cat the cat", "the cat")],
+}
+
+
+@pytest.mark.parametrize("rows", EDGE_CHUNKS.values(), ids=EDGE_CHUNKS)
+def test_kernel_edges_match_the_oracle(rows):
+    chunk = metrics._GramCounts(rows)
+    for other in (1, 2):
+        assert chunk.bleu_stats(other).T.tolist() == [
+            oracle_row_stats(row[0], row[other]) for row in rows]
+    full = [i for i, row in enumerate(rows) if all(t.strip() for t in row)]
+    assert chunk.gleus(chunk.bleu_stats(1), full) == pytest.approx(
+        [oracle_gleu(*map(tokenize_eval, (rows[i][2], rows[i][0], rows[i][1])))
+         for i in full], abs=1e-12)
+    hyps, refs, srcs = (list(texts) for texts in zip(*rows))
+    for others in (refs, srcs):
+        assert corpus_bleu(hyps, others).score == pytest.approx(oracle_bleu(
+            [tokenize_eval(h) for h in hyps],
+            [tokenize_eval(o) for o in others]), abs=1e-9)
 
 
 def test_summary_working_set_does_not_grow_with_the_corpus():

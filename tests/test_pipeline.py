@@ -14,6 +14,8 @@ from restyle.backends import (
     Generation,
     LabelError,
     ServiceError,
+    TokenScore,
+    TokenScoreResponse,
 )
 from restyle.data import StylePairRecord, load_dataset
 from restyle.metrics import EvalSummary, ref_sbleu
@@ -358,6 +360,33 @@ class TestTransferCorpus:
         assert "token logprobs sum to -inf" in errors[0]["error"]
         assert len(manifest.successful_records()) == 3
         json.dumps(manifest.records, allow_nan=False)
+
+    def test_overflowing_perplexity_leaves_ppl_absent(self, caplog):
+        # Each winner's total is finite, but its mean token log-prob of -800
+        # puts the run's perplexity beyond the float range.
+        class Steep:
+            def score_tokens(self, text):
+                return TokenScoreResponse(tuple(
+                    TokenScore(token, -800.0) for token in text.split()))
+
+        records = [record("p0", "the food was good", reference="the food was bad"),
+                   record("n0", "the room was dirty", src=NEG, dst=POS,
+                          reference="the room was clean")]
+        ep = mock_endpoints(score=Steep())
+        with caplog.at_level("WARNING"):
+            manifest = transfer_corpus(records, RequestTemplate(),
+                                       RerankConfig(k=3, endpoints=ep))
+        assert [r["winner"] for r in manifest.records] == \
+            ["the food was bad", "the room was clean"]
+        summary = manifest.summary
+        assert summary.ppl is None
+        assert None not in (summary.r_sbleu, summary.s_sbleu, summary.accuracy,
+                            summary.gleu, summary.exact_match)
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "restyle.metrics"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("perplexity not measured: perplexity "
+                                      "overflows a float")
 
     def test_non_finite_gen_score_fails_one_example(self, sentiment_records):
         class NanScores(LexiconFlipBackend):

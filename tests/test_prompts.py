@@ -189,8 +189,12 @@ class TestRenderPrompt:
             make_request(input_text="")
 
     def test_exemplar_sides_must_be_non_empty(self):
-        for sides in (("", "awful food"), ("great food", "")):
-            with pytest.raises(PromptError, match="non-empty"):
+        for side, sides in (("input", ("", "awful food")),
+                            ("output", ("great food", "")),
+                            ("input", ("  ", "x")),
+                            ("output", ("great food", "\t\n"))):
+            with pytest.raises(PromptError, match=f"^exemplar {side} must be "
+                               "a non-blank string, got "):
                 Exemplar(*sides)
 
     @pytest.mark.parametrize("template", list(TEMPLATES))

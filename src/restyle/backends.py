@@ -1,9 +1,9 @@
 """Wire contract to external model services.
 
-Four services are used: completion (candidate generation), token scoring
-(per-token log-probabilities), mask filling (cloze label likelihoods), and
-token embeddings. The wire protocol is a small JSON-over-HTTP contract, not
-any vendor's API; see README for the endpoint shapes and a mapping guide.
+Five services are used, each through one call function here: completion,
+token scoring, mask filling (cloze label likelihoods), token embeddings and
+an optional classifier. The wire protocol is a small JSON-over-HTTP contract,
+not any vendor's API; see README for the endpoint shapes and a mapping guide.
 
 Endpoint addresses may be:
 
@@ -27,11 +27,9 @@ import threading
 import time
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from .prompts import render_cloze
 
 
 class BackendError(Exception):
@@ -223,22 +221,20 @@ class TokenScore:
 
 @dataclass(frozen=True)
 class TokenScoreResponse:
-    """The scored tokens of one text; their log-probabilities must sum to a
-    finite total, which finite logprobs near -1e308 can overflow."""
+    """The scored tokens of one text and their log-probabilities' sum, taken
+    once; it must be finite, which finite logprobs near -1e308 can overflow."""
 
     tokens: tuple[TokenScore, ...]
+    total_logprob: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Scored texts are never empty, and an empty list would read as
         # log-probability 0, the most fluent text possible.
         if not self.tokens:
             raise ValueError("token score response has no tokens")
+        object.__setattr__(self, "total_logprob", sum(t.logprob for t in self.tokens))
         if not math.isfinite(self.total_logprob):
             raise ValueError(f"token logprobs sum to {self.total_logprob!r}")
-
-    @property
-    def total_logprob(self) -> float:
-        return sum(t.logprob for t in self.tokens)
 
 
 @dataclass(frozen=True)
@@ -354,8 +350,8 @@ _SETTINGS = {"mask_token": str, "timeout": float, "max_retries": int,
 class BackendEndpoints:
     """Service addresses plus the protocol configuration shared by all calls.
 
-    ``classifier`` is an optional /fill_mask-shaped endpoint used when style
-    strength comes from a trained classifier instead of the masked-LM cloze.
+    ``classifier`` is an optional /fill_mask-shaped endpoint for a trained
+    classifier, asked as :func:`restyle.reranking.asks_classifier` says.
     The protocol settings are checked when built, so :meth:`from_env`,
     :meth:`from_snapshot` and ``dataclasses.replace`` meet the same rules: a
     non-blank ``mask_token``, a ``timeout`` > 0, a ``max_retries`` count
@@ -885,8 +881,9 @@ def _label_likelihoods(endpoints: BackendEndpoints, endpoint, what: str,
     return resp
 
 
-def _cloze_likelihoods(endpoints: BackendEndpoints, cloze: str,
-                       labels: list[str]) -> MaskFillResponse:
+def fill_mask(endpoints: BackendEndpoints, cloze: str,
+              labels: list[str]) -> MaskFillResponse:
+    """Raw likelihoods of each label at the mask position of a cloze statement."""
     if cloze.count(endpoints.mask_token) != 1:
         raise ValueError(
             f"cloze must contain exactly one {endpoints.mask_token!r} token"
@@ -895,24 +892,14 @@ def _cloze_likelihoods(endpoints: BackendEndpoints, cloze: str,
                               cloze, labels)
 
 
-def fill_mask(endpoints: BackendEndpoints, cloze: str,
-              labels: list[str]) -> MaskFillResponse:
-    """Raw likelihoods of each label at the mask position of a cloze statement."""
-    return _cloze_likelihoods(endpoints, cloze, labels)
-
-
 def classify(endpoints: BackendEndpoints, text: str,
              labels: list[str]) -> MaskFillResponse:
-    """Label likelihoods for plain text: from the classifier endpoint when
-    configured, otherwise from the mask-fill service at the mask position of
-    the text's cloze statement, as style strength asks it."""
+    """Label likelihoods for plain text from the classifier endpoint; with
+    none configured it raises BackendError."""
     if not text.strip():
         raise ValueError("text to classify must be non-empty")
-    if endpoints.classifier is not None:
-        return _label_likelihoods(endpoints, endpoints.classifier, "classifier",
-                                  text, labels)
-    return _cloze_likelihoods(endpoints, render_cloze(text, endpoints.mask_token),
-                              labels)
+    return _label_likelihoods(endpoints, endpoints.classifier, "classifier",
+                              text, labels)
 
 
 def embed_tokens(endpoints: BackendEndpoints, text: str) -> EmbeddingResponse:

@@ -51,7 +51,7 @@ from .prompts import (
     parse_style,
     template_name,
 )
-from .reranking import STRENGTH_SOURCES, RerankConfig
+from .reranking import STRENGTH_SOURCES, RerankConfig, asks_classifier
 
 
 class CliError(Exception):
@@ -62,12 +62,11 @@ def _run_config(args) -> RerankConfig:
     """The generation and rerank settings of a transfer or sweep run, from
     the RESTYLE_* environment and the generation flags."""
     endpoints = BackendEndpoints.from_env()
-    # Cloze strength calls /fill_mask, and so do classifier strength and the
-    # summary's accuracy when no classifier is set.
+    # Accuracy asks /fill_mask only when strength does.
     missing = [name for name, value, needed in (
         ("RESTYLE_COMPLETE_URL", endpoints.complete, True),
         ("RESTYLE_FILL_MASK_URL", endpoints.fill_mask,
-         args.strength_source == "mlm_cloze" or endpoints.classifier is None),
+         not asks_classifier(endpoints, args.strength_source)),
         ("RESTYLE_EMBED_URL", endpoints.embed, True),
         ("RESTYLE_SCORE_URL (or pass --no-fluency)", endpoints.score,
          not args.no_fluency),

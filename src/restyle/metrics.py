@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import backends
+from . import backends, reranking
 from .backends import BackendEndpoints, check_real
 
 logger = logging.getLogger(__name__)
@@ -344,9 +344,8 @@ def classifier_accuracy(outputs: list[str], target_styles: list[str],
                         labels: list[str] | None = None) -> float:
     """Fraction of outputs whose predicted style label matches the target.
 
-    Each output is scored over the label set by :func:`backends.classify`
-    (the classifier endpoint, or the mask filler's cloze), and the argmax
-    label is compared to the target. ``labels`` defaults to the distinct
+    Each output's style is the :func:`predict_style` over the label set,
+    compared to the target. ``labels`` defaults to the distinct
     target styles; pass it explicitly for unidirectional corpora, where fewer
     than two distinct targets occur.
     """
@@ -374,8 +373,10 @@ def top_label(scores: Mapping[str, float]) -> str:
 
 def predict_style(endpoints: BackendEndpoints, text: str,
                   labels: Sequence[str]) -> str:
-    """The :func:`top_label` of the classifier endpoint's likelihoods."""
-    return top_label(backends.classify(endpoints, text, list(labels)).scores)
+    """The :func:`top_label` of the likelihoods from the service that
+    :func:`reranking.asks_classifier` picks for accuracy."""
+    return top_label(reranking.label_likelihoods(
+        text, list(labels), endpoints, reranking.asks_classifier(endpoints)))
 
 
 @dataclass(frozen=True)
@@ -453,10 +454,9 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
     accuracy is None and a warning names the labels. PPL comes from
     ``fluency``, each output's (total log-prob, token count) from reranking,
     or else from /score calls when ``endpoints`` has a score endpoint. When
-    the ``fluency`` totals give no perplexity (:func:`perplexity_from_totals`
-    raises), PPL is None and a warning says why; the /score path raises. Each
-    text is tokenized and its n-grams counted once, a chunk of rows at a
-    time.
+    either gives no perplexity (a :class:`MetricError`), PPL is None and a
+    warning says why. Each text is tokenized and its n-grams counted once, a
+    chunk of rows at a time.
 
     A blank output scores GLEU 0 for its row, counts as an accuracy miss and
     adds no tokens to PPL, with no backend call for it.
@@ -514,15 +514,14 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
         hits = sum(label is not None and label == row.target_style
                    for label, row in zip(predicted, rows))
         values["accuracy"] = hits / len(rows)
-    if fluency is not None:
-        try:
+    try:
+        if fluency is not None:
             values["ppl"] = perplexity_from_totals(fluency)
-        except MetricError as exc:
-            logger.warning("perplexity not measured: %s", exc)
-    elif endpoints is not None and endpoints.score is not None:
-        scored = [row.output for row in rows if row.output.strip()]
-        if scored:
-            values["ppl"] = corpus_perplexity(scored, endpoints)
+        elif endpoints is not None and endpoints.score is not None:
+            if outputs := [row.output for row in rows if row.output.strip()]:
+                values["ppl"] = corpus_perplexity(outputs, endpoints)
+    except MetricError as exc:
+        logger.warning("perplexity not measured: %s", exc)
     return EvalSummary(**values)
 
 

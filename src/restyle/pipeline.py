@@ -44,6 +44,7 @@ from .reranking import (
     Candidate,
     RerankConfig,
     RerankScore,
+    asks_classifier,
     rerank,
     top_beam_baseline,
 )
@@ -90,7 +91,7 @@ def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
     (services may ignore the stop), drops empty extractions, and reranks the
     rest. The winner's :class:`RerankScore` holds its fluency totals and
     strength likelihoods, which spare the corpus summary a second /score
-    and classify call.
+    call and, when accuracy asks the service strength asked, a label call.
     """
     prompt = render_prompt(req)
     creq = CompletionRequest(
@@ -187,12 +188,10 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     check_count(jobs, "jobs")
     labels = metrics.accuracy_labels(cfg.endpoints, (
         style for r in records for style in (r.source_style, r.target_style)))
-    # A reranked example's two styles are among the labels. When accuracy
-    # asks the service strength asked and they are the only two labels, the
-    # winner's strength likelihoods answer it.
-    reuse = ((cfg.endpoints.classifier is None
-              or cfg.strength_source == "external_classifier")
-             and len(labels or ()) == 2)
+    # When accuracy asks the service strength asked, over the example's own
+    # two styles as the only labels, the winner's strength likelihoods answer it.
+    reuse = (asks_classifier(cfg.endpoints, cfg.strength_source)
+             == asks_classifier(cfg.endpoints) and len(labels or ()) == 2)
     # A label error depends on the label set, not on the text, so the first
     # one answers every later accuracy call of the run. A worker that looked
     # before it was set makes its call, which fails alike: no lock needed.

@@ -6,8 +6,8 @@ log space:
 * similarity: greedy-matching F1 over pairwise cosine similarities of
   contextual token embeddings of the source and the candidate,
 * strength: the probability that the candidate carries the target style,
-  estimated from masked-LM cloze likelihoods over the two style words and
-  l1-normalized,
+  estimated from masked-LM cloze likelihoods over the two style words, or
+  from a classifier (:func:`asks_classifier`), and l1-normalized,
 * fluency: the candidate's total log-probability under a language model
   (optional; it penalizes long or rare-word texts, so a no-fluency variant
   is provided).
@@ -139,15 +139,34 @@ def _unit_rows(endpoints: BackendEndpoints, text: str) -> np.ndarray:
     return mat / np.sqrt(np.add.reduce(mat * mat, axis=1, keepdims=True))
 
 
-def _label_strength(lookup, text: str, s1: str, s2: str,
-                    endpoints: BackendEndpoints
-                    ) -> tuple[float, dict[str, float]]:
+def asks_classifier(endpoints: BackendEndpoints,
+                    strength_source: str | None = None) -> bool:
+    """Whether a label question asks the classifier endpoint, not the cloze:
+    accuracy (no ``strength_source``) whenever one is configured, strength
+    only under ``external_classifier``."""
+    return endpoints.classifier is not None and strength_source in (
+        None, "external_classifier")
+
+
+def label_likelihoods(text: str, labels: list[str], endpoints: BackendEndpoints,
+                      classifier: bool) -> dict[str, float]:
+    """Raw likelihoods of ``labels`` for a non-blank ``text``, from the
+    classifier endpoint or from the mask filler over the text's cloze."""
+    if not text.strip():
+        raise ValueError("text to classify must be non-empty")
+    if classifier:
+        return backends.classify(endpoints, text, labels).scores
+    return backends.fill_mask(endpoints, render_cloze(text, endpoints.mask_token),
+                              labels).scores
+
+
+def _label_strength(text: str, s1: str, s2: str, endpoints: BackendEndpoints,
+                    classifier: bool) -> tuple[float, dict[str, float]]:
     """The l1-normalized likelihood of s2 against s1, 0.5 when both are zero,
-    paired with the raw label likelihoods ``lookup`` returns for ``text``."""
-    scores = lookup(endpoints, text, [s1, s2]).scores
-    raw_source, raw_target = scores[s1], scores[s2]
-    total = raw_source + raw_target
-    strength = 0.5 if total == 0 else raw_target / total
+    paired with the raw label likelihoods of ``text``."""
+    scores = label_likelihoods(text, [s1, s2], endpoints, classifier)
+    total = scores[s1] + scores[s2]
+    strength = 0.5 if total == 0 else scores[s2] / total
     return strength, scores
 
 
@@ -161,16 +180,13 @@ def style_strength(cand: str, s1: str, s2: str, endpoints: BackendEndpoints
     pair is l1-normalized. When both raw likelihoods are zero the strength
     is the indifferent 0.5.
     """
-    return _label_strength(backends.fill_mask,
-                           render_cloze(cand, endpoints.mask_token),
-                           s1, s2, endpoints)
+    return _label_strength(cand, s1, s2, endpoints, classifier=False)
 
 
-def classifier_strength(cand: str, s1: str, s2: str,
-                        endpoints: BackendEndpoints
+def classifier_strength(cand: str, s1: str, s2: str, endpoints: BackendEndpoints
                         ) -> tuple[float, dict[str, float]]:
-    """Like style_strength, but from a trained classifier endpoint."""
-    return _label_strength(backends.classify, cand, s1, s2, endpoints)
+    """Like style_strength, but from the classifier endpoint only."""
+    return _label_strength(cand, s1, s2, endpoints, classifier=True)
 
 
 def fluency_logprob(cand: str, endpoints: BackendEndpoints
@@ -211,7 +227,7 @@ def score_pool(req: TransferRequest, pool: list[Candidate],
     endpoints = cfg.endpoints
     src, s1, s2 = req.input_text, req.source_style, req.target_style
     strength = (classifier_strength
-                if cfg.strength_source == "external_classifier"
+                if asks_classifier(endpoints, cfg.strength_source)
                 else style_strength)
     texts = list(dict.fromkeys(cand.text for cand in pool))
     # Without the fluency factor every text's fluency is known to be absent,

@@ -22,6 +22,7 @@ from restyle.backends import CompletionRequest
 from restyle.prompts import (
     delimiter_name,
     extract_completion,
+    render_cloze,
     render_prompt,
     template_name,
 )
@@ -185,14 +186,17 @@ def oracle_transfer_corpus(records, plan, cfg, *, seed=None):
     Every candidate, repeats too, gets every enabled factor from the public
     single-text functions, the winner is the :func:`_first_max` of the full
     composites, and the summary comes from the metric scorers above, with
-    accuracy from a live classify call per winner and perplexity from a
-    /score call per winner. Returns a dict with the ``run_id``, the
+    accuracy from a live label call per winner and perplexity from a /score
+    call per winner. A label question goes to the classifier endpoint when
+    one is set, except strength under ``mlm_cloze``, and otherwise to the
+    mask filler with the text's cloze. Returns a dict with the ``run_id``, the
     ``records`` (candidates, full score entries, winner and baseline) and
     the ``summary`` fields that apply.
     """
     endpoints = cfg.endpoints
     strength = (classifier_strength
                 if cfg.strength_source == "external_classifier"
+                and endpoints.classifier is not None
                 else style_strength)
     out = []
     for position, rec in enumerate(records):
@@ -252,9 +256,15 @@ def oracle_transfer_corpus(records, plan, cfg, *, seed=None):
     labels = sorted({style for r in records
                      for style in (r.source_style, r.target_style)})
     if len(labels) >= 2:
-        hits = sum(
-            _top_label(backends.classify(endpoints, w, labels).scores)
-            == r.target_style for r, w in zip(records, winners))
+        def accuracy_scores(text):
+            if endpoints.classifier is not None:
+                return backends.classify(endpoints, text, labels).scores
+            return backends.fill_mask(
+                endpoints, render_cloze(text, endpoints.mask_token),
+                labels).scores
+
+        hits = sum(_top_label(accuracy_scores(w)) == r.target_style
+                   for r, w in zip(records, winners))
         summary["accuracy"] = hits / len(records)
     total_logprob, total_tokens = 0.0, 0
     for w in winners:

@@ -216,6 +216,13 @@ class TestResponseInvariants:
         assert resp.total_logprob == (-0.1 + -0.2) + -0.3
         assert resp == TokenScoreResponse(resp.tokens)
 
+    def test_total_logprob_is_stored_when_built(self):
+        resp = TokenScoreResponse((TokenScore("a", -0.5), TokenScore("b", -0.25)))
+        assert vars(resp)["total_logprob"] == -0.75
+        assert "total_logprob" not in repr(resp)
+        with pytest.raises(TypeError):
+            TokenScoreResponse(resp.tokens, total_logprob=0.0)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "-inf"])
     def test_gen_score_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="gen_score"):

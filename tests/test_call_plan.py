@@ -16,13 +16,15 @@ example costs
 
 calls; the summary reuses the winner's /score response. Without the
 fluency factor reranking makes no /score call, every text reaches strength
-(d_s = d), and the summary scores each winner once. Accuracy reads the
-winner's strength likelihoods when it asks the service strength asked (no
-classifier endpoint, or strength from the classifier) over the example's
-own two styles. Otherwise it costs 1 classify call more: a classifier
-beside cloze strength, or a corpus of three or more styles. Strength from
-the classifier endpoint makes its d_s calls there instead of at
-/fill_mask.
+(d_s = d), and the summary scores each winner once. One rule,
+``reranking.asks_classifier``, sends strength and accuracy to the
+classifier endpoint or to /fill_mask. Accuracy reads the winner's strength
+likelihoods when the rule sends it where strength went (no classifier
+endpoint, or strength from the classifier) over the example's own two
+styles. Otherwise it costs 1 label call more, at the service the rule picks
+for accuracy: a classifier beside cloze strength, or a corpus of three or
+more styles. Strength from the classifier endpoint makes its d_s calls
+there instead of at /fill_mask.
 """
 
 import dataclasses

@@ -517,13 +517,35 @@ class TestEval:
         assert summary["exact_match"] == 1.0
         assert summary["s_sbleu"] == summary["r_sbleu"] == 100.0
 
-    def test_perplexity_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
+    def test_perplexity_overflow_leaves_ppl_absent(self, tmp_path, capsys,
+                                                    monkeypatch, caplog):
         monkeypatch.setenv("RESTYLE_SCORE_URL", f"mock://uniform?vocab={10 ** 400}")
         hyp = tmp_path / "h.txt"
         hyp.write_text("good food\n")
-        assert main(["eval", "--hyp", str(hyp)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: perplexity overflows")
+        with caplog.at_level("WARNING"):
+            assert main(["eval", "--hyp", str(hyp), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["ppl"] is None
+        assert summary["s_sbleu"] is None
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "restyle.metrics"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(
+            "perplexity not measured: perplexity overflows a float")
+
+    def test_overflowing_run_reevaluates_to_its_summary(
+            self, mock_env, dataset_path, tmp_path, capsys, monkeypatch):
+        # The run's winners and the re-evaluation's /score calls both give
+        # a mean token log-prob of about -921: no PPL either way.
+        monkeypatch.setenv("RESTYLE_SCORE_URL", f"mock://uniform?vocab={10 ** 400}")
+        out = tmp_path / "run.jsonl"
+        assert main(["transfer", "--dataset", dataset_path, "--from", "positive",
+                     "--to", "negative", "--seed", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        stored = read_manifest(str(out)).summary.to_dict()
+        assert stored["ppl"] is None and stored["accuracy"] is not None
+        assert main(["eval", "--manifest", str(out), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"] == stored
 
     def test_gleu_needs_all_three(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("RESTYLE_SCORE_URL", raising=False)

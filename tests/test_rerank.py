@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from fakes import FactorTableBackend, FixedEmbedBackend, StaticMaskBackend
 from oracles import known_bound, oracle_rerank_plan
-from restyle.backends import BackendEndpoints, DecodeConfig, LabelError
+from restyle.backends import (
+    BackendEndpoints,
+    BackendError,
+    DecodeConfig,
+    LabelError,
+)
 from restyle.mocks import (
     HashEmbedBackend,
     SentimentMaskBackend,
@@ -20,7 +25,10 @@ from restyle.reranking import (
     RerankConfig,
     RerankScore,
     _first_max,
+    asks_classifier,
+    classifier_strength,
     fluency_logprob,
+    label_likelihoods,
     rerank,
     similarity_score,
     style_strength,
@@ -134,6 +142,51 @@ class TestStyleStrength:
         ep = BackendEndpoints(fill_mask=SentimentMaskBackend())
         with pytest.raises(LabelError, match="label not single-token"):
             style_strength("x", "not positive", NEG, ep)
+
+
+class TestLabelRule:
+    @pytest.mark.parametrize("strength_source, with_classifier, expected", [
+        (None, False, False),
+        (None, True, True),
+        ("mlm_cloze", False, False),
+        ("mlm_cloze", True, False),
+        ("external_classifier", False, False),
+        ("external_classifier", True, True),
+    ])
+    def test_asks_classifier(self, strength_source, with_classifier, expected):
+        ep = BackendEndpoints(fill_mask=StaticMaskBackend({}), classifier=(
+            StaticMaskBackend({}) if with_classifier else None))
+        assert asks_classifier(ep, strength_source) is expected
+
+    def test_lookup_sends_the_cloze_or_the_text(self):
+        asked = []
+
+        class Recording(StaticMaskBackend):
+            def fill_mask(self, text, labels):
+                asked.append((self.table[POS], text))
+                return super().fill_mask(text, labels)
+
+        ep = BackendEndpoints(fill_mask=Recording({POS: 0.25, NEG: 0.5}),
+                              classifier=Recording({POS: 0.75, NEG: 0.5}))
+        assert label_likelihoods("good", [POS, NEG], ep, False) == \
+            {POS: 0.25, NEG: 0.5}
+        assert label_likelihoods("good", [POS, NEG], ep, True) == \
+            {POS: 0.75, NEG: 0.5}
+        assert asked == [(0.25, render_cloze("good", "<mask>")), (0.75, "good")]
+
+    @pytest.mark.parametrize("classifier", [False, True])
+    def test_blank_text_rejected(self, classifier):
+        ep = BackendEndpoints(fill_mask=StaticMaskBackend({}),
+                              classifier=StaticMaskBackend({}))
+        with pytest.raises(ValueError, match="classify must be non-empty"):
+            label_likelihoods(" \t", [POS, NEG], ep, classifier)
+
+    def test_classifier_strength_needs_a_classifier(self):
+        # No cloze fallback: the mask filler is there, but not asked.
+        ep = BackendEndpoints(fill_mask=StaticMaskBackend({POS: 1.0}))
+        with pytest.raises(BackendError,
+                           match="^no classifier endpoint configured$"):
+            classifier_strength("x", POS, NEG, ep)
 
 
 class TestFluency:

@@ -304,7 +304,8 @@ def _add_generation(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--temperature", type=float,
                         default=DecodeConfig.temperature)
     parser.add_argument("--jobs", type=int, default=DEFAULT_JOBS,
-                        help="concurrent in-flight examples")
+                        help="examples in flight: 1 runs them in the calling "
+                             "thread, N>1 on N worker threads")
     parser.add_argument("--prompt-config", default=None,
                         help="JSON file adding templates/delimiters")
 

@@ -177,11 +177,13 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
                     seed: int | None = None) -> RunManifest:
     """Transfer every record with bounded concurrency and evaluate the winners.
 
-    ``jobs`` examples are in flight at once; fewer than 1 raises ValueError
-    before any backend call. Per-example failures become error records and
-    the run continues; the run itself fails only if every example fails.
-    Records keep dataset order no matter the completion order, and
-    per-example seeds derive from the run seed plus the record position.
+    ``jobs=1`` runs the examples one after another in the calling thread;
+    ``jobs=N>1`` runs them on N worker threads. Fewer than 1 raises
+    ValueError before any backend call. Per-example failures become error
+    records and the run continues; the run itself fails only if every
+    example fails. Records keep dataset order no matter the completion
+    order, and per-example seeds derive from the run seed plus the record
+    position.
     """
     if not records:
         raise PipelineError("transfer_corpus requires a non-empty record list")
@@ -223,8 +225,11 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
         record.update(base)
         return record, score, predicted
 
-    with ThreadPoolExecutor(max_workers=jobs) as executor:
-        results = list(executor.map(one, enumerate(records)))
+    if jobs == 1:
+        results = [one(item) for item in enumerate(records)]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as executor:
+            results = list(executor.map(one, enumerate(records)))
 
     out_records = [record for record, _, _ in results]
     done = [result for result in results if "error" not in result[0]]

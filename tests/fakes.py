@@ -1,5 +1,7 @@
 """Hand-built backends for scoring scenarios whose answers a test fixes."""
 
+import threading
+
 import numpy as np
 
 from restyle.backends import (
@@ -73,14 +75,16 @@ class FactorTableBackend:
 
 
 class Counted:
-    """Front for one backend service that counts the requests it answers and
-    appends its name to ``log`` before answering each one."""
+    """Front for one backend service that counts the requests it answers,
+    appends its name to ``log`` before answering each one, and keeps the
+    ``threading.get_ident()`` of every thread that asked in ``threads``."""
 
     def __init__(self, service, name, log):
         self.service = service
         self.name = name
         self.log = log
         self.calls = 0
+        self.threads = set()
 
     def __getattr__(self, name):
         method = getattr(self.service, name)
@@ -88,6 +92,7 @@ class Counted:
         def counted(*args, **kwargs):
             self.calls += 1
             self.log.append(self.name)
+            self.threads.add(threading.get_ident())
             return method(*args, **kwargs)
 
         return counted

@@ -67,11 +67,11 @@ def golden_corpus() -> list[StylePairRecord]:
     return records
 
 
-def write_run(name: str, path: Path) -> None:
+def write_run(name: str, path: Path, jobs: int = 2) -> None:
     endpoints = mock_endpoints(plant="seed", classifier="mock://sentiment")
     cfg = RerankConfig(endpoints=endpoints, **RUNS[name])
     manifest = transfer_corpus(golden_corpus(), RequestTemplate(), cfg,
-                               seed=11, jobs=2)
+                               seed=11, jobs=jobs)
     write_manifest(dataclasses.replace(manifest, timestamp=PINNED_TIMESTAMP),
                    str(path))
 
@@ -81,6 +81,22 @@ def test_manifest_bytes_unchanged(name, tmp_path):
     out = tmp_path / f"{name}.jsonl"
     write_run(name, out)
     assert out.read_bytes() == (DATA / f"golden_{name}.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_inline_run_matches_the_golden(name, tmp_path):
+    # The goldens were written on worker threads; at jobs=1 the examples
+    # run in the calling thread. Only the stored jobs may differ.
+    out = tmp_path / f"{name}.jsonl"
+    write_run(name, out, jobs=1)
+    header, *records = out.read_bytes().splitlines(keepends=True)
+    want_header, *want_records = (
+        DATA / f"golden_{name}.jsonl").read_bytes().splitlines(keepends=True)
+    assert records == want_records
+    header, want_header = json.loads(header), json.loads(want_header)
+    jobs = header["config"].pop("jobs"), want_header["config"].pop("jobs")
+    assert jobs == (1, 2)
+    assert header == want_header
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

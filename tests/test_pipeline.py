@@ -1,12 +1,14 @@
 import json
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 
-from fakes import StaticMaskBackend
+from fakes import Counted, StaticMaskBackend
 from loopback import LoopbackServer, Reply, mock_answer
-from restyle import backends, metrics
+from restyle import backends, metrics, pipeline
 from restyle.backends import (
     BackendEndpoints,
     CompletionResponse,
@@ -24,6 +26,7 @@ from restyle.mocks import (
     LexiconFlipBackend,
     SentimentMaskBackend,
     mock_endpoints,
+    resolve_mock_url,
 )
 from restyle.pipeline import (
     PipelineError,
@@ -53,6 +56,14 @@ from restyle.reranking import RerankConfig, classifier_strength, style_strength
 
 POS = "positive"
 NEG = "negative"
+
+
+def counted_services(endpoints):
+    """A :class:`fakes.Counted` front for each mock service of ``endpoints``,
+    all logging to one list."""
+    log = []
+    return {name: Counted(resolve_mock_url(getattr(endpoints, name)), name, log)
+            for name in ("complete", "embed", "fill_mask", "score")}
 
 
 class Unreachable:
@@ -525,13 +536,62 @@ class TestTransferCorpus:
         assert first.records == second.records
         assert first.summary == second.summary
 
-    def test_jobs_do_not_change_order(self, mock_ep, sentiment_records):
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_jobs_do_not_change_order(self, mock_ep, sentiment_records, jobs):
         cfg = RerankConfig(k=3, endpoints=mock_ep)
         serial = transfer_corpus(sentiment_records, RequestTemplate(), cfg,
                                  seed=1, jobs=1)
         threaded = transfer_corpus(sentiment_records, RequestTemplate(), cfg,
-                                   seed=1, jobs=4)
+                                   seed=1, jobs=jobs)
         assert serial.records == threaded.records
+        assert serial.summary == threaded.summary
+        assert serial.run_id == threaded.run_id
+
+    def test_one_job_runs_in_the_calling_thread(self, monkeypatch,
+                                                sentiment_records):
+        built = []
+
+        def pool(*args, **kwargs):
+            built.append(kwargs)
+            return ThreadPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", pool)
+        services = counted_services(mock_endpoints())
+        cfg = RerankConfig(k=3, endpoints=replace(mock_endpoints(), **services))
+        transfer_corpus(sentiment_records, RequestTemplate(), cfg, seed=1,
+                        jobs=1)
+        assert all(s.calls for s in services.values())
+        assert set().union(*(s.threads for s in services.values())) == \
+            {threading.get_ident()}
+        assert built == []
+        # The pool path still builds its pool, so the stand-in above is
+        # the one the pipeline reaches for.
+        transfer_corpus(sentiment_records, RequestTemplate(), cfg, seed=1,
+                        jobs=2)
+        assert built == [{"max_workers": 2}]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_uncaught_error_propagates(self, sentiment_records, jobs):
+        first = sentiment_records[0].source
+
+        class BrokenOnFirst(LexiconFlipBackend):
+            def complete(self, req):
+                if first in req.prompt:
+                    raise TypeError("not a backend failure")
+                return super().complete(req)
+
+        base = mock_endpoints()
+        services = counted_services(base)
+        log = services["complete"].log
+        services["complete"] = Counted(BrokenOnFirst(), "complete", log)
+        cfg = RerankConfig(k=3, endpoints=replace(base, **services))
+        with pytest.raises(TypeError, match="not a backend failure"):
+            transfer_corpus(sentiment_records, RequestTemplate(), cfg, seed=1,
+                            jobs=jobs)
+        if jobs == 1:
+            # The first example fails on its first call, before any later
+            # example starts.
+            assert log == ["complete"]
 
     def test_manifest_round_trip(self, tmp_path, mock_ep, sentiment_records):
         cfg = RerankConfig(k=3, endpoints=mock_ep)

@@ -536,16 +536,16 @@ class TestTransferCorpus:
         assert first.records == second.records
         assert first.summary == second.summary
 
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_jobs_do_not_change_order(self, mock_ep, sentiment_records, jobs):
+    def test_jobs_do_not_change_order(self, mock_ep, sentiment_records):
         cfg = RerankConfig(k=3, endpoints=mock_ep)
         serial = transfer_corpus(sentiment_records, RequestTemplate(), cfg,
                                  seed=1, jobs=1)
-        threaded = transfer_corpus(sentiment_records, RequestTemplate(), cfg,
-                                   seed=1, jobs=jobs)
-        assert serial.records == threaded.records
-        assert serial.summary == threaded.summary
-        assert serial.run_id == threaded.run_id
+        for jobs in (2, 4):
+            threaded = transfer_corpus(sentiment_records, RequestTemplate(),
+                                       cfg, seed=1, jobs=jobs)
+            assert serial.records == threaded.records
+            assert serial.summary == threaded.summary
+            assert serial.run_id == threaded.run_id
 
     def test_one_job_runs_in_the_calling_thread(self, monkeypatch,
                                                 sentiment_records):

@@ -83,6 +83,7 @@ from .prompts import (
     TransferRequest,
     extract_completion,
     load_prompt_config,
+    parse_direction,
     parse_style,
     render_cloze,
     render_prompt,

@@ -48,7 +48,7 @@ from .prompts import (
     TransferRequest,
     delimiter_name,
     load_prompt_config,
-    parse_style,
+    parse_direction,
     template_name,
 )
 from .reranking import STRENGTH_SOURCES, RerankConfig, asks_classifier
@@ -84,8 +84,7 @@ def _parse_direction(item: str) -> tuple[str, str]:
     """A from:to pair, each style written as dataset records write it."""
     if ":" not in item:
         raise CliError(f"direction {item!r} must look like from:to")
-    source, target = (parse_style(style) for style in item.split(":", 1))
-    return source, target
+    return parse_direction(*item.split(":", 1))
 
 
 def _load_records(args) -> list:
@@ -128,7 +127,7 @@ def cmd_transfer(args) -> int:
     template = prompts.template(args.template)
     delimiter = prompts.delimiter(args.delimiter)
     cfg = _run_config(args)
-    direction = (parse_style(args.from_style), parse_style(args.to_style))
+    direction = parse_direction(args.from_style, args.to_style)
     exemplars = select_exemplars(_exemplar_pool(args, args.shots), direction,
                                  args.shots)
 

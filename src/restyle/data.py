@@ -14,16 +14,16 @@ import logging
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .backends import check_count
-from .prompts import parse_style
+from .prompts import check_text, parse_direction
 
 logger = logging.getLogger(__name__)
 
 
 class DatasetError(ValueError):
-    """Unreadable file, malformed row in strict mode, or invalid generator spec."""
+    """Unreadable file, malformed row or record, or invalid generator spec."""
 
 
 class ComparisonParseError(DatasetError):
@@ -37,8 +37,9 @@ class ComparisonParseError(DatasetError):
 @dataclass(frozen=True)
 class StylePairRecord:
     """One dataset row: a source text with styles and an optional reference.
-    The styles are stored as :func:`~restyle.prompts.parse_style` writes them,
-    and they must differ: a row asks for a transfer."""
+    The one rule for a row, however built: a string ``id``, a non-blank
+    ``source``, a string or None ``reference``, and the styles stored as
+    :func:`~restyle.prompts.parse_direction` writes them."""
 
     id: str
     source: str
@@ -47,23 +48,21 @@ class StylePairRecord:
     target_style: str
 
     def __post_init__(self):
-        if not self.source.strip():
-            raise DatasetError(f"record {self.id!r} has a blank source")
-        object.__setattr__(self, "source_style", parse_style(self.source_style))
-        object.__setattr__(self, "target_style", parse_style(self.target_style))
-        if self.source_style == self.target_style:
-            raise DatasetError(f"record {self.id!r}: source and target style "
-                               f"are both {self.source_style!r}; a transfer "
-                               "needs two styles")
+        try:
+            if not isinstance(self.id, str):
+                raise ValueError(f"id must be a string, got {self.id!r}")
+            check_text(self.source, "source")
+            if not isinstance(self.reference, (str, type(None))):
+                raise ValueError(f"reference must be a string or None, "
+                                 f"got {self.reference!r}")
+            source, target = parse_direction(self.source_style, self.target_style)
+        except ValueError as exc:
+            raise DatasetError(f"record {self.id!r}: {exc}") from None
+        object.__setattr__(self, "source_style", source)
+        object.__setattr__(self, "target_style", target)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "source": self.source,
-            "reference": self.reference,
-            "source_style": self.source_style,
-            "target_style": self.target_style,
-        }
+        return {key: getattr(self, key) for key in _SCHEMA}
 
 
 # ---------------------------------------------------------------------------
@@ -97,36 +96,26 @@ def clean_text(raw: str) -> str:
 # ---------------------------------------------------------------------------
 # File loading
 
-_SCHEMA = ("id", "source", "reference", "source_style", "target_style")
+_SCHEMA = tuple(f.name for f in fields(StylePairRecord))
 FORMATS = ("jsonl", "tsv")
 
 
 def _build_record(row: dict, lineno: int, clean: bool) -> StylePairRecord:
-    for key in ("source", "reference", "source_style", "target_style"):
-        if not isinstance(row.get(key, ""), (str, type(None))):
-            raise DatasetError(f"line {lineno}: {key} must be a string")
-    source = row.get("source") or ""
-    if clean:
-        source = clean_text(source)
-    reference = row.get("reference") or None
-    if clean and reference:
-        reference = clean_text(reference)
-    for key in ("source_style", "target_style"):
-        if not (row.get(key) or "").strip():
-            raise DatasetError(f"line {lineno}: missing {key}")
-    if not source.strip():
-        raise DatasetError(f"line {lineno}: missing source text")
-    row_id = row.get("id")
+    row_id, reference = row.get("id"), row.get("reference")
     try:
-        return StylePairRecord(
+        record = StylePairRecord(
             id=f"line-{lineno}" if row_id in (None, "") else str(row_id),
-            source=source,
-            reference=reference,
-            source_style=row["source_style"],
-            target_style=row["target_style"],
+            source=row.get("source"),
+            reference=None if reference == "" else reference,
+            source_style=row.get("source_style"),
+            target_style=row.get("target_style"),
         )
     except DatasetError as exc:
         raise DatasetError(f"line {lineno}: {exc}") from exc
+    if clean:  # it removes only whitespace, so the record stays valid
+        record = replace(record, source=clean_text(record.source),
+                         reference=record.reference and clean_text(record.reference))
+    return record
 
 
 def _jsonl_row(line: str, lineno: int) -> dict:
@@ -144,10 +133,10 @@ def _tsv_row(line: str, lineno: int) -> dict | None:
     cells = line.rstrip("\n").split("\t")
     if lineno == 1 and [c.strip().lower() for c in cells] == list(_SCHEMA):
         return None
+    if len(cells) == 4:  # reference column omitted
+        cells.insert(_SCHEMA.index("reference"), "")
     if len(cells) == 5:
         return dict(zip(_SCHEMA, cells))
-    if len(cells) == 4:  # reference column omitted
-        return dict(zip(("id", "source", "source_style", "target_style"), cells))
     raise DatasetError(f"line {lineno}: expected 4 or 5 columns, got {len(cells)}")
 
 
@@ -209,16 +198,11 @@ def save_records(records: list[StylePairRecord], path: str, format: str) -> None
         else:
             fh.write("\t".join(_SCHEMA) + "\n")
             for record in records:
-                row = record.to_dict()
-                cells = ["" if row[key] is None else str(row[key])
-                         for key in _SCHEMA]
+                cells = [value or "" for value in record.to_dict().values()]
                 # Reading in text mode ends a line at "\r" as at "\n".
-                for cell in cells:
-                    if any(c in cell for c in "\t\n\r"):
-                        raise DatasetError(
-                            f"record {record.id!r} contains a tab or newline; "
-                            "use the jsonl format"
-                        )
+                if any(c in cell for cell in cells for c in "\t\n\r"):
+                    raise DatasetError(f"record {record.id!r} contains a tab or "
+                                       "newline; use the jsonl format")
                 fh.write("\t".join(cells) + "\n")
 
 

@@ -248,12 +248,10 @@ def sentence_gleu(src: str, hyp: str, ref: str) -> float:
     the reference (clamped at zero): the score rewards corrections and
     penalizes keeping source-only material. Zero statistics are smoothed to
     one for sentence-level use, and hypotheses shorter than the reference
-    take the usual exponential length penalty.
+    take the usual exponential length penalty. It is a one-triple
+    :func:`corpus_gleu`, whose MetricError names a side without tokens.
     """
-    chunk = _GramCounts([(hyp, ref, src)])
-    if not chunk.lengths.all():
-        raise MetricError("sentence_gleu requires non-empty src, hyp and ref")
-    return chunk.gleus(chunk.bleu_stats(1), [0])[0]
+    return corpus_gleu([src], [hyp], [ref])
 
 
 def _gleu(stats: list[int]) -> float:

@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 
 from . import backends, metrics
 from .backends import BackendError, CompletionRequest, LabelError, check_count
-from .data import StylePairRecord
+from .data import DatasetError, StylePairRecord
 from .metrics import SWEEP_CSV_COLUMNS, EvalRow, EvalSummary, MetricError
 from .prompts import (
     DELIMITERS,
@@ -36,6 +36,7 @@ from .prompts import (
     TransferRequest,
     delimiter_name,
     extract_completion,
+    parse_direction,
     render_prompt,
     template_name,
     validate_template,
@@ -275,16 +276,13 @@ def write_manifest(manifest: RunManifest, path: str) -> None:
 
 
 _HEADER_TYPES = {"run_id": str, "timestamp": str, "config": dict, "summary": dict}
-# Every record feeds the accuracy label set; a successful one also feeds a
-# summary row (_eval_row).
-_LABEL_TYPES = {"source_style": str, "target_style": str}
-_ROW_TYPES = {**_LABEL_TYPES, "source": str, "winner": str,
-              "reference": (str, type(None))}
 
 
 def read_manifest(path: str) -> RunManifest:
     """Load a manifest written by :func:`write_manifest`; any other JSONL
-    file raises PipelineError. A leading byte order mark is dropped."""
+    file raises PipelineError, as does a record whose dataset fields make no
+    :class:`StylePairRecord` or, if it succeeded, with no string ``winner``.
+    A leading byte order mark is dropped."""
     with open(path, encoding="utf-8-sig") as fh:
         lines = [line for line in fh if line.strip()]
 
@@ -311,10 +309,13 @@ def read_manifest(path: str) -> RunManifest:
     for record in records:
         if not isinstance(record, dict):
             raise not_a_manifest("a record is not an object")
-        types = _LABEL_TYPES if "error" in record else _ROW_TYPES
-        if not all(isinstance(record.get(key), kind) for key, kind in types.items()):
-            raise not_a_manifest(f"record {record.get('id')!r} has a missing or "
-                                 f"mistyped field among {', '.join(types)}")
+        try:
+            StylePairRecord(**{f.name: record.get(f.name)
+                               for f in fields(StylePairRecord)})
+        except DatasetError as exc:
+            raise not_a_manifest(str(exc)) from None
+        if "error" not in record and not isinstance(record.get("winner"), str):
+            raise not_a_manifest(f"record {record['id']!r} has no string winner")
     try:
         summary = EvalSummary.from_dict(header["summary"])
     except MetricError as exc:
@@ -348,8 +349,9 @@ def reevaluate_manifest(manifest: RunManifest) -> EvalSummary:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """The axes of a prompt-design sweep; every axis must be non-empty,
-    every template a valid text and every shot count an integer >= 0."""
+    """The axes of a prompt-design sweep; every axis must be non-empty, every
+    template a valid text, every direction stored as :func:`parse_direction`
+    writes it, and every shot count an integer >= 0."""
 
     templates: tuple[str, ...] = tuple(TEMPLATES.values())
     delimiters: tuple[DelimiterPair, ...] = tuple(DELIMITERS.values())
@@ -363,6 +365,8 @@ class SweepGrid:
                            ("shots", self.shots)):
             if not axis:
                 raise ValueError(f"sweep grid axis {name!r} is empty")
+        object.__setattr__(self, "directions", tuple(
+            parse_direction(*direction) for direction in self.directions))
         for template in self.templates:
             validate_template(template)
         for shots in self.shots:

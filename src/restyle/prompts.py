@@ -23,17 +23,37 @@ class DelimiterCollisionError(PromptError):
     """Input text contains the closing delimiter, which would corrupt extraction."""
 
 
+def check_text(value, what: str) -> str:
+    """``value`` if it is a non-blank string; PromptError naming ``what``."""
+    if not isinstance(value, str) or not value.strip():
+        raise PromptError(f"{what} must be a non-blank string, got {value!r}")
+    return value
+
+
 def parse_style(text: str) -> str:
     """The one style rule: a style is its trimmed label, and a leading "not "
     (any case) before a non-blank rest is written "not " + the trimmed rest.
     PromptError for a blank or non-string label."""
-    if not isinstance(text, str) or not text.strip():
-        raise PromptError(f"style label must be a non-blank string, got {text!r}")
-    text = text.strip()
+    text = check_text(text, "style label").strip()
     rest = text[4:].strip()
     if text[:4].lower() == "not " and rest:
         return "not " + rest
     return text
+
+
+def parse_direction(source: str, target: str) -> tuple[str, str]:
+    """The one style-pair rule: both styles as :func:`parse_style` writes
+    them, and different. A PromptError names the side it is about."""
+    pair = []
+    for side, label in (("source_style", source), ("target_style", target)):
+        try:
+            pair.append(parse_style(label))
+        except PromptError as exc:
+            raise PromptError(f"{side}: {exc}") from None
+    if pair[0] == pair[1]:
+        raise PromptError(f"source and target style are both {pair[0]!r}; "
+                          "a transfer needs two styles")
+    return pair[0], pair[1]
 
 
 @dataclass(frozen=True)
@@ -118,10 +138,7 @@ class Exemplar:
 
     def __post_init__(self):
         for name in ("input", "output"):
-            text = getattr(self, name)
-            if not isinstance(text, str) or not text.strip():
-                raise PromptError(f"exemplar {name} must be a non-blank string, "
-                                  f"got {text!r}")
+            check_text(getattr(self, name), f"exemplar {name}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +147,8 @@ class TransferRequest:
 
     ``template`` is the template text: a value of :data:`TEMPLATES` or a
     custom phrasing with the same placeholders, checked by
-    :func:`validate_template`. The styles are stored as :func:`parse_style`
-    writes them, and must differ.
+    :func:`validate_template`. The styles are stored as
+    :func:`parse_direction` writes them.
     """
 
     input_text: str
@@ -142,15 +159,11 @@ class TransferRequest:
     exemplars: tuple[Exemplar, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.input_text, str) or not self.input_text.strip():
-            raise PromptError("input_text must be a non-blank string, "
-                              f"got {self.input_text!r}")
+        check_text(self.input_text, "input_text")
         validate_template(self.template)
-        object.__setattr__(self, "source_style", parse_style(self.source_style))
-        object.__setattr__(self, "target_style", parse_style(self.target_style))
-        if self.source_style == self.target_style:
-            raise PromptError("source and target style are both "
-                              f"{self.source_style!r}; a transfer needs two styles")
+        source, target = parse_direction(self.source_style, self.target_style)
+        object.__setattr__(self, "source_style", source)
+        object.__setattr__(self, "target_style", target)
 
 
 @functools.cache
@@ -232,8 +245,7 @@ def render_cloze(text: str, mask_token: str) -> str:
     The text sits in literal square brackets and the mask token takes the
     position of the style word.
     """
-    if not text:
-        raise PromptError("cloze text must be non-empty")
+    check_text(text, "cloze text")
     return f"The following text is {mask_token}: [{text}]."
 
 

@@ -61,6 +61,8 @@ class RerankConfig:
     def __post_init__(self):
         check_count(self.k, "k")
         check_count(self.max_new_tokens, "max_new_tokens")
+        if not isinstance(self.use_fluency, bool):
+            raise ValueError(f"use_fluency must be a bool, got {self.use_fluency!r}")
         self.decode.width(self.k)
         if self.strength_source not in STRENGTH_SOURCES:
             raise ValueError(
@@ -151,9 +153,7 @@ def asks_classifier(endpoints: BackendEndpoints,
 def label_likelihoods(text: str, labels: list[str], endpoints: BackendEndpoints,
                       classifier: bool) -> dict[str, float]:
     """Raw likelihoods of ``labels`` for a non-blank ``text``, from the
-    classifier endpoint or from the mask filler over the text's cloze."""
-    if not text.strip():
-        raise ValueError("text to classify must be non-empty")
+    classifier endpoint or the mask filler over its cloze; both reject a blank."""
     if classifier:
         return backends.classify(endpoints, text, labels).scores
     return backends.fill_mask(endpoints, render_cloze(text, endpoints.mask_token),

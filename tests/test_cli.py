@@ -146,6 +146,22 @@ class TestTransfer:
         assert server.requests == []
         assert not out.exists()
 
+    def test_dataset_same_style_exits_2_before_any_call(
+            self, mock_env, dataset_path, monkeypatch, capsys):
+        # Refused as a transfer into the style it starts from, not as a
+        # direction that no record of the dataset has.
+        with LoopbackServer() as server:
+            for service in ("COMPLETE", "SCORE", "FILL_MASK", "EMBED"):
+                monkeypatch.setenv(f"RESTYLE_{service}_URL",
+                                   f"{server.url}/{service.lower()}")
+            code = main(["transfer", "--dataset", dataset_path,
+                         "--from", "positive", "--to", "positive"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: source and target style are both 'positive'; a transfer "
+            "needs two styles\n")
+        assert server.requests == []
+
     @pytest.mark.parametrize("argv, env, error", [
         (["--from", "positive", "--to", " positive"], {},
          "source and target style are both 'positive'"),
@@ -400,6 +416,21 @@ class TestSweep:
         path.write_text("")
         assert main(["sweep", "--dataset", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path} contains no records\n"
+
+    def test_same_style_direction_exits_2_before_any_call(
+            self, mock_env, dataset_path, monkeypatch, capsys):
+        # It fails once, where it is parsed, not as a failed row per cell.
+        with LoopbackServer() as server:
+            for service in ("COMPLETE", "SCORE", "FILL_MASK", "EMBED"):
+                monkeypatch.setenv(f"RESTYLE_{service}_URL",
+                                   f"{server.url}/{service.lower()}")
+            code = main(["sweep", "--dataset", dataset_path,
+                         "--directions", "positive:negative, Positive : Positive"])
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            "error: source and target style are both 'Positive'; a transfer "
+            "needs two styles\n"))
+        assert server.requests == []
 
     def test_bad_direction_syntax_exits_2(self, mock_env, dataset_path):
         code = main(["sweep", "--dataset", dataset_path,

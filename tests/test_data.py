@@ -1,9 +1,12 @@
 import codecs
 import json
 import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from restyle.data import (
     CATEGORIES,
@@ -18,6 +21,15 @@ from restyle.data import (
     save_records,
     verbalize_comparison,
 )
+from restyle.mocks import mock_endpoints
+from restyle.pipeline import (
+    PipelineError,
+    RequestTemplate,
+    read_manifest,
+    transfer_corpus,
+    write_manifest,
+)
+from restyle.reranking import RerankConfig
 
 
 class TestCleanText:
@@ -144,9 +156,11 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("line, error", [
         ('{"id": "a", "source": "x", "source_style": "s"}',
-         "line 1: missing target_style"),
+         "line 1: record 'a': target_style: style label must be a non-blank "
+         "string, got None"),
         ('{"id": "a", "source": "x", "source_style": " ", "target_style": "t"}',
-         "line 1: missing source_style"),
+         "line 1: record 'a': source_style: style label must be a non-blank "
+         "string, got ' '"),
         ('["a", "x", null, "s", "t"]', "line 1: expected a JSON object"),
     ], ids=["missing-style", "blank-style", "not-an-object"])
     def test_bad_jsonl_row_named(self, tmp_path, line, error):
@@ -164,9 +178,11 @@ class TestLoadDataset:
         with caplog.at_level("WARNING"):
             records = load_dataset(str(path), "jsonl")
         assert [r.id for r in records] == ["c"]
-        assert any("line 2: target_style must be a string" in m
+        assert any("line 2: record 'b': target_style: style label must be a "
+                   "non-blank string, got ['negative']" in m
                    for m in caplog.messages)
-        with pytest.raises(DatasetError, match="line 1: source must be a string"):
+        with pytest.raises(DatasetError, match="line 1: record 'a': source must "
+                                               "be a non-blank string, got 5"):
             load_dataset(str(path), "jsonl", strict=True)
 
     def test_blank_source_skipped_or_strict_error(self, tmp_path, caplog):
@@ -178,11 +194,13 @@ class TestLoadDataset:
             records = load_dataset(str(path), "jsonl")
         assert [r.id for r in records] == ["a", "c"]
         assert any("line 2" in m and "source" in m for m in caplog.messages)
-        with pytest.raises(DatasetError, match="line 2: missing source"):
+        with pytest.raises(DatasetError, match="line 2: record 'b': source must "
+                                               "be a non-blank string"):
             load_dataset(str(path), "jsonl", strict=True)
 
     def test_record_rejects_blank_source(self):
-        with pytest.raises(DatasetError, match="blank source"):
+        with pytest.raises(DatasetError, match="^record 'x': source must be a "
+                                               "non-blank string, got '  '$"):
             StylePairRecord(id="x", source="  ", reference="y",
                             source_style="a", target_style="b")
 
@@ -280,6 +298,103 @@ class TestLoadDataset:
         save_records(records, str(path), fmt)
         path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
         assert load_dataset(str(path), fmt, strict=strict) == records
+
+
+class TestRecordRule:
+    """StylePairRecord is the one rule for a row, however it is built."""
+
+    FIELDS = dict(id="x", source="good food", reference="bad food",
+                  source_style="positive", target_style="negative")
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("reference", float("nan"), "reference must be a string or None, got nan"),
+        ("reference", 5, "reference must be a string or None, got 5"),
+        ("reference", b"bad food",
+         "reference must be a string or None, got b'bad food'"),
+        ("id", 7, "id must be a string, got 7"),
+        ("source", None, "source must be a non-blank string, got None"),
+        ("source_style", " ",
+         "source_style: style label must be a non-blank string, got ' '"),
+        ("target_style", 3,
+         "target_style: style label must be a non-blank string, got 3"),
+    ], ids=["nan-reference", "number-reference", "bytes-reference", "number-id",
+            "no-source", "blank-source-style", "number-target-style"])
+    def test_bad_field_named(self, field, value, error):
+        fields = {**self.FIELDS, field: value}
+        with pytest.raises(DatasetError, match=re.escape(
+                f"record {fields['id']!r}: {error}") + "$"):
+            StylePairRecord(**fields)
+
+    def test_row_fields_map_to_the_record(self, tmp_path):
+        # Only an empty reference means none: a false one is not a string.
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps({**self.FIELDS, "id": 7, "reference": ""})
+                        + "\n" + json.dumps({**self.FIELDS, "id": ""}) + "\n")
+        assert load_dataset(str(path), "jsonl", strict=True) == [
+            StylePairRecord(**{**self.FIELDS, "id": "7", "reference": None}),
+            StylePairRecord(**{**self.FIELDS, "id": "line-2"}),
+        ]
+        path.write_text(json.dumps({**self.FIELDS, "reference": False}) + "\n")
+        with pytest.raises(DatasetError, match="^line 1: record 'x': reference "
+                           "must be a string or None, got False$"):
+            load_dataset(str(path), "jsonl", strict=True)
+
+
+def _accepted(row_id, source, reference, direction):
+    """The record of these fields, or None where the record rule refuses them."""
+    try:
+        return StylePairRecord(row_id, source, reference, *direction)
+    except DatasetError:
+        return None
+
+
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=16)
+_STYLE = st.one_of(st.sampled_from(["positive", " Negative", "not positive",
+                                    "NOT  negative "]), _TEXT)
+# Lexicon sentences in a sentiment direction can succeed under the sentiment
+# mocks; the mask filler refuses any other label, failing its example.
+_SENTENCE = st.sampled_from(["the food was good", "rude staff and cold food",
+                             "great service", "the room was dirty"])
+_DIRECTION = st.one_of(st.sampled_from([("positive", "negative"),
+                                        (" negative", "positive\t")]),
+                       st.tuples(_STYLE, _STYLE))
+_RECORDS = st.lists(
+    st.builds(_accepted, st.text(st.characters(codec="utf-8"), min_size=1,
+                                 max_size=8),
+              st.one_of(_SENTENCE, _TEXT), st.one_of(st.none(), _SENTENCE, _TEXT),
+              _DIRECTION).filter(lambda record: record is not None),
+    min_size=1, max_size=4, unique_by=lambda record: record.id)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=_RECORDS)
+def test_accepted_records_round_trip(records):
+    # An empty id is a row without one (it loads as "line-N"), so the ids
+    # drawn are not empty. An empty reference is a row without one.
+    read_back = [replace(r, reference=r.reference or None) for r in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        jsonl, tsv, run = (str(Path(tmp) / name)
+                           for name in ("out.jsonl", "out.tsv", "run.jsonl"))
+        save_records(records, jsonl, "jsonl")
+        assert load_dataset(jsonl, "jsonl", strict=True) == read_back
+        if any(c in cell for r in records for cell in r.to_dict().values()
+               if cell is not None for c in "\t\n\r"):
+            with pytest.raises(DatasetError, match="contains a tab or newline"):
+                save_records(records, tsv, "tsv")
+        else:
+            save_records(records, tsv, "tsv")
+            assert load_dataset(tsv, "tsv", strict=True) == read_back
+        try:
+            manifest = transfer_corpus(
+                records, RequestTemplate(),
+                RerankConfig(endpoints=mock_endpoints()), seed=0, jobs=1)
+        except PipelineError:
+            return  # every example failed, so no manifest is written
+        write_manifest(manifest, run)
+        loaded = read_manifest(run)
+    assert loaded.records == manifest.records
+    assert [{key: r[key] for key in records[0].to_dict()}
+            for r in loaded.records] == [r.to_dict() for r in records]
 
 
 class TestGenerateSymb:

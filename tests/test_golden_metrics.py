@@ -24,6 +24,7 @@ from restyle.metrics import (
     corpus_gleu,
     sentence_gleu,
     summarize,
+    tokenize_eval,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_metrics.json"
@@ -98,11 +99,22 @@ def _report(report: BleuReport) -> dict:
     return {f.name: repr(getattr(report, f.name)) for f in fields(report)}
 
 
+# A triple with a side without tokens is stored as the message sentence_gleu
+# raised before it became a one-triple corpus_gleu. The message it raises
+# now must name that side; the stored entry still pins which triples raise.
+NO_TOKENS = "MetricError: sentence_gleu requires non-empty src, hyp and ref"
+
+
 def _gleu(src: str, hyp: str, ref: str) -> str:
     try:
         return repr(sentence_gleu(src, hyp, ref))
     except MetricError as exc:
-        return f"MetricError: {exc}"
+        side = next((side for side, text in (("hyp", hyp), ("ref", ref),
+                                             ("src", src))
+                     if not tokenize_eval(text)), None)
+        if str(exc) != f"corpus_gleu: triple 0 has no tokens in its {side}":
+            return f"MetricError: {exc}"
+        return NO_TOKENS
 
 
 def golden_values() -> dict:

@@ -187,9 +187,11 @@ class TestSentenceGleu:
             assert 0.0 <= sentence_gleu(src, hyp, ref) <= 1.0
 
     def test_empty_rejected(self):
-        for triple in (("", "a", "b"), ("a", " ", "b"), ("a", "b", "\t")):
-            with pytest.raises(MetricError, match="^sentence_gleu requires "
-                               "non-empty src, hyp and ref$"):
+        # A one-triple corpus_gleu: its message names the side without tokens.
+        for triple, side in ((("", "a", "b"), "src"), (("a", " ", "b"), "hyp"),
+                             (("a", "b", "\t"), "ref")):
+            with pytest.raises(MetricError, match="^corpus_gleu: triple 0 has "
+                               f"no tokens in its {side}$"):
                 sentence_gleu(*triple)
 
     @pytest.mark.parametrize("row, side", [

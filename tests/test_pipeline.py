@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ from restyle.backends import (
     TokenScore,
     TokenScoreResponse,
 )
-from restyle.data import StylePairRecord, load_dataset
+from restyle.data import DatasetError, StylePairRecord, load_dataset
 from restyle.metrics import EvalSummary, ref_sbleu
 from restyle.mocks import (
     EchoCompletionBackend,
@@ -140,6 +141,21 @@ class TestTransferOne:
 
 
 class TestTransferCorpus:
+    def test_bad_reference_fails_before_any_call(self):
+        # A NaN reference once passed the record, cost the run all its calls
+        # and then failed the summary; it now fails where it is declared.
+        services = counted_services(mock_endpoints())
+        cfg = RerankConfig(k=3, endpoints=replace(mock_endpoints(), **services))
+        with pytest.raises(DatasetError, match="^record 'p2': reference must "
+                           "be a string or None, got nan$"):
+            records = [record("p0", "the food was good"),
+                       record("p1", "great service and fresh bread"),
+                       record("p2", "the staff was friendly",
+                              reference=float("nan")),
+                       record("p3", "my meal was tasty")]
+            transfer_corpus(records, RequestTemplate(), cfg, seed=1, jobs=1)
+        assert [s.calls for s in services.values()] == [0, 0, 0, 0]
+
     def test_four_record_manifest(self, mock_ep, sentiment_records):
         cfg = RerankConfig(k=3, endpoints=mock_ep)
         manifest = transfer_corpus(sentiment_records, RequestTemplate(), cfg,
@@ -634,6 +650,25 @@ class TestTransferCorpus:
         assert (seen[0].timeout, seen[0].max_retries) == (120.0, 7)
         assert seen[0].snapshot() == manifest.config["endpoints"]
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("target_style", " negative", "source and target style are both "
+                                      "'negative'; a transfer needs two styles"),
+        ("source", "  ", "source must be a non-blank string, got '  '"),
+        ("reference", 5, "reference must be a string or None, got 5"),
+        ("winner", None, "has no string winner"),
+    ], ids=["same-style", "blank-source", "number-reference", "no-winner"])
+    def test_bad_record_named(self, tmp_path, mock_ep, sentiment_records,
+                              field, value, error):
+        manifest = transfer_corpus(sentiment_records, RequestTemplate(),
+                                   RerankConfig(endpoints=mock_ep), seed=0)
+        records = list(manifest.records)
+        records[2] = {**records[2], field: value}
+        path = tmp_path / "run.jsonl"
+        write_manifest(replace(manifest, records=records), str(path))
+        with pytest.raises(PipelineError, match=re.escape(
+                f"{path} is not a manifest: record 'n0'") + f":? {error}$"):
+            read_manifest(str(path))
+
     @pytest.mark.parametrize("lines", [
         [],
         [{"id": "p0", "source": "good", "source_style": "positive",
@@ -692,6 +727,21 @@ class TestTransferCorpus:
 
 
 class TestSweep:
+    def test_same_style_direction_fails_at_the_grid(self, sentiment_records):
+        # Once, before any call; not as a failed row in each of its cells.
+        services = counted_services(mock_endpoints())
+        cfg = RerankConfig(k=3, endpoints=replace(mock_endpoints(), **services))
+        with pytest.raises(PromptError, match="^source and target style are "
+                           "both 'negative'; a transfer needs two styles$"):
+            run_sweep(sentiment_records, SweepGrid(
+                directions=(("positive", "negative"), ("negative", " negative"))),
+                cfg, seed=0)
+        assert [s.calls for s in services.values()] == [0, 0, 0, 0]
+
+    def test_grid_stores_parsed_directions(self):
+        grid = SweepGrid(directions=((" Not  negative", "negative "),))
+        assert grid.directions == (("not negative", "negative"),)
+
     def test_restricted_grid_rows(self, mock_ep, sentiment_records):
         grid = SweepGrid(
             templates=(TEMPLATES["vanilla"], TEMPLATES["contrastive"]),

@@ -18,6 +18,7 @@ from restyle.prompts import (
     delimiter_name,
     extract_completion,
     load_prompt_config,
+    parse_direction,
     parse_style,
     render_cloze,
     render_prompt,
@@ -118,6 +119,18 @@ class TestStyleLabel:
         assert parse_style("Not") == "Not"
         assert parse_style("not ") == "not"
         assert parse_style("notable") == "notable"
+
+    def test_parse_direction(self):
+        assert parse_direction(" Not  negative", "negative ") == \
+            ("not negative", "negative")
+        with pytest.raises(PromptError, match="^source and target style are "
+                           "both 'not happy'; a transfer needs two styles$"):
+            parse_direction("not happy", " NOT  happy ")
+        for side, pair in (("source_style", (" ", "happy")),
+                           ("target_style", ("happy", None))):
+            with pytest.raises(PromptError, match=f"^{side}: style label must "
+                               "be a non-blank string, got "):
+                parse_direction(*pair)
 
     def test_request_stores_parsed_styles(self):
         req = make_request(source_style=" Not  negative", target_style="negative ")
@@ -244,6 +257,13 @@ class TestRenderCloze:
     def test_empty_text_rejected(self):
         with pytest.raises(PromptError):
             render_cloze("", "<mask>")
+
+    def test_blank_text_rejected(self):
+        # A blank text would render "[   ]", a cloze with nothing to judge.
+        for text in ("   ", "\t\n"):
+            with pytest.raises(PromptError, match="^cloze text must be a "
+                               "non-blank string, got "):
+                render_cloze(text, "<mask>")
 
 
 class TestPromptConfig:

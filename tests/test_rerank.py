@@ -174,11 +174,15 @@ class TestLabelRule:
             {POS: 0.75, NEG: 0.5}
         assert asked == [(0.25, render_cloze("good", "<mask>")), (0.75, "good")]
 
-    @pytest.mark.parametrize("classifier", [False, True])
-    def test_blank_text_rejected(self, classifier):
+    # Each path's own blank rule: render_cloze's, or backends.classify's.
+    @pytest.mark.parametrize("classifier, error", [
+        (False, r"^cloze text must be a non-blank string, got ' \\t'$"),
+        (True, "^text to classify must be non-empty$"),
+    ], ids=["False", "True"])
+    def test_blank_text_rejected(self, classifier, error):
         ep = BackendEndpoints(fill_mask=StaticMaskBackend({}),
                               classifier=StaticMaskBackend({}))
-        with pytest.raises(ValueError, match="classify must be non-empty"):
+        with pytest.raises(ValueError, match=error):
             label_likelihoods(" \t", [POS, NEG], ep, classifier)
 
     def test_classifier_strength_needs_a_classifier(self):
@@ -338,6 +342,14 @@ class TestRerank:
         RerankConfig(k=5, decode=DecodeConfig(mode="sample", beam_width=3))
         with pytest.raises(ValueError, match="max_retries"):
             RerankConfig(endpoints=BackendEndpoints(max_retries=0))
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_use_fluency_must_be_a_bool(self, value):
+        # As a count must be an int: "false" would turn fluency on and reach
+        # the manifest config, and so the run id, as a string.
+        with pytest.raises(ValueError,
+                           match=f"^use_fluency must be a bool, got {value!r}$"):
+            RerankConfig(use_fluency=value)
 
 
 class TestTopBeamBaseline:

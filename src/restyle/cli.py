@@ -211,13 +211,8 @@ def cmd_symb(args) -> int:
 
 
 def cmd_clean(args) -> int:
-    stream_in = sys.stdin if args.input_path == "-" else open(
-        args.input_path, encoding="utf-8-sig")
-    try:
-        lines = [clean_text(line) for line in stream_in]
-    finally:
-        if stream_in is not sys.stdin:
-            stream_in.close()
+    lines = [clean_text(line) for line in (
+        sys.stdin if args.input_path == "-" else _read_lines(args.input_path))]
     body = "\n".join(lines) + ("\n" if lines else "")
     if args.output_path == "-":
         sys.stdout.write(body)
@@ -228,8 +223,11 @@ def cmd_clean(args) -> int:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8-sig") as fh:
-        return [line.rstrip("\n") for line in fh]
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
 
 
 def cmd_eval(args) -> int:

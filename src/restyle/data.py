@@ -37,9 +37,9 @@ class ComparisonParseError(DatasetError):
 @dataclass(frozen=True)
 class StylePairRecord:
     """One dataset row: a source text with styles and an optional reference.
-    The one rule for a row, however built: a string ``id``, a non-blank
-    ``source``, a string or None ``reference``, and the styles stored as
-    :func:`~restyle.prompts.parse_direction` writes them."""
+    The one rule for a row, however built: a non-empty string ``id``, a
+    non-blank ``source``, a string or None ``reference``, and the styles
+    stored as :func:`~restyle.prompts.parse_direction` writes them."""
 
     id: str
     source: str
@@ -49,8 +49,8 @@ class StylePairRecord:
 
     def __post_init__(self):
         try:
-            if not isinstance(self.id, str):
-                raise ValueError(f"id must be a string, got {self.id!r}")
+            if not isinstance(self.id, str) or not self.id:
+                raise ValueError(f"id must be a non-empty string, got {self.id!r}")
             check_text(self.source, "source")
             if not isinstance(self.reference, (str, type(None))):
                 raise ValueError(f"reference must be a string or None, "
@@ -155,7 +155,7 @@ def load_dataset(path: str, format: str, *, clean: bool = False,
         # first row's text.
         with open(path, encoding="utf-8-sig") as fh:
             lines = list(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
 
     parse_row = _jsonl_row if format == "jsonl" else _tsv_row
@@ -188,22 +188,32 @@ def load_dataset(path: str, format: str, *, clean: bool = False,
 
 
 def save_records(records: list[StylePairRecord], path: str, format: str) -> None:
-    """Write records as JSONL, or as 5-column TSV with a header row."""
+    """Write records as JSONL, or as 5-column TSV with a header row.
+
+    Every record is checked before the file is opened: a record that the
+    TSV format cannot hold raises DatasetError and leaves ``path`` as it was.
+    """
     if format not in FORMATS:
         raise DatasetError(f"format must be one of {FORMATS}, got {format!r}")
+    if format == "jsonl":
+        lines = [json.dumps(record.to_dict()) for record in records]
+    else:
+        lines = ["\t".join(_SCHEMA)]
+        for record in records:
+            cells = [value or "" for value in record.to_dict().values()]
+            # Reading in text mode ends a line at "\r" as at "\n".
+            if any(c in cell for cell in cells for c in "\t\n\r"):
+                raise DatasetError(f"record {record.id!r} contains a tab or "
+                                   "newline; use the jsonl format")
+            line = "\t".join(cells)
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DatasetError(f"record {record.id!r} holds text that UTF-8 "
+                                   "cannot encode; use the jsonl format") from None
+            lines.append(line)
     with open(path, "w", encoding="utf-8") as fh:
-        if format == "jsonl":
-            for record in records:
-                fh.write(json.dumps(record.to_dict()) + "\n")
-        else:
-            fh.write("\t".join(_SCHEMA) + "\n")
-            for record in records:
-                cells = [value or "" for value in record.to_dict().values()]
-                # Reading in text mode ends a line at "\r" as at "\n".
-                if any(c in cell for cell in cells for c in "\t\n\r"):
-                    raise DatasetError(f"record {record.id!r} contains a tab or "
-                                       "newline; use the jsonl format")
-                fh.write("\t".join(cells) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------

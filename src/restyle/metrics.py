@@ -57,9 +57,6 @@ def tokenize_eval(text: str) -> list[str]:
 # Rows whose n-grams the kernel counts at a time: its working set is bounded
 # by one chunk, whatever the corpus size.
 CHUNK_ROWS = 64
-# BLEU's sufficient statistics per row: both lengths, then per order the
-# clipped matches and the hypothesis n-gram count.
-_STATS = 2 + 2 * MAX_NGRAM_ORDER
 
 
 class _GramCounts:
@@ -131,34 +128,53 @@ class _GramCounts:
 
     def bleu_stats(self, other: int) -> np.ndarray:
         """BLEU's sufficient statistics of each row's hypothesis against side
-        ``other``, one line per statistic."""
+        ``other``, one line per statistic: both lengths, then per order the
+        clipped matches and the hypothesis n-gram count."""
         hyp_len = self.lengths[0]
-        stats = np.empty((_STATS, self.height), dtype=np.int64)
+        stats = np.empty((2 + 2 * MAX_NGRAM_ORDER, self.height), dtype=np.int64)
         stats[0], stats[1] = hyp_len, self.lengths[other]
         stats[2::2] = self.clipped(other)
         stats[3::2] = np.maximum(hyp_len - np.arange(MAX_NGRAM_ORDER)[:, None], 0)
         return stats
 
-    def gleus(self, pair: np.ndarray, rows) -> list[float]:
-        """Sentence GLEU of ``rows``, from the hyp/ref :meth:`bleu_stats`
+    def gleus(self, pair: np.ndarray) -> list[float]:
+        """Sentence GLEU of every row, from the hyp/ref :meth:`bleu_stats`
         ``pair`` with the hyp's matches of source-only n-grams taken off
         each order."""
         stats = pair.copy()
         stats[2::2] = np.maximum(pair[2::2] - self.clipped(2, drop=1), 0)
-        return [_gleu(row) for row in stats[:, rows].T.tolist()]
+        return [_gleu(row) for row in stats.T.tolist()]
 
 
-def _chunks(rows: Iterable[tuple[str, ...]]) -> Iterator[_GramCounts]:
-    """:class:`_GramCounts` of each run of :data:`CHUNK_ROWS` rows, in order.
+@dataclass(frozen=True)
+class RowStats:
+    """Per-row statistics of a chunk of (hyp, ref[, src]) rows, one column
+    per row: ``lengths`` the token counts, a line per side; ``by_reference``
+    and ``by_source`` each hyp's exact int64 BLEU statistics against its ref
+    and its src (:meth:`_GramCounts.bleu_stats`), and ``gleu`` each row's
+    sentence GLEU, both None without a src side. No row is masked: callers
+    pick theirs from ``lengths > 0``."""
 
-    A chunk's n-gram counts are dropped when the next chunk is asked for, so
-    that only one chunk's arrays are alive at a time.
-    """
+    lengths: np.ndarray
+    by_reference: np.ndarray
+    by_source: np.ndarray | None
+    gleu: list[float] | None
+
+
+def row_stats(rows: Iterable[tuple[str, ...]]) -> Iterator[RowStats]:
+    """The :class:`RowStats` of each run of :data:`CHUNK_ROWS` rows, in order,
+    the one table that BLEU, GLEU and :func:`summarize` fold. Only one chunk's
+    n-gram counts are alive at a time: each is dropped before its table is
+    yielded."""
     rows = iter(rows)
     while batch := list(itertools.islice(rows, CHUNK_ROWS)):
         chunk = _GramCounts(batch)
-        yield chunk
+        pair = chunk.bleu_stats(1)
+        sourced = len(chunk.lengths) > 2
+        table = RowStats(chunk.lengths, pair, chunk.bleu_stats(2) if sourced else None,
+                         chunk.gleus(pair) if sourced else None)
         chunk.orders.clear()
+        yield table
 
 
 @dataclass(frozen=True)
@@ -192,13 +208,12 @@ def corpus_bleu(hyps: list[str], refs: list[str]) -> BleuReport:
         )
     if not hyps:
         raise MetricError("corpus_bleu requires at least one pair")
-    stats = sum(chunk.bleu_stats(1).sum(axis=1)
-                for chunk in _chunks(zip(hyps, refs)))
-    return _bleu_report(stats)
+    return _bleu_report(sum(table.by_reference.sum(axis=1)
+                            for table in row_stats(zip(hyps, refs))))
 
 
 def _bleu_report(stats: np.ndarray) -> BleuReport:
-    """Corpus BLEU-4 from :meth:`_GramCounts.bleu_stats` summed over the pairs."""
+    """Corpus BLEU-4 from :attr:`RowStats.by_reference` summed over the pairs."""
     stats = stats.tolist()
     hyp_len, ref_len = stats[0], stats[1]
     precisions = []
@@ -266,27 +281,23 @@ def _gleu(stats: list[int]) -> float:
 
 
 def corpus_gleu(srcs: list[str], hyps: list[str], refs: list[str]) -> float:
-    """Mean sentence-level GLEU over a corpus of (src, hyp, ref) triples."""
+    """Mean sentence-level GLEU over a corpus of (src, hyp, ref) triples, the
+    :attr:`RowStats.gleu` summed in order. A triple with a side without
+    tokens raises MetricError naming its index and that side."""
     if not (len(srcs) == len(hyps) == len(refs)):
         raise MetricError("corpus_gleu requires equal-length lists")
     if not srcs:
         raise MetricError("corpus_gleu requires at least one triple")
-    return sum(_corpus_gleus(srcs, hyps, refs)) / len(srcs)
-
-
-def _corpus_gleus(srcs: list[str], hyps: list[str],
-                  refs: list[str]) -> Iterator[float]:
-    """Each triple's sentence GLEU, in order; a triple with a side without
-    tokens raises MetricError naming its index and that side."""
-    start = 0
-    for chunk in _chunks(zip(hyps, refs, srcs)):
-        empty = np.argwhere(chunk.lengths.T == 0)
+    total = 0.0
+    for chunk, table in enumerate(row_stats(zip(hyps, refs, srcs))):
+        empty = np.argwhere(table.lengths.T == 0)
         if len(empty):
             row, side = empty[0]
-            raise MetricError(f"corpus_gleu: triple {start + row} has no "
-                              f"tokens in its {('hyp', 'ref', 'src')[side]}")
-        yield from chunk.gleus(chunk.bleu_stats(1), slice(None))
-        start += chunk.height
+            raise MetricError(f"corpus_gleu: triple {chunk * CHUNK_ROWS + row} has "
+                              f"no tokens in its {('hyp', 'ref', 'src')[side]}")
+        for gleu in table.gleu:
+            total += gleu
+    return total / len(srcs)
 
 
 def corpus_perplexity(texts: list[str], endpoints: BackendEndpoints) -> float:
@@ -453,37 +464,26 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
     ``fluency``, each output's (total log-prob, token count) from reranking,
     or else from /score calls when ``endpoints`` has a score endpoint. When
     either gives no perplexity (a :class:`MetricError`), PPL is None and a
-    warning says why. Each text is tokenized and its n-grams counted once, a
-    chunk of rows at a time.
+    warning says why. BLEU and GLEU are one pass over :func:`row_stats`,
+    the GLEUs summed in row order.
 
     A blank output scores GLEU 0 for its row, counts as an accuracy miss and
     adds no tokens to PPL, with no backend call for it.
     """
     if not rows:
         raise MetricError("summarize requires at least one row")
-    by_source = by_reference = np.zeros(_STATS, dtype=np.int64)
-    sourced = referenced = scored = 0
-
-    def gleus() -> Iterator[float]:
-        # One pass over the chunks: sums the BLEU statistics on the way and
-        # yields the GLEU of each row with both a source and a reference, in
-        # row order, so that sum() takes their mean over one sequence.
-        nonlocal by_source, by_reference, sourced, referenced, scored
-        for chunk in _chunks((row.output, _nonblank(row.reference),
-                              _nonblank(row.source)) for row in rows):
-            has_output, has_reference, has_source = chunk.lengths > 0
-            pair = chunk.bleu_stats(1)
-            by_reference = by_reference + pair[:, has_reference].sum(axis=1)
-            by_source = by_source + chunk.bleu_stats(2)[:, has_source].sum(axis=1)
-            sourced += int(has_source.sum())
-            referenced += int(has_reference.sum())
-            both = np.flatnonzero(has_source & has_reference)
-            scored += len(both)
-            # A blank output has no n-grams to score: GLEU 0.
-            for row, gleu in zip(both, chunk.gleus(pair, both)):
-                yield gleu if has_output[row] else 0.0
-
-    gleu_sum = sum(gleus())
+    by_source = by_reference = gleu_sum = sourced = referenced = scored = 0
+    for table in row_stats((row.output, _nonblank(row.reference),
+                            _nonblank(row.source)) for row in rows):
+        _, has_reference, has_source = table.lengths > 0
+        by_reference = by_reference + table.by_reference[:, has_reference].sum(axis=1)
+        by_source = by_source + table.by_source[:, has_source].sum(axis=1)
+        sourced += int(has_source.sum())
+        referenced += int(has_reference.sum())
+        scored += int((has_source & has_reference).sum())
+        # A blank output has no n-grams to score: GLEU 0, which adds nothing.
+        for row in np.flatnonzero(table.lengths.all(axis=0)):
+            gleu_sum += table.gleu[row]
     exact = sum(row.output.strip() == row.reference.strip() for row in rows
                 if _nonblank(row.reference))
     values: dict = {}

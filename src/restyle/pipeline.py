@@ -283,12 +283,15 @@ def read_manifest(path: str) -> RunManifest:
     file raises PipelineError, as does a record whose dataset fields make no
     :class:`StylePairRecord` or, if it succeeded, with no string ``winner``.
     A leading byte order mark is dropped."""
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = [line for line in fh if line.strip()]
 
     def not_a_manifest(why: str) -> PipelineError:
         return PipelineError(f"{path} is not a manifest: {why}")
 
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = [line for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise not_a_manifest(f"not UTF-8 text: {exc}") from None
     if not lines:
         raise not_a_manifest("empty file")
     try:

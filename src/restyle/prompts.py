@@ -310,8 +310,11 @@ def load_prompt_config(path: str) -> PromptConfig:
     :class:`PromptConfig` raises PromptError. A leading byte order mark is
     dropped.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise PromptError(f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise PromptError("prompt config must be a JSON object")
     for section in ("templates", "delimiters"):

@@ -676,10 +676,16 @@ class TestEval:
         {"run_id": "r", "timestamp": "t", "config": {}, "summary": {"ppl": "x"}},
         {"run_id": "r", "timestamp": "t", "config": {"endpoints": "x"},
          "summary": {}},
-    ], ids=["dataset", "list-header", "string-metric", "string-endpoints"])
+        b'{"run_id": "caf\xe9"}\n',
+    ], ids=["dataset", "list-header", "string-metric", "string-endpoints",
+            "latin1"])
     def test_non_manifest_is_an_error(self, tmp_path, capsys, header):
         path = tmp_path / "run.jsonl"
-        path.write_text(json.dumps(header) + "\n")
+        # A bytes header is written as it is, to make a file that is not UTF-8.
+        if isinstance(header, bytes):
+            path.write_bytes(header)
+        else:
+            path.write_text(json.dumps(header) + "\n")
         assert main(["eval", "--manifest", str(path)]) == 1
         assert "is not a manifest" in capsys.readouterr().err
 
@@ -753,10 +759,20 @@ class TestCopyBaselineCommand:
      "negative", "--prompt-config", "{missing}"],
     ["clean", "--in", "{missing}"],
     ["clean", "--in", "{directory}"],
+    ["eval", "--hyp", "{latin1}"],
+    ["transfer", "--text", "good food", "--from", "positive", "--to",
+     "negative", "--prompt-config", "{latin1}"],
+    ["clean", "--in", "{latin1}"],
+    ["copy-baseline", "--dataset", "{latin1}"],
 ], ids=["eval-hyp", "eval-hyp-directory", "transfer-prompt-config",
-        "clean-in", "clean-in-directory"])
+        "clean-in", "clean-in-directory", "eval-hyp-latin1",
+        "transfer-prompt-config-latin1", "clean-in-latin1",
+        "copy-baseline-dataset-latin1"])
 def test_unreadable_input_file_exits_2(argv, mock_env, tmp_path, capsys):
-    paths = {"missing": str(tmp_path / "missing.txt"), "directory": str(tmp_path)}
+    # A latin1 file, not UTF-8, fails its decode: named like any other.
+    (tmp_path / "latin1.txt").write_bytes(b'{"source": "caf\xe9"}\n')
+    paths = {"missing": str(tmp_path / "missing.txt"), "directory": str(tmp_path),
+             "latin1": str(tmp_path / "latin1.txt")}
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -246,6 +246,13 @@ class TestLoadDataset:
         with pytest.raises(DatasetError):
             load_dataset("/nonexistent/nope.jsonl", "jsonl")
 
+    def test_undecodable_file_named(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"id": "a", "source": "caf\xe9 \xff"}\n')
+        with pytest.raises(DatasetError, match=re.escape(f"cannot read {path}: ")
+                           + "'utf-8' codec can't decode byte"):
+            load_dataset(str(path), "jsonl")
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DatasetError):
             load_dataset(str(tmp_path / "x"), "csv")
@@ -270,6 +277,30 @@ class TestLoadDataset:
         save_records([record], str(tmp_path / "out.jsonl"), "jsonl")
         assert load_dataset(str(tmp_path / "out.jsonl"), "jsonl",
                             strict=True) == [record]
+
+    @pytest.mark.parametrize("text, error", [
+        ("bad\tfood", "contains a tab or newline"),
+        ("bad \ud800 food", "holds text that UTF-8 cannot encode"),
+    ], ids=["tab", "lone-surrogate"])
+    def test_failed_tsv_save_writes_nothing(self, tmp_path, text, error):
+        # Every record is checked before the file is opened: no partial file
+        # holding the rows before the bad one, and an old file stays whole.
+        good = StylePairRecord(id="a", source="good food", reference=None,
+                               source_style="positive", target_style="negative")
+        bad = replace(good, id="b", reference=text)
+        path = tmp_path / "out.tsv"
+        match = re.escape(f"record 'b' {error}; use the jsonl format")
+        with pytest.raises(DatasetError, match=match):
+            save_records([good, bad], str(path), "tsv")
+        assert not path.exists()
+        save_records([good], str(path), "tsv")
+        before = path.read_bytes()
+        with pytest.raises(DatasetError, match=match):
+            save_records([bad], str(path), "tsv")
+        assert path.read_bytes() == before
+        save_records([good, bad], str(tmp_path / "out.jsonl"), "jsonl")
+        assert load_dataset(str(tmp_path / "out.jsonl"), "jsonl",
+                            strict=True) == [good, bad]
 
     def test_round_trip_both_formats(self, tmp_path):
         records = [
@@ -311,14 +342,15 @@ class TestRecordRule:
         ("reference", 5, "reference must be a string or None, got 5"),
         ("reference", b"bad food",
          "reference must be a string or None, got b'bad food'"),
-        ("id", 7, "id must be a string, got 7"),
+        ("id", 7, "id must be a non-empty string, got 7"),
+        ("id", "", "id must be a non-empty string, got ''"),
         ("source", None, "source must be a non-blank string, got None"),
         ("source_style", " ",
          "source_style: style label must be a non-blank string, got ' '"),
         ("target_style", 3,
          "target_style: style label must be a non-blank string, got 3"),
     ], ids=["nan-reference", "number-reference", "bytes-reference", "number-id",
-            "no-source", "blank-source-style", "number-target-style"])
+            "empty-id", "no-source", "blank-source-style", "number-target-style"])
     def test_bad_field_named(self, field, value, error):
         fields = {**self.FIELDS, field: value}
         with pytest.raises(DatasetError, match=re.escape(
@@ -341,14 +373,31 @@ class TestRecordRule:
 
 
 def _accepted(row_id, source, reference, direction):
-    """The record of these fields, or None where the record rule refuses them."""
+    """The record of these fields, or None where the record rule refuses them,
+    as it does every empty id."""
     try:
-        return StylePairRecord(row_id, source, reference, *direction)
-    except DatasetError:
+        record = StylePairRecord(row_id, source, reference, *direction)
+    except DatasetError as exc:
+        # The id is checked first, so an empty one is what refuses its record.
+        assert row_id or "id must be a non-empty string" in str(exc)
         return None
+    assert row_id, "an empty id was accepted"
+    return record
+
+
+def _tsv_refusal(record):
+    """The reason a TSV save refuses the record, or None."""
+    text = "".join(cell or "" for cell in record.to_dict().values())
+    if any(c in text for c in "\t\n\r"):
+        return "contains a tab or newline"
+    if any("\ud800" <= c <= "\udfff" for c in text):
+        return "holds text that UTF-8 cannot encode"
+    return None
 
 
 _TEXT = st.text(st.characters(codec="utf-8"), max_size=16)
+# A lone surrogate: JSON escapes it, but UTF-8 cannot encode it.
+_UNENCODABLE = st.builds("{}\ud800{}".format, _TEXT, _TEXT)
 _STYLE = st.one_of(st.sampled_from(["positive", " Negative", "not positive",
                                     "NOT  negative "]), _TEXT)
 # Lexicon sentences in a sentiment direction can succeed under the sentiment
@@ -359,28 +408,28 @@ _DIRECTION = st.one_of(st.sampled_from([("positive", "negative"),
                                         (" negative", "positive\t")]),
                        st.tuples(_STYLE, _STYLE))
 _RECORDS = st.lists(
-    st.builds(_accepted, st.text(st.characters(codec="utf-8"), min_size=1,
-                                 max_size=8),
-              st.one_of(_SENTENCE, _TEXT), st.one_of(st.none(), _SENTENCE, _TEXT),
-              _DIRECTION).filter(lambda record: record is not None),
+    st.builds(_accepted, st.text(st.characters(codec="utf-8"), max_size=8),
+              st.one_of(_SENTENCE, _TEXT, _UNENCODABLE),
+              st.one_of(st.none(), _SENTENCE, _TEXT, _UNENCODABLE), _DIRECTION).filter(lambda record: record is not None),
     min_size=1, max_size=4, unique_by=lambda record: record.id)
 
 
 @settings(max_examples=60, deadline=None)
 @given(records=_RECORDS)
 def test_accepted_records_round_trip(records):
-    # An empty id is a row without one (it loads as "line-N"), so the ids
-    # drawn are not empty. An empty reference is a row without one.
+    # The record rule refuses an empty id, which a file row reads as "no id"
+    # (it loads as "line-N"). An empty reference is a row without one.
     read_back = [replace(r, reference=r.reference or None) for r in records]
     with tempfile.TemporaryDirectory() as tmp:
         jsonl, tsv, run = (str(Path(tmp) / name)
                            for name in ("out.jsonl", "out.tsv", "run.jsonl"))
         save_records(records, jsonl, "jsonl")
         assert load_dataset(jsonl, "jsonl", strict=True) == read_back
-        if any(c in cell for r in records for cell in r.to_dict().values()
-               if cell is not None for c in "\t\n\r"):
-            with pytest.raises(DatasetError, match="contains a tab or newline"):
+        refusals = [why for why in map(_tsv_refusal, records) if why]
+        if refusals:
+            with pytest.raises(DatasetError, match=refusals[0]):
                 save_records(records, tsv, "tsv")
+            assert not Path(tsv).exists()
         else:
             save_records(records, tsv, "tsv")
             assert load_dataset(tsv, "tsv", strict=True) == read_back

@@ -459,6 +459,14 @@ def _chunked(rows, fn, *args):
         return fn(*args)
 
 
+def _row_table(rows):
+    """:func:`metrics.row_stats` of (hyp, ref, src) rows, one (lengths,
+    by_reference, by_source, gleu) tuple per row."""
+    return [row for table in metrics.row_stats(rows) for row in zip(
+        table.lengths.T.tolist(), table.by_reference.T.tolist(),
+        table.by_source.T.tolist(), table.gleu)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(gram_triples(), min_size=1, max_size=9), st.integers(1, 4))
 @example([("the cat qq zz qq zz", "the the cat qq zz qq zz", "the the cat")] * 5, 2)
@@ -475,6 +483,8 @@ def test_chunk_boundaries_change_nothing(triples, chunk):
             [tokenize_eval(o) for o in others]), abs=1e-9)
     rows = [EvalRow(h, s, r) for s, h, r in triples]
     assert _chunked(chunk, summarize, rows) == _chunked(whole, summarize, rows)
+    texts = list(zip(hyps, refs, srcs))
+    assert _chunked(chunk, _row_table, texts) == _chunked(whole, _row_table, texts)
     scored = [t for t in zip(srcs, hyps, refs) if all(x.strip() for x in t)]
     if scored:
         columns = [list(texts) for texts in zip(*scored)]
@@ -514,14 +524,20 @@ EDGE_CHUNKS = {
 
 @pytest.mark.parametrize("rows", EDGE_CHUNKS.values(), ids=EDGE_CHUNKS)
 def test_kernel_edges_match_the_oracle(rows):
-    chunk = metrics._GramCounts(rows)
-    for other in (1, 2):
-        assert chunk.bleu_stats(other).T.tolist() == [
+    [table] = metrics.row_stats(rows)
+    assert table.lengths.tolist() == [[len(tokenize_eval(text)) for text in side]
+                                      for side in zip(*rows)]
+    for stats, other in ((table.by_reference, 1), (table.by_source, 2)):
+        assert stats.T.tolist() == [
             oracle_row_stats(row[0], row[other]) for row in rows]
     full = [i for i, row in enumerate(rows) if all(t.strip() for t in row)]
-    assert chunk.gleus(chunk.bleu_stats(1), full) == pytest.approx(
+    assert [table.gleu[i] for i in full] == pytest.approx(
         [oracle_gleu(*map(tokenize_eval, (rows[i][2], rows[i][0], rows[i][1])))
          for i in full], abs=1e-12)
+    # Without a src side the table holds the ref statistics alone.
+    [pair] = metrics.row_stats([row[:2] for row in rows])
+    assert pair.by_source is pair.gleu is None
+    assert pair.by_reference.tolist() == table.by_reference.tolist()
     hyps, refs, srcs = (list(texts) for texts in zip(*rows))
     for others in (refs, srcs):
         assert corpus_bleu(hyps, others).score == pytest.approx(oracle_bleu(

@@ -725,6 +725,13 @@ class TestTransferCorpus:
         with pytest.raises(PipelineError, match="is not a manifest"):
             read_manifest(str(path))
 
+    def test_undecodable_file_is_not_a_manifest(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"run_id": "caf\xe9"}\n')
+        with pytest.raises(PipelineError, match=re.escape(
+                f"{path} is not a manifest: not UTF-8 text: ")):
+            read_manifest(str(path))
+
 
 class TestSweep:
     def test_same_style_direction_fails_at_the_grid(self, sentiment_records):

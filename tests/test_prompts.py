@@ -292,6 +292,12 @@ class TestPromptConfig:
         assert cfg.templates["plain"] == doc["templates"]["plain"]
         assert cfg.delimiters["wide"] == DelimiterPair("<<", ">>")
 
+    def test_undecodable_file_named(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"templates": {"caf\xe9": "{x} {d1}"}}')
+        with pytest.raises(PromptError, match=re.escape(f"cannot read {path}: ")):
+            load_prompt_config(str(path))
+
     def test_unknown_placeholder_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"templates": {"t": "{x} {oops} {d1}"}}))

@@ -357,7 +357,9 @@ class BackendEndpoints:
     non-blank ``mask_token``, a ``timeout`` > 0, a ``max_retries`` count
     (the attempts per call) and a ``retry_backoff`` >= 0. ``timeout`` and
     ``retry_backoff`` are held as floats, so that equal settings give equal
-    run ids.
+    run ids. Each set endpoint resolves once, here: to its mock, to the shared
+    HTTP client of its URL and settings, or to itself. Any other string, or
+    a URL its service refuses, raises ValueError naming the field.
     """
 
     complete: object | str | None = None
@@ -369,6 +371,7 @@ class BackendEndpoints:
     timeout: float = 30.0
     max_retries: int = 3
     retry_backoff: float = 0.25
+    _services: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.mask_token, str) and self.mask_token.strip()):
@@ -379,6 +382,26 @@ class BackendEndpoints:
         check_count(self.max_retries, "max_retries")
         object.__setattr__(self, "retry_backoff",
                            check_real(self.retry_backoff, "retry_backoff", 0.0))
+        object.__setattr__(self, "_services", {
+            name: self._resolve(name, getattr(self, name)) for name in _SERVICES})
+
+    def _resolve(self, name: str, endpoint):
+        try:
+            if not isinstance(endpoint, str):
+                return endpoint
+            if endpoint.startswith("mock://"):
+                from . import mocks
+
+                return mocks.resolve_mock_url(endpoint)
+            if not endpoint.startswith(("http://", "https://")):
+                raise ValueError(f"unsupported endpoint URL {endpoint!r}")
+            key = (endpoint, self.timeout, self.max_retries, self.retry_backoff)
+            with _clients_lock:
+                if key not in _clients:
+                    _clients[key] = _HttpService(*key)
+                return _clients[key]
+        except (BackendError, ValueError) as exc:
+            raise ValueError(f"{name} endpoint: {exc}") from None
 
     @classmethod
     def from_env(cls, env: dict[str, str] | None = None) -> "BackendEndpoints":
@@ -597,7 +620,7 @@ class _HttpService:
     It is transport only: each 200 answer is decoded and handed to the
     endpoint's ``parse_*`` function (see :meth:`_call`).
 
-    One client serves every call to its endpoint (see :func:`_service`).
+    One client serves every call to its endpoint (see :class:`BackendEndpoints`).
     Idle connections wait in a lock-protected list; a round trip checks one
     out and returns it only after reading the whole response, and a
     connection whose round trip raised is closed instead. What the
@@ -822,15 +845,6 @@ _clients: dict[tuple, _HttpService] = {}
 _clients_lock = threading.Lock()
 
 
-def _http_client(url: str, endpoints: BackendEndpoints) -> _HttpService:
-    key = (url, endpoints.timeout, endpoints.max_retries, endpoints.retry_backoff)
-    with _clients_lock:
-        client = _clients.get(key)
-        if client is None:
-            client = _clients[key] = _HttpService(*key)
-        return client
-
-
 @atexit.register
 def _close_clients() -> None:
     with _clients_lock:
@@ -838,18 +852,10 @@ def _close_clients() -> None:
             client.close()
 
 
-def _service(endpoint: object | str | None, endpoints: BackendEndpoints, what: str):
-    if endpoint is None:
+def _service(endpoints: BackendEndpoints, name: str, what: str):
+    if (service := endpoints._services[name]) is None:
         raise BackendError(f"no {what} endpoint configured")
-    if isinstance(endpoint, str):
-        if endpoint.startswith("mock://"):
-            from . import mocks
-
-            return mocks.resolve_mock_url(endpoint)
-        if endpoint.startswith(("http://", "https://")):
-            return _http_client(endpoint, endpoints)
-        raise BackendError(f"unsupported endpoint URL {endpoint!r}")
-    return endpoint
+    return service
 
 
 def complete(endpoints: BackendEndpoints, req: CompletionRequest) -> CompletionResponse:
@@ -858,23 +864,23 @@ def complete(endpoints: BackendEndpoints, req: CompletionRequest) -> CompletionR
     The service may or may not honor ``stop``; callers always re-apply
     completion extraction themselves.
     """
-    return _service(endpoints.complete, endpoints, "completion").complete(req)
+    return _service(endpoints, "complete", "completion").complete(req)
 
 
 def score_tokens(endpoints: BackendEndpoints, text: str) -> TokenScoreResponse:
     """Per-token conditional log-probabilities of ``text`` under the fluency model."""
     if not text.strip():
         raise ValueError("text to score must be non-empty")
-    return _service(endpoints.score, endpoints, "token scoring").score_tokens(text)
+    return _service(endpoints, "score", "token scoring").score_tokens(text)
 
 
-def _label_likelihoods(endpoints: BackendEndpoints, endpoint, what: str,
+def _label_likelihoods(endpoints: BackendEndpoints, name: str, what: str,
                        text: str, labels: list[str]) -> MaskFillResponse:
     """Raw likelihoods of two or more distinct labels from a /fill_mask-shaped
     service, which must score exactly the labels asked for."""
     if len(set(labels)) < 2:
         raise ValueError(f"{what} needs at least 2 distinct labels")
-    resp = _service(endpoint, endpoints, what).fill_mask(text, list(labels))
+    resp = _service(endpoints, name, what).fill_mask(text, list(labels))
     if set(resp.scores) != set(labels):
         raise MalformedResponseError(
             f"{what} response labels do not match the requested set")
@@ -888,7 +894,7 @@ def fill_mask(endpoints: BackendEndpoints, cloze: str,
         raise ValueError(
             f"cloze must contain exactly one {endpoints.mask_token!r} token"
         )
-    return _label_likelihoods(endpoints, endpoints.fill_mask, "mask filling",
+    return _label_likelihoods(endpoints, "fill_mask", "mask filling",
                               cloze, labels)
 
 
@@ -898,7 +904,7 @@ def classify(endpoints: BackendEndpoints, text: str,
     none configured it raises BackendError."""
     if not text.strip():
         raise ValueError("text to classify must be non-empty")
-    return _label_likelihoods(endpoints, endpoints.classifier, "classifier",
+    return _label_likelihoods(endpoints, "classifier", "classifier",
                               text, labels)
 
 
@@ -906,4 +912,4 @@ def embed_tokens(endpoints: BackendEndpoints, text: str) -> EmbeddingResponse:
     """One contextual embedding vector per token of ``text``."""
     if not text.strip():
         raise ValueError("text to embed must be non-empty")
-    return _service(endpoints.embed, endpoints, "embedding").embed_tokens(text)
+    return _service(endpoints, "embed", "embedding").embed_tokens(text)

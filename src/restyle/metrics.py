@@ -451,7 +451,7 @@ def _nonblank(text: str | None) -> str:
 def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None,
               *, labels: list[str] | None = None,
               predicted: Sequence[str | None] | backends.LabelError | None = None,
-              fluency: Iterable[tuple[float, int]] | None = None) -> EvalSummary:
+              fluency: Sequence[tuple[float, int]] | None = None) -> EvalSummary:
     """Corpus metrics over ``rows``, each one where its inputs are present.
 
     s-sBLEU uses the rows with a non-blank source; r-sBLEU and exact match
@@ -461,17 +461,22 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
     target styles; when the service cannot score one of ``labels`` (a
     :class:`backends.LabelError` raised, or passed as ``predicted``),
     accuracy is None and a warning names the labels. PPL comes from
-    ``fluency``, each output's (total log-prob, token count) from reranking,
-    or else from /score calls when ``endpoints`` has a score endpoint. When
-    either gives no perplexity (a :class:`MetricError`), PPL is None and a
+    ``fluency``, each output's (total log-prob, token count) from a corpus
+    run, or else from /score calls when ``endpoints`` has a score endpoint.
+    When either gives no perplexity (a :class:`MetricError`), PPL is None and a
     warning says why. BLEU and GLEU are one pass over :func:`row_stats`,
     the GLEUs summed in row order.
 
     A blank output scores GLEU 0 for its row, counts as an accuracy miss and
-    adds no tokens to PPL, with no backend call for it.
+    adds no tokens to PPL, with no backend call for it. A ``predicted`` list
+    or ``fluency`` of another length than ``rows`` raises MetricError.
     """
     if not rows:
         raise MetricError("summarize requires at least one row")
+    for name, given in (("predicted", predicted), ("fluency", fluency)):
+        if isinstance(given, Sequence) and len(given) != len(rows):
+            raise MetricError(f"summarize: {name} has {len(given)} entries "
+                              f"for {len(rows)} rows")
     by_source = by_reference = gleu_sum = sourced = referenced = scored = 0
     for table in row_stats((row.output, _nonblank(row.reference),
                             _nonblank(row.source)) for row in rows):

@@ -247,7 +247,9 @@ class HashEmbedBackend:
     def _vector(self, token: str) -> np.ndarray:
         vec = self._rows.get(token)
         if vec is None:
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+            # surrogatepass gives a lone surrogate bytes and changes no others.
+            digest = hashlib.blake2b(token.encode("utf-8", "surrogatepass"),
+                                     digest_size=8).digest()
             rng = np.random.default_rng(int.from_bytes(digest, "big"))
             vec = rng.standard_normal(self.dim)
             vec /= np.linalg.norm(vec)

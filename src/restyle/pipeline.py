@@ -46,6 +46,7 @@ from .reranking import (
     RerankConfig,
     RerankScore,
     asks_classifier,
+    fluency_logprob,
     rerank,
     top_beam_baseline,
 )
@@ -220,11 +221,18 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
                 except LabelError as exc:
                     # The run's accuracy is absent; the transfer stands.
                     predicted = label_error = exc
+            if cfg.use_fluency:
+                fluency = score.log_fluency, score.fluency_tokens
+            elif cfg.endpoints.score is not None:
+                # Scored here, so a failed /score call fails only this example.
+                fluency = fluency_logprob(winner.text, cfg.endpoints)
+            else:
+                fluency = None
         except (BackendError, PipelineError, ValueError) as exc:
             logger.warning("example %s failed: %s", rec.id, exc)
             return {**base, "error": f"{type(exc).__name__}: {exc}"}, None, None
         record.update(base)
-        return record, score, predicted
+        return record, predicted, fluency
 
     if jobs == 1:
         results = [one(item) for item in enumerate(records)]
@@ -239,11 +247,9 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
             f"all {len(records)} examples failed; first error: "
             f"{out_records[0].get('error')}"
         )
-    fluency = None
-    if cfg.use_fluency:
-        fluency = [(score.log_fluency, score.fluency_tokens)
-                   for _, score, _ in done]
-    predicted = [p for _, _, p in done]
+    # Every example holds its winner's (log-prob, tokens) pair, or none does.
+    fluency = None if done[0][2] is None else [f for _, _, f in done]
+    predicted = [p for _, p, _ in done]
     # One label the service cannot score leaves the run's accuracy absent.
     predicted = next((p for p in predicted if isinstance(p, LabelError)),
                      predicted)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -503,6 +504,16 @@ class TestHashEmbedMock:
         for vec in resp.vectors:
             assert math.isclose(sum(v * v for v in vec), 1.0, rel_tol=1e-12)
 
+    def test_lone_surrogate_token_embeds(self, mock_ep):
+        # A lone surrogate has no UTF-8 form; its token hashes its
+        # surrogatepass bytes, and every other token keeps its vector.
+        resp = backends.embed_tokens(mock_ep, "the food \ud800 good")
+        assert resp.vectors.shape == (4, 32)
+        seed = hashlib.blake2b(b"food", digest_size=8).digest()
+        food = np.random.default_rng(int.from_bytes(seed, "big")).standard_normal(32)
+        assert np.array_equal(resp.vectors[1], food / np.linalg.norm(food))
+        assert HashEmbedBackend(dim=32).embed_tokens("the food \ud800 good") == resp
+
 
 class TestDeterminism:
     def test_same_request_byte_identical(self, mock_ep):
@@ -637,9 +648,8 @@ class TestHttpWire:
             backends.complete(BackendEndpoints(), CompletionRequest(prompt="p"))
 
     def test_unsupported_scheme(self):
-        ep = BackendEndpoints(complete="ftp://nope")
-        with pytest.raises(BackendError, match="unsupported"):
-            backends.complete(ep, CompletionRequest(prompt="p"))
+        with pytest.raises(ValueError, match="unsupported"):
+            BackendEndpoints(complete="ftp://nope")
 
 
 def test_from_env():
@@ -665,6 +675,58 @@ def test_from_env():
                         ("TIMEOUT", "soon"), ("RETRY_BACKOFF", "")):
         with pytest.raises(ValueError, match=f"^{name.lower()} must be"):
             BackendEndpoints.from_env({**env, f"RESTYLE_{name}": value})
+
+
+# Endpoint settings that resolve to no service, each with what its error says.
+MALFORMED_ENDPOINTS = [
+    pytest.param("complete", "ftp://host/complete",
+                 "unsupported endpoint URL 'ftp://host/complete'", id="ftp"),
+    pytest.param("embed", "http:///embed", "names no host", id="no-host"),
+    pytest.param("score", "http://127.0.0.1:9/a path/score",
+                 "has a space, a control", id="space-in-path"),
+    pytest.param("fill_mask", "http://127.0.0.1:9/café/fill_mask",
+                 "non-ASCII character in its path", id="non-ascii-path"),
+    pytest.param("classifier", "http://" + "a" * 64 + "é.example/classify",
+                 "has an invalid host", id="bad-idna-host"),
+    pytest.param("embed", "mock://hash-embd",
+                 "unknown mock backend 'mock://hash-embd'", id="unknown-mock"),
+    pytest.param("embed", "mock://hash-embed?dim=1", "dim must be >= 2, got 1",
+                 id="mock-refuses-dim"),
+    pytest.param("complete", "mock://lexicon-flip?plant=last",
+                 "plant must be 'first' or 'seed'", id="mock-refuses-plant"),
+]
+
+
+@pytest.mark.parametrize("field, url, why", MALFORMED_ENDPOINTS)
+def test_malformed_endpoint_named_when_built(field, url, why):
+    # Every way of building endpoints resolves them, so each refuses the
+    # setting before any call, naming the field.
+    built = {
+        "constructor": lambda: BackendEndpoints(**{field: url}),
+        "from_env": lambda: BackendEndpoints.from_env(
+            {f"RESTYLE_{field.upper()}_URL": url}),
+        "from_snapshot": lambda: BackendEndpoints.from_snapshot({field: url}),
+        "replace": lambda: replace(BackendEndpoints(), **{field: url}),
+    }
+    for way, build in built.items():
+        with pytest.raises(ValueError, match=f"^{field} endpoint: ") as err:
+            build()
+        assert why in str(err.value), way
+
+
+def test_endpoints_resolve_once():
+    # One resolution per field at build time: a mock URL is its cached mock,
+    # and equal HTTP settings share one client.
+    ep = BackendEndpoints(complete="http://127.0.0.1:9/complete",
+                          embed="mock://hash-embed")
+    assert ep._services["embed"] is resolve_mock_url("mock://hash-embed")
+    assert BackendEndpoints(complete="http://127.0.0.1:9/complete")._services[
+        "complete"] is ep._services["complete"]
+    assert replace(ep, timeout=5.0)._services["complete"] is not \
+        ep._services["complete"]
+    assert ep._services["score"] is None
+    assert ep == BackendEndpoints.from_snapshot(ep.snapshot())
+    assert "_services" not in repr(ep)
 
 
 def test_from_snapshot_round_trips_url_endpoints():

@@ -16,7 +16,7 @@ example costs
 
 calls; the summary reuses the winner's /score response. Without the
 fluency factor reranking makes no /score call, every text reaches strength
-(d_s = d), and the summary scores each winner once. One rule,
+(d_s = d), and each example scores its winner once. One rule,
 ``reranking.asks_classifier``, sends strength and accuracy to the
 classifier endpoint or to /fill_mask. Accuracy reads the winner's strength
 likelihoods when the rule sends it where strength went (no classifier
@@ -70,7 +70,7 @@ def counted_endpoints(log=None, classifier=True, **overrides):
     ({"complete": "mock://echo"}, True,
      {"complete": 1, "embed": 1, "fill_mask": 1, "score": 1, "classifier": 1}),
     # no fluency factor: every text reaches strength (d_s = 3), both copies
-    # are pruned there (c_s = 1), and the summary scores each winner once
+    # are pruned there (c_s = 1), and each example scores its winner once
     ({}, False, {"complete": 1, "embed": 2, "fill_mask": 3, "score": 1,
                  "classifier": 1}),
 ])

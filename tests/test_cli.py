@@ -162,6 +162,22 @@ class TestTransfer:
             "needs two styles\n")
         assert server.requests == []
 
+    def test_bad_endpoint_url_exits_2_before_any_call(
+            self, mock_env, dataset_path, monkeypatch, capsys):
+        # The embed URL names no mock: refused as the environment is read,
+        # before the other services are asked anything.
+        with LoopbackServer() as server:
+            for service in ("COMPLETE", "SCORE", "FILL_MASK"):
+                monkeypatch.setenv(f"RESTYLE_{service}_URL",
+                                   f"{server.url}/{service.lower()}")
+            monkeypatch.setenv("RESTYLE_EMBED_URL", "mock://hash-embd")
+            code = main(["transfer", "--dataset", dataset_path,
+                         "--from", "positive", "--to", "negative"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: embed endpoint: unknown mock "
+                                       "backend 'mock://hash-embd'\n")
+        assert server.requests == []
+
     @pytest.mark.parametrize("argv, env, error", [
         (["--from", "positive", "--to", " positive"], {},
          "source and target style are both 'positive'"),
@@ -676,9 +692,12 @@ class TestEval:
         {"run_id": "r", "timestamp": "t", "config": {}, "summary": {"ppl": "x"}},
         {"run_id": "r", "timestamp": "t", "config": {"endpoints": "x"},
          "summary": {}},
+        {"run_id": "r", "timestamp": "t",
+         "config": {"endpoints": {"complete": "ftp://host/complete"}},
+         "summary": {}},
         b'{"run_id": "caf\xe9"}\n',
     ], ids=["dataset", "list-header", "string-metric", "string-endpoints",
-            "latin1"])
+            "ftp-endpoint", "latin1"])
     def test_non_manifest_is_an_error(self, tmp_path, capsys, header):
         path = tmp_path / "run.jsonl"
         # A bytes header is written as it is, to make a file that is not UTF-8.

@@ -14,8 +14,7 @@ import pytest
 
 from loopback import LoopbackServer, Reply, mock_answer
 from restyle import backends
-from restyle.backends import (BackendEndpoints, BackendError, ServiceError,
-                              TransportError)
+from restyle.backends import BackendEndpoints, ServiceError, TransportError
 
 
 @pytest.fixture(autouse=True)
@@ -190,10 +189,9 @@ def test_one_write_per_request(monkeypatch):
     "http:///score",
 ], ids=["space-in-path", "non-ascii-path", "bad-idna-host", "no-host"])
 def test_unsendable_url_is_rejected(url):
-    ep = BackendEndpoints(score=url, max_retries=1)
-    with pytest.raises(BackendError, match="endpoint URL") as err:
-        backends.score_tokens(ep, "never sent")
-    assert not isinstance(err.value, TransportError)
+    # Refused when the endpoints are built, before any call could send it.
+    with pytest.raises(ValueError, match="endpoint URL"):
+        BackendEndpoints(score=url, max_retries=1)
 
 
 def test_non_ascii_host_is_idna_encoded():

@@ -588,6 +588,19 @@ class TestSummarize:
         assert summarize(one_way, ep, labels=["negative", "positive"]).accuracy == 0.0
         assert summarize(both, ep, predicted=["negative", "negative"]).accuracy == 0.5
 
+    @pytest.mark.parametrize("given, message", [
+        ({"predicted": ["x"]}, "predicted has 1 entries for 2 rows"),
+        ({"predicted": ["x", "y", "x"]}, "predicted has 3 entries for 2 rows"),
+        ({"fluency": [(-3.0, 3)]}, "fluency has 1 entries for 2 rows"),
+        ({"fluency": []}, "fluency has 0 entries for 2 rows"),
+    ], ids=["short-predicted", "long-predicted", "short-fluency", "empty-fluency"])
+    def test_per_row_lists_match_the_rows(self, given, message):
+        # A short list once scored only the rows it reached: accuracy 0.5
+        # from one label over two rows, or a PPL from one row's totals.
+        rows = [EvalRow("a", target_style="x"), EvalRow("b", target_style="y")]
+        with pytest.raises(MetricError, match=f"^summarize: {message}$"):
+            summarize(rows, **given)
+
     def test_blank_output_scores_zero_with_no_backend_call(self):
         class Recorder:
             """Front for a service that records the texts it is asked about."""

@@ -19,6 +19,7 @@ from restyle.backends import (
     ServiceError,
     TokenScore,
     TokenScoreResponse,
+    TransportError,
 )
 from restyle.data import DatasetError, StylePairRecord, load_dataset
 from restyle.metrics import EvalSummary, ref_sbleu
@@ -26,6 +27,7 @@ from restyle.mocks import (
     EchoCompletionBackend,
     LexiconFlipBackend,
     SentimentMaskBackend,
+    UniformScoreBackend,
     mock_endpoints,
     resolve_mock_url,
 )
@@ -154,6 +156,19 @@ class TestTransferCorpus:
                               reference=float("nan")),
                        record("p3", "my meal was tasty")]
             transfer_corpus(records, RequestTemplate(), cfg, seed=1, jobs=1)
+        assert [s.calls for s in services.values()] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("embed", ["mock://hash-embd", "ftp://host/embed",
+                                       "http:///embed"])
+    def test_bad_endpoint_fails_before_any_call(self, sentiment_records, embed):
+        # An embed URL that resolves to no service once cost each example its
+        # /complete, /score and /fill_mask calls before /embed failed it; the
+        # endpoints now refuse it when built.
+        services = counted_services(mock_endpoints())
+        with pytest.raises(ValueError, match=f"^embed endpoint: .*{embed}"):
+            ep = replace(mock_endpoints(), **{**services, "embed": embed})
+            transfer_corpus(sentiment_records, RequestTemplate(),
+                            RerankConfig(k=3, endpoints=ep), seed=1, jobs=1)
         assert [s.calls for s in services.values()] == [0, 0, 0, 0]
 
     def test_four_record_manifest(self, mock_ep, sentiment_records):
@@ -447,6 +462,32 @@ class TestTransferCorpus:
         assert [r["id"] for r in errors] == ["n0"]
         assert errors[0]["error"].startswith("ServiceError")
         assert len(manifest.successful_records()) == 3
+        assert manifest.summary.accuracy == 1.0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("use_fluency", [True, False],
+                             ids=["fluency", "no-fluency"])
+    def test_score_failure_fails_one_example(self, sentiment_records,
+                                             use_fluency, jobs):
+        # Without the fluency factor each example makes the summary's /score
+        # call for its winner, so a failed one fails only that example, as it
+        # does when reranking asks /score. Made once after every example, it
+        # lost the whole run.
+        class FlakyScore(UniformScoreBackend):
+            def score_tokens(self, text):
+                if "room" in text:
+                    raise TransportError("score service unreachable")
+                return super().score_tokens(text)
+
+        ep = mock_endpoints(score=FlakyScore())
+        manifest = transfer_corpus(
+            sentiment_records, RequestTemplate(),
+            RerankConfig(k=3, use_fluency=use_fluency, endpoints=ep), jobs=jobs)
+        errors = [r for r in manifest.records if "error" in r]
+        assert [r["id"] for r in errors] == ["n0"]
+        assert errors[0]["error"] == "TransportError: score service unreachable"
+        assert len(manifest.successful_records()) == 3
+        assert manifest.summary.ppl == pytest.approx(50257, rel=1e-9)
         assert manifest.summary.accuracy == 1.0
 
     @pytest.mark.parametrize("strength_source",

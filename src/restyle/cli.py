@@ -51,7 +51,7 @@ from .prompts import (
     parse_direction,
     template_name,
 )
-from .reranking import STRENGTH_SOURCES, RerankConfig, asks_classifier
+from .reranking import STRENGTH_SOURCES, RerankConfig
 
 
 class CliError(Exception):
@@ -61,23 +61,12 @@ class CliError(Exception):
 def _run_config(args) -> RerankConfig:
     """The generation and rerank settings of a transfer or sweep run, from
     the RESTYLE_* environment and the generation flags."""
-    endpoints = BackendEndpoints.from_env()
-    # Accuracy asks /fill_mask only when strength does.
-    missing = [name for name, value, needed in (
-        ("RESTYLE_COMPLETE_URL", endpoints.complete, True),
-        ("RESTYLE_FILL_MASK_URL", endpoints.fill_mask,
-         not asks_classifier(endpoints, args.strength_source)),
-        ("RESTYLE_EMBED_URL", endpoints.embed, True),
-        ("RESTYLE_SCORE_URL (or pass --no-fluency)", endpoints.score,
-         not args.no_fluency),
-    ) if needed and value is None]
-    if missing:
-        raise CliError("missing backend endpoints: " + ", ".join(missing))
     decode = DecodeConfig(mode=args.decode_mode, beam_width=args.beam_width,
                           temperature=args.temperature)
     return RerankConfig(k=args.k, max_new_tokens=args.max_new_tokens, decode=decode,
                         use_fluency=not args.no_fluency,
-                        strength_source=args.strength_source, endpoints=endpoints)
+                        strength_source=args.strength_source,
+                        endpoints=BackendEndpoints.from_env())
 
 
 def _parse_direction(item: str) -> tuple[str, str]:
@@ -91,6 +80,17 @@ def _load_records(args) -> list:
     """The records of --dataset, read with --format, --clean and --strict."""
     return load_dataset(args.dataset, args.format, clean=args.clean,
                         strict=args.strict)
+
+
+def _check_out(path: str) -> None:
+    """Fail before any backend call if ``path`` cannot be opened for
+    writing; a file already there is left as it was."""
+    import os
+
+    existed = os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
 
 
 def _emit(payload: dict, args) -> None:
@@ -149,6 +149,8 @@ def cmd_transfer(args) -> int:
     records = records_in(_load_records(args), direction)
     if not records:
         raise CliError("no dataset records match the requested style direction")
+    if args.out:
+        _check_out(args.out)
     plan = RequestTemplate(template=template, delimiter=delimiter,
                            exemplars=exemplars)
     manifest = transfer_corpus(records, plan, cfg, jobs=args.jobs,
@@ -189,6 +191,8 @@ def cmd_sweep(args) -> int:
                      delimiters=tuple(map(prompts.delimiter, delimiter_names)),
                      directions=directions,
                      shots=tuple(int(s) for s in args.shots.split(",")))
+    if args.out:
+        _check_out(args.out)
     result = run_sweep(records, grid, cfg,
                        exemplars=_exemplar_pool(args, max(grid.shots)),
                        jobs=args.jobs, seed=args.seed)
@@ -327,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delimiter", default=delimiter_name(TransferRequest.delimiter))
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--exemplars", help="dataset file supplying few-shot exemplars")
-    p.add_argument("--out", help="manifest output path (dataset mode)")
+    p.add_argument("--out", help="manifest output path (dataset mode), "
+                                 "checked before any call")
     _add_generation(p)
     _add_common(p, seed=True, json_output=True)
     p.set_defaults(func=cmd_transfer)
@@ -340,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "(default: all in the dataset)")
     p.add_argument("--shots", default="0", help="comma list, e.g. 0,4")
     p.add_argument("--exemplars", help="dataset file supplying few-shot exemplars")
-    p.add_argument("--out", help="CSV output path (default: stdout)")
+    p.add_argument("--out", help="CSV output path (default: stdout), "
+                                 "checked before any call")
     _add_generation(p)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_sweep)

@@ -308,9 +308,8 @@ def corpus_perplexity(texts: list[str], endpoints: BackendEndpoints) -> float:
     """
     if not texts:
         raise MetricError("corpus_perplexity requires at least one text")
-    responses = (backends.score_tokens(endpoints, text) for text in texts)
-    return perplexity_from_totals((resp.total_logprob, len(resp.tokens))
-                                  for resp in responses)
+    return perplexity_from_totals(reranking.fluency_logprob(text, endpoints)
+                                  for text in texts)
 
 
 def perplexity_from_totals(totals: Iterable[tuple[float, int]]) -> float:

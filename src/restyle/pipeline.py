@@ -34,6 +34,7 @@ from .prompts import (
     DelimiterPair,
     Exemplar,
     TransferRequest,
+    check_collisions,
     delimiter_name,
     extract_completion,
     parse_direction,
@@ -63,7 +64,8 @@ class PipelineError(RuntimeError):
 @dataclass(frozen=True)
 class RequestTemplate:
     """The per-run prompt choices applied to every dataset record; the
-    template text is checked when the plan is built."""
+    template text, and each exemplar against the closing delimiter, are
+    checked when the plan is built."""
 
     template: str = TransferRequest.template
     delimiter: DelimiterPair = TransferRequest.delimiter
@@ -71,6 +73,7 @@ class RequestTemplate:
 
     def __post_init__(self):
         validate_template(self.template)
+        check_collisions(self.delimiter, self.exemplars)
 
     def request_for(self, record: StylePairRecord) -> TransferRequest:
         return TransferRequest(

@@ -148,7 +148,8 @@ class TransferRequest:
     ``template`` is the template text: a value of :data:`TEMPLATES` or a
     custom phrasing with the same placeholders, checked by
     :func:`validate_template`. The styles are stored as
-    :func:`parse_direction` writes them.
+    :func:`parse_direction` writes them. An input or exemplar holding the
+    closing delimiter is refused here, by :func:`check_collisions`.
     """
 
     input_text: str
@@ -164,6 +165,21 @@ class TransferRequest:
         source, target = parse_direction(self.source_style, self.target_style)
         object.__setattr__(self, "source_style", source)
         object.__setattr__(self, "target_style", target)
+        check_collisions(self.delimiter, self.exemplars, self.input_text)
+
+
+def check_collisions(delimiter: DelimiterPair, exemplars: tuple[Exemplar, ...],
+                     input_text: str | None = None) -> None:
+    """Raise :class:`DelimiterCollisionError` if ``input_text`` (when given)
+    or an exemplar's input or output contains the closing delimiter; there is
+    deliberately no escaping scheme, callers should pick a different pair."""
+    slots = [] if input_text is None else [("input_text", input_text)]
+    for ex in exemplars:
+        slots += [("exemplar input", ex.input), ("exemplar output", ex.output)]
+    for what, text in slots:
+        if delimiter.close in text:
+            raise DelimiterCollisionError(
+                f"{what} contains the closing delimiter {delimiter.close!r}")
 
 
 @functools.cache
@@ -186,11 +202,8 @@ def render_prompt(req: TransferRequest) -> str:
     Exemplar blocks (if any) are rendered under the same template and with
     the request's styles, each with its output enclosed in the delimiter
     pair, and joined to the query block by single newlines. The result
-    always ends with the opening delimiter.
-
-    Raises :class:`DelimiterCollisionError` if any text slot contains the
-    closing delimiter; there is deliberately no escaping scheme, callers
-    should pick a different pair.
+    always ends with the opening delimiter. No text slot holds the closing
+    delimiter: the request refused that when it was built.
     """
     d = req.delimiter
 
@@ -198,18 +211,7 @@ def render_prompt(req: TransferRequest) -> str:
         return req.template.format(x=x, s1=req.source_style,
                                    s2=req.target_style, d1=d.open, d2=d.close)
 
-    def check_collision(text: str, what: str) -> None:
-        if d.close in text:
-            raise DelimiterCollisionError(
-                f"{what} contains the closing delimiter {d.close!r}"
-            )
-
-    check_collision(req.input_text, "input_text")
-    blocks = []
-    for ex in req.exemplars:
-        check_collision(ex.input, "exemplar input")
-        check_collision(ex.output, "exemplar output")
-        blocks.append(fill(ex.input) + ex.output + d.close)
+    blocks = [fill(ex.input) + ex.output + d.close for ex in req.exemplars]
     blocks.append(fill(req.input_text))
     return "\n".join(blocks)
 

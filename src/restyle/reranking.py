@@ -49,7 +49,17 @@ class Candidate:
 
 @dataclass(frozen=True)
 class RerankConfig:
-    """How a run generates its ``k`` candidates and how it scores them."""
+    """How a run generates its ``k`` candidates and how it scores them.
+
+    The settings are checked when built, so the constructor,
+    ``dataclasses.replace``, :func:`restyle.pipeline.transfer_corpus`,
+    :func:`restyle.pipeline.run_sweep` and the CLI meet the same rules. Last
+    come the endpoints a run calls: ``complete`` and ``embed`` always,
+    ``score`` with ``use_fluency``, and ``fill_mask`` unless
+    :func:`asks_classifier` sends every label question to the classifier.
+    ValueError names each one missing and the RESTYLE_*_URL variable
+    :meth:`BackendEndpoints.from_env` reads it from.
+    """
 
     k: int = 3
     max_new_tokens: int = CompletionRequest.max_new_tokens
@@ -68,6 +78,16 @@ class RerankConfig:
             raise ValueError(
                 f"strength_source must be one of {STRENGTH_SOURCES}"
             )
+        missing = [f"RESTYLE_{name.upper()}_URL ({name}{hint})"
+                   for name, needed, hint in (
+                       ("complete", True, ""),
+                       ("fill_mask", not asks_classifier(
+                           self.endpoints, self.strength_source), ""),
+                       ("embed", True, ""),
+                       ("score", self.use_fluency, ", or use_fluency=False"),
+                   ) if needed and getattr(self.endpoints, name) is None]
+        if missing:
+            raise ValueError("missing backend endpoints: " + ", ".join(missing))
 
 
 @dataclass(frozen=True)

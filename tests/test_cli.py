@@ -178,11 +178,56 @@ class TestTransfer:
                                        "backend 'mock://hash-embd'\n")
         assert server.requests == []
 
+    def test_colliding_exemplar_exits_2_before_any_call(
+            self, mock_env, dataset_path, tmp_path, monkeypatch, capsys):
+        # Refused as the run's plan is built, not once per example.
+        exemplars = tmp_path / "exemplars.jsonl"
+        save_records([StylePairRecord("e0", "the tea was {hot}",
+                                      "the tea was cold", "positive",
+                                      "negative")], str(exemplars), "jsonl")
+        with LoopbackServer() as server:
+            for service in ("COMPLETE", "SCORE", "FILL_MASK", "EMBED"):
+                monkeypatch.setenv(f"RESTYLE_{service}_URL",
+                                   f"{server.url}/{service.lower()}")
+            code = main(["transfer", "--dataset", dataset_path,
+                         "--from", "positive", "--to", "negative",
+                         "--shots", "1", "--exemplars", str(exemplars)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: exemplar input contains "
+                                       "the closing delimiter '}'\n")
+        assert server.requests == []
+
+    def test_unwritable_out_exits_2_before_any_call(
+            self, mock_env, dataset_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "missing" / "run.jsonl"
+        with LoopbackServer() as server:
+            for service in ("COMPLETE", "SCORE", "FILL_MASK", "EMBED"):
+                monkeypatch.setenv(f"RESTYLE_{service}_URL",
+                                   f"{server.url}/{service.lower()}")
+            code = main(["transfer", "--dataset", dataset_path,
+                         "--from", "positive", "--to", "negative",
+                         "--out", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+        assert server.requests == []
+
+    def test_failed_run_leaves_an_existing_out_file(self, mock_env, tmp_path):
+        path = tmp_path / "collide.jsonl"
+        save_records([StylePairRecord("p0", "the } food", None, "positive",
+                                      "negative")], str(path), "jsonl")
+        out = tmp_path / "run.jsonl"
+        out.write_text("an earlier manifest\n")
+        code = main(["transfer", "--dataset", str(path), "--from", "positive",
+                     "--to", "negative", "--out", str(out)])
+        assert code == 1
+        assert out.read_text() == "an earlier manifest\n"
+
     @pytest.mark.parametrize("argv, env, error", [
         (["--from", "positive", "--to", " positive"], {},
          "source and target style are both 'positive'"),
         (["--from", "positive", "--to", "negative"], {"SCORE": ""},
-         "missing backend endpoints: RESTYLE_SCORE_URL (or pass --no-fluency)"),
+         "missing backend endpoints: RESTYLE_SCORE_URL (score, or "
+         "use_fluency=False)"),
         (["--text", "   ", "--from", "positive", "--to", "negative"], {},
          "input_text must be a non-blank string, got '   '"),
         (["--from", "positive", "--to", "negative", "--k", "5",
@@ -233,7 +278,7 @@ class TestTransfer:
                      "--strength-source", strength_source])
         assert code == 2
         assert capsys.readouterr().err.strip() == \
-            "error: missing backend endpoints: RESTYLE_FILL_MASK_URL"
+            "error: missing backend endpoints: RESTYLE_FILL_MASK_URL (fill_mask)"
 
     def test_backend_failure_exits_1(self, mock_env, monkeypatch, capsys):
         monkeypatch.setenv("RESTYLE_COMPLETE_URL", "http://127.0.0.1:9/complete")
@@ -446,6 +491,32 @@ class TestSweep:
         assert capsys.readouterr() == ("", (
             "error: source and target style are both 'Positive'; a transfer "
             "needs two styles\n"))
+        assert server.requests == []
+
+    def test_missing_embed_url_exits_2_before_any_call(
+            self, mock_env, dataset_path, monkeypatch, capsys):
+        with LoopbackServer() as server:
+            for service in ("COMPLETE", "SCORE", "FILL_MASK"):
+                monkeypatch.setenv(f"RESTYLE_{service}_URL",
+                                   f"{server.url}/{service.lower()}")
+            monkeypatch.delenv("RESTYLE_EMBED_URL")
+            code = main(["sweep", "--dataset", dataset_path])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: missing backend endpoints: "
+                                       "RESTYLE_EMBED_URL (embed)\n")
+        assert server.requests == []
+
+    def test_unwritable_out_exits_2_before_any_call(
+            self, mock_env, dataset_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "missing" / "sweep.csv"
+        with LoopbackServer() as server:
+            for service in ("COMPLETE", "SCORE", "FILL_MASK", "EMBED"):
+                monkeypatch.setenv(f"RESTYLE_{service}_URL",
+                                   f"{server.url}/{service.lower()}")
+            code = main(["sweep", "--dataset", dataset_path, "--templates",
+                         "vanilla", "--delimiters", "curly", "--out", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
         assert server.requests == []
 
     def test_bad_direction_syntax_exits_2(self, mock_env, dataset_path):

@@ -49,6 +49,7 @@ from restyle.pipeline import (
 from restyle.prompts import (
     DELIMITERS,
     TEMPLATES,
+    DelimiterCollisionError,
     DelimiterPair,
     Exemplar,
     PromptConfig,
@@ -774,6 +775,20 @@ class TestTransferCorpus:
             read_manifest(str(path))
 
 
+@pytest.mark.parametrize("exemplar, what", [
+    (Exemplar("the tea was {hot}", "the tea was cold"), "exemplar input"),
+    (Exemplar("the tea was hot", "the tea was {cold}"), "exemplar output"),
+], ids=["input", "output"])
+def test_colliding_exemplar_refused_by_the_plan(exemplar, what):
+    with pytest.raises(DelimiterCollisionError,
+                       match=f"^{what} contains the closing delimiter '}}'$"):
+        RequestTemplate(exemplars=(exemplar,))
+    with pytest.raises(DelimiterCollisionError, match=what):
+        replace(RequestTemplate(), exemplars=(exemplar,))
+    assert RequestTemplate(delimiter=DELIMITERS["square"],
+                           exemplars=(exemplar,)).exemplars == (exemplar,)
+
+
 class TestSweep:
     def test_same_style_direction_fails_at_the_grid(self, sentiment_records):
         # Once, before any call; not as a failed row in each of its cells.
@@ -887,6 +902,21 @@ class TestSweep:
             select_exemplars(pool, direction, -1)
         with pytest.raises(ValueError, match="shots must be an integer, got True"):
             select_exemplars(pool, direction, True)
+
+    def test_colliding_exemplar_fails_its_cell_once(self, sentiment_records):
+        # At the cell's plan, before any call; not once per example.
+        services = counted_services(mock_endpoints())
+        cfg = RerankConfig(k=3, endpoints=replace(mock_endpoints(), **services))
+        pool = [StylePairRecord("e0", "the tea was {hot}", "the tea was cold",
+                                POS, NEG)]
+        grid = SweepGrid(templates=(TEMPLATES["contrastive"],),
+                         delimiters=(DELIMITERS["curly"],),
+                         directions=((POS, NEG),), shots=(1,))
+        result = run_sweep(sentiment_records, grid, cfg, exemplars=pool)
+        assert [row["error"] for row in result.rows] == [
+            "DelimiterCollisionError: exemplar input contains the closing "
+            "delimiter '}'"]
+        assert [s.calls for s in services.values()] == [0, 0, 0, 0]
 
     def test_few_shot_cells_need_exemplars(self, mock_ep, sentiment_records):
         grid = SweepGrid(templates=(TEMPLATES["contrastive"],),

@@ -172,6 +172,19 @@ class TestRenderPrompt:
         with pytest.raises(DelimiterCollisionError):
             render_prompt(make_request(input_text="bad } text"))
 
+    @pytest.mark.parametrize("kwargs, what", [
+        ({"input_text": "bad } text"}, "input_text"),
+        ({"exemplars": (Exemplar("bad } text", "fine text"),)}, "exemplar input"),
+        ({"exemplars": (Exemplar("fine text", "bad } text"),)}, "exemplar output"),
+    ], ids=["input", "exemplar-input", "exemplar-output"])
+    def test_collision_refused_when_the_request_is_built(self, kwargs, what):
+        with pytest.raises(DelimiterCollisionError,
+                           match=f"^{what} contains the closing delimiter '}}'$"):
+            make_request(**kwargs)
+        # The same texts are fine inside a pair they do not close.
+        assert render_prompt(make_request(delimiter=DELIMITERS["square"],
+                                          **kwargs))
+
     def test_four_template_variants_exist(self):
         assert len(TEMPLATES) == 4
 

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from restyle.mocks import (
 from restyle.prompts import TransferRequest, parse_style, render_cloze
 from restyle.reranking import (
     PROB_FLOOR,
+    STRENGTH_SOURCES,
     Candidate,
     RerankConfig,
     RerankScore,
@@ -213,7 +216,7 @@ class TestRerank:
         return TransferRequest(input_text=text, source_style=POS,
                                target_style=NEG)
 
-    def test_argmax_of_stub_composites(self, monkeypatch):
+    def test_argmax_of_stub_composites(self, monkeypatch, mock_ep):
         composites = [-2.0, -1.0, -5.0]
 
         def stub(req, pool, cfg):
@@ -222,16 +225,17 @@ class TestRerank:
 
         monkeypatch.setattr("restyle.reranking.score_pool", stub)
         pool = make_pool("a", "b", "c")
-        winner, scores = rerank(self.request(), pool, RerankConfig())
+        winner, scores = rerank(self.request(), pool,
+                                RerankConfig(endpoints=mock_ep))
         assert winner.index == 1
         assert [s.composite for s in scores] == composites
 
-    def test_all_equal_composites_tie_to_first(self, monkeypatch):
+    def test_all_equal_composites_tie_to_first(self, monkeypatch, mock_ep):
         monkeypatch.setattr("restyle.reranking.score_pool",
                             lambda req, pool, cfg: [RerankScore(-1.0, 0.0, None, -1.0)
                                                     for _ in pool])
         pool = make_pool("a", "b", "c")
-        winner, _ = rerank(self.request(), pool, RerankConfig())
+        winner, _ = rerank(self.request(), pool, RerankConfig(endpoints=mock_ep))
         assert winner.index == 0
 
     def test_adversarial_copy_vs_flip(self, mock_ep):
@@ -276,7 +280,8 @@ class TestRerank:
             def score_tokens(self, text):
                 raise AssertionError("score endpoint must not be called")
 
-        ep = BackendEndpoints(score=Exploding(), fill_mask="mock://sentiment",
+        ep = BackendEndpoints(complete="mock://lexicon-flip", score=Exploding(),
+                              fill_mask="mock://sentiment",
                               embed="mock://hash-embed")
         cfg = RerankConfig(use_fluency=False, endpoints=ep)
         pool = make_pool("the food was bad", "the food was good")
@@ -308,7 +313,8 @@ class TestRerank:
             def fill_mask(self, text, labels):
                 raise AssertionError("cloze endpoint must not be called")
 
-        ep = BackendEndpoints(fill_mask=Exploding(),
+        ep = BackendEndpoints(complete="mock://lexicon-flip",
+                              fill_mask=Exploding(),
                               classifier=SentimentMaskBackend(),
                               embed="mock://hash-embed",
                               score="mock://uniform")
@@ -324,9 +330,9 @@ class TestRerank:
             assert worse_sim + base.log_strength + base.log_fluency < base.composite
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
             RerankConfig(k=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strength_source must be one of"):
             RerankConfig(strength_source="oracle")
         with pytest.raises(ValueError, match="max_new_tokens"):
             RerankConfig(max_new_tokens=0)
@@ -339,7 +345,8 @@ class TestRerank:
             RerankConfig(decode=DecodeConfig(beam_width=0))
         with pytest.raises(ValueError, match="beam_width must be >= the 5 "):
             RerankConfig(k=5, decode=DecodeConfig(beam_width=3))
-        RerankConfig(k=5, decode=DecodeConfig(mode="sample", beam_width=3))
+        RerankConfig(k=5, decode=DecodeConfig(mode="sample", beam_width=3),
+                     endpoints=mock_endpoints())
         with pytest.raises(ValueError, match="max_retries"):
             RerankConfig(endpoints=BackendEndpoints(max_retries=0))
 
@@ -350,6 +357,39 @@ class TestRerank:
         with pytest.raises(ValueError,
                            match=f"^use_fluency must be a bool, got {value!r}$"):
             RerankConfig(use_fluency=value)
+
+    @pytest.mark.parametrize("missing", ["complete", "score", "fill_mask", "embed"])
+    @pytest.mark.parametrize("classifier", [None, "mock://sentiment"])
+    @pytest.mark.parametrize("use_fluency", [True, False])
+    @pytest.mark.parametrize("strength_source", STRENGTH_SOURCES)
+    def test_missing_endpoint_refused_when_built(self, strength_source,
+                                                 use_fluency, classifier,
+                                                 missing):
+        # complete and embed always; score with fluency; fill_mask unless a
+        # classifier answers strength, as the cloze answers it without one.
+        needed = {"complete": True, "embed": True, "score": use_fluency,
+                  "fill_mask": not (classifier and
+                                    strength_source == "external_classifier")}
+        endpoints = mock_endpoints(classifier=classifier, **{missing: None})
+        settings = dict(strength_source=strength_source,
+                        use_fluency=use_fluency, endpoints=endpoints)
+        for build in (lambda: RerankConfig(**settings),
+                      lambda: replace(RerankConfig(endpoints=mock_endpoints()),
+                                      **settings)):
+            if needed[missing]:
+                with pytest.raises(ValueError, match=(
+                        f"^missing backend endpoints: "
+                        f"RESTYLE_{missing.upper()}_URL \\({missing}\\b")):
+                    build()
+            else:
+                assert build().endpoints is endpoints
+
+    def test_every_missing_endpoint_named(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "missing backend endpoints: RESTYLE_COMPLETE_URL (complete), "
+                "RESTYLE_FILL_MASK_URL (fill_mask), RESTYLE_EMBED_URL (embed), "
+                "RESTYLE_SCORE_URL (score, or use_fluency=False)")):
+            RerankConfig()
 
 
 class TestTopBeamBaseline:
@@ -450,8 +490,8 @@ def factor_tables(draw):
 @settings(max_examples=300, deadline=None)
 def test_pruned_rerank_picks_the_full_argmax(tables, use_fluency):
     pool, backend = tables
-    endpoints = BackendEndpoints(embed=backend, fill_mask=backend,
-                                 score=backend)
+    endpoints = BackendEndpoints(complete="mock://lexicon-flip", embed=backend,
+                                 fill_mask=backend, score=backend)
     req = TransferRequest(input_text=_SOURCE, source_style=POS,
                           target_style=NEG)
     winner, scores = rerank(req, pool, RerankConfig(use_fluency=use_fluency,

@@ -48,6 +48,7 @@ from .metrics import (
     corpus_bleu,
     corpus_gleu,
     corpus_perplexity,
+    evaluate,
     exact_match_accuracy,
     ref_sbleu,
     self_sbleu,

@@ -338,8 +338,10 @@ def parse_embedding(body: dict) -> EmbeddingResponse:
 
 
 # The service endpoints: the fields read from RESTYLE_<NAME>_URL and shown
-# in a run manifest's snapshot.
-_SERVICES = ("complete", "score", "fill_mask", "embed", "classifier")
+# in a run manifest's snapshot, each with the method its mock must have.
+_SERVICES = {"complete": "complete", "score": "score_tokens",
+             "fill_mask": "fill_mask", "embed": "embed_tokens",
+             "classifier": "fill_mask"}
 # The protocol settings, each read from RESTYLE_<SETTING>, and the
 # conversion a text value of it goes through.
 _SETTINGS = {"mask_token": str, "timeout": float, "max_retries": int,
@@ -358,8 +360,9 @@ class BackendEndpoints:
     (the attempts per call) and a ``retry_backoff`` >= 0. ``timeout`` and
     ``retry_backoff`` are held as floats, so that equal settings give equal
     run ids. Each set endpoint resolves once, here: to its mock, to the shared
-    HTTP client of its URL and settings, or to itself. Any other string, or
-    a URL its service refuses, raises ValueError naming the field.
+    HTTP client of its URL and settings, or to itself. Any other string, a
+    URL its service refuses, or a mock of the wrong kind (no method for its
+    field's calls) raises ValueError naming the field.
     """
 
     complete: object | str | None = None
@@ -392,7 +395,10 @@ class BackendEndpoints:
             if endpoint.startswith("mock://"):
                 from . import mocks
 
-                return mocks.resolve_mock_url(endpoint)
+                mock = mocks.resolve_mock_url(endpoint)
+                if not hasattr(mock, method := _SERVICES[name]):
+                    raise ValueError(f"{endpoint!r} has no {method} method")
+                return mock
             if not endpoint.startswith(("http://", "https://")):
                 raise ValueError(f"unsupported endpoint URL {endpoint!r}")
             key = (endpoint, self.timeout, self.max_retries, self.retry_backoff)

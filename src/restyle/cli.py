@@ -24,7 +24,7 @@ from .data import (
     load_dataset,
     save_records,
 )
-from .metrics import EvalRow, summarize
+from .metrics import EvalRow, evaluate
 from .pipeline import (
     DEFAULT_JOBS,
     PipelineError,
@@ -251,7 +251,7 @@ def cmd_eval(args) -> int:
     absent = [None] * len(hyps)
     rows = [EvalRow(hyp, src, ref)
             for hyp, src, ref in zip(hyps, srcs or absent, refs or absent)]
-    summary = summarize(rows, BackendEndpoints.from_env())
+    summary = evaluate(rows, BackendEndpoints.from_env())
     _emit({"summary": summary.to_dict()}, args)
     return 0
 

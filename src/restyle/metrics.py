@@ -3,8 +3,9 @@
 Covers corpus-level BLEU-4 against references (r-sBLEU) and against the
 sources (s-sBLEU, high means copying), sentence-level GLEU for error
 correction, corpus token-level perplexity from a scoring backend, classifier
-accuracy, and exact string match. :func:`summarize` computes all of them
-over the rows of a corpus run, re-evaluation, baseline or eval command.
+accuracy, and exact string match. :func:`summarize` folds all of them over
+the rows of a corpus run; :func:`evaluate`, for a re-evaluation, baseline
+or eval command, first asks the services for what the fold needs.
 
 All text passes through :func:`tokenize_eval` first: lowercase, punctuation
 split from word characters, whitespace split. This is a simplified
@@ -447,33 +448,54 @@ def _nonblank(text: str | None) -> str:
     return text if text is not None and text.strip() else ""
 
 
-def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None,
-              *, labels: list[str] | None = None,
-              predicted: Sequence[str | None] | backends.LabelError | None = None,
-              fluency: Sequence[tuple[float, int]] | None = None) -> EvalSummary:
-    """Corpus metrics over ``rows``, each one where its inputs are present.
+class Judge:
+    """The one asker of evaluation inputs: an output's :func:`predict_style`
+    label among ``labels``, and its :func:`reranking.fluency_logprob` pair
+    if there is a score endpoint; a blank output gets None and no call. The
+    first :class:`backends.LabelError` answers every later :meth:`label`
+    with no call, as it depends on the labels, not the text. A thread that
+    asks before it is kept makes its call, which fails alike: no lock."""
+
+    def __init__(self, endpoints: BackendEndpoints | None, labels: Sequence[str] | None):
+        self.endpoints, self.labels, self.error = endpoints, labels, None
+
+    def label(self, text: str) -> str | backends.LabelError | None:
+        if not text.strip():
+            return None
+        if self.error is None:
+            try:
+                return predict_style(self.endpoints, text, self.labels)
+            except backends.LabelError as exc:
+                self.error = exc
+        return self.error
+
+    def fluency(self, text: str) -> tuple[float, int] | None:
+        if text.strip() and self.endpoints and self.endpoints.score is not None:
+            return reranking.fluency_logprob(text, self.endpoints)
+        return None
+
+
+def summarize(rows: Sequence[EvalRow], *, labels: Sequence[str] | None = None,
+              predicted: Sequence[str | backends.LabelError | None] | None = None,
+              fluency: Sequence[tuple[float, int] | None] | None = None) -> EvalSummary:
+    """Corpus metrics over ``rows``, each one where its inputs are present,
+    folded from per-row values with no call (:func:`evaluate` asks for them).
 
     s-sBLEU uses the rows with a non-blank source; r-sBLEU and exact match
-    the rows with a non-blank reference; GLEU the rows with both. Accuracy
-    compares ``predicted`` styles, or else the classifier's pick among
-    ``labels`` (default: :func:`accuracy_labels` of the rows' styles), to the
-    target styles; when the service cannot score one of ``labels`` (a
-    :class:`backends.LabelError` raised, or passed as ``predicted``),
-    accuracy is None and a warning names the labels. PPL comes from
-    ``fluency``, each output's (total log-prob, token count) from a corpus
-    run, or else from /score calls when ``endpoints`` has a score endpoint.
-    When either gives no perplexity (a :class:`MetricError`), PPL is None and a
-    warning says why. BLEU and GLEU are one pass over :func:`row_stats`,
-    the GLEUs summed in row order.
-
-    A blank output scores GLEU 0 for its row, counts as an accuracy miss and
-    adds no tokens to PPL, with no backend call for it. A ``predicted`` list
-    or ``fluency`` of another length than ``rows`` raises MetricError.
+    the rows with a non-blank reference; GLEU the rows with both, a blank
+    output scoring 0. Accuracy compares each row's ``predicted`` label (None
+    a miss) to its target style; a :class:`backends.LabelError` among them
+    leaves accuracy None, with a warning naming ``labels``. PPL folds the
+    ``fluency`` pairs, each a row's (total log-prob, token count) or None,
+    in row order; when they give no perplexity (a :class:`MetricError`), PPL
+    is None and a warning says why. BLEU and GLEU are one pass over
+    :func:`row_stats`, the GLEUs summed in row order. A ``predicted`` or
+    ``fluency`` of another length than ``rows`` raises MetricError.
     """
     if not rows:
         raise MetricError("summarize requires at least one row")
     for name, given in (("predicted", predicted), ("fluency", fluency)):
-        if isinstance(given, Sequence) and len(given) != len(rows):
+        if given is not None and len(given) != len(rows):
             raise MetricError(f"summarize: {name} has {len(given)} entries "
                               f"for {len(rows)} rows")
     by_source = by_reference = gleu_sum = sourced = referenced = scored = 0
@@ -498,33 +520,34 @@ def summarize(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None
         values["exact_match"] = exact / referenced
     if scored:
         values["gleu"] = gleu_sum / scored
-    if predicted is None:
-        if labels is None:
-            labels = accuracy_labels(endpoints, (
-                style for row in rows
-                for style in (row.source_style, row.target_style)))
-        if labels is not None:
-            try:  # no call after the first LabelError
-                predicted = [predict_style(endpoints, row.output, labels)
-                             if row.output.strip() else None for row in rows]
-            except backends.LabelError as exc:
-                predicted = exc
-    if isinstance(predicted, backends.LabelError):
+    if error := next((label for label in predicted or ()
+                      if isinstance(label, backends.LabelError)), None):
         logger.warning("accuracy not measured: the service cannot score the "
-                       "labels %s (%s)", ", ".join(labels or ()), predicted)
+                       "labels %s (%s)", ", ".join(labels or ()), error)
     elif predicted is not None:
         hits = sum(label is not None and label == row.target_style
                    for label, row in zip(predicted, rows))
         values["accuracy"] = hits / len(rows)
     try:
-        if fluency is not None:
-            values["ppl"] = perplexity_from_totals(fluency)
-        elif endpoints is not None and endpoints.score is not None:
-            if outputs := [row.output for row in rows if row.output.strip()]:
-                values["ppl"] = corpus_perplexity(outputs, endpoints)
+        if pairs := [pair for pair in fluency or () if pair is not None]:
+            values["ppl"] = perplexity_from_totals(pairs)
     except MetricError as exc:
         logger.warning("perplexity not measured: %s", exc)
     return EvalSummary(**values)
+
+
+def evaluate(rows: Sequence[EvalRow], endpoints: BackendEndpoints | None = None,
+             *, labels: Sequence[str] | None = None) -> EvalSummary:
+    """:func:`summarize` of ``rows`` with what a :class:`Judge` asks
+    ``endpoints``: first every output's label among ``labels`` (default:
+    :func:`accuracy_labels` of the rows' styles), then its fluency pair."""
+    if labels is None:
+        labels = accuracy_labels(endpoints, (
+            style for row in rows for style in (row.source_style, row.target_style)))
+    judge = Judge(endpoints, labels)
+    predicted = None if labels is None else [judge.label(row.output) for row in rows]
+    return summarize(rows, labels=labels, predicted=predicted,
+                     fluency=[judge.fluency(row.output) for row in rows])
 
 
 # Column order for the prompt-design sweep table.

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import backends, metrics
-from .backends import BackendError, CompletionRequest, LabelError, check_count
+from .backends import BackendError, CompletionRequest, check_count
 from .data import DatasetError, StylePairRecord
 from .metrics import SWEEP_CSV_COLUMNS, EvalRow, EvalSummary, MetricError
 from .prompts import (
@@ -47,7 +47,6 @@ from .reranking import (
     RerankConfig,
     RerankScore,
     asks_classifier,
-    fluency_logprob,
     rerank,
     top_beam_baseline,
 )
@@ -188,7 +187,8 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     records and the run continues; the run itself fails only if every
     example fails. Records keep dataset order no matter the completion
     order, and per-example seeds derive from the run seed plus the record
-    position.
+    position. Each winner's accuracy label and fluency pair come from the
+    run's :class:`metrics.Judge`, unless its rerank scores already hold them.
     """
     if not records:
         raise PipelineError("transfer_corpus requires a non-empty record list")
@@ -199,13 +199,9 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     # two styles as the only labels, the winner's strength likelihoods answer it.
     reuse = (asks_classifier(cfg.endpoints, cfg.strength_source)
              == asks_classifier(cfg.endpoints) and len(labels or ()) == 2)
-    # A label error depends on the label set, not on the text, so the first
-    # one answers every later accuracy call of the run. A worker that looked
-    # before it was set makes its call, which fails alike: no lock needed.
-    label_error: LabelError | None = None
+    judge = metrics.Judge(cfg.endpoints, labels)
 
     def one(item: tuple[int, StylePairRecord]):
-        nonlocal label_error
         index, rec = item
         base = rec.to_dict()
         try:
@@ -213,24 +209,10 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
                 plan.request_for(rec), cfg,
                 seed=None if seed is None else seed + index,
                 example_id=rec.id)
-            if reuse:
-                predicted = metrics.top_label(score.strength_scores)
-            elif label_error is not None:
-                predicted = label_error
-            else:
-                try:
-                    predicted = metrics.predict_style(cfg.endpoints,
-                                                      winner.text, labels)
-                except LabelError as exc:
-                    # The run's accuracy is absent; the transfer stands.
-                    predicted = label_error = exc
-            if cfg.use_fluency:
-                fluency = score.log_fluency, score.fluency_tokens
-            elif cfg.endpoints.score is not None:
-                # Scored here, so a failed /score call fails only this example.
-                fluency = fluency_logprob(winner.text, cfg.endpoints)
-            else:
-                fluency = None
+            predicted = (metrics.top_label(score.strength_scores) if reuse
+                         else judge.label(winner.text))
+            fluency = ((score.log_fluency, score.fluency_tokens)
+                       if cfg.use_fluency else judge.fluency(winner.text))
         except (BackendError, PipelineError, ValueError) as exc:
             logger.warning("example %s failed: %s", rec.id, exc)
             return {**base, "error": f"{type(exc).__name__}: {exc}"}, None, None
@@ -250,15 +232,9 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
             f"all {len(records)} examples failed; first error: "
             f"{out_records[0].get('error')}"
         )
-    # Every example holds its winner's (log-prob, tokens) pair, or none does.
-    fluency = None if done[0][2] is None else [f for _, _, f in done]
-    predicted = [p for _, p, _ in done]
-    # One label the service cannot score leaves the run's accuracy absent.
-    predicted = next((p for p in predicted if isinstance(p, LabelError)),
-                     predicted)
     summary = metrics.summarize(
-        [_eval_row(record) for record, _, _ in done], cfg.endpoints,
-        labels=labels, predicted=predicted, fluency=fluency)
+        [_eval_row(record) for record, _, _ in done], labels=labels,
+        predicted=[p for _, p, _ in done], fluency=[f for _, _, f in done])
     config = _run_config(plan, cfg, seed=seed)
     run_id = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()[:12]
@@ -356,7 +332,7 @@ def reevaluate_manifest(manifest: RunManifest) -> EvalSummary:
     # The label set spans every record, failed ones too, as in the run.
     labels = metrics.accuracy_labels(endpoints, (
         r[key] for r in manifest.records for key in ("source_style", "target_style")))
-    return metrics.summarize([_eval_row(r) for r in ok], endpoints, labels=labels)
+    return metrics.evaluate([_eval_row(r) for r in ok], endpoints, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -487,11 +463,11 @@ def copy_baseline(records: list[StylePairRecord],
     """Evaluate the do-nothing baseline that outputs every source verbatim.
 
     s-sBLEU is 100 by construction. The other metrics follow
-    :func:`metrics.summarize`: reference metrics where references exist,
+    :func:`metrics.evaluate`: reference metrics where references exist,
     classifier accuracy and perplexity where ``endpoints`` allow them.
     """
     if not records:
         raise PipelineError("copy_baseline requires a non-empty record list")
-    return metrics.summarize(
+    return metrics.evaluate(
         [EvalRow(r.source, r.source, r.reference, r.source_style,
                  r.target_style) for r in records], endpoints)

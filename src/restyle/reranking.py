@@ -54,7 +54,8 @@ class RerankConfig:
     The settings are checked when built, so the constructor,
     ``dataclasses.replace``, :func:`restyle.pipeline.transfer_corpus`,
     :func:`restyle.pipeline.run_sweep` and the CLI meet the same rules. Last
-    come the endpoints a run calls: ``complete`` and ``embed`` always,
+    come ``endpoints``, which must be a :class:`BackendEndpoints`, and the
+    endpoints a run calls: ``complete`` and ``embed`` always,
     ``score`` with ``use_fluency``, and ``fill_mask`` unless
     :func:`asks_classifier` sends every label question to the classifier.
     ValueError names each one missing and the RESTYLE_*_URL variable
@@ -78,6 +79,9 @@ class RerankConfig:
             raise ValueError(
                 f"strength_source must be one of {STRENGTH_SOURCES}"
             )
+        if not isinstance(self.endpoints, BackendEndpoints):
+            raise ValueError(
+                f"endpoints must be a BackendEndpoints, got {self.endpoints!r}")
         missing = [f"RESTYLE_{name.upper()}_URL ({name}{hint})"
                    for name, needed, hint in (
                        ("complete", True, ""),

@@ -694,6 +694,23 @@ MALFORMED_ENDPOINTS = [
                  id="mock-refuses-dim"),
     pytest.param("complete", "mock://lexicon-flip?plant=last",
                  "plant must be 'first' or 'seed'", id="mock-refuses-plant"),
+    # A mock of the wrong kind for its field: it has no method for the calls
+    # made to that field.
+    pytest.param("score", "mock://sentiment",
+                 "'mock://sentiment' has no score_tokens method",
+                 id="wrong-kind-score"),
+    pytest.param("complete", "mock://uniform",
+                 "'mock://uniform' has no complete method",
+                 id="wrong-kind-complete"),
+    pytest.param("fill_mask", "mock://hash-embed",
+                 "'mock://hash-embed' has no fill_mask method",
+                 id="wrong-kind-fill-mask"),
+    pytest.param("embed", "mock://echo",
+                 "'mock://echo' has no embed_tokens method",
+                 id="wrong-kind-embed"),
+    pytest.param("classifier", "mock://lexicon-flip",
+                 "'mock://lexicon-flip' has no fill_mask method",
+                 id="wrong-kind-classifier"),
 ]
 
 

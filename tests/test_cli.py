@@ -178,6 +178,23 @@ class TestTransfer:
                                        "backend 'mock://hash-embd'\n")
         assert server.requests == []
 
+    def test_wrong_kind_mock_exits_2_before_any_call(
+            self, mock_env, dataset_path, monkeypatch, capsys):
+        # The sentiment mock fills masks and scores no tokens: refused as the
+        # environment is read, not at the first /score call of the run.
+        with LoopbackServer() as server:
+            for service in ("COMPLETE", "FILL_MASK", "EMBED"):
+                monkeypatch.setenv(f"RESTYLE_{service}_URL",
+                                   f"{server.url}/{service.lower()}")
+            monkeypatch.setenv("RESTYLE_SCORE_URL", "mock://sentiment")
+            code = main(["transfer", "--dataset", dataset_path,
+                         "--from", "positive", "--to", "negative"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: score endpoint: "
+                                       "'mock://sentiment' has no score_tokens "
+                                       "method\n")
+        assert server.requests == []
+
     def test_colliding_exemplar_exits_2_before_any_call(
             self, mock_env, dataset_path, tmp_path, monkeypatch, capsys):
         # Refused as the run's plan is built, not once per example.

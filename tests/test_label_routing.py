@@ -68,8 +68,10 @@ def counters(monkeypatch):
 @pytest.mark.parametrize("classifier", [CLASSIFIER, None],
                          ids=["classifier", "no-classifier"])
 @pytest.mark.parametrize("strength_source", ["mlm_cloze", "external_classifier"])
+@pytest.mark.parametrize("use_fluency", [True, False], ids=["fluency", "no-fluency"])
 def test_each_label_function_counts_its_service(sentiment_records, counters,
-                                                strength_source, classifier):
+                                                strength_source, classifier,
+                                                use_fluency):
     ep = mock_endpoints(plant="seed", classifier=classifier)
     strength_asks = ("classify" if strength_source == "external_classifier"
                      and classifier else "fill_mask")
@@ -78,7 +80,8 @@ def test_each_label_function_counts_its_service(sentiment_records, counters,
 
     manifest = transfer_corpus(
         sentiment_records, RequestTemplate(),
-        RerankConfig(k=3, strength_source=strength_source, endpoints=ep),
+        RerankConfig(k=3, strength_source=strength_source,
+                     use_fluency=use_fluency, endpoints=ep),
         jobs=1, seed=3)
     assert len(manifest.successful_records()) == n
     strength_calls = sum(

@@ -14,15 +14,17 @@ from oracles import (
     oracle_tokenize,
 )
 from restyle import metrics
-from restyle.backends import BackendEndpoints, MaskFillResponse
+from restyle.backends import BackendEndpoints, LabelError, MaskFillResponse
 from restyle.metrics import (
     EvalRow,
     EvalSummary,
+    Judge,
     MetricError,
     classifier_accuracy,
     corpus_bleu,
     corpus_gleu,
     corpus_perplexity,
+    evaluate,
     exact_match_accuracy,
     perplexity_from_totals,
     predict_style,
@@ -34,6 +36,7 @@ from restyle.metrics import (
     top_label,
 )
 from restyle.mocks import SentimentMaskBackend, UniformScoreBackend
+from restyle.reranking import fluency_logprob
 
 VOCAB = ["the", "cat", "sat", "mat", "dog", "ran", "big", "red"]
 
@@ -573,8 +576,8 @@ class TestSummarize:
     def test_fluency_totals_win_over_score_calls(self):
         ep = BackendEndpoints(score=UniformScoreBackend(vocab_size=7))
         rows = [EvalRow("the cat sat")]
-        assert summarize(rows, ep).ppl == pytest.approx(7.0)
-        assert summarize(rows, ep, fluency=[(-3.0, 3)]).ppl == pytest.approx(math.e)
+        assert evaluate(rows, ep).ppl == pytest.approx(7.0)
+        assert summarize(rows, fluency=[(-3.0, 3)]).ppl == pytest.approx(math.e)
 
     def test_accuracy_needs_two_labels_and_a_classifier(self):
         ep = BackendEndpoints(fill_mask=SentimentMaskBackend())
@@ -582,11 +585,11 @@ class TestSummarize:
                 EvalRow("bad food", source_style="positive", target_style="negative")]
         one_way = [EvalRow("good food", source_style="negative",
                            target_style="negative")]
-        assert summarize(both, ep).accuracy == 1.0
+        assert evaluate(both, ep).accuracy == 1.0
         assert summarize(both).accuracy is None
-        assert summarize(one_way, ep).accuracy is None
-        assert summarize(one_way, ep, labels=["negative", "positive"]).accuracy == 0.0
-        assert summarize(both, ep, predicted=["negative", "negative"]).accuracy == 0.5
+        assert evaluate(one_way, ep).accuracy is None
+        assert evaluate(one_way, ep, labels=["negative", "positive"]).accuracy == 0.0
+        assert summarize(both, predicted=["negative", "negative"]).accuracy == 0.5
 
     @pytest.mark.parametrize("given, message", [
         ({"predicted": ["x"]}, "predicted has 1 entries for 2 rows"),
@@ -621,7 +624,7 @@ class TestSummarize:
         ep = BackendEndpoints(classifier=classifier, score=scorer)
         rows = [EvalRow("good food", "bad food", "good food", "negative", "positive"),
                 EvalRow(" \t", "bad day", "good day", "negative", "positive")]
-        summary = summarize(rows, ep)
+        summary = evaluate(rows, ep)
         assert summary.gleu == sentence_gleu("bad food", "good food", "good food") / 2
         assert summary.accuracy == 0.5
         assert summary.ppl == pytest.approx(7.0)
@@ -643,7 +646,7 @@ class TestSummarize:
         rows = [EvalRow("good food", "bad food", "good food", "negative", "formal"),
                 EvalRow("bad day", "good day", "bad day", "positive", "negative")]
         with caplog.at_level("WARNING"):
-            summary = summarize(rows, ep)
+            summary = evaluate(rows, ep)
         assert summary.accuracy is None
         assert summary.exact_match == 1.0
         assert summary.ppl == pytest.approx(7.0)
@@ -655,4 +658,54 @@ class TestSummarize:
 
     def test_only_blank_outputs_leave_ppl_absent(self):
         ep = BackendEndpoints(score=UniformScoreBackend(vocab_size=7))
-        assert summarize([EvalRow(""), EvalRow("  ")], ep).ppl is None
+        assert evaluate([EvalRow(""), EvalRow("  ")], ep).ppl is None
+
+    def test_folds_a_label_error_with_no_call(self, caplog):
+        # summarize takes no endpoints: a LabelError among the per-row
+        # labels leaves accuracy absent, and PPL folds the pairs it is given.
+        rows = [EvalRow("good food", target_style="negative"),
+                EvalRow(" ", target_style="negative")]
+        error = LabelError({"formal": "label not in backend vocabulary"})
+        with caplog.at_level("WARNING"):
+            summary = summarize(rows, labels=["formal", "negative"],
+                                predicted=["negative", error],
+                                fluency=[(-3.0, 3), None])
+        assert summary.accuracy is None
+        assert summary.ppl == pytest.approx(math.e)
+        assert [r.getMessage() for r in caplog.records] == [
+            "accuracy not measured: the service cannot score the labels "
+            "formal, negative (label errors: formal: label not in backend "
+            "vocabulary)"]
+
+
+class TestJudge:
+    def test_first_label_error_answers_every_later_ask(self):
+        class Counting(SentimentMaskBackend):
+            calls = 0
+
+            def fill_mask(self, text, labels):
+                self.calls += 1
+                return super().fill_mask(text, labels)
+
+        mask = Counting()
+        judge = Judge(BackendEndpoints(fill_mask=mask), ["formal", "negative"])
+        assert judge.label(" \t") is None
+        first = judge.label("good food")
+        assert isinstance(first, LabelError)
+        assert judge.label("bad day") is first
+        assert judge.label("") is None
+        assert mask.calls == 1
+
+    def test_label_is_the_predicted_style(self):
+        ep = BackendEndpoints(fill_mask=SentimentMaskBackend())
+        judge = Judge(ep, ["negative", "positive"])
+        assert [judge.label(t) for t in ("good food", "bad food")] == [
+            predict_style(ep, t, ["negative", "positive"])
+            for t in ("good food", "bad food")] == ["positive", "negative"]
+
+    def test_fluency_only_with_a_score_endpoint_and_a_text(self):
+        ep = BackendEndpoints(score=UniformScoreBackend(vocab_size=7))
+        assert Judge(ep, None).fluency("the cat") == fluency_logprob("the cat", ep)
+        assert Judge(ep, None).fluency("  ") is None
+        assert Judge(BackendEndpoints(), None).fluency("the cat") is None
+        assert Judge(None, None).fluency("the cat") is None

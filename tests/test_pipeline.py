@@ -681,13 +681,13 @@ class TestTransferCorpus:
         manifest = transfer_corpus(sentiment_records, RequestTemplate(),
                                    RerankConfig(k=3, endpoints=ep), seed=5)
         seen = []
-        real_summarize = metrics.summarize
+        real_evaluate = metrics.evaluate
 
-        def summarize(rows, endpoints, **kwargs):
+        def evaluate(rows, endpoints, **kwargs):
             seen.append(endpoints)
-            return real_summarize(rows, endpoints, **kwargs)
+            return real_evaluate(rows, endpoints, **kwargs)
 
-        monkeypatch.setattr(metrics, "summarize", summarize)
+        monkeypatch.setattr(metrics, "evaluate", evaluate)
         assert reevaluate_manifest(manifest) == manifest.summary
         assert (seen[0].timeout, seen[0].max_retries) == (120.0, 7)
         assert seen[0].snapshot() == manifest.config["endpoints"]

@@ -391,6 +391,16 @@ class TestRerank:
                 "RESTYLE_SCORE_URL (score, or use_fluency=False)")):
             RerankConfig()
 
+    @pytest.mark.parametrize("endpoints", [None, "mock://lexicon-flip", {}],
+                             ids=["none", "url", "dict"])
+    def test_endpoints_must_be_backend_endpoints(self, endpoints, mock_ep):
+        # Refused by name, not with an AttributeError from the endpoint check.
+        message = f"endpoints must be a BackendEndpoints, got {endpoints!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RerankConfig(endpoints=endpoints)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(RerankConfig(endpoints=mock_ep), endpoints=endpoints)
+
 
 class TestTopBeamBaseline:
     def test_highest_gen_score_wins(self):

@@ -474,6 +474,21 @@ class _IdleConnectionClosed(Exception):
     """A reused connection failed before any response byte arrived."""
 
 
+class _Pending:
+    """One written attempt of a POST: its body, the connection it went out
+    on and whether that connection was reused, or the fault that stopped it
+    before it was written. ``fileno`` is its connection's, so a selector can
+    wait for the answer."""
+
+    __slots__ = ("data", "conn", "reused", "fault")
+
+    def __init__(self, data: bytes, conn, reused: bool):
+        self.data, self.conn, self.reused, self.fault = data, conn, reused, None
+
+    def fileno(self) -> int:
+        return self.conn.sock.fileno()
+
+
 def _delta_seconds(retry_after: str | None) -> float:
     """A Retry-After header in its delta-seconds form, else 0; an HTTP date
     is not read."""
@@ -624,12 +639,16 @@ class _HttpService:
     """POSTs JSON to one endpoint URL over pooled keep-alive connections.
 
     It is transport only: each 200 answer is decoded and handed to the
-    endpoint's ``parse_*`` function (see :meth:`_call`).
+    endpoint's ``parse_*`` function (see :meth:`_call`). A call is two
+    halves: :meth:`send` writes its first attempt and :meth:`receive` reads
+    the answer, retrying as below, so one thread can have a call out on
+    each of several connections (:class:`Call`); the blocking :meth:`_call`
+    is ``receive(send(...))``.
 
     One client serves every call to its endpoint (see :class:`BackendEndpoints`).
-    Idle connections wait in a lock-protected list; a round trip checks one
+    Idle connections wait in a lock-protected list; an attempt checks one
     out and returns it only after reading the whole response, and a
-    connection whose round trip raised is closed instead. What the
+    connection whose attempt raised is closed instead. What the
     environment contributes (the proxy from ``getproxies``/``proxy_bypass``
     and the TLS context with the system CA store) is resolved once, here,
     and so is the request head.
@@ -650,7 +669,9 @@ class _HttpService:
     delta-seconds Retry-After header waits at least that long before the
     next attempt, but never longer than ``timeout``. A reused connection
     that the server closed while it was idle is replaced at once, with no
-    sleep and no attempt spent.
+    sleep and no attempt spent. A fault while :meth:`send` writes is kept
+    and met by :meth:`receive` as attempt 1's, and every later attempt,
+    backoff included, runs inside :meth:`receive`.
     """
 
     def __init__(self, url: str, timeout: float, max_retries: int,
@@ -736,20 +757,54 @@ class _HttpService:
         sock, conn.sock = conn.sock, None
         return _Connection(sock)
 
-    def _exchange(self, conn: _Connection, data: bytes,
-                  reused: bool) -> tuple[int, bytes, str | None]:
+    def send(self, payload: dict) -> _Pending:
+        """Write attempt 1 of a POST of ``payload``; :meth:`receive` reads
+        its answer."""
+        return self._send(json.dumps(payload, allow_nan=False).encode("utf-8"))
+
+    def _send(self, data: bytes, reuse: bool = True) -> _Pending:
+        """Write ``data`` on an idle connection, if ``reuse`` and there is
+        one, or on a new one; a retried fault is kept in the pending."""
+        conn = None
+        if reuse:
+            with self._lock:
+                conn = self._idle.pop() if self._idle else None
+        pending = _Pending(data, conn, conn is not None)
+        try:
+            if conn is None:
+                pending.conn = conn = self._connect()
+            conn.sock.sendall(b"%s%d%s%s" % (self._head, len(data),
+                                             self._head_end, data))
+        except (OSError, http.client.HTTPException) as exc:
+            pending.fault = exc
+        except BaseException:
+            self.discard(pending)
+            raise
+        return pending
+
+    def discard(self, pending: _Pending) -> None:
+        """Close the connection of a call whose answer will not be read."""
+        if pending.conn is not None:
+            pending.conn.close()
+            pending.conn = None
+
+    def _read(self, pending: _Pending) -> tuple[int, bytes, str | None]:
+        """The status, whole body and Retry-After header answering
+        ``pending``; the connection goes back to the idle list if it stays
+        open."""
+        conn = pending.conn
         try:
             try:
-                conn.sock.sendall(b"%s%d%s%s" % (self._head, len(data),
-                                                 self._head_end, data))
+                if pending.fault is not None:
+                    raise pending.fault
                 status, http10, fields = _read_head(conn.rfile)
             except ConnectionError as exc:
-                if reused:
+                if pending.reused:
                     raise _IdleConnectionClosed() from exc
                 raise
             body, keep_open = _read_body(conn.rfile, status, http10, fields)
         except BaseException:
-            conn.close()
+            self.discard(pending)
             raise
         if keep_open:
             with self._lock:
@@ -758,27 +813,25 @@ class _HttpService:
             conn.close()
         return status, body, fields.get("retry-after")
 
-    def _round_trip(self, data: bytes) -> tuple[int, bytes, str | None]:
-        """POST ``data`` once; the status, the whole response body and the
-        Retry-After header, if any."""
-        with self._lock:
-            conn = self._idle.pop() if self._idle else None
-        if conn is not None:
-            try:
-                return self._exchange(conn, data, reused=True)
-            except _IdleConnectionClosed:
-                pass
-        return self._exchange(self._connect(), data, reused=False)
+    def _attempt(self, pending: _Pending) -> tuple[int, bytes, str | None]:
+        """Finish one attempt; a reused connection closed while idle is
+        replaced by a new one, with no attempt spent."""
+        try:
+            return self._read(pending)
+        except _IdleConnectionClosed:
+            return self._read(self._send(pending.data, reuse=False))
 
-    def _post(self, payload: dict) -> bytes:
-        data = json.dumps(payload, allow_nan=False).encode("utf-8")
+    def receive(self, pending: _Pending, parse):
+        """The answer to the POST :meth:`send` began, decoded and
+        ``parse``-d (see :meth:`_call`), after as many attempts as it takes."""
         wait = 0.0
         for attempt in range(1, self.max_retries + 1):
             if attempt > 1:
                 time.sleep(max(self.backoff * (2 ** (attempt - 2)), wait))
+                pending = self._send(pending.data)
             wait = 0.0
             try:
-                status, raw, retry_after = self._round_trip(data)
+                status, raw, retry_after = self._attempt(pending)
             except ssl.SSLCertVerificationError as exc:
                 # Every attempt would fail the same way.
                 raise TransportError(
@@ -797,7 +850,7 @@ class _HttpService:
                     f"{self.url} answered {status}: {raw[:200].decode('utf-8', 'replace')}",
                     status=status,
                 )
-            return raw
+            return self._parse(raw, parse)
         if failure is None:
             raise ServiceError(
                 f"{self.url} answered {status} on all {self.max_retries} attempts: "
@@ -810,11 +863,7 @@ class _HttpService:
             attempts=self.max_retries,
         )
 
-    def _call(self, payload: dict, parse):
-        """POST ``payload`` and ``parse`` the JSON object answered: an
-        ``{"error"}`` body raises ServiceError, and an invalid or
-        unparsable one MalformedResponseError."""
-        raw = self._post(payload)
+    def _parse(self, raw: bytes, parse):
         try:
             body = json.loads(raw)
         except (ValueError, RecursionError) as exc:
@@ -832,17 +881,34 @@ class _HttpService:
                 f"{self.url} violated the wire contract: {exc}"
             ) from exc
 
+    def _call(self, method: str, *args):
+        """POST the wire form of ``method(*args)`` (:data:`_WIRE`) and parse
+        the JSON object answered: an ``{"error"}`` body raises ServiceError,
+        and an invalid or unparsable one MalformedResponseError."""
+        to_wire, parse = _WIRE[method]
+        return self.receive(self.send(to_wire(*args)), parse)
+
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        return self._call(req.to_wire(), parse_completion)
+        return self._call("complete", req)
 
     def score_tokens(self, text: str) -> TokenScoreResponse:
-        return self._call({"text": text}, parse_token_scores)
+        return self._call("score_tokens", text)
 
     def fill_mask(self, text: str, labels: list[str]) -> MaskFillResponse:
-        return self._call({"text": text, "labels": list(labels)}, parse_mask_fill)
+        return self._call("fill_mask", text, labels)
 
     def embed_tokens(self, text: str) -> EmbeddingResponse:
-        return self._call({"text": text}, parse_embedding)
+        return self._call("embed_tokens", text)
+
+
+# Each service method's request body and the parser of its answer.
+_WIRE = {
+    "complete": (CompletionRequest.to_wire, parse_completion),
+    "score_tokens": (lambda text: {"text": text}, parse_token_scores),
+    "fill_mask": (lambda text, labels: {"text": text, "labels": list(labels)},
+                  parse_mask_fill),
+    "embed_tokens": (lambda text: {"text": text}, parse_embedding),
+}
 
 
 # One client, and so one connection pool, per endpoint setting. Clients live
@@ -864,6 +930,54 @@ def _service(endpoints: BackendEndpoints, name: str, what: str):
     return service
 
 
+class Call:
+    """One backend call, its arguments checked and its service resolved by
+    one of the ``*_call`` functions below, as its blocking twin does them.
+
+    :meth:`run` makes it and returns the response. An HTTP service's call
+    (``remote``) can instead go out in halves: :meth:`send` writes it, and
+    :meth:`receive` reads, retries and parses its answer, so one thread
+    can have several calls out at once. A label call's response must score
+    exactly the labels asked for, whichever way it is made.
+    """
+
+    __slots__ = ("service", "method", "args", "labels", "what")
+
+    def __init__(self, service, method: str, args: tuple,
+                 labels: list[str] | None = None, what: str | None = None):
+        self.service, self.method, self.args = service, method, args
+        self.labels, self.what = labels, what
+
+    @property
+    def remote(self) -> bool:
+        return isinstance(self.service, _HttpService)
+
+    def run(self):
+        return self._checked(getattr(self.service, self.method)(*self.args))
+
+    def send(self) -> _Pending:
+        return self.service.send(_WIRE[self.method][0](*self.args))
+
+    def receive(self, pending: _Pending):
+        return self._checked(self.service.receive(pending, _WIRE[self.method][1]))
+
+    def discard(self, pending: _Pending) -> None:
+        """Drop a sent call whose answer will not be read."""
+        self.service.discard(pending)
+
+    def _checked(self, resp):
+        if self.labels is None:
+            return resp
+        return _scores_labels(resp, self.labels, self.what)
+
+
+# Each call function below checks its arguments and resolves its service in
+# one helper, which its ``*_call`` twin shares.
+
+def complete_call(endpoints: BackendEndpoints, req: CompletionRequest) -> Call:
+    return Call(_service(endpoints, "complete", "completion"), "complete", (req,))
+
+
 def complete(endpoints: BackendEndpoints, req: CompletionRequest) -> CompletionResponse:
     """Request ``req.num_candidates`` continuations of the prompt.
 
@@ -873,49 +987,92 @@ def complete(endpoints: BackendEndpoints, req: CompletionRequest) -> CompletionR
     return _service(endpoints, "complete", "completion").complete(req)
 
 
-def score_tokens(endpoints: BackendEndpoints, text: str) -> TokenScoreResponse:
-    """Per-token conditional log-probabilities of ``text`` under the fluency model."""
+def _scorer(endpoints: BackendEndpoints, text: str):
     if not text.strip():
         raise ValueError("text to score must be non-empty")
-    return _service(endpoints, "score", "token scoring").score_tokens(text)
+    return _service(endpoints, "score", "token scoring")
 
 
-def _label_likelihoods(endpoints: BackendEndpoints, name: str, what: str,
-                       text: str, labels: list[str]) -> MaskFillResponse:
-    """Raw likelihoods of two or more distinct labels from a /fill_mask-shaped
-    service, which must score exactly the labels asked for."""
+def score_tokens_call(endpoints: BackendEndpoints, text: str) -> Call:
+    return Call(_scorer(endpoints, text), "score_tokens", (text,))
+
+
+def score_tokens(endpoints: BackendEndpoints, text: str) -> TokenScoreResponse:
+    """Per-token conditional log-probabilities of ``text`` under the fluency model."""
+    return _scorer(endpoints, text).score_tokens(text)
+
+
+def _labeller(endpoints: BackendEndpoints, name: str, what: str,
+              labels: list[str]):
+    """The /fill_mask-shaped service of ``name``, asked for the raw
+    likelihoods of two or more distinct labels."""
     if len(set(labels)) < 2:
         raise ValueError(f"{what} needs at least 2 distinct labels")
-    resp = _service(endpoints, name, what).fill_mask(text, list(labels))
+    return _service(endpoints, name, what)
+
+
+def _scores_labels(resp: MaskFillResponse, labels: list[str],
+                   what: str) -> MaskFillResponse:
+    """``resp`` if it scores exactly the labels asked for."""
     if set(resp.scores) != set(labels):
         raise MalformedResponseError(
             f"{what} response labels do not match the requested set")
     return resp
 
 
-def fill_mask(endpoints: BackendEndpoints, cloze: str,
-              labels: list[str]) -> MaskFillResponse:
-    """Raw likelihoods of each label at the mask position of a cloze statement."""
+def _masker(endpoints: BackendEndpoints, cloze: str, labels: list[str]):
     if cloze.count(endpoints.mask_token) != 1:
         raise ValueError(
             f"cloze must contain exactly one {endpoints.mask_token!r} token"
         )
-    return _label_likelihoods(endpoints, "fill_mask", "mask filling",
-                              cloze, labels)
+    return _labeller(endpoints, "fill_mask", "mask filling", labels)
+
+
+def fill_mask_call(endpoints: BackendEndpoints, cloze: str,
+                   labels: list[str]) -> Call:
+    return Call(_masker(endpoints, cloze, labels), "fill_mask",
+                (cloze, list(labels)), labels, "mask filling")
+
+
+def fill_mask(endpoints: BackendEndpoints, cloze: str,
+              labels: list[str]) -> MaskFillResponse:
+    """Raw likelihoods of each label at the mask position of a cloze statement."""
+    return _scores_labels(
+        _masker(endpoints, cloze, labels).fill_mask(cloze, list(labels)),
+        labels, "mask filling")
+
+
+def _classifier(endpoints: BackendEndpoints, text: str, labels: list[str]):
+    if not text.strip():
+        raise ValueError("text to classify must be non-empty")
+    return _labeller(endpoints, "classifier", "classifier", labels)
+
+
+def classify_call(endpoints: BackendEndpoints, text: str,
+                  labels: list[str]) -> Call:
+    return Call(_classifier(endpoints, text, labels), "fill_mask",
+                (text, list(labels)), labels, "classifier")
 
 
 def classify(endpoints: BackendEndpoints, text: str,
              labels: list[str]) -> MaskFillResponse:
     """Label likelihoods for plain text from the classifier endpoint; with
     none configured it raises BackendError."""
+    return _scores_labels(
+        _classifier(endpoints, text, labels).fill_mask(text, list(labels)),
+        labels, "classifier")
+
+
+def _embedder(endpoints: BackendEndpoints, text: str):
     if not text.strip():
-        raise ValueError("text to classify must be non-empty")
-    return _label_likelihoods(endpoints, "classifier", "classifier",
-                              text, labels)
+        raise ValueError("text to embed must be non-empty")
+    return _service(endpoints, "embed", "embedding")
+
+
+def embed_tokens_call(endpoints: BackendEndpoints, text: str) -> Call:
+    return Call(_embedder(endpoints, text), "embed_tokens", (text,))
 
 
 def embed_tokens(endpoints: BackendEndpoints, text: str) -> EmbeddingResponse:
     """One contextual embedding vector per token of ``text``."""
-    if not text.strip():
-        raise ValueError("text to embed must be non-empty")
-    return _service(endpoints, "embed", "embedding").embed_tokens(text)
+    return _embedder(endpoints, text).embed_tokens(text)

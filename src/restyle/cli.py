@@ -305,8 +305,9 @@ def _add_generation(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--temperature", type=float,
                         default=DecodeConfig.temperature)
     parser.add_argument("--jobs", type=int, default=DEFAULT_JOBS,
-                        help="examples in flight: 1 runs them in the calling "
-                             "thread, N>1 on N worker threads")
+                        help="most examples in flight, all on one thread: "
+                             "N>1 keeps up to N HTTP calls out at once, at "
+                             "most N connections per endpoint")
     parser.add_argument("--prompt-config", default=None,
                         help="JSON file adding templates/delimiters")
 

@@ -453,25 +453,43 @@ class Judge:
     label among ``labels``, and its :func:`reranking.fluency_logprob` pair
     if there is a score endpoint; a blank output gets None and no call. The
     first :class:`backends.LabelError` answers every later :meth:`label`
-    with no call, as it depends on the labels, not the text. A thread that
-    asks before it is kept makes its call, which fails alike: no lock."""
+    with no call, as it depends on the labels, not the text.
+
+    :meth:`label_steps` and :meth:`fluency_steps` are the same asks as
+    sans-IO steps (:mod:`restyle.reranking` lists the asks), which a corpus
+    run's examples yield; :meth:`label` and :meth:`fluency` answer them at
+    once. Labels with no classifier or fill-mask endpoint to ask raise
+    ValueError when the judge is built.
+    """
 
     def __init__(self, endpoints: BackendEndpoints | None, labels: Sequence[str] | None):
+        if labels is not None and (endpoints is None or (
+                endpoints.classifier is None and endpoints.fill_mask is None)):
+            raise ValueError(
+                f"accuracy over the labels {', '.join(labels)} needs a "
+                "classifier or fill_mask endpoint (RESTYLE_CLASSIFIER_URL or "
+                "RESTYLE_FILL_MASK_URL)")
         self.endpoints, self.labels, self.error = endpoints, labels, None
 
     def label(self, text: str) -> str | backends.LabelError | None:
+        return reranking.drive(self.label_steps(text), self.endpoints)
+
+    def label_steps(self, text: str):
         if not text.strip():
             return None
         if self.error is None:
             try:
-                return predict_style(self.endpoints, text, self.labels)
+                return top_label((yield "label", text, self.labels))
             except backends.LabelError as exc:
                 self.error = exc
         return self.error
 
     def fluency(self, text: str) -> tuple[float, int] | None:
+        return reranking.drive(self.fluency_steps(text), self.endpoints)
+
+    def fluency_steps(self, text: str):
         if text.strip() and self.endpoints and self.endpoints.score is not None:
-            return reranking.fluency_logprob(text, self.endpoints)
+            return (yield "fluency", text)
         return None
 
 

@@ -20,11 +20,10 @@ import itertools
 import json
 import logging
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
-from . import backends, metrics
+from . import backends, metrics, reranking
 from .backends import BackendError, CompletionRequest, check_count
 from .data import DatasetError, StylePairRecord
 from .metrics import SWEEP_CSV_COLUMNS, EvalRow, EvalSummary, MetricError
@@ -48,6 +47,7 @@ from .reranking import (
     RerankScore,
     asks_classifier,
     rerank,
+    rerank_steps,
     top_beam_baseline,
 )
 
@@ -97,8 +97,26 @@ def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
     strength likelihoods, which spare the corpus summary a second /score
     call and, when accuracy asks the service strength asked, a label call.
     """
+    prompt, creq = _completion_request(req, cfg, seed)
+    raw, pool = _candidates(backends.complete(cfg.endpoints, creq), req,
+                            example_id)
+    return _outcome(prompt, raw, pool, *rerank(req, pool, cfg), example_id)
+
+
+def _transfer_steps(req: TransferRequest, cfg: RerankConfig, *,
+                    seed: int | None, example_id: str | None):
+    """:func:`transfer_one` as sans-IO steps: it yields the ``complete``
+    ask, then the rerank's (:func:`reranking.rerank_steps`)."""
+    prompt, creq = _completion_request(req, cfg, seed)
+    raw, pool = _candidates((yield "complete", creq), req, example_id)
+    winner_scores = yield from rerank_steps(req, pool, cfg)
+    return _outcome(prompt, raw, pool, *winner_scores, example_id)
+
+
+def _completion_request(req: TransferRequest, cfg: RerankConfig,
+                        seed: int | None) -> tuple[str, CompletionRequest]:
     prompt = render_prompt(req)
-    creq = CompletionRequest(
+    return prompt, CompletionRequest(
         prompt=prompt,
         max_new_tokens=cfg.max_new_tokens,
         num_candidates=cfg.k,
@@ -106,7 +124,11 @@ def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
         seed=seed,
         decode=cfg.decode,
     )
-    resp = backends.complete(cfg.endpoints, creq)
+
+
+def _candidates(resp, req: TransferRequest, example_id: str | None
+                ) -> tuple[list[dict], list[Candidate]]:
+    """The raw completions and the pool of their non-empty extractions."""
     raw = [{"text": g.text, "gen_score": g.gen_score} for g in resp.candidates]
     pool = []
     for i, gen in enumerate(resp.candidates):
@@ -119,7 +141,12 @@ def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
             f"empty extraction pool for example {example_id!r}: "
             f"all {len(raw)} candidates extracted to empty text"
         )
-    winner, scores = rerank(req, pool, cfg)
+    return raw, pool
+
+
+def _outcome(prompt: str, raw: list[dict], pool: list[Candidate],
+             winner: Candidate, scores: list[RerankScore],
+             example_id: str | None) -> tuple[Candidate, dict, RerankScore]:
     baseline = top_beam_baseline(pool)
     record = {
         "id": example_id,
@@ -137,6 +164,79 @@ def transfer_one(req: TransferRequest, cfg: RerankConfig, *,
         "baseline": baseline.text,
     }
     return winner, record, scores[pool.index(winner)]
+
+
+def _window(examples: Iterable, jobs: int,
+            endpoints: backends.BackendEndpoints) -> list:
+    """What each generator of ``examples`` returns, in their order, with up
+    to ``jobs`` of them in flight on this thread.
+
+    An example runs until it asks an HTTP service (:attr:`backends.Call.remote`):
+    that call is sent and the example waits, while the next one starts. A
+    mock or object service is answered at once. When no example can run,
+    the window waits for whichever answer arrives first, for at most the
+    endpoints' ``timeout``; after that it reads its oldest call's answer,
+    under the socket timeout. A call's retries, backoff sleeps included,
+    run while its answer is read, and hold up the whole window. A failed
+    ask is raised into its example; an error the example does not catch
+    ends the run, and the calls still out are dropped.
+    """
+    import selectors
+
+    results: list = []
+    # Sent calls by pending: (example position, steps, call, finish).
+    out: dict = {}
+    queue = iter(examples)
+
+    def advance(index, steps, reply=None, error=None) -> None:
+        """Run one example to its next HTTP call, or to its end."""
+        while True:
+            try:
+                ask = steps.send(reply) if error is None else steps.throw(error)
+            except StopIteration as stop:
+                results[index] = stop.value
+                return
+            reply = error = None
+            try:
+                call, finish = reranking.request(ask, endpoints)
+                if call.remote:
+                    pending = call.send()
+                    out[pending] = index, steps, call, finish
+                    if pending.conn is not None:
+                        selector.register(pending, selectors.EVENT_READ)
+                    return
+                reply = finish(call.run())
+            except Exception as exc:
+                error = exc
+
+    def start_next() -> None:
+        # An example in flight has exactly one call out.
+        while len(out) < jobs and (steps := next(queue, None)) is not None:
+            results.append(None)
+            advance(len(results) - 1, steps)
+
+    with selectors.DefaultSelector() as selector:
+        try:
+            start_next()
+            while out:
+                ready = ([p for p in out if p.conn is None]
+                         or [key.fileobj for key, _ in
+                             selector.select(endpoints.timeout)]
+                         or [next(iter(out))])
+                for pending in ready:
+                    index, steps, call, finish = out.pop(pending)
+                    if pending.conn is not None:
+                        selector.unregister(pending)
+                    try:
+                        reply, error = finish(call.receive(pending)), None
+                    except Exception as exc:
+                        reply, error = None, exc
+                    advance(index, steps, reply, error)
+                start_next()
+        finally:
+            for pending, (_, _, call, _) in out.items():
+                call.discard(pending)
+    return results
 
 
 @dataclass(frozen=True)
@@ -179,16 +279,20 @@ def _run_config(plan: RequestTemplate, cfg: RerankConfig, *,
 def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
                     cfg: RerankConfig, *, jobs: int = DEFAULT_JOBS,
                     seed: int | None = None) -> RunManifest:
-    """Transfer every record with bounded concurrency and evaluate the winners.
+    """Transfer every record and evaluate the winners, with up to ``jobs``
+    examples in flight on the calling thread.
 
-    ``jobs=1`` runs the examples one after another in the calling thread;
-    ``jobs=N>1`` runs them on N worker threads. Fewer than 1 raises
-    ValueError before any backend call. Per-example failures become error
-    records and the run continues; the run itself fails only if every
-    example fails. Records keep dataset order no matter the completion
-    order, and per-example seeds derive from the run seed plus the record
-    position. Each winner's accuracy label and fluency pair come from the
-    run's :class:`metrics.Judge`, unless its rerank scores already hold them.
+    ``jobs=1`` runs the examples one after another through
+    :func:`transfer_one`. ``jobs=N>1`` runs each as sans-IO steps
+    (:func:`_transfer_steps`), N at a time, in one window that keeps up to N
+    HTTP calls out at once, at most one per example, so each endpoint uses
+    at most N connections (:func:`_window`). Fewer than 1 raises ValueError
+    before any backend call. Per-example failures become error records and
+    the run continues; the run itself fails only if every example fails.
+    Records keep dataset order, and per-example seeds derive from the run
+    seed plus the record position, so ``jobs`` changes no output. Each
+    winner's accuracy label and fluency pair come from the run's
+    :class:`metrics.Judge`, unless its rerank scores already hold them.
     """
     if not records:
         raise PipelineError("transfer_corpus requires a non-empty record list")
@@ -201,29 +305,35 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
              == asks_classifier(cfg.endpoints) and len(labels or ()) == 2)
     judge = metrics.Judge(cfg.endpoints, labels)
 
-    def one(item: tuple[int, StylePairRecord]):
-        index, rec = item
+    def example(index: int, rec: StylePairRecord):
+        """One example's steps: its record, predicted label and fluency
+        pair, or its error record."""
         base = rec.to_dict()
         try:
-            winner, record, score = transfer_one(
-                plan.request_for(rec), cfg,
-                seed=None if seed is None else seed + index,
-                example_id=rec.id)
+            req = plan.request_for(rec)
+            example_seed = None if seed is None else seed + index
+            if jobs == 1:
+                winner, record, score = transfer_one(
+                    req, cfg, seed=example_seed, example_id=rec.id)
+            else:
+                winner, record, score = yield from _transfer_steps(
+                    req, cfg, seed=example_seed, example_id=rec.id)
             predicted = (metrics.top_label(score.strength_scores) if reuse
-                         else judge.label(winner.text))
+                         else (yield from judge.label_steps(winner.text)))
             fluency = ((score.log_fluency, score.fluency_tokens)
-                       if cfg.use_fluency else judge.fluency(winner.text))
+                       if cfg.use_fluency
+                       else (yield from judge.fluency_steps(winner.text)))
         except (BackendError, PipelineError, ValueError) as exc:
             logger.warning("example %s failed: %s", rec.id, exc)
             return {**base, "error": f"{type(exc).__name__}: {exc}"}, None, None
         record.update(base)
         return record, predicted, fluency
 
+    examples = (example(index, rec) for index, rec in enumerate(records))
     if jobs == 1:
-        results = [one(item) for item in enumerate(records)]
+        results = [reranking.drive(steps, cfg.endpoints) for steps in examples]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as executor:
-            results = list(executor.map(one, enumerate(records)))
+        results = _window(examples, jobs, cfg.endpoints)
 
     out_records = [record for record, _, _ in results]
     done = [result for result in results if "error" not in result[0]]

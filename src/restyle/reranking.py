@@ -132,15 +132,8 @@ def similarity_score(src: str, cand: str, endpoints: BackendEndpoints) -> float:
     is symmetric in its two texts, and identical texts score 1.0 under any
     embedding backend.
     """
-    return _similarity(src, _unit_rows(endpoints, src), cand, endpoints)
-
-
-def _similarity(src: str, src_rows: np.ndarray, cand: str,
-                endpoints: BackendEndpoints) -> float:
-    """:func:`similarity_score` against a source whose unit rows are known;
-    a candidate equal to the source reuses them and makes no call."""
-    # A fresh buffer: A @ A.T on one array takes NumPy's symmetric product,
-    # whose last bits differ from the general one.
+    src_rows = _unit_rows(endpoints, src)
+    # A fresh buffer, as in _score_steps.
     cand_rows = src_rows.copy() if cand == src else _unit_rows(endpoints, cand)
     return _greedy_f1(src_rows, cand_rows)
 
@@ -159,9 +152,13 @@ def _greedy_f1(src_vecs: np.ndarray, cand_vecs: np.ndarray) -> float:
 
 def _unit_rows(endpoints: BackendEndpoints, text: str) -> np.ndarray:
     """The text's token embeddings, each row scaled to unit length."""
+    return _unit(backends.embed_tokens(endpoints, text))
+
+
+def _unit(resp: backends.EmbeddingResponse) -> np.ndarray:
     # np.linalg.norm(mat, axis=1, keepdims=True) computes exactly this for a
     # real matrix, behind a Python wrapper that costs more than the math.
-    mat = backends.embed_tokens(endpoints, text).vectors
+    mat = resp.vectors
     return mat / np.sqrt(np.add.reduce(mat * mat, axis=1, keepdims=True))
 
 
@@ -184,14 +181,27 @@ def label_likelihoods(text: str, labels: list[str], endpoints: BackendEndpoints,
                               labels).scores
 
 
+def _label_call(text: str, labels: list[str], endpoints: BackendEndpoints,
+                classifier: bool) -> backends.Call:
+    """The call :func:`label_likelihoods` makes."""
+    if classifier:
+        return backends.classify_call(endpoints, text, labels)
+    return backends.fill_mask_call(
+        endpoints, render_cloze(text, endpoints.mask_token), labels)
+
+
 def _label_strength(text: str, s1: str, s2: str, endpoints: BackendEndpoints,
                     classifier: bool) -> tuple[float, dict[str, float]]:
     """The l1-normalized likelihood of s2 against s1, 0.5 when both are zero,
     paired with the raw label likelihoods of ``text``."""
-    scores = label_likelihoods(text, [s1, s2], endpoints, classifier)
+    return _normalized(label_likelihoods(text, [s1, s2], endpoints, classifier),
+                       s1, s2)
+
+
+def _normalized(scores: dict[str, float], s1: str, s2: str
+                ) -> tuple[float, dict[str, float]]:
     total = scores[s1] + scores[s2]
-    strength = 0.5 if total == 0 else scores[s2] / total
-    return strength, scores
+    return 0.5 if total == 0 else scores[s2] / total, scores
 
 
 def style_strength(cand: str, s1: str, s2: str, endpoints: BackendEndpoints
@@ -217,8 +227,73 @@ def fluency_logprob(cand: str, endpoints: BackendEndpoints
                     ) -> tuple[float, int]:
     """Total log-probability of the text, the sum of per-token conditionals,
     and its token count: the pair token-weighted perplexity is built from."""
-    resp = backends.score_tokens(endpoints, cand)
+    return _fluency(backends.score_tokens(endpoints, cand))
+
+
+def _fluency(resp: backends.TokenScoreResponse) -> tuple[float, int]:
     return resp.total_logprob, len(resp.tokens)
+
+
+# Asks: what a sans-IO step (:func:`_score_steps`, the corpus example steps
+# in :mod:`restyle.pipeline`, :class:`restyle.metrics.Judge`) yields for a
+# driver to answer, each a tuple that says all its answer depends on besides
+# the endpoints:
+#
+# * ``("complete", CompletionRequest)``: the CompletionResponse;
+# * ``("fluency", text)``: :func:`fluency_logprob`;
+# * ``("strength", text, s1, s2, classifier)``: :func:`classifier_strength`
+#   or :func:`style_strength`;
+# * ``("embed", text)``: the unit rows of the text's token embeddings;
+# * ``("label", text, labels)``: :func:`label_likelihoods` from the service
+#   :func:`asks_classifier` picks for accuracy.
+
+
+def request(ask: tuple, endpoints: BackendEndpoints):
+    """``ask`` as the :class:`backends.Call` :func:`drive` makes for it, and
+    the function of its response that gives the same answer."""
+    kind = ask[0]
+    if kind == "fluency":
+        return backends.score_tokens_call(endpoints, ask[1]), _fluency
+    if kind == "strength":
+        _, text, s1, s2, classifier = ask
+        return (_label_call(text, [s1, s2], endpoints, classifier),
+                lambda resp: _normalized(resp.scores, s1, s2))
+    if kind == "embed":
+        return backends.embed_tokens_call(endpoints, ask[1]), _unit
+    if kind == "label":
+        return (_label_call(ask[1], ask[2], endpoints, asks_classifier(endpoints)),
+                lambda resp: resp.scores)
+    return backends.complete_call(endpoints, ask[1]), lambda resp: resp
+
+
+def drive(steps, endpoints: BackendEndpoints):
+    """Run the generator ``steps`` to its end, answering each ask at once
+    through the functions above, and return what it returns. A failed ask
+    is raised into the steps at the ``yield`` that made it."""
+    try:
+        ask = next(steps)
+        while True:
+            try:
+                kind = ask[0]
+                if kind == "fluency":
+                    reply = fluency_logprob(ask[1], endpoints)
+                elif kind == "strength":
+                    _, text, s1, s2, classifier = ask
+                    strength = classifier_strength if classifier else style_strength
+                    reply = strength(text, s1, s2, endpoints)
+                elif kind == "embed":
+                    reply = _unit_rows(endpoints, ask[1])
+                elif kind == "label":
+                    reply = label_likelihoods(ask[1], ask[2], endpoints,
+                                              asks_classifier(endpoints))
+                else:
+                    reply = backends.complete(endpoints, ask[1])
+            except Exception as exc:
+                ask = steps.throw(exc)
+            else:
+                ask = steps.send(reply)
+    except StopIteration as stop:
+        return stop.value
 
 
 def _floored_log(p: float) -> float:
@@ -247,12 +322,22 @@ def score_pool(req: TransferRequest, pool: list[Candidate],
     A failed call ends the example before any later call. A repeated text
     shares its first occurrence's scores, and every fully scored candidate
     scores exactly as it would alone.
+
+    The loop is :func:`_score_steps`, whose asks this drives one at a time
+    through :func:`fluency_logprob`, :func:`style_strength` or
+    :func:`classifier_strength`, and the source's and each candidate's
+    embedding (:func:`drive`).
     """
-    endpoints = cfg.endpoints
+    return drive(_score_steps(req, pool, cfg), cfg.endpoints)
+
+
+def _score_steps(req: TransferRequest, pool: list[Candidate],
+                 cfg: RerankConfig):
+    """:func:`score_pool` as sans-IO steps: it yields the ``fluency``,
+    ``strength`` and ``embed`` asks, is sent their answers and returns the
+    scores."""
     src, s1, s2 = req.input_text, req.source_style, req.target_style
-    strength = (classifier_strength
-                if asks_classifier(endpoints, cfg.strength_source)
-                else style_strength)
+    classifier = asks_classifier(cfg.endpoints, cfg.strength_source)
     texts = list(dict.fromkeys(cand.text for cand in pool))
     # Without the fluency factor every text's fluency is known to be absent,
     # so its first factor asked is strength.
@@ -266,10 +351,10 @@ def score_pool(req: TransferRequest, pool: list[Candidate],
     while heap and -heap[0][0] >= best:
         _, order, text = heapq.heappop(heap)
         if text not in fluencies:
-            fluencies[text] = fluency_logprob(text, endpoints)
+            fluencies[text] = yield "fluency", text
             bound = fluencies[text][0]
         elif text not in strengths:
-            p_strength, label_scores = strength(text, s1, s2, endpoints)
+            p_strength, label_scores = yield "strength", text, s1, s2, classifier
             log_strength = _floored_log(p_strength)
             strengths[text] = log_strength, label_scores
             log_fluency = fluencies[text][0]
@@ -277,8 +362,11 @@ def score_pool(req: TransferRequest, pool: list[Candidate],
                      else log_strength + log_fluency)
         else:
             if src_rows is None:
-                src_rows = _unit_rows(endpoints, src)
-            log_sim = _floored_log(_similarity(src, src_rows, text, endpoints))
+                src_rows = yield "embed", src
+            # A fresh buffer: A @ A.T on one array takes NumPy's symmetric
+            # product, whose last bits differ from the general one.
+            cand_rows = src_rows.copy() if text == src else (yield "embed", text)
+            log_sim = _floored_log(_greedy_f1(src_rows, cand_rows))
             (log_strength, label_scores), (log_fluency, tokens) = \
                 strengths[text], fluencies[text]
             composite = log_sim + log_strength
@@ -313,7 +401,18 @@ def rerank(req: TransferRequest, pool: list[Candidate],
     """
     if not pool:
         raise ValueError("rerank requires a non-empty candidate pool")
-    scores = score_pool(req, pool, cfg)
+    return _winner(pool, score_pool(req, pool, cfg))
+
+
+def rerank_steps(req: TransferRequest, pool: list[Candidate],
+                 cfg: RerankConfig):
+    """:func:`rerank` of a non-empty pool as sans-IO steps (see
+    :func:`_score_steps`)."""
+    return _winner(pool, (yield from _score_steps(req, pool, cfg)))
+
+
+def _winner(pool: list[Candidate], scores: list[RerankScore]
+            ) -> tuple[Candidate, list[RerankScore]]:
     return pool[_first_max([s.composite for s in scores])], scores
 
 

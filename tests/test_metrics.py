@@ -703,6 +703,21 @@ class TestJudge:
             predict_style(ep, t, ["negative", "positive"])
             for t in ("good food", "bad food")] == ["positive", "negative"]
 
+    @pytest.mark.parametrize("endpoints", [
+        None, BackendEndpoints(), BackendEndpoints(score=UniformScoreBackend())],
+        ids=["none", "empty", "score-only"])
+    def test_labels_without_a_label_service_fail_when_built(self, endpoints):
+        # The parent raised AttributeError at the first label ask with no
+        # endpoints, and BackendError there with endpoints but no label service.
+        message = ("accuracy over the labels a, b needs a classifier or "
+                   "fill_mask endpoint")
+        with pytest.raises(ValueError, match=message):
+            Judge(endpoints, ["a", "b"])
+        with pytest.raises(ValueError, match=message):
+            evaluate([EvalRow("good", target_style="a")], endpoints,
+                     labels=["a", "b"])
+        assert Judge(endpoints, None).label("  ") is None
+
     def test_fluency_only_with_a_score_endpoint_and_a_text(self):
         ep = BackendEndpoints(score=UniformScoreBackend(vocab_size=7))
         assert Judge(ep, None).fluency("the cat") == fluency_logprob("the cat", ep)

@@ -1,10 +1,10 @@
 """A whole corpus run against the naive oracle.
 
 :func:`oracles.oracle_transfer_corpus` scores every factor of every
-candidate, one example at a time, with no pruning and no threads. The
-library's run must pick the same winners and baselines, reach the same
-summary and run id, hold bit-equal entries for every candidate it scored
-in full, and make no more calls at any endpoint.
+candidate, one example at a time, with no pruning. The library's run, with
+one to eight examples in flight, must pick the same winners and baselines,
+reach the same summary and run id, hold bit-equal entries for every
+candidate it scored in full, and make no more calls at any endpoint.
 """
 
 import dataclasses
@@ -51,7 +51,7 @@ def sentiment_corpora(draw):
 
 def logged_endpoints(base, log):
     """``base`` with each service behind a :class:`Counted` logging to
-    ``log``; list appends keep the log whole under threads."""
+    ``log``."""
     services = {name: Counted(resolve_mock_url(getattr(base, name)), name, log)
                 for name in ("complete", "embed", "fill_mask", "score",
                              "classifier")
@@ -60,7 +60,7 @@ def logged_endpoints(base, log):
 
 
 @given(records=sentiment_corpora(), k=st.integers(1, 5),
-       jobs=st.integers(1, 3), use_fluency=st.booleans(),
+       jobs=st.sampled_from([1, 3, 8]), use_fluency=st.booleans(),
        strength_source=st.sampled_from(STRENGTH_SOURCES),
        plant=st.sampled_from(["first", "seed"]),
        classifier=st.sampled_from([None, "mock://sentiment"]),

@@ -114,8 +114,10 @@ NUMBERS = {
 def answered(endpoint: str, raw: bytes):
     """The parsed response of ``endpoint`` to a 200 answer carrying ``raw``."""
     ep = BackendEndpoints(**{endpoint: f"http://fuzz.invalid/{endpoint}"})
-    with mock.patch.object(backends._HttpService, "_round_trip",
-                           lambda self, payload: (200, raw, None)):
+    with mock.patch.object(backends._HttpService, "_send",
+                           lambda self, data, reuse=True: None), \
+            mock.patch.object(backends._HttpService, "_attempt",
+                              lambda self, pending: (200, raw, None)):
         return CALLS[endpoint](ep)
 
 

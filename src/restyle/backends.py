@@ -2,8 +2,12 @@
 
 Five services are used, each through one call function here: completion,
 token scoring, mask filling (cloze label likelihoods), token embeddings and
-an optional classifier. The wire protocol is a small JSON-over-HTTP contract,
-not any vendor's API; see README for the endpoint shapes and a mapping guide.
+an optional classifier; each runs the :class:`Call` its ``*_call`` twin
+builds. The wire protocol is a small JSON-over-HTTP contract, not any
+vendor's API; see README for the endpoint shapes and a mapping guide. Its
+one definition is here: each response type's ``to_wire`` writes the body its
+``parse_*`` reads, :class:`CompletionRequest` writes and reads its own, and
+the HTTP client is transport only.
 
 Endpoint addresses may be:
 
@@ -65,6 +69,9 @@ class LabelError(BackendError):
         super().__init__(f"label errors: {details}")
         self.label_errors = label_errors
 
+    def to_wire(self) -> dict:
+        return {"label_errors": dict(self.label_errors)}
+
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
@@ -94,6 +101,15 @@ def check_count(value, what: str, minimum: int = 1) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {value!r}")
+    return value
+
+
+def check_seed(value) -> int | None:
+    """``value`` if it is an int, negative ones included, or None; anything
+    else raises ValueError. A bool would give ``seed=True`` a run id of its
+    own, and a NumPy integer cannot go into the run id's JSON."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"seed must be an integer or None, got {value!r}")
     return value
 
 
@@ -162,9 +178,23 @@ class CompletionRequest:
     decode: DecodeConfig = DecodeConfig()
 
     def __post_init__(self):
+        _require_str(self.prompt, "prompt")
+        if self.stop is not None:
+            _require_str(self.stop, "stop")
         check_count(self.num_candidates, "num_candidates")
         check_count(self.max_new_tokens, "max_new_tokens")
+        check_seed(self.seed)
         self.decode.width(self.num_candidates)
+
+    @classmethod
+    def from_wire(cls, body: dict) -> "CompletionRequest":
+        """The request whose :meth:`to_wire` is ``body``; an unset beam width
+        reads back as the one the body carries."""
+        decode = body["decode"]
+        return cls(body["prompt"], body["max_new_tokens"], body["num_candidates"],
+                   body["stop"], body["seed"],
+                   DecodeConfig(decode["mode"], decode["beam_width"],
+                                decode["temperature"]))
 
     def to_wire(self) -> dict:
         return {
@@ -205,6 +235,10 @@ class CompletionResponse:
         if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
             raise ValueError("candidates must be ordered by gen_score descending")
 
+    def to_wire(self) -> dict:
+        return {"candidates": [{"text": c.text, "gen_score": c.gen_score}
+                               for c in self.candidates]}
+
 
 @dataclass(frozen=True)
 class TokenScore:
@@ -236,6 +270,10 @@ class TokenScoreResponse:
         if not math.isfinite(self.total_logprob):
             raise ValueError(f"token logprobs sum to {self.total_logprob!r}")
 
+    def to_wire(self) -> dict:
+        return {"tokens": [{"token": t.token, "logprob": t.logprob}
+                           for t in self.tokens]}
+
 
 @dataclass(frozen=True)
 class MaskFillResponse:
@@ -251,6 +289,9 @@ class MaskFillResponse:
             scores[_require_str(label, "label")] = check_real(
                 value, f"score for label {label!r}", 0.0)
         object.__setattr__(self, "scores", scores)
+
+    def to_wire(self) -> dict:
+        return {"scores": dict(self.scores)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,9 +345,13 @@ class EmbeddingResponse:
             return NotImplemented
         return self.dim == other.dim and np.array_equal(self.vectors, other.vectors)
 
+    def to_wire(self) -> dict:
+        return {"dim": self.dim, "vectors": self.vectors.tolist()}
 
-# The wire parsers reshape a decoded 200 body into its response type. A body
-# that breaks the contract raises KeyError, TypeError, ValueError or
+
+# The wire parsers reshape a decoded 200 body into its response type, and
+# each type's to_wire gives back the body its parser reads. A body that
+# breaks the contract raises KeyError, TypeError, ValueError or
 # OverflowError; /fill_mask label errors raise LabelError.
 
 def parse_completion(body: dict) -> CompletionResponse:
@@ -638,12 +683,11 @@ def _read_body(rfile, status: int, http10: bool,
 class _HttpService:
     """POSTs JSON to one endpoint URL over pooled keep-alive connections.
 
-    It is transport only: each 200 answer is decoded and handed to the
-    endpoint's ``parse_*`` function (see :meth:`_call`). A call is two
-    halves: :meth:`send` writes its first attempt and :meth:`receive` reads
-    the answer, retrying as below, so one thread can have a call out on
-    each of several connections (:class:`Call`); the blocking :meth:`_call`
-    is ``receive(send(...))``.
+    It is transport only, and knows no endpoint: :class:`Call` gives it each
+    request body and the ``parse_*`` function that each decoded 200 answer
+    goes to. A call is two halves: :meth:`send` writes its first attempt
+    and :meth:`receive` reads the answer, retrying as below, so one thread
+    can have a call out on each of several connections.
 
     One client serves every call to its endpoint (see :class:`BackendEndpoints`).
     Idle connections wait in a lock-protected list; an attempt checks one
@@ -822,8 +866,9 @@ class _HttpService:
             return self._read(self._send(pending.data, reuse=False))
 
     def receive(self, pending: _Pending, parse):
-        """The answer to the POST :meth:`send` began, decoded and
-        ``parse``-d (see :meth:`_call`), after as many attempts as it takes."""
+        """The JSON object answering the POST :meth:`send` began, after as
+        many attempts as it takes, ``parse``-d: an ``{"error"}`` body raises
+        ServiceError, an invalid or unparsable one MalformedResponseError."""
         wait = 0.0
         for attempt in range(1, self.max_retries + 1):
             if attempt > 1:
@@ -881,31 +926,13 @@ class _HttpService:
                 f"{self.url} violated the wire contract: {exc}"
             ) from exc
 
-    def _call(self, method: str, *args):
-        """POST the wire form of ``method(*args)`` (:data:`_WIRE`) and parse
-        the JSON object answered: an ``{"error"}`` body raises ServiceError,
-        and an invalid or unparsable one MalformedResponseError."""
-        to_wire, parse = _WIRE[method]
-        return self.receive(self.send(to_wire(*args)), parse)
 
-    def complete(self, req: CompletionRequest) -> CompletionResponse:
-        return self._call("complete", req)
-
-    def score_tokens(self, text: str) -> TokenScoreResponse:
-        return self._call("score_tokens", text)
-
-    def fill_mask(self, text: str, labels: list[str]) -> MaskFillResponse:
-        return self._call("fill_mask", text, labels)
-
-    def embed_tokens(self, text: str) -> EmbeddingResponse:
-        return self._call("embed_tokens", text)
-
-
-# Each service method's request body and the parser of its answer.
+# Each service method's request body and the parser of its answer, as an
+# HTTP service's Call sends and reads them.
 _WIRE = {
     "complete": (CompletionRequest.to_wire, parse_completion),
     "score_tokens": (lambda text: {"text": text}, parse_token_scores),
-    "fill_mask": (lambda text, labels: {"text": text, "labels": list(labels)},
+    "fill_mask": (lambda text, labels: {"text": text, "labels": labels},
                   parse_mask_fill),
     "embed_tokens": (lambda text: {"text": text}, parse_embedding),
 }
@@ -932,13 +959,16 @@ def _service(endpoints: BackendEndpoints, name: str, what: str):
 
 class Call:
     """One backend call, its arguments checked and its service resolved by
-    one of the ``*_call`` functions below, as its blocking twin does them.
+    one of the ``*_call`` functions below; each blocking call function runs
+    its call.
 
-    :meth:`run` makes it and returns the response. An HTTP service's call
-    (``remote``) can instead go out in halves: :meth:`send` writes it, and
-    :meth:`receive` reads, retries and parses its answer, so one thread
-    can have several calls out at once. A label call's response must score
-    exactly the labels asked for, whichever way it is made.
+    :meth:`run` makes it and returns the response: a mock or object service
+    answers through its method, and an HTTP service (``remote``) as
+    ``receive(send())``. A remote call can instead go out in halves:
+    :meth:`send` writes its :data:`_WIRE` request body, and :meth:`receive`
+    reads, retries and parses its answer, so one thread can have several
+    calls out at once. A label call's response must score exactly the
+    labels asked for, whichever way it is made.
     """
 
     __slots__ = ("service", "method", "args", "labels", "what")
@@ -950,10 +980,13 @@ class Call:
 
     @property
     def remote(self) -> bool:
-        return isinstance(self.service, _HttpService)
+        return type(self.service) is _HttpService
 
     def run(self):
-        return self._checked(getattr(self.service, self.method)(*self.args))
+        if type(self.service) is _HttpService:
+            return self.receive(self.send())
+        resp = getattr(self.service, self.method)(*self.args)
+        return resp if self.labels is None else self._checked(resp)
 
     def send(self) -> _Pending:
         return self.service.send(_WIRE[self.method][0](*self.args))
@@ -966,13 +999,11 @@ class Call:
         self.service.discard(pending)
 
     def _checked(self, resp):
-        if self.labels is None:
+        if self.labels is None or set(resp.scores) == set(self.labels):
             return resp
-        return _scores_labels(resp, self.labels, self.what)
+        raise MalformedResponseError(
+            f"{self.what} response labels do not match the requested set")
 
-
-# Each call function below checks its arguments and resolves its service in
-# one helper, which its ``*_call`` twin shares.
 
 def complete_call(endpoints: BackendEndpoints, req: CompletionRequest) -> Call:
     return Call(_service(endpoints, "complete", "completion"), "complete", (req,))
@@ -984,95 +1015,66 @@ def complete(endpoints: BackendEndpoints, req: CompletionRequest) -> CompletionR
     The service may or may not honor ``stop``; callers always re-apply
     completion extraction themselves.
     """
-    return _service(endpoints, "complete", "completion").complete(req)
-
-
-def _scorer(endpoints: BackendEndpoints, text: str):
-    if not text.strip():
-        raise ValueError("text to score must be non-empty")
-    return _service(endpoints, "score", "token scoring")
+    return complete_call(endpoints, req).run()
 
 
 def score_tokens_call(endpoints: BackendEndpoints, text: str) -> Call:
-    return Call(_scorer(endpoints, text), "score_tokens", (text,))
+    if not text.strip():
+        raise ValueError("text to score must be non-empty")
+    return Call(_service(endpoints, "score", "token scoring"), "score_tokens",
+                (text,))
 
 
 def score_tokens(endpoints: BackendEndpoints, text: str) -> TokenScoreResponse:
     """Per-token conditional log-probabilities of ``text`` under the fluency model."""
-    return _scorer(endpoints, text).score_tokens(text)
+    return score_tokens_call(endpoints, text).run()
 
 
-def _labeller(endpoints: BackendEndpoints, name: str, what: str,
-              labels: list[str]):
-    """The /fill_mask-shaped service of ``name``, asked for the raw
+def _label_call(endpoints: BackendEndpoints, name: str, what: str,
+                text: str, labels: list[str]) -> Call:
+    """A call to the /fill_mask-shaped service of ``name`` for the raw
     likelihoods of two or more distinct labels."""
     if len(set(labels)) < 2:
         raise ValueError(f"{what} needs at least 2 distinct labels")
-    return _service(endpoints, name, what)
-
-
-def _scores_labels(resp: MaskFillResponse, labels: list[str],
-                   what: str) -> MaskFillResponse:
-    """``resp`` if it scores exactly the labels asked for."""
-    if set(resp.scores) != set(labels):
-        raise MalformedResponseError(
-            f"{what} response labels do not match the requested set")
-    return resp
-
-
-def _masker(endpoints: BackendEndpoints, cloze: str, labels: list[str]):
-    if cloze.count(endpoints.mask_token) != 1:
-        raise ValueError(
-            f"cloze must contain exactly one {endpoints.mask_token!r} token"
-        )
-    return _labeller(endpoints, "fill_mask", "mask filling", labels)
+    return Call(_service(endpoints, name, what), "fill_mask",
+                (text, list(labels)), labels, what)
 
 
 def fill_mask_call(endpoints: BackendEndpoints, cloze: str,
                    labels: list[str]) -> Call:
-    return Call(_masker(endpoints, cloze, labels), "fill_mask",
-                (cloze, list(labels)), labels, "mask filling")
+    if cloze.count(endpoints.mask_token) != 1:
+        raise ValueError(
+            f"cloze must contain exactly one {endpoints.mask_token!r} token"
+        )
+    return _label_call(endpoints, "fill_mask", "mask filling", cloze, labels)
 
 
 def fill_mask(endpoints: BackendEndpoints, cloze: str,
               labels: list[str]) -> MaskFillResponse:
     """Raw likelihoods of each label at the mask position of a cloze statement."""
-    return _scores_labels(
-        _masker(endpoints, cloze, labels).fill_mask(cloze, list(labels)),
-        labels, "mask filling")
-
-
-def _classifier(endpoints: BackendEndpoints, text: str, labels: list[str]):
-    if not text.strip():
-        raise ValueError("text to classify must be non-empty")
-    return _labeller(endpoints, "classifier", "classifier", labels)
+    return fill_mask_call(endpoints, cloze, labels).run()
 
 
 def classify_call(endpoints: BackendEndpoints, text: str,
                   labels: list[str]) -> Call:
-    return Call(_classifier(endpoints, text, labels), "fill_mask",
-                (text, list(labels)), labels, "classifier")
+    if not text.strip():
+        raise ValueError("text to classify must be non-empty")
+    return _label_call(endpoints, "classifier", "classifier", text, labels)
 
 
 def classify(endpoints: BackendEndpoints, text: str,
              labels: list[str]) -> MaskFillResponse:
     """Label likelihoods for plain text from the classifier endpoint; with
     none configured it raises BackendError."""
-    return _scores_labels(
-        _classifier(endpoints, text, labels).fill_mask(text, list(labels)),
-        labels, "classifier")
-
-
-def _embedder(endpoints: BackendEndpoints, text: str):
-    if not text.strip():
-        raise ValueError("text to embed must be non-empty")
-    return _service(endpoints, "embed", "embedding")
+    return classify_call(endpoints, text, labels).run()
 
 
 def embed_tokens_call(endpoints: BackendEndpoints, text: str) -> Call:
-    return Call(_embedder(endpoints, text), "embed_tokens", (text,))
+    if not text.strip():
+        raise ValueError("text to embed must be non-empty")
+    return Call(_service(endpoints, "embed", "embedding"), "embed_tokens", (text,))
 
 
 def embed_tokens(endpoints: BackendEndpoints, text: str) -> EmbeddingResponse:
     """One contextual embedding vector per token of ``text``."""
-    return _embedder(endpoints, text).embed_tokens(text)
+    return embed_tokens_call(endpoints, text).run()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from . import backends, metrics, reranking
-from .backends import BackendError, CompletionRequest, check_count
+from .backends import BackendError, CompletionRequest, check_count, check_seed
 from .data import DatasetError, StylePairRecord
 from .metrics import SWEEP_CSV_COLUMNS, EvalRow, EvalSummary, MetricError
 from .prompts import (
@@ -129,7 +129,7 @@ def _completion_request(req: TransferRequest, cfg: RerankConfig,
 def _candidates(resp, req: TransferRequest, example_id: str | None
                 ) -> tuple[list[dict], list[Candidate]]:
     """The raw completions and the pool of their non-empty extractions."""
-    raw = [{"text": g.text, "gen_score": g.gen_score} for g in resp.candidates]
+    raw = resp.to_wire()["candidates"]
     pool = []
     for i, gen in enumerate(resp.candidates):
         extraction = extract_completion(gen.text, req.delimiter)
@@ -286,9 +286,11 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     :func:`transfer_one`. ``jobs=N>1`` runs each as sans-IO steps
     (:func:`_transfer_steps`), N at a time, in one window that keeps up to N
     HTTP calls out at once, at most one per example, so each endpoint uses
-    at most N connections (:func:`_window`). Fewer than 1 raises ValueError
-    before any backend call. Per-example failures become error records and
-    the run continues; the run itself fails only if every example fails.
+    at most N connections (:func:`_window`). Fewer than 1, or a ``seed``
+    that is not an int or None (:func:`backends.check_seed`), raises
+    ValueError before any backend call. Per-example failures become error
+    records and the run continues; the run itself fails only if every
+    example fails.
     Records keep dataset order, and per-example seeds derive from the run
     seed plus the record position, so ``jobs`` changes no output. Each
     winner's accuracy label and fluency pair come from the run's
@@ -297,6 +299,7 @@ def transfer_corpus(records: list[StylePairRecord], plan: RequestTemplate,
     if not records:
         raise PipelineError("transfer_corpus requires a non-empty record list")
     check_count(jobs, "jobs")
+    check_seed(seed)
     labels = metrics.accuracy_labels(cfg.endpoints, (
         style for r in records for style in (r.source_style, r.target_style)))
     # When accuracy asks the service strength asked, over the example's own
@@ -535,12 +538,13 @@ def run_sweep(records: list[StylePairRecord], grid: SweepGrid,
     :func:`select_exemplars`. Cell failures are isolated: a cell with no
     records or too few exemplars in its direction, or whose run fails,
     gets a row with an error and empty metric columns, and the sweep
-    continues. A ``jobs`` below 1 fails the whole sweep at once, not each
-    cell. Rows follow grid iteration order (templates, then delimiters,
-    directions, shots), so runs with deterministic backends produce
-    byte-identical CSV output.
+    continues. A ``jobs`` below 1, or a ``seed`` that is not an int or
+    None, fails the whole sweep at once, not each cell. Rows follow grid
+    iteration order (templates, then delimiters, directions, shots), so
+    runs with deterministic backends produce byte-identical CSV output.
     """
     check_count(jobs, "jobs")
+    check_seed(seed)
     result = SweepResult()
     for template, delimiter, direction, shots in itertools.product(
             grid.templates, grid.delimiters, grid.directions, grid.shots):

@@ -48,27 +48,22 @@ class Reply:
 
 
 def mock_answer(path: str, body: dict) -> Reply:
-    """The wire endpoints answered by the package mocks (lexicon-flip completion)."""
+    """The wire endpoints answered by the package mocks (lexicon-flip
+    completion), each request read and each answer written by the codec."""
     if path.endswith("/complete"):
-        resp = LexiconFlipBackend().complete(CompletionRequest(
-            prompt=body["prompt"], num_candidates=body["num_candidates"],
-            stop=body["stop"], seed=body["seed"]))
-        return Reply({"candidates": [{"text": g.text, "gen_score": g.gen_score}
-                                     for g in resp.candidates]})
-    if path.endswith("/score"):
+        resp = LexiconFlipBackend().complete(CompletionRequest.from_wire(body))
+    elif path.endswith("/score"):
         resp = UniformScoreBackend().score_tokens(body["text"])
-        return Reply({"tokens": [{"token": t.token, "logprob": t.logprob}
-                                 for t in resp.tokens]})
-    if path.endswith("/fill_mask"):
+    elif path.endswith("/fill_mask"):
         try:
-            scores = SentimentMaskBackend().fill_mask(body["text"], body["labels"]).scores
+            resp = SentimentMaskBackend().fill_mask(body["text"], body["labels"])
         except LabelError as exc:
-            return Reply({"label_errors": exc.label_errors})
-        return Reply({"scores": scores})
-    if path.endswith("/embed"):
+            resp = exc
+    elif path.endswith("/embed"):
         resp = HashEmbedBackend().embed_tokens(body["text"])
-        return Reply({"dim": resp.dim, "vectors": [list(v) for v in resp.vectors]})
-    return Reply({"error": f"no route {path}"}, status=404)
+    else:
+        return Reply({"error": f"no route {path}"}, status=404)
+    return Reply(resp.to_wire())
 
 
 class _Handler(BaseHTTPRequestHandler):

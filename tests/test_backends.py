@@ -2,6 +2,7 @@ import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,16 +59,6 @@ def cases(*rows):
 
 
 class TestRequestValidation:
-    def test_num_candidates_must_be_positive(self):
-        for value in (0, True, 2.5):
-            with pytest.raises(ValueError, match="num_candidates"):
-                CompletionRequest(prompt="p", num_candidates=value)
-
-    def test_max_new_tokens_must_be_positive(self):
-        for value in (0, True, 2.5):
-            with pytest.raises(ValueError, match="max_new_tokens"):
-                CompletionRequest(prompt="p", max_new_tokens=value)
-
     def test_decode_mode_checked(self):
         with pytest.raises(ValueError):
             backends.DecodeConfig(mode="greedy")
@@ -127,6 +118,22 @@ class TestRequestValidation:
             CompletionRequest(prompt="p", num_candidates=5, decode=decode)
         with pytest.raises(ValueError, match=error):
             decode.to_wire(5)
+
+    @pytest.mark.parametrize("field, value, error", cases(
+        ("num_candidates", 0, ValueError), ("num_candidates", True, ValueError),
+        ("num_candidates", 2.5, ValueError), ("max_new_tokens", 0, ValueError),
+        ("max_new_tokens", True, ValueError), ("max_new_tokens", 2.5, ValueError),
+        ("prompt", 123, TypeError), ("prompt", None, TypeError),
+        ("stop", 5, TypeError), ("seed", "7", ValueError),
+        ("seed", True, ValueError), ("seed", np.int64(5), ValueError),
+        ("seed", 2.0, ValueError),
+    ))
+    def test_request_fields_checked(self, field, value, error):
+        with pytest.raises(error, match=f"^{field} must be "):
+            CompletionRequest(**{"prompt": "p", field: value})
+
+    def test_negative_seed_accepted(self):
+        assert CompletionRequest(prompt="p", seed=-3).to_wire()["seed"] == -3
 
     def test_wire_shape(self):
         req = CompletionRequest(prompt="p", max_new_tokens=8,
@@ -281,21 +288,6 @@ class TestResponseInvariants:
 class TestParsers:
     """The module-level wire parsers, called on decoded bodies."""
 
-    def test_each_endpoint_body(self):
-        assert backends.parse_completion(
-            {"candidates": [{"text": "a", "gen_score": -0.5},
-                            {"text": "b", "gen_score": -1}]}
-        ) == CompletionResponse((Generation("a", -0.5), Generation("b", -1.0)))
-        assert backends.parse_token_scores(
-            {"tokens": [{"token": "a", "logprob": -2}]}
-        ) == TokenScoreResponse((TokenScore("a", -2.0),))
-        assert backends.parse_mask_fill(
-            {"scores": {"a": 0.25, "b": 0}, "label_errors": {}}
-        ) == MaskFillResponse({"a": 0.25, "b": 0.0})
-        assert backends.parse_embedding(
-            {"dim": 2, "vectors": [[1, 0]]}
-        ) == EmbeddingResponse(vectors=((1.0, 0.0),), dim=2)
-
     @pytest.mark.parametrize("parse,body,error", [
         (backends.parse_completion, {}, KeyError),
         (backends.parse_completion, {"candidates": [{"text": "x"}]}, KeyError),
@@ -329,6 +321,8 @@ class TestParsers:
         with pytest.raises(LabelError) as err:
             backends.parse_mask_fill({"label_errors": {"a": "label not single-token"}})
         assert err.value.label_errors == {"a": "label not single-token"}
+        assert backends.parse_mask_fill({"scores": {"a": 0}, "label_errors": {}}) \
+            == MaskFillResponse({"a": 0.0})
         for label_errors in ([], "x", 0, False):
             with pytest.raises(TypeError, match="label_errors"):
                 backends.parse_mask_fill({"scores": {"a": 1.0},
@@ -544,24 +538,29 @@ class TestDeterminism:
             resolve_mock_url("mock://lexicon-flip?plant=last")
 
 
+# Each endpoint's call, and the response whose wire form the endpoint answers.
+WIRE_CALLS = {
+    "complete": (lambda ep: backends.complete(
+        ep, CompletionRequest(prompt="p", num_candidates=2)),
+        CompletionResponse((Generation("rewritten}", -0.4),
+                            Generation("other}", -0.9)))),
+    "score": (lambda ep: backends.score_tokens(ep, "two words"),
+              TokenScoreResponse((TokenScore("two", -1.5), TokenScore("words", -1.5)))),
+    "fill_mask": (lambda ep: backends.fill_mask(
+        ep, "The following text is <mask>: [x].", ["a", "b"]),
+        MaskFillResponse({"a": 0.5, "b": 0.5})),
+    "embed": (lambda ep: backends.embed_tokens(ep, "three short words"),
+              EmbeddingResponse(vectors=[[1.0, 0.0]] * 3, dim=2)),
+}
+
+
 def wire_answer(path: str, body: dict) -> Reply:
     """Wire-protocol answers keyed on the request path."""
-    if path == "/complete":
-        return Reply({"candidates": [
-            {"text": "rewritten}", "gen_score": -0.4},
-            {"text": "other}", "gen_score": -0.9},
-        ][: body["num_candidates"]]})
-    if path == "/score":
-        return Reply({"tokens": [{"token": t, "logprob": -1.5}
-                                 for t in body["text"].split()]})
-    if path == "/fill_mask":
-        return Reply({"scores": {label: 0.5 for label in body["labels"]}})
+    if path[1:] in WIRE_CALLS:
+        return Reply(WIRE_CALLS[path[1:]][1].to_wire())
     if path == "/fill_mask_err":
         return Reply({"scores": {}, "label_errors": {
             body["labels"][0]: "label not in backend vocabulary"}})
-    if path == "/embed":
-        return Reply({"dim": 2,
-                      "vectors": [[1.0, 0.0] for _ in body["text"].split()]})
     if path == "/malformed":
         return Reply(b"{not json")
     if path == "/bad_shape":
@@ -584,28 +583,20 @@ def hits(server, path: str) -> int:
 
 
 class TestHttpWire:
-    def test_complete_round_trip(self, wire_server):
-        ep = BackendEndpoints(complete=f"{wire_server.url}/complete")
-        resp = backends.complete(ep, CompletionRequest(prompt="p", num_candidates=2))
-        assert resp.candidates[0] == Generation("rewritten}", -0.4)
-        assert len(resp.candidates) == 2
+    @pytest.mark.parametrize("endpoint", WIRE_CALLS)
+    def test_round_trip(self, wire_server, endpoint):
+        call, expected = WIRE_CALLS[endpoint]
+        resp = call(BackendEndpoints(**{endpoint: f"{wire_server.url}/{endpoint}"}))
+        assert resp == expected
 
-    def test_score_round_trip(self, wire_server):
-        ep = BackendEndpoints(score=f"{wire_server.url}/score")
-        resp = backends.score_tokens(ep, "two words")
-        assert [t.token for t in resp.tokens] == ["two", "words"]
-        assert resp.total_logprob == -3.0
-
-    def test_fill_mask_round_trip(self, wire_server):
-        ep = BackendEndpoints(fill_mask=f"{wire_server.url}/fill_mask")
-        resp = backends.fill_mask(ep, "The following text is <mask>: [x].",
-                                  ["a", "b"])
-        assert resp.scores == {"a": 0.5, "b": 0.5}
-
-    def test_embed_round_trip(self, wire_server):
-        ep = BackendEndpoints(embed=f"{wire_server.url}/embed")
-        resp = backends.embed_tokens(ep, "three short words")
-        assert resp.dim == 2 and len(resp.vectors) == 3
+    def test_complete_request_reaches_the_mock_whole(self):
+        req = CompletionRequest(sentiment_prompt(), 7, 3, "}", -4,
+                                backends.DecodeConfig("sample", 5, 0.7))
+        with mock.patch.object(LexiconFlipBackend, "complete", autospec=True,
+                               side_effect=LexiconFlipBackend.complete) as spy, \
+                LoopbackServer() as server:
+            backends.complete(BackendEndpoints(complete=f"{server.url}/complete"), req)
+        assert [call.args[1] for call in spy.call_args_list] == [req]
 
     def test_label_errors_surface(self, wire_server):
         ep = BackendEndpoints(fill_mask=f"{wire_server.url}/fill_mask_err")

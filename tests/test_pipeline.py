@@ -3,6 +3,7 @@ import re
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fakes import Counted, StaticMaskBackend
@@ -558,6 +559,22 @@ class TestTransferCorpus:
                               fill_mask=unreachable, embed=unreachable)
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run(sentiment_records, RerankConfig(endpoints=ep))
+
+    @pytest.mark.parametrize("seed", [np.int64(5), True, "7", 2.0],
+                             ids=["int64", "bool", "str", "float"])
+    @pytest.mark.parametrize("run", [
+        lambda records, cfg, seed: transfer_corpus(
+            records, RequestTemplate(), cfg, seed=seed),
+        lambda records, cfg, seed: run_sweep(
+            records, SweepGrid(directions=directions_in(records)), cfg, seed=seed),
+    ], ids=["transfer_corpus", "run_sweep"])
+    def test_seed_not_an_int_rejected_before_any_call(self, sentiment_records,
+                                                      run, seed):
+        unreachable = Unreachable()
+        ep = BackendEndpoints(complete=unreachable, score=unreachable,
+                              fill_mask=unreachable, embed=unreachable)
+        with pytest.raises(ValueError, match="^seed must be an integer or None, got "):
+            run(sentiment_records, RerankConfig(endpoints=ep), seed)
 
     def test_bool_jobs_rejected(self, sentiment_records):
         unreachable = Unreachable()

@@ -11,6 +11,9 @@ contract with arbitrary leaves, wrong label sets, empty token and vector
 lists, each possibly cut short. A parser must return a response or raise
 MalformedResponseError or LabelError, never anything else, and every number
 in a parsed response is finite.
+
+The codec round-trips: a valid response's JSON ``to_wire`` body parses back
+to an equal response or LabelError, and a request's body reads back the same.
 """
 
 import http.client
@@ -28,8 +31,15 @@ from restyle import backends
 from restyle.backends import (
     BackendEndpoints,
     CompletionRequest,
+    CompletionResponse,
+    DecodeConfig,
+    EmbeddingResponse,
+    Generation,
     LabelError,
     MalformedResponseError,
+    MaskFillResponse,
+    TokenScore,
+    TokenScoreResponse,
 )
 
 LABELS = ["positive", "negative"]
@@ -198,6 +208,46 @@ def test_fill_mask_parser(data):
 @given(st.data())
 def test_embed_parser(data):
     check("embed", data)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+texts = st.text(max_size=8)
+# Valid responses, each with the parser of its wire form. Logprobs stay
+# above -1e300, so that three sum to a finite total.
+RESPONSES = [
+    (backends.parse_completion, st.lists(
+        st.builds(Generation, texts, finite), min_size=1, max_size=3).map(
+        lambda gens: CompletionResponse(tuple(sorted(
+            gens, key=lambda gen: -gen.gen_score))))),
+    (backends.parse_token_scores, st.lists(
+        st.builds(TokenScore, texts, st.floats(-1e300, 0)), min_size=1,
+        max_size=3).map(lambda tokens: TokenScoreResponse(tuple(tokens)))),
+    (backends.parse_mask_fill, st.dictionaries(
+        texts, st.floats(0, 1e300), max_size=3).map(MaskFillResponse)),
+    (backends.parse_embedding, st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.lists(finite, min_size=dim, max_size=dim).filter(any), min_size=1,
+        max_size=3)).map(lambda rows: EmbeddingResponse(rows, len(rows[0])))),
+]
+completion_requests = st.integers(1, 8).flatmap(lambda k: st.builds(
+    CompletionRequest, st.text(max_size=20), st.integers(1, 512), st.just(k),
+    st.none() | texts, st.none() | st.integers(), st.builds(
+        DecodeConfig, st.sampled_from(DecodeConfig.MODES),
+        st.none() | st.integers(k, 16), st.floats(0, 100))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_codec_round_trips(data):
+    for parse, responses in RESPONSES:
+        resp = data.draw(responses)
+        assert parse(json.loads(json.dumps(resp.to_wire()))) == resp
+    label_errors = data.draw(st.dictionaries(texts, texts, min_size=1, max_size=3))
+    with pytest.raises(LabelError) as err:
+        backends.parse_mask_fill(json.loads(json.dumps(
+            LabelError(label_errors).to_wire())))
+    assert err.value.label_errors == label_errors
+    body = data.draw(completion_requests).to_wire()
+    assert CompletionRequest.from_wire(json.loads(json.dumps(body))).to_wire() == body
 
 
 def read_response(raw: bytes) -> tuple[int, bytes]:
